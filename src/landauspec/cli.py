@@ -111,7 +111,6 @@ class RunConfig:
     epsilons: list
     k_max: int = DEFAULT_K_MAX
     quad: int | None = None
-    jobs: int = 1
     out: str = "."
     formats: list = None
     assert_paper: bool = False
@@ -123,8 +122,6 @@ class RunConfig:
         self.epsilons = [float(e) for e in self.epsilons]
         if self.k_max < 2:
             raise ValueError(f"k_max = {self.k_max} is too small")
-        if self.jobs < 1:
-            raise ValueError(f"jobs = {self.jobs} must be positive")
         bad = set(self.formats) - {"json", "csv"}
         if bad:
             raise ValueError(f"unknown output formats: {sorted(bad)}")
@@ -136,7 +133,6 @@ class RunConfig:
             "epsilons": [float(e) for e in self.epsilons],
             "k_max": int(self.k_max),
             "quad": self.quad if self.quad is None else int(self.quad),
-            "jobs": int(self.jobs),
             "out": self.out,
             "formats": list(self.formats),
             "assert_paper": bool(self.assert_paper),
@@ -182,7 +178,6 @@ def _build_parser():
     common.add_argument("--kmax", type=int, help="spectral truncation degree")
     common.add_argument("--quad", type=int,
                         help="quadrature node override for direct assemblies")
-    common.add_argument("--jobs", type=int, help="worker bound (recorded)")
     common.add_argument("--out", help="output directory")
     common.add_argument("--format", dest="formats",
                         help="comma list from {json,csv}")
@@ -216,9 +211,8 @@ _DEFAULTS = {
 def resolve_config(args):
     """Merge defaults, config file, environment, and CLI flags."""
     merged = dict(_DEFAULTS[args.command])
-    merged.update({"k_max": DEFAULT_K_MAX, "quad": None, "jobs": 1,
-                   "out": ".", "formats": ["json", "csv"],
-                   "assert_paper": False})
+    merged.update({"k_max": DEFAULT_K_MAX, "quad": None, "out": ".",
+                   "formats": ["json", "csv"], "assert_paper": False})
 
     config_path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
     if config_path:
@@ -238,7 +232,7 @@ def resolve_config(args):
     if ENV_PREFIX + "EPSILON" in env:
         merged["epsilons"] = [float(env[ENV_PREFIX + "EPSILON"])]
     for key, name, conv in (("KMAX", "k_max", int), ("QUAD", "quad", int),
-                            ("JOBS", "jobs", int), ("OUT", "out", str)):
+                            ("OUT", "out", str)):
         if ENV_PREFIX + key in env:
             merged[name] = conv(env[ENV_PREFIX + key])
     if ENV_PREFIX + "FORMAT" in env:
@@ -259,8 +253,6 @@ def resolve_config(args):
         merged["k_max"] = args.kmax
     if args.quad is not None:
         merged["quad"] = args.quad
-    if args.jobs is not None:
-        merged["jobs"] = args.jobs
     if args.out is not None:
         merged["out"] = args.out
     if args.formats is not None:

@@ -7,7 +7,8 @@ group near 1, whose drift under the background encodes the quadratic
 expansion coefficients and whose imaginary parts probe the conjectured
 absence of a rotation rate.  The constructive routines
 (`translation_eigenvector`, `zero_mode_check`, `landau_state`) build the
-symmetry modes directly from the closed-form background profiles and
+symmetry modes directly from the closed-form background profiles, the
+zero modes analytically from the closed-form family derivatives, and
 report how well the assembled matrix annihilates or preserves them.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .landau import LandauProfile, eval_profiles
+from .landau import LandauProfile, eval_profile_derivative, eval_profiles
 from .operators import assemble_L
 from .perturbation import reduced_matrix, solve_graph, split_blocks
 from .sphbasis import (
@@ -53,7 +54,6 @@ class EigenCurve:
     k_max: int
     epsilons: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
-    method: str = "nearest-neighbor"
 
     @property
     def n_branches(self):
@@ -225,28 +225,40 @@ def _require_resolved(state, k_max):
         )
 
 
-def landau_state(epsilon, k_max):
-    """State representation of a background family member itself (m = 0).
+def _symmetry_state(table, t_theta, t_phi, u_r, q):
+    """State of a velocity field on the sphere given by its tangential pair,
+    its radial component and its pressure trace (nodal values on the table's
+    grid).
 
-    The tangential profile enters through its gradient potential, the
-    radial profile fills the plain radial slot, and the starred slot
-    balances the trace identity against the boundary pressure.
+    The tangential field enters through its potential and stream function,
+    the radial component fills the plain radial slot, and the starred slot
+    balances the trace identity against the pressure.  The primed slots
+    stay empty.
     """
-    grid = QuadratureGrid.build(default_node_count(k_max))
-    table = legendre_values(k_max, 0, grid)
-    prof = eval_profiles(LandauProfile(epsilon), grid.theta)
-
-    div_c, curl_c = project_div_curl(
-        prof["V"].astype(complex), np.zeros(grid.theta.size, dtype=complex),
-        table)
+    div_c, curl_c = project_div_curl(np.asarray(t_theta, dtype=complex),
+                                     np.asarray(t_phi, dtype=complex), table)
     phi = solve_poisson(div_c)
     psi = solve_poisson(curl_c)
-    radial = project(prof["F"], table)
-    q_f = project(prof["p"], table)
+    radial = project(u_r, table)
+    q_f = project(q, table)
     star = q_f.copy()
     star.coeffs[:] = -laplacian(phi).coeffs - radial.coeffs - q_f.coeffs
-    zero = zero_field(0, k_max)
-    return StateVector(0, phi, psi, zero.copy(), zero.copy(), radial, star)
+    zero = zero_field(table.m, table.k_max)
+    return StateVector(table.m, phi, psi, zero.copy(), zero.copy(), radial,
+                       star)
+
+
+def _mode_table(m, k_max):
+    grid = QuadratureGrid.build(default_node_count(k_max))
+    return grid, legendre_values(k_max, m, grid)
+
+
+def landau_state(epsilon, k_max):
+    """State representation of a background family member itself (m = 0)."""
+    grid, table = _mode_table(0, k_max)
+    prof = eval_profiles(LandauProfile(epsilon), grid.theta)
+    return _symmetry_state(table, prof["V"], np.zeros(grid.theta.size),
+                           prof["F"], prof["p"])
 
 
 def translation_eigenvector(epsilon, k_max):
@@ -265,8 +277,7 @@ def translation_eigenvector(epsilon, k_max):
         )
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("construction validated for eps in (0, 0.5]")
-    grid = QuadratureGrid.build(default_node_count(k_max))
-    table = legendre_values(k_max, 1, grid)
+    grid, table = _mode_table(1, k_max)
     c = grid.x
     s = grid.sin_theta
     d = 1.0 - epsilon * c
@@ -296,58 +307,37 @@ def translation_eigenvector(epsilon, k_max):
 class ZeroModeReport:
     epsilon: float
     direction: tuple
-    h: float
     residual: float
     axial: StateVector | None
     transverse: StateVector | None
     axial_residual: float | None
     transverse_residual: float | None
-    step_disagreement: float
 
 
-def _axial_difference(epsilon, k_max, h):
-    plus = landau_state(epsilon + h, k_max).to_flat()
-    minus = landau_state(epsilon - h, k_max).to_flat()
-    return state_from_flat(0, k_max, (plus - minus) / (2.0 * h))
+def _axial_state(epsilon, k_max):
+    """Derivative of the family in its parameter (m = 0): the background
+    state built from the closed-form eps-derivatives of (V, F, p)."""
+    grid, table = _mode_table(0, k_max)
+    der = eval_profile_derivative(LandauProfile(epsilon), grid.theta)
+    return _symmetry_state(table, der["dV_deps"], np.zeros(grid.theta.size),
+                           der["dF_deps"], der["dp_deps"])
 
 
-def _tilt_state(epsilon, k_max, delta):
+def _tilt_state(epsilon, k_max):
     """Derivative of the family under tilting the symmetry axis (m = 1),
-    with the profile slopes taken by central differences of step delta in
-    the polar variable."""
-    grid = QuadratureGrid.build(default_node_count(k_max))
-    table = legendre_values(k_max, 1, grid)
+    from the exact slopes in t = cos(theta) of the closed-form profiles
+    f = 2((1 - eps^2)/(1 - eps t)^2 - 1), w = -2 eps/(1 - eps t) and
+    p = 4 eps (t - eps)/(1 - eps t)^2."""
+    grid, table = _mode_table(1, k_max)
     c = grid.x
     s = grid.sin_theta
-
-    def f_prof(t):
-        return 2.0 * ((1.0 - epsilon**2) / (1.0 - epsilon * t) ** 2 - 1.0)
-
-    def w_prof(t):
-        return -2.0 * epsilon / (1.0 - epsilon * t)
-
-    def p_prof(t):
-        return 4.0 * epsilon * (t - epsilon) / (1.0 - epsilon * t) ** 2
-
-    def slope(fn):
-        return (fn(c + delta) - fn(c - delta)) / (2.0 * delta)
-
-    fp, wp, pp = slope(f_prof), slope(w_prof), slope(p_prof)
-    u_r = 0.5 * fp * s
-    t_theta = 0.5 * (wp * s**2 - w_prof(c) * c)
-    t_phi = -0.5j * w_prof(c)
-    q_prof = 0.5 * pp * s
-
-    div_c, curl_c = project_div_curl(t_theta.astype(complex),
-                                     t_phi.astype(complex), table)
-    phi = solve_poisson(div_c)
-    psi = solve_poisson(curl_c)
-    radial = project(u_r, table)
-    q_f = project(q_prof, table)
-    star = q_f.copy()
-    star.coeffs[:] = -laplacian(phi).coeffs - radial.coeffs - q_f.coeffs
-    zero = zero_field(1, k_max)
-    return StateVector(1, phi, psi, zero.copy(), zero.copy(), radial, star)
+    d = 1.0 - epsilon * c
+    w = -2.0 * epsilon / d
+    fp = 4.0 * epsilon * (1.0 - epsilon**2) / d**3
+    wp = -2.0 * epsilon**2 / d**2
+    pp = 4.0 * epsilon * (1.0 + epsilon * c - 2.0 * epsilon**2) / d**3
+    return _symmetry_state(table, 0.5 * (wp * s**2 - w * c), -0.5j * w,
+                           0.5 * fp * s, 0.5 * pp * s)
 
 
 def _mode_residual(state, lmat):
@@ -356,15 +346,16 @@ def _mode_residual(state, lmat):
     return x_norm(image) / x_norm(state)
 
 
-def zero_mode_check(epsilon, direction, k_max, h_rel=1e-4):
-    """Residual of the operator on the differenced family derivative in
-    the given force direction.
+def zero_mode_check(epsilon, direction, k_max):
+    """Residual of the operator on the family derivative in the given force
+    direction.
 
-    The vertical component differences the parameter itself (m = 0); the
-    horizontal components tilt the symmetry axis (m = 1).  Each difference
-    is computed at step h = h_rel * eps and at h/2; a relative disagreement
-    above 1e-2 flags an unstable step, otherwise the Richardson combination
-    of the two is kept.
+    The vertical component is the derivative in the parameter itself
+    (m = 0); the horizontal components tilt the symmetry axis (m = 1).
+    Both are analytic zero modes, built from the closed-form family
+    derivatives.  The reported residual combines the two per-mode relative
+    residuals |L state| / |state|, weighted by the direction and the state
+    norms.
     """
     if epsilon <= 0.0:
         raise ValueError("family derivative needs eps > 0")
@@ -375,33 +366,16 @@ def zero_mode_check(epsilon, direction, k_max, h_rel=1e-4):
     if nrm == 0.0:
         raise ValueError("direction must be nonzero")
     direction = direction / nrm
-    h = h_rel * epsilon
     w_ax = abs(direction[2])
     w_tr = float(np.hypot(direction[0], direction[1]))
-    disagreements = [0.0]
-
-    def differenced(builder, m):
-        coarse = builder(h)
-        fine = builder(h / 2.0)
-        diff = state_from_flat(m, k_max, fine.to_flat() - coarse.to_flat())
-        rel = x_norm(diff) / x_norm(fine)
-        disagreements.append(rel)
-        if rel > 1e-2:
-            raise RuntimeError(
-                f"difference step h = {h:.2e} is unstable: halving it moved "
-                f"the state by a relative {rel:.2e}"
-            )
-        rich = (4.0 * fine.to_flat() - coarse.to_flat()) / 3.0
-        return state_from_flat(m, k_max, rich)
 
     axial = trans = None
     res_ax = res_tr = None
     if w_ax > 1e-14:
-        axial = differenced(
-            lambda hh: _axial_difference(epsilon, k_max, hh), 0)
+        axial = _axial_state(epsilon, k_max)
         res_ax = _mode_residual(axial, assemble_L(0, k_max, epsilon))
     if w_tr > 1e-14:
-        trans = differenced(lambda hh: _tilt_state(epsilon, k_max, hh), 1)
+        trans = _tilt_state(epsilon, k_max)
         res_tr = _mode_residual(trans, assemble_L(1, k_max, epsilon))
 
     num = den = 0.0
@@ -414,11 +388,10 @@ def zero_mode_check(epsilon, direction, k_max, h_rel=1e-4):
         num += (n * res_tr) ** 2
         den += n**2
     return ZeroModeReport(
-        epsilon=epsilon, direction=tuple(direction), h=h,
+        epsilon=epsilon, direction=tuple(direction),
         residual=float(np.sqrt(num / den)),
         axial=axial, transverse=trans,
         axial_residual=res_ax, transverse_residual=res_tr,
-        step_disagreement=max(disagreements),
     )
 
 

@@ -172,26 +172,3 @@ def series_profiles(epsilon, order):
                           v_coeffs=v_all[:order],
                           f_coeffs=f_all[:order])
 
-
-def landau_velocity_cartesian(epsilon, x):
-    """Velocity of the Landau solution at a Cartesian point x != 0.
-
-    U(x) = (1/|x|) [ V(theta) e_theta + F(theta) e_r ], axis along e3.
-    """
-    profile = LandauProfile(epsilon)
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise ValueError("the Landau solution is singular at the origin")
-    e_r = x / r
-    cos_t = np.clip(e_r[2], -1.0, 1.0)
-    theta = math.acos(cos_t)
-    vals = eval_profiles(profile, theta)
-    rho = math.hypot(x[0], x[1])
-    if rho == 0.0:
-        # On the axis sin(theta) = 0 and the tangential term vanishes.
-        e_theta = np.zeros(3)
-    else:
-        e_phi = np.array([-x[1], x[0], 0.0]) / rho
-        e_theta = np.cross(e_phi, e_r)
-    return (float(vals["V"]) * e_theta + float(vals["F"]) * e_r) / r

@@ -130,6 +130,19 @@ def background_on_grid(epsilon, grid):
             "dF": prof["dF_dtheta"], "V_cot": v_cot}
 
 
+def _k_integrand(bg, xi, dxi, xip, th, dth, ths, div_xi):
+    """Pointwise (T_theta, T_phi, G) of K from the synthesized tangent pairs
+    xi, d_theta xi, xi' and the radial scalars; the background arrays in bg
+    broadcast against them (one state, or one column per basis state)."""
+    (xi_t, xi_p), (dxi_t, dxi_p), (xip_t, xip_p) = xi, dxi, xip
+    q = -(div_xi + th + ths)
+    t_theta = -bg["V"] * dxi_t - bg["dV"] * xi_t - bg["F"] * xip_t
+    t_phi = -bg["V"] * dxi_p - bg["V_cot"] * xi_p - bg["F"] * xip_p
+    g = (-bg["V"] * dth - bg["dF"] * xi_t + 2.0 * bg["V"] * xi_t
+         + bg["F"] * (2.0 * th - ths - q))
+    return t_theta, t_phi, g
+
+
 def apply_K(state, epsilon, table, background=None):
     """Matrix-free application of K to one state (pointwise pipeline)."""
     bg = background or background_on_grid(epsilon, table.grid)
@@ -140,12 +153,8 @@ def apply_K(state, epsilon, table, background=None):
     dth = synthesize(state.radial, table, "dtheta")
     ths = synthesize(state.radial_star, table)
     div_xi = synthesize(laplacian(state.phi), table)
-    q = -(div_xi + th + ths)
-
-    t_theta = -bg["V"] * dxi_t - bg["dV"] * xi_t - bg["F"] * xip_t
-    t_phi = -bg["V"] * dxi_p - bg["V_cot"] * xi_p - bg["F"] * xip_p
-    g = (-bg["V"] * dth - bg["dF"] * xi_t + 2.0 * bg["V"] * xi_t
-         + bg["F"] * (2.0 * th - ths - q))
+    t_theta, t_phi, g = _k_integrand(bg, (xi_t, xi_p), (dxi_t, dxi_p),
+                                     (xip_t, xip_p), th, dth, ths, div_xi)
 
     div_t, curl_t = project_div_curl(t_theta, t_phi, table)
     out = zero_state(state.m, state.k_max)
@@ -224,13 +233,10 @@ def assemble_K(m, k_max, epsilon, grid=None):
     dth[:, imap.sl("radial")] = table.dtheta[rows("radial")].T
     ths[:, imap.sl("radial_star")] = table.val[rows("radial_star")].T
 
-    bg = background_on_grid(epsilon, grid)
     col = lambda a: a[:, None]
-    q = -(div_xi + th + ths)
-    t_theta = -col(bg["V"]) * dxi_t - col(bg["dV"]) * xi_t - col(bg["F"]) * xip_t
-    t_phi = -col(bg["V"]) * dxi_p - col(bg["V_cot"]) * xi_p - col(bg["F"]) * xip_p
-    g = (-col(bg["V"]) * dth - col(bg["dF"]) * xi_t + 2.0 * col(bg["V"]) * xi_t
-         + col(bg["F"]) * (2.0 * th - ths - q))
+    bg = {key: col(val) for key, val in background_on_grid(epsilon, grid).items()}
+    t_theta, t_phi, g = _k_integrand(bg, (xi_t, xi_p), (dxi_t, dxi_p),
+                                     (xip_t, xip_p), th, dth, ths, div_xi)
 
     wt = grid.w
     norm2 = col(table.norms**2)
@@ -261,21 +267,6 @@ def assemble_L(m, k_max, epsilon, grid=None):
     k = assemble_K(m, k_max, epsilon, grid=grid)
     return OperatorMatrix(m=m, k_max=k_max, epsilon=epsilon,
                           entries=l0.entries + k.entries)
-
-
-def resolvent_apply(lmat, lam, rhs):
-    """Solve (lam I - L) x = rhs; returns (x, relative residual)."""
-    a = lam * np.eye(lmat.dim) - lmat.entries
-    cond = np.linalg.cond(a, 1)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise ValueError(
-            f"resolvent solve at lambda = {lam} is ill-conditioned "
-            f"(estimate {cond:.2e}); lambda is too close to the spectrum"
-        )
-    b = rhs.to_flat()
-    x = np.linalg.solve(a, b)
-    resid = np.linalg.norm(a @ x - b) / max(np.linalg.norm(b), 1e-300)
-    return state_from_flat(lmat.m, lmat.k_max, x), float(resid)
 
 
 def save_operator(opmat, bin_path, sidecar_path):

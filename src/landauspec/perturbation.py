@@ -31,14 +31,7 @@ import numpy as np
 from .operators import assemble_L0
 from .sphbasis import norm_constant
 from .statespace import StateIndexMap, state_from_flat, x_weights
-from .stokes_spectrum import (
-    GRADIENT_SLOTS,
-    STREAM_SLOTS,
-    _exact_inv,
-    branch_vector,
-    gradient_eigenvalues,
-    stream_eigenvalues,
-)
+from .stokes_spectrum import branch_frame
 
 _Z_SHAPE = {(1, 1): Fraction(1), (2, 1): Fraction(1, 3),
             (3, 1): Fraction(2, 3), (2, 2): Fraction(1, 3)}
@@ -128,11 +121,8 @@ def _branch_basis(m, k_max, cond_limit):
         col[i0] = 1.0
         y_entries.append(((0, -2, "isolated"), col, col.copy(), -2.0))
     for k in range(max(abs(m), 1), k_max + 1):
-        for slots, lams in ((STREAM_SLOTS, stream_eigenvalues(k)),
-                            (GRADIENT_SLOTS, gradient_eigenvalues(k))):
-            vecs = [branch_vector(k, m, lam) for lam in lams]
-            vmat = tuple(tuple(v.coeffs[i] for v in vecs)
-                         for i in range(len(slots)))
+        for frame in branch_frame(k):
+            slots, lams, vmat = frame.slots, frame.lams, frame.rows
             idxs = [imap.index(name, k) for name in slots]
             fmat = np.array([[float(x) for x in r] for r in vmat])
             if (len(slots) == 4 and 1 not in lams
@@ -149,15 +139,14 @@ def _branch_basis(m, k_max, cond_limit):
                     spec = lam_block if j == 0 else None
                     y_entries.append(((k, None, "qr"), col, row, spec))
                 continue
-            vinv = _exact_inv(vmat)
-            for j, (lam, vec) in enumerate(zip(lams, vecs)):
+            for j, lam in enumerate(lams):
                 col = np.zeros(n, dtype=complex)
                 row = np.zeros(n, dtype=complex)
                 for a, idx in enumerate(idxs):
                     col[idx] = float(vmat[a][j])
-                    row[idx] = float(vinv[j][a])
-                label = (k, lam, vec.family)
-                if _is_unit_branch(k, lam, vec.family, m):
+                    row[idx] = float(frame.inv[j][a])
+                label = (k, lam, frame.family)
+                if _is_unit_branch(k, lam, frame.family, m):
                     scale = z_coefficient(k, m)
                     e_entries.append((label, col * scale, row / scale))
                 else:

@@ -193,25 +193,6 @@ def x_norm(a):
     return float(np.sqrt(x_inner(a, a).real))
 
 
-def separation_gamma(vectors):
-    """Lower frame bound of a vector set: the smallest singular value of the
-    X-normalized column frame.  1 for a single unit direction, 0 for a
-    linearly dependent set."""
-    if not vectors:
-        raise ValueError("need at least one vector")
-    w = x_weights(vectors[0].index_map)
-    sqw = np.sqrt(w)
-    cols = []
-    for v in vectors:
-        col = sqw * v.to_flat()
-        nrm = np.linalg.norm(col)
-        if nrm == 0.0:
-            raise ValueError("zero vector has no separation")
-        cols.append(col / nrm)
-    sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
-    return float(sv[-1])
-
-
 def state_to_json_dict(state):
     return {
         "m": int(state.m),

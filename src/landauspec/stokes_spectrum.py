@@ -19,8 +19,10 @@ what makes the expansion well posed at every degree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,17 +68,12 @@ class BranchVector:
         return st
 
 
-def branch_vector(k, m, lam):
-    k, m, lam = int(k), int(m), int(lam)
-    if k < max(abs(m), 1):
-        raise ValueError(
-            f"degree k = {k} has no branch block at mode m = {m}; "
-            f"need k >= {max(abs(m), 1)}"
-        )
+def _branch_coeffs(k, lam):
+    """Family and exact coefficient tuple of the degree-k branch at lam."""
     if lam == k:
-        return BranchVector(k, m, lam, "stream", (Fraction(1), Fraction(-k)))
+        return "stream", (Fraction(1), Fraction(-k))
     if lam == -(k + 1):
-        return BranchVector(k, m, lam, "stream", (Fraction(1), Fraction(k + 1)))
+        return "stream", (Fraction(1), Fraction(k + 1))
     kk = Fraction(k * (k + 1))
     if lam == k + 1:
         coeffs = (Fraction(-1, k + 1), Fraction(1), Fraction(1),
@@ -102,7 +99,54 @@ def branch_vector(k, m, lam):
             f"lambda = {lam} is not a branch eigenvalue at degree {k}; "
             f"the block spectrum is {sorted(valid)}"
         )
-    return BranchVector(k, m, lam, "gradient", coeffs)
+    return "gradient", coeffs
+
+
+def branch_vector(k, m, lam):
+    k, m, lam = int(k), int(m), int(lam)
+    if k < max(abs(m), 1):
+        raise ValueError(
+            f"degree k = {k} has no branch block at mode m = {m}; "
+            f"need k >= {max(abs(m), 1)}"
+        )
+    return BranchVector(k, m, lam, *_branch_coeffs(k, lam))
+
+
+class BranchFrame(NamedTuple):
+    """Exact eigenvector frame of one family on a degree-k block: column j
+    of ``rows`` (indexed like ``slots``) is the branch at ``lams[j]``, and
+    ``inv`` is the exact inverse of ``rows``."""
+
+    family: str
+    slots: tuple
+    lams: tuple
+    rows: tuple
+    inv: tuple
+
+
+_FAMILIES = (("stream", STREAM_SLOTS, stream_eigenvalues),
+             ("gradient", GRADIENT_SLOTS, gradient_eigenvalues))
+
+
+@functools.lru_cache(maxsize=None)
+def branch_frame(k):
+    """The stream and gradient BranchFrames of degree k >= 1.
+
+    Branch coefficients do not depend on the mode m, so one cached frame
+    serves every m.  A cache miss goes through private names only, so a
+    call tracer sees the same public calls whether or not the frame was
+    already cached."""
+    k = int(k)
+    if k < 1:
+        raise ValueError(f"the branch frame needs k >= 1, got {k}")
+    frames = []
+    for family, slots, eigenvalues in _FAMILIES:
+        lams = eigenvalues(k)
+        cols = [_branch_coeffs(k, lam)[1] for lam in lams]
+        rows = tuple(tuple(col[i] for col in cols) for i in range(len(slots)))
+        inv = tuple(tuple(r) for r in _exact_inv(rows))
+        frames.append(BranchFrame(family, slots, lams, rows, inv))
+    return tuple(frames)
 
 
 @dataclass(frozen=True)
@@ -173,30 +217,6 @@ def _exact_inv(rows):
     return inv
 
 
-def degree_frame(k):
-    """The six scaled frame vectors at degree k >= 1 as (lam, c) pairs with
-    c = (curl xi, div xi, curl xi', div xi', radial, radial_star) entries.
-
-    The stream members carry only the curl slots, the gradient members only
-    the rest, so the two families are orthogonal in any norm diagonal in
-    these coordinates.  The gradient rows of frame members 3..6 reproduce
-    the McalMatrix rows (in its eigenvalue order)."""
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"the degree frame needs k >= 1, got {k}")
-    F = Fraction
-    frame = [
-        (k, (F(k + 1, 2 * k + 1), F(0), F(-k * (k + 1), 2 * k + 1),
-             F(0), F(0), F(0))),
-        (-k - 1, (F(k, 2 * k + 1), F(0), F(k * (k + 1), 2 * k + 1),
-                  F(0), F(0), F(0))),
-    ]
-    order = (k - 1, k + 1, -k - 2, -k)
-    for lam, row in zip(order, mcal(k).rows):
-        frame.append((lam, (F(0), row[0], F(0), row[1], row[2], row[3])))
-    return frame
-
-
 def l0_projection(S, m, k_max):
     """Spectral projector of the unperturbed operator onto the eigenvalues
     in S, as a dense matrix on the truncated mode-m space.  Assembled per
@@ -215,20 +235,16 @@ def l0_projection(S, m, k_max):
         i0 = imap.index("radial_star", 0)
         proj[i0, i0] = 1.0
     for k in range(max(abs(m), 1), k_max + 1):
-        for slots, lams in ((STREAM_SLOTS, stream_eigenvalues(k)),
-                            (GRADIENT_SLOTS, gradient_eigenvalues(k))):
-            keep = [lam in sset for lam in lams]
+        for frame in branch_frame(k):
+            keep = [lam in sset for lam in frame.lams]
             if not any(keep):
                 continue
-            cols = [branch_vector(k, m, lam).coeffs for lam in lams]
-            vmat = tuple(tuple(col[i] for col in cols)
-                         for i in range(len(slots)))
-            vinv = _exact_inv(vmat)
-            idxs = [imap.index(name, k) for name in slots]
+            vmat, vinv = frame.rows, frame.inv
+            idxs = [imap.index(name, k) for name in frame.slots]
             for a, ia in enumerate(idxs):
                 for b, ib in enumerate(idxs):
                     val = sum((vmat[a][c] * vinv[c][b]
-                               for c in range(len(lams)) if keep[c]),
+                               for c in range(len(frame.lams)) if keep[c]),
                               Fraction(0))
                     proj[ia, ib] = float(val)
     return proj

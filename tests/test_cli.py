@@ -84,6 +84,8 @@ def test_usage_errors_exit_1(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--kmax", "not-an-int")
     assert code == 1
     assert "error:" in err
+    code, _, err = run_cli(capsys, "spectrum", "--jobs", "2")
+    assert code == 1
 
 
 def test_precedence_flag_over_env_over_file(tmp_path, capsys, monkeypatch):
@@ -109,11 +111,12 @@ def test_precedence_flag_over_env_over_file(tmp_path, capsys, monkeypatch):
 
 def test_unknown_config_file_key_exits_1(tmp_path, capsys):
     config_path = tmp_path / "bad.json"
-    config_path.write_text(json.dumps({"k_maximum": 10}))
-    code, _, err = run_cli(capsys, "spectrum", "--config", str(config_path),
-                           "--out", str(tmp_path / "out"))
-    assert code == 1
-    assert "unknown config keys" in err
+    for key in ("k_maximum", "jobs"):
+        config_path.write_text(json.dumps({key: 10}))
+        code, _, err = run_cli(capsys, "spectrum", "--config",
+                               str(config_path), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "unknown config keys" in err
 
 
 def test_format_float_is_17_digits():

@@ -9,7 +9,6 @@ from landauspec.landau import (
     eval_profile_derivative,
     eval_profiles,
     force_magnitude,
-    landau_velocity_cartesian,
     series_profiles,
 )
 
@@ -178,36 +177,3 @@ def test_series_profiles_order3_terms():
 def test_series_profiles_bad_order():
     with pytest.raises(ValueError):
         series_profiles(0.1, order=4)
-
-
-def test_velocity_homogeneity():
-    x = np.array([0.3, -1.1, 0.7])
-    u1 = landau_velocity_cartesian(0.4, x)
-    u2 = landau_velocity_cartesian(0.4, 2.0 * x)
-    assert np.allclose(u2, u1 / 2.0, atol=1e-15)
-
-
-def test_velocity_axis_point():
-    u = landau_velocity_cartesian(0.3, np.array([0.0, 0.0, 1.0]))
-    F0 = float(eval_profiles(LandauProfile(0.3), 0.0)["F"])
-    assert np.allclose(u, [0.0, 0.0, F0], atol=1e-15)
-
-
-def test_velocity_origin_rejected():
-    with pytest.raises(ValueError):
-        landau_velocity_cartesian(0.3, np.zeros(3))
-
-
-def test_velocity_divergence_free():
-    h = 1e-5
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        x = rng.uniform(-1.0, 1.0, size=3) + np.array([0.0, 0.0, 1.5])
-        div = 0.0
-        for axis in range(3):
-            dx = np.zeros(3)
-            dx[axis] = h
-            up = landau_velocity_cartesian(0.25, x + dx)
-            dn = landau_velocity_cartesian(0.25, x - dx)
-            div += (up[axis] - dn[axis]) / (2.0 * h)
-        assert abs(div) <= 1e-6

@@ -8,7 +8,6 @@ from landauspec.operators import (
     assemble_L,
     assemble_L0,
     load_operator,
-    resolvent_apply,
     save_operator,
 )
 from landauspec.sphbasis import (
@@ -219,19 +218,6 @@ def test_assemble_l_is_sum():
     assert np.array_equal(assemble_L(1, 12, 0.0).entries, l0.entries)
 
 
-def test_resolvent_on_eigenvector():
-    l0 = assemble_L0(1, 6)
-    st = zero_state(1, 6)
-    # Table data at k=1, lambda=2: (phi, phi', radial, radial_star).
-    st.phi.coeffs[0] = -0.5
-    st.phi_prime.coeffs[0] = 1.0
-    st.radial.coeffs[0] = 1.0
-    st.radial_star.coeffs[0] = -2.0
-    x, resid = resolvent_apply(l0, 0.5, st)
-    assert resid <= 1e-12
-    assert np.max(np.abs(x.to_flat() - st.to_flat() / (0.5 - 2.0))) <= 1e-12
-
-
 def test_resolvent_norm_decay_up_the_line():
     l0 = assemble_L0(1, 12)
     norms = []
@@ -239,14 +225,6 @@ def test_resolvent_norm_decay_up_the_line():
         a = (0.5 + 1j * t) * np.eye(l0.dim) - l0.entries
         norms.append(1.0 / np.min(np.linalg.svd(a, compute_uv=False)))
     assert norms[0] > norms[1] > norms[2]
-
-
-def test_resolvent_flags_spectrum_point():
-    l0 = assemble_L0(1, 6)
-    st = zero_state(1, 6)
-    st.phi.coeffs[0] = 1.0
-    with pytest.raises(ValueError):
-        resolvent_apply(l0, 2.0, st)
 
 
 def test_operator_export_bit_exact(tmp_path):

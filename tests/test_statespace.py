@@ -9,7 +9,6 @@ from landauspec.statespace import (
     load_state_json,
     pressure_of,
     save_state_json,
-    separation_gamma,
     state_from_flat,
     state_from_json_dict,
     state_to_json_dict,
@@ -136,21 +135,6 @@ def test_x_weights_k0_slot():
     assert w[imap.index("radial_star", 0)] == 1.0
     assert w[imap.index("radial_star", 2)] == 6.0
     assert w[imap.index("psi", 2)] == 6.0**3
-
-
-def test_separation_gamma_single_and_pair():
-    a = zero_state(1, 5)
-    a.phi.coeffs[0] = 2.0
-    assert separation_gamma([a]) == pytest.approx(1.0)
-    assert separation_gamma([a, a]) == pytest.approx(0.0, abs=1e-12)
-    b = zero_state(1, 5)
-    b.psi.coeffs[0] = -1.0j
-    assert separation_gamma([a, b]) == pytest.approx(1.0)
-
-
-def test_separation_gamma_rejects_zero():
-    with pytest.raises(ValueError):
-        separation_gamma([zero_state(0, 4)])
 
 
 def test_json_roundtrip(tmp_path):

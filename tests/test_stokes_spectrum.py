@@ -13,8 +13,8 @@ from landauspec.statespace import (
     x_weights,
 )
 from landauspec.stokes_spectrum import (
+    branch_frame,
     branch_vector,
-    degree_frame,
     gradient_eigenvalues,
     l0_projection,
     mcal,
@@ -116,15 +116,24 @@ def test_mcal_rows_scale_branch_vectors():
             assert row == expect, (k, lam)
 
 
-def test_degree_frame_matches_families():
+def test_branch_frame_is_exact_and_shared():
     for k in (1, 2, 9):
-        frame = degree_frame(k)
-        lams = [lam for lam, _ in frame]
-        assert set(lams) == set(stream_eigenvalues(k) + gradient_eigenvalues(k))
-        for lam, c in frame[:2]:
-            assert c[1] == c[3] == c[4] == c[5] == 0
-        for lam, c in frame[2:]:
-            assert c[0] == c[2] == 0
+        frames = branch_frame(k)
+        assert branch_frame(k) is frames
+        assert [f.lams for f in frames] == [stream_eigenvalues(k),
+                                            gradient_eigenvalues(k)]
+        for f in frames:
+            n = len(f.slots)
+            for j, lam in enumerate(f.lams):
+                vec = branch_vector(k, 0, lam)
+                assert vec.family == f.family
+                assert tuple(f.rows[i][j] for i in range(n)) == vec.coeffs[:n]
+            for a in range(n):
+                for b in range(n):
+                    entry = sum(f.rows[a][c] * f.inv[c][b] for c in range(n))
+                    assert entry == (1 if a == b else 0)
+    with pytest.raises(ValueError):
+        branch_frame(0)
 
 
 def test_projection_rank_lambda_one():
