@@ -41,7 +41,6 @@ from .eigentracker import (
     translation_eigenvector,
     zero_mode_check,
 )
-from .landau import LandauProfile
 from .operators import assemble_L, assemble_L0, save_operator
 from .sphbasis import QuadratureGrid
 from .statespace import save_state_json
@@ -104,6 +103,35 @@ def _pairs(values):
 # ---- configuration -----------------------------------------------------------
 
 
+def _is_int(x):
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_number(x):
+    return _is_int(x) or isinstance(x, (float, np.floating))
+
+
+def _list_of(accepts):
+    return lambda v: isinstance(v, (list, tuple)) and all(map(accepts, v))
+
+
+def _is_str(x):
+    return isinstance(x, str)
+
+
+# RunConfig field -> (accepts value, what the error message asks for)
+_FIELD_TYPES = {
+    "command": (_is_str, "a string"),
+    "modes": (_list_of(_is_int), "a list of integers"),
+    "epsilons": (_list_of(_is_number), "a list of numbers"),
+    "k_max": (_is_int, "an integer"),
+    "quad": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "out": (_is_str, "a string"),
+    "formats": (_list_of(_is_str), "a list of strings"),
+    "assert_paper": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -118,6 +146,11 @@ class RunConfig:
     def __post_init__(self):
         if self.formats is None:
             self.formats = ["json", "csv"]
+        for name, (accepts, what) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not accepts(value):
+                raise ValueError(
+                    f"config key {name!r} must be {what}, got {value!r}")
         self.modes = [int(m) for m in self.modes]
         self.epsilons = [float(e) for e in self.epsilons]
         if self.k_max < 2:
@@ -218,10 +251,10 @@ def resolve_config(args):
     if config_path:
         with open(config_path) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"config file {config_path} must hold a JSON "
+                             f"object, not {type(doc).__name__}")
         doc.pop("command", None)
-        unknown = set(doc) - set(merged) - {"modes", "epsilons"}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged.update(doc)
 
     env = os.environ
@@ -260,7 +293,7 @@ def resolve_config(args):
     if args.assert_paper is not None:
         merged["assert_paper"] = args.assert_paper
 
-    return RunConfig(command=args.command, **merged)
+    return RunConfig.from_dict({"command": args.command, **merged})
 
 
 def _prepare_out(config):
@@ -284,7 +317,6 @@ def cmd_spectrum(config):
     code = 0
     for m in config.modes:
         for eps in config.epsilons:
-            LandauProfile(eps)
             lmat = assemble_L(m, config.k_max, eps,
                               grid=_assembly_grid(config))
             lam = np.sort_complex(np.linalg.eigvals(lmat.entries))
@@ -481,7 +513,6 @@ def cmd_export(config):
     out = _prepare_out(config)
     for m in config.modes:
         for eps in config.epsilons:
-            LandauProfile(eps)
             lmat = assemble_L(m, config.k_max, eps,
                               grid=_assembly_grid(config))
             tag = f"m{m}_eps{eps:g}"

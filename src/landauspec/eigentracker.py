@@ -1,6 +1,6 @@
 """Eigenvalue studies of the assembled operator: sweeps over the family
 parameter, expansion-coefficient fits, exact eigenvector constructions,
-contour projections, and spectral-gap reports.
+and contour projections.
 
 The sweep machinery (`track`, `fit_quadratic`) works on the eigenvalue
 group near 1, whose drift under the background encodes the quadratic
@@ -17,12 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from .landau import LandauProfile, eval_profile_derivative, eval_profiles
 from .operators import assemble_L
-from .perturbation import reduced_matrix, solve_graph, split_blocks
 from .sphbasis import (
     QuadratureGrid,
     default_node_count,
@@ -482,60 +480,3 @@ def contour_projection(lmat, spec):
     return ContourProjection(matrix=proj, rank=rank,
                              idempotency_defect=defect,
                              enclosed=tuple(np.sort_complex(inside)))
-
-
-@dataclass
-class SemigroupReport:
-    m: int
-    epsilon: float
-    growing_ok: bool
-    decaying_ok: bool
-    min_upper_real: float | None
-    max_lower_real: float | None
-    noncluster_distance: float
-    cluster_alphas: tuple
-    cluster_betas: tuple
-    reduced_eigenvalues: tuple
-    rotation_model_defect: float
-
-
-def semigroup_rates(lmat, epsilon):
-    """Spectral-gap report for the assembled operator.
-
-    Eigenvalues that start at real part >= 3/2 must stay above 7/4 and
-    those at <= -1/2 must stay below -3/4 (reported, not raised); the
-    near-1 group is summarized by its real parts, imaginary parts, and
-    the defect of the eigen-decomposed exponential of the reduced block
-    against scipy's matrix exponential at unit backward time.
-    """
-    if abs(lmat.epsilon - epsilon) > 1e-12:
-        raise ValueError("epsilon disagrees with the assembled operator")
-    if abs(epsilon) > 0.1:
-        raise ValueError("gap report validated for |eps| <= 0.1")
-    lam = np.linalg.eigvals(lmat.entries)
-    upper = lam[lam.real >= 1.5]
-    lower = lam[lam.real <= -0.5]
-    growing_ok = bool(upper.size == 0 or upper.real.min() >= 1.75 - 1e-9)
-    decaying_ok = bool(lower.size == 0 or lower.real.max() <= -0.75 + 1e-9)
-    noncluster = lam[np.abs(lam - 1.0) >= CLUSTER_RADIUS]
-    dist = float(np.abs(noncluster - 1.0).min()) if noncluster.size else np.inf
-    cluster = lam[np.abs(lam - 1.0) < CLUSTER_RADIUS]
-    by_real = np.argsort(cluster.real)
-
-    blocks = split_blocks(lmat, lmat.m, strict=False)
-    graph = solve_graph(blocks, tol=1e-13)
-    red = reduced_matrix(blocks, graph)
-    vals, vecs = np.linalg.eig(red)
-    model = vecs @ np.diag(np.exp(-vals)) @ np.linalg.inv(vecs)
-    defect = float(np.linalg.norm(scipy.linalg.expm(-red) - model, 2))
-    return SemigroupReport(
-        m=lmat.m, epsilon=epsilon, growing_ok=growing_ok,
-        decaying_ok=decaying_ok,
-        min_upper_real=float(upper.real.min()) if upper.size else None,
-        max_lower_real=float(lower.real.max()) if lower.size else None,
-        noncluster_distance=dist,
-        cluster_alphas=tuple(cluster.real[by_real]),
-        cluster_betas=tuple(cluster.imag[by_real]),
-        reduced_eigenvalues=tuple(np.sort_complex(vals)),
-        rotation_model_defect=defect,
-    )

@@ -292,6 +292,12 @@ def save_operator(opmat, bin_path, sidecar_path):
 def load_operator(bin_path, sidecar_path):
     with open(sidecar_path) as fh:
         doc = json.load(fh)
+    expected = {"dtype": "complex128", "order": "column-major",
+                "dim": StateIndexMap(int(doc["m"]), int(doc["k_max"])).dim}
+    for name, value in expected.items():
+        if doc.get(name) != value:
+            raise ValueError(f"sidecar field {name!r} is {doc.get(name)!r}, "
+                             f"expected {value!r}")
     dim = int(doc["dim"])
     raw = np.fromfile(bin_path, dtype=np.complex128)
     if raw.size != dim * dim:

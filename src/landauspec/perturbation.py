@@ -8,7 +8,14 @@ degree 2 for m in {0, +-1}, and the degree-2 radial pair alone for
 
     L = [[I + A, B], [C, Lambda + D]]
 
-with Lambda diagonal (integers different from 1).  A graph map M: E -> Y
+with Lambda diagonal (integers different from 1).  The basis is the exact
+Stokes branch frame of every degree (stokes_spectrum.branch_frame): the
+columns are the branch vectors and the rows their exact Fraction inverse,
+each rounded once to floats.  Nothing is orthonormalized, so Lambda is read
+off the branch labels and (I - Lambda)^{-1} is diagonal.  The frame grows
+ill-conditioned with k (4.5e5 at k = 96, 5e8 at k = 1000), but because the
+inverse is exact rather than computed, rows @ columns stays within 4e-14 of
+I up to k = 1000.  A graph map M: E -> Y
 with (I - Lambda) M = C + D M - M A - M B M makes span{(u, M u)} invariant,
 and the spectrum of L near 1 is the spectrum of the reduced matrix
 I + A + B M.  M is found by Picard iteration from M0 = (I - Lambda)^{-1} C;
@@ -65,7 +72,6 @@ class PerturbationBlocks:
     inv_lambda: np.ndarray = field(repr=False)
     kappa: float
     k_norm: float
-    orthonormalized_degrees: tuple = ()
 
     @property
     def smallness(self):
@@ -103,74 +109,49 @@ def _is_unit_branch(k, lam, family, m):
     return k == 2
 
 
-def _branch_basis(m, k_max, cond_limit):
+def _branch_basis(m, k_max):
     """Exact branch columns for the whole truncated space, E members first
     (stream before gradient), then Y degree by degree.  Returns the basis
-    matrix, its blockwise-exact inverse, the E and Y labels, the Y
-    lambda-structure (scalars, or 4x4 blocks where a QR fallback replaced
-    an ill-conditioned gradient quad), and the fallback degrees."""
+    matrix, its blockwise-exact inverse, and the E and Y labels
+    (degree, lambda, family)."""
     imap = StateIndexMap(m, k_max)
     n = imap.dim
     e_entries = []
     y_entries = []
-    fallback = []
 
     if m == 0:
         i0 = imap.index("radial_star", 0)
         col = np.zeros(n, dtype=complex)
         col[i0] = 1.0
-        y_entries.append(((0, -2, "isolated"), col, col.copy(), -2.0))
+        y_entries.append(((0, -2, "isolated"), col, col.copy()))
     for k in range(max(abs(m), 1), k_max + 1):
         for frame in branch_frame(k):
-            slots, lams, vmat = frame.slots, frame.lams, frame.rows
-            idxs = [imap.index(name, k) for name in slots]
-            fmat = np.array([[float(x) for x in r] for r in vmat])
-            if (len(slots) == 4 and 1 not in lams
-                    and np.linalg.cond(fmat) > cond_limit):
-                fallback.append(k)
-                q_mat, r_mat = np.linalg.qr(fmat)
-                lam_block = r_mat @ np.diag([float(l) for l in lams]) \
-                    @ np.linalg.inv(r_mat)
-                for j in range(4):
-                    col = np.zeros(n, dtype=complex)
-                    row = np.zeros(n, dtype=complex)
-                    col[idxs] = q_mat[:, j]
-                    row[idxs] = q_mat[:, j]
-                    spec = lam_block if j == 0 else None
-                    y_entries.append(((k, None, "qr"), col, row, spec))
-                continue
-            for j, lam in enumerate(lams):
+            idxs = [imap.index(name, k) for name in frame.slots]
+            for j, lam in enumerate(frame.lams):
                 col = np.zeros(n, dtype=complex)
                 row = np.zeros(n, dtype=complex)
                 for a, idx in enumerate(idxs):
-                    col[idx] = float(vmat[a][j])
+                    col[idx] = float(frame.rows[a][j])
                     row[idx] = float(frame.inv[j][a])
                 label = (k, lam, frame.family)
                 if _is_unit_branch(k, lam, frame.family, m):
                     scale = z_coefficient(k, m)
                     e_entries.append((label, col * scale, row / scale))
                 else:
-                    y_entries.append((label, col, row, float(lam)))
+                    y_entries.append((label, col, row))
 
     e_entries.sort(key=lambda entry: 0 if entry[0][2] == "stream" else 1)
+    entries = e_entries + y_entries
     cols = np.zeros((n, n), dtype=complex)
     rows = np.zeros((n, n), dtype=complex)
-    for j, (label, col, row) in enumerate(e_entries):
+    for j, (label, col, row) in enumerate(entries):
         cols[:, j] = col
         rows[j, :] = row
-    n_e = len(e_entries)
-    y_labels = []
-    lam_specs = []
-    for j, (label, col, row, spec) in enumerate(y_entries):
-        cols[:, n_e + j] = col
-        rows[n_e + j, :] = row
-        y_labels.append(label)
-        lam_specs.append(spec)
-    e_labels = tuple(entry[0] for entry in e_entries)
-    return cols, rows, e_labels, tuple(y_labels), lam_specs, tuple(fallback)
+    return (cols, rows, tuple(entry[0] for entry in e_entries),
+            tuple(entry[0] for entry in y_entries))
 
 
-def split_blocks(lmat, m, strict=True, cond_limit=1e8):
+def split_blocks(lmat, m, strict=True):
     """Branch-coordinate block decomposition of an assembled operator.
 
     Checks the contraction budget: the weighted operator norm of K times
@@ -185,8 +166,7 @@ def split_blocks(lmat, m, strict=True, cond_limit=1e8):
     w = np.sqrt(x_weights(imap))
     k_norm = float(np.linalg.norm((kmat * w[:, None]) / w[None, :], 2))
 
-    cols, rows, e_branches, y_branches, lam_specs, fallback = \
-        _branch_basis(m, k_max, cond_limit)
+    cols, rows, e_branches, y_branches = _branch_basis(m, k_max)
     n_e = len(e_branches)
     k_coord = rows @ kmat @ cols
     a = k_coord[:n_e, :n_e]
@@ -194,24 +174,10 @@ def split_blocks(lmat, m, strict=True, cond_limit=1e8):
     c = k_coord[n_e:, :n_e]
     d = k_coord[n_e:, n_e:]
 
-    n_y = len(y_branches)
-    lam_y = np.zeros(n_y)
-    inv_lambda = np.zeros((n_y, n_y), dtype=complex)
-    pos = 0
-    while pos < n_y:
-        spec = lam_specs[pos]
-        if isinstance(spec, float):
-            lam_y[pos] = spec
-            inv_lambda[pos, pos] = 1.0 / (1.0 - spec)
-            pos += 1
-        else:
-            block = np.asarray(spec)
-            size = block.shape[0]
-            inv_lambda[pos:pos + size, pos:pos + size] = \
-                np.linalg.inv(np.eye(size) - block)
-            lam_y[pos:pos + size] = np.diag(block).real
-            pos += size
-    kappa = float(np.max(np.abs(1.0 / (1.0 - lam_y)))) if n_y else 0.0
+    lam_y = np.array([float(label[1]) for label in y_branches])
+    resolvent = 1.0 / (1.0 - lam_y)
+    inv_lambda = np.diag(resolvent).astype(complex)
+    kappa = float(np.max(np.abs(resolvent)))
 
     blocks = PerturbationBlocks(
         m=m, k_max=k_max, epsilon=lmat.epsilon,
@@ -219,7 +185,6 @@ def split_blocks(lmat, m, strict=True, cond_limit=1e8):
         basis_columns=cols, basis_rows=rows,
         a=a, b=b, c=c, d=d, lam_y=lam_y, inv_lambda=inv_lambda,
         kappa=kappa, k_norm=k_norm,
-        orthonormalized_degrees=fallback,
     )
     if strict and blocks.smallness >= 0.25:
         raise ValueError(
@@ -254,13 +219,12 @@ def solve_graph(blocks, tol=1e-12, max_iter=200):
 
 
 def reduced_matrix(blocks, graph=None):
-    """I + A + B M on the unperturbed lambda = 1 basis.  With graph=None
-    uses M = (I-Lambda)^{-1} C, correct to second order in epsilon."""
+    """I + A + B M on the unperturbed lambda = 1 basis, with M the matrix of
+    a GraphMap from solve_graph.  With graph=None uses M = (I-Lambda)^{-1} C,
+    correct to second order in epsilon."""
     if graph is None:
         m_map = blocks.inv_lambda @ blocks.c
-    elif isinstance(graph, GraphMap):
-        m_map = graph.matrix
     else:
-        m_map = np.asarray(graph, dtype=complex)
+        m_map = graph.matrix
     n_e = blocks.dim_e
     return np.eye(n_e, dtype=complex) + blocks.a + blocks.b @ m_map

@@ -161,9 +161,6 @@ class McalMatrix:
     def determinant(self):
         return _exact_det(self.rows)
 
-    def as_array(self):
-        return np.array([[float(x) for x in row] for row in self.rows])
-
 
 def mcal(k):
     k = int(k)

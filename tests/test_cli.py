@@ -69,6 +69,9 @@ def test_runconfig_rejects_bad_fields():
     with pytest.raises(ValueError, match="unknown output formats"):
         cli.RunConfig(command="spectrum", modes=[0], epsilons=[0.0],
                       formats=["json", "yaml"])
+    with pytest.raises(ValueError, match="'k_max' must be an integer"):
+        cli.RunConfig(command="spectrum", modes=[0], epsilons=[0.0],
+                      k_max="ten")
 
 
 def test_eps_and_epsilon_are_mutually_exclusive(tmp_path, capsys):
@@ -109,14 +112,31 @@ def test_precedence_flag_over_env_over_file(tmp_path, capsys, monkeypatch):
     assert echoed_kmax(tmp_path / "d") == 10
 
 
-def test_unknown_config_file_key_exits_1(tmp_path, capsys):
+def test_unknown_config_file_key_exits_1(tmp_path, capsys, monkeypatch):
+    """Malformed config files exit 1 with an error naming the culprit."""
+    monkeypatch.chdir(tmp_path)  # no --out flag, so "out" comes from the file
     config_path = tmp_path / "bad.json"
-    for key in ("k_maximum", "jobs"):
-        config_path.write_text(json.dumps({key: 10}))
+    table = [
+        ({"k_maximum": 10}, "unknown config keys: ['k_maximum']"),
+        ({"jobs": 10}, "unknown config keys: ['jobs']"),
+        ([1, 2], "must hold a JSON object, not list"),
+        ("ten", "must hold a JSON object, not str"),
+        ({"k_max": "ten"}, "'k_max' must be an integer"),
+        ({"k_max": 12.0}, "'k_max' must be an integer"),
+        ({"quad": True}, "'quad' must be an integer or null"),
+        ({"modes": 1}, "'modes' must be a list of integers"),
+        ({"modes": ["1"]}, "'modes' must be a list of integers"),
+        ({"epsilons": [0.1, "x"]}, "'epsilons' must be a list of numbers"),
+        ({"out": 3}, "'out' must be a string"),
+        ({"formats": "json"}, "'formats' must be a list of strings"),
+        ({"assert_paper": "yes"}, "'assert_paper' must be true or false"),
+    ]
+    for content, message in table:
+        config_path.write_text(json.dumps(content))
         code, _, err = run_cli(capsys, "spectrum", "--config",
-                               str(config_path), "--out", str(tmp_path / "out"))
-        assert code == 1
-        assert "unknown config keys" in err
+                               str(config_path))
+        assert code == 1, content
+        assert err.startswith("error: ") and message in err, (content, err)
 
 
 def test_format_float_is_17_digits():

@@ -10,14 +10,13 @@ from landauspec.eigentracker import (
     contour_projection,
     fit_quadratic,
     landau_state,
-    semigroup_rates,
     swirl_block_eigenvalue,
     swirl_ode_residual,
     track,
     translation_eigenvector,
     zero_mode_check,
 )
-from landauspec.operators import OperatorMatrix, assemble_L
+from landauspec.operators import OperatorMatrix
 from landauspec.perturbation import z_coefficient
 from landauspec.sphbasis import QuadratureGrid, default_node_count, legendre_values, project
 from landauspec.statespace import (
@@ -308,35 +307,6 @@ def test_contour_separation_guard():
                           np.diag([0.78, 1.0, 1.22, 1.52]).astype(complex))
     with pytest.raises(ValueError, match="does not separate"):
         contour_projection(fake, ContourSpec(1.0, 0.5))
-
-
-# ---- semigroup rates -------------------------------------------------------
-
-
-def test_semigroup_report(cached_l):
-    report = semigroup_rates(cached_l(1, 16, 0.05), 0.05)
-    assert report.growing_ok and report.decaying_ok
-    assert report.noncluster_distance >= 0.5
-    assert len(report.cluster_alphas) == 2
-    assert report.rotation_model_defect <= 1e-10
-
-
-def test_semigroup_integer_gaps_unperturbed(cached_l):
-    report = semigroup_rates(cached_l(1, 12, 0.0), 0.0)
-    assert report.growing_ok and report.decaying_ok
-    assert report.min_upper_real >= 2.0 - 1e-12
-    assert report.max_lower_real <= -1.0 + 1e-12
-    assert abs(report.noncluster_distance - 1.0) <= 1e-12
-    assert np.abs(np.array(report.cluster_betas)).max() <= 1e-12
-
-
-def test_semigroup_domain_guards(cached_l):
-    lmat = cached_l(1, 12, 0.05)
-    with pytest.raises(ValueError, match="disagrees"):
-        semigroup_rates(lmat, 0.06)
-    big = assemble_L(1, 16, 0.2)
-    with pytest.raises(ValueError, match="0.1"):
-        semigroup_rates(big, 0.2)
 
 
 # ---- sweep-level invariants ------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -236,3 +238,18 @@ def test_operator_export_bit_exact(tmp_path):
     assert np.array_equal(back.entries, kmat.entries)
     assert back.m == 2 and back.k_max == 12 and back.epsilon == 0.07
     assert back.index_map.describe() == kmat.index_map.describe()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("m", 1), ("dtype", "complex64"), ("order", "row-major")])
+def test_load_operator_checks_sidecar(tmp_path, field, value):
+    # a sidecar saying m = 1 over the m = 2 binary implies dim 66, not 72
+    bin_path = tmp_path / "l0.bin"
+    side_path = tmp_path / "l0.json"
+    save_operator(assemble_L0(2, 12), bin_path, side_path)
+    doc = json.loads(side_path.read_text())
+    doc[field] = value
+    side_path.write_text(json.dumps(doc))
+    name = "dim" if field == "m" else field
+    with pytest.raises(ValueError, match=f"sidecar field '{name}'"):
+        load_operator(bin_path, side_path)

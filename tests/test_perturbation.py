@@ -53,9 +53,16 @@ def test_mode_mismatch_rejected():
         split_blocks(assemble_L(1, 12, 0.0), 0)
 
 
-@pytest.mark.parametrize("m", [0, 1, 2])
-def test_projector_completeness(m):
-    bl = blocks_at(m, 0.1, k_max=12)
+# explicit ids keep the names of the k_max = 12 cases stable
+@pytest.mark.parametrize("m, k_max", [
+    *(pytest.param(m, 12, id=f"{m}") for m in (0, 1, 2)),
+    *(pytest.param(m, 96, id=f"{m}-kmax96") for m in (0, 1, 2)),
+])
+def test_projector_completeness(m, k_max):
+    """The exact branch rows invert the branch columns at rounding level up
+    to the largest truncation the benchmark runs, with no orthonormalizing
+    fallback for the ill-conditioned high-degree frames."""
+    bl = blocks_at(m, 0.1, k_max=k_max)
     n = bl.basis_columns.shape[0]
     resid = bl.basis_rows @ bl.basis_columns - np.eye(n)
     assert np.abs(resid).max() <= 1e-12
@@ -69,7 +76,6 @@ def test_lambda_diagonal_integers(m):
     expect = np.diag(1.0 / (1.0 - bl.lam_y))
     assert np.abs(bl.inv_lambda - expect).max() == 0.0
     assert bl.kappa == 1.0
-    assert bl.orthonormalized_degrees == ()
 
 
 def test_e_dimensions_per_mode():
@@ -313,21 +319,3 @@ def test_eigenvalue_consistency_with_dense(m, eps):
     for lam in red_eigs:
         nearest = dense[np.argmin(np.abs(dense - lam))]
         assert abs(nearest - lam) <= max(10 * g.defect, 1e-9)
-
-
-def test_qr_fallback_keeps_spectrum():
-    lmat = assemble_L(1, 12, 0.05)
-    base = split_blocks(lmat, 1, strict=False)
-    forced = split_blocks(lmat, 1, strict=False, cond_limit=1.0)
-    assert forced.orthonormalized_degrees
-    assert 2 not in forced.orthonormalized_degrees
-    n = forced.basis_columns.shape[0]
-    resid = forced.basis_rows @ forced.basis_columns - np.eye(n)
-    assert np.abs(resid).max() <= 1e-12
-    g0 = solve_graph(base, tol=1e-14)
-    g1 = solve_graph(forced, tol=1e-14)
-    e0 = sorted(np.linalg.eigvals(reduced_matrix(base, g0)),
-                key=lambda z: (z.real, z.imag))
-    e1 = sorted(np.linalg.eigvals(reduced_matrix(forced, g1)),
-                key=lambda z: (z.real, z.imag))
-    np.testing.assert_allclose(e0, e1, atol=1e-9)
