@@ -7,10 +7,11 @@ script), ``verify`` (the invariant battery as a pass/fail table), and
 
 Configuration precedence is CLI flag over environment variable
 (prefix ``LANDAUSPEC_``) over config file over built-in default.  The
-resolved configuration is echoed as ``config.json`` next to every
-report, and identical configurations produce byte-identical output
-files: lists are emitted in a fixed order and every float is printed
-with 17 significant digits.
+resolved configuration is echoed as ``config.json`` next to the reports
+of every run that finishes (exit 0 or 2), and identical configurations
+produce byte-identical output files: lists are emitted in a fixed order
+and every float is printed with 17 significant digits.  A value that does
+not convert is reported with the flag or variable it came from.
 
 Exit codes: 0 success, 1 usage or domain error, 2 invariant failure
 (failed verification, assertion miss, unstable sweep).
@@ -180,19 +181,38 @@ class RunConfig:
         return cls(**doc)
 
 
-def parse_eps_range(text):
-    """Either a single float, a comma list, or an inclusive a:b:step range."""
+def _converted(conv, text, source, what):
+    """conv(text), or a ValueError naming the source and the raw value."""
+    try:
+        return conv(text)
+    except ValueError:
+        raise ValueError(f"{source} must be {what}, got {text!r}") from None
+
+
+def _int_list(text, source):
+    return _converted(lambda t: [int(p) for p in t.split(",")], text, source,
+                      "a comma list of integers")
+
+
+def parse_eps_range(text, source="epsilon range"):
+    """Either a single float, a comma list, or an inclusive a:b:step range.
+
+    ``source`` names the flag or variable the text came from in errors.
+    """
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"range must be a:b:step, got {text!r}")
-        a, b, step = (float(p) for p in parts)
-        if step <= 0 or b < a:
-            raise ValueError(f"empty range {text!r}")
-        n = int(round((b - a) / step)) + 1
-        return [round(a + i * step, 12) for i in range(n)]
-    return [float(p) for p in text.split(",") if p]
+    is_range = ":" in text
+    parts = text.split(":") if is_range else [p for p in text.split(",") if p]
+    if is_range and len(parts) != 3:
+        raise ValueError(f"range must be a:b:step, got {text!r}")
+    values = _converted(lambda _: [float(p) for p in parts], text, source,
+                        "a number, a comma list or an a:b:step range")
+    if not is_range:
+        return values
+    a, b, step = values
+    if step <= 0 or b < a:
+        raise ValueError(f"empty range {text!r}")
+    n = int(round((b - a) / step)) + 1
+    return [round(a + i * step, 12) for i in range(n)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -259,15 +279,19 @@ def resolve_config(args):
 
     env = os.environ
     if ENV_PREFIX + "M" in env:
-        merged["modes"] = [int(p) for p in env[ENV_PREFIX + "M"].split(",")]
+        merged["modes"] = _int_list(env[ENV_PREFIX + "M"], ENV_PREFIX + "M")
     if ENV_PREFIX + "EPS" in env:
-        merged["epsilons"] = parse_eps_range(env[ENV_PREFIX + "EPS"])
+        merged["epsilons"] = parse_eps_range(env[ENV_PREFIX + "EPS"],
+                                             ENV_PREFIX + "EPS")
     if ENV_PREFIX + "EPSILON" in env:
-        merged["epsilons"] = [float(env[ENV_PREFIX + "EPSILON"])]
-    for key, name, conv in (("KMAX", "k_max", int), ("QUAD", "quad", int),
-                            ("OUT", "out", str)):
+        merged["epsilons"] = [_converted(float, env[ENV_PREFIX + "EPSILON"],
+                                         ENV_PREFIX + "EPSILON", "a number")]
+    for key, name in (("KMAX", "k_max"), ("QUAD", "quad")):
         if ENV_PREFIX + key in env:
-            merged[name] = conv(env[ENV_PREFIX + key])
+            merged[name] = _converted(int, env[ENV_PREFIX + key],
+                                      ENV_PREFIX + key, "an integer")
+    if ENV_PREFIX + "OUT" in env:
+        merged["out"] = env[ENV_PREFIX + "OUT"]
     if ENV_PREFIX + "FORMAT" in env:
         merged["formats"] = env[ENV_PREFIX + "FORMAT"].split(",")
     if ENV_PREFIX + "ASSERT_PAPER" in env:
@@ -277,11 +301,12 @@ def resolve_config(args):
     if args.eps is not None and args.epsilon is not None:
         raise ValueError("--eps and --epsilon are mutually exclusive")
     if args.m is not None:
-        merged["modes"] = [int(p) for p in args.m.split(",")]
+        merged["modes"] = _int_list(args.m, "--m")
     if args.eps is not None:
-        merged["epsilons"] = parse_eps_range(args.eps)
+        merged["epsilons"] = parse_eps_range(args.eps, "--eps")
     if args.epsilon is not None:
-        merged["epsilons"] = [float(args.epsilon)]
+        merged["epsilons"] = [_converted(float, args.epsilon, "--epsilon",
+                                         "a number")]
     if args.kmax is not None:
         merged["k_max"] = args.kmax
     if args.quad is not None:
@@ -297,10 +322,8 @@ def resolve_config(args):
 
 
 def _prepare_out(config):
-    out = config.out
-    os.makedirs(out, exist_ok=True)
-    write_json(os.path.join(out, "config.json"), config.to_dict())
-    return out
+    os.makedirs(config.out, exist_ok=True)
+    return config.out
 
 
 def _assembly_grid(config):
@@ -538,7 +561,11 @@ def main(argv=None):
                "verify": cmd_verify, "export": cmd_export}[args.command]
     try:
         config = resolve_config(args)
-        return handler(config)
+        code = handler(config)
+        # echoed only once the handler has returned, so a run that stopped
+        # on an error leaves no config.json that looks like a finished one
+        write_json(os.path.join(config.out, "config.json"), config.to_dict())
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

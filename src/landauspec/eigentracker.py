@@ -1,6 +1,6 @@
 """Eigenvalue studies of the assembled operator: sweeps over the family
 parameter, expansion-coefficient fits, exact eigenvector constructions,
-and contour projections.
+and spectral projectors.
 
 The sweep machinery (`track`, `fit_quadratic`) works on the eigenvalue
 group near 1, whose drift under the background encodes the quadratic
@@ -10,6 +10,9 @@ absence of a rotation rate.  The constructive routines
 symmetry modes directly from the closed-form background profiles, the
 zero modes analytically from the closed-form family derivatives, and
 report how well the assembled matrix annihilates or preserves them.
+`contour_projection` certifies the size of an eigenvalue group by the
+rank of its Riesz projector, computed from one ordered Schur form and
+one triangular Sylvester solve.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from .landau import LandauProfile, eval_profile_derivative, eval_profiles
@@ -418,7 +422,6 @@ def _max_cluster_spread(points):
 class ContourSpec:
     center: complex
     radius: float
-    nodes: int = 64
 
 
 @dataclass
@@ -430,29 +433,37 @@ class ContourProjection:
 
 
 def contour_projection(lmat, spec):
-    """Trapezoidal Riesz projector over a circle around the target group;
-    rank counted from singular values above 1/2.
+    """Riesz projector onto the eigenvalues inside a circle, from an ordered
+    Schur form; rank counted from singular values above 1/2.
 
-    Errors out if an eigenvalue sits within 1e-3 of the contour, if a node
-    resolvent is ill-conditioned, or if the circle fails to separate the
-    enclosed group from the rest of the spectrum by twice its own spread.
+    One complex Schur form A = Z T Z^H moves the k enclosed eigenvalues to
+    the leading block T11.  The Sylvester equation T11 X - X T22 = T12
+    decouples that block from the trailing one, and the projector is
+    P = Z[:, :k] [I X] Z^H.  Its nonzero singular values are those of the
+    k x n block [I X], since Z is unitary.
+
+    Errors out if an eigenvalue sits within 1e-3 of the contour, if the
+    circle fails to separate the enclosed group from the rest of the
+    spectrum by twice its own spread, or if the splitting is
+    ill-conditioned: ||X||_2 above 1e12, or a Sylvester solve that had to
+    scale its right-hand side or failed.
     """
-    if spec.nodes < 64:
-        raise ValueError("contour quadrature needs at least 64 nodes")
     if spec.radius <= 0.0:
         raise ValueError("contour radius must be positive")
     a = lmat.entries
     n = a.shape[0]
-    lam_all = np.linalg.eigvals(a)
+    t, z, k = scipy.linalg.schur(
+        a, output="complex",
+        sort=lambda lam: abs(lam - spec.center) < spec.radius)
+    lam_all = np.diag(t)
     dist_circle = np.abs(np.abs(lam_all - spec.center) - spec.radius)
     if dist_circle.min() < 1e-3:
         raise ValueError(
             f"an eigenvalue lies within 1e-3 of the contour "
             f"(distance {dist_circle.min():.2e})"
         )
-    on_inside = np.abs(lam_all - spec.center) < spec.radius
-    inside = lam_all[on_inside]
-    outside = lam_all[~on_inside]
+    inside = lam_all[:k]
+    outside = lam_all[k:]
     spread = _max_cluster_spread(inside)
     if inside.size and outside.size:
         gap = float(np.abs(outside - spec.center).min()
@@ -462,19 +473,27 @@ def contour_projection(lmat, spec):
                 f"contour does not separate: annular gap {gap:.3e} is below "
                 f"twice the enclosed cluster spread {spread:.3e}"
             )
-    phases = np.exp(2j * np.pi * np.arange(spec.nodes) / spec.nodes)
-    acc = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n)
-    for z in phases:
-        node = spec.center + spec.radius * z
-        mat = node * eye - a
-        if np.linalg.cond(mat, 1) > 1e12:
+    if k in (0, n):
+        # ztrsyl rejects an empty block; P is 0 or I here
+        proj = np.eye(n, dtype=complex) if k else np.zeros((n, n), complex)
+        sing = np.ones(k)
+    else:
+        x, scale, info = scipy.linalg.lapack.ztrsyl(
+            t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
+        if info != 0 or scale < 1.0:
             raise ValueError(
-                f"resolvent solve ill-conditioned at contour node {node:.6g}"
+                f"Sylvester splitting ill-conditioned: ztrsyl info {info}, "
+                f"scale {scale:.3e}"
             )
-        acc += z * np.linalg.solve(mat, eye)
-    proj = (spec.radius / spec.nodes) * acc
-    sing = np.linalg.svd(proj, compute_uv=False)
+        head = np.hstack([np.eye(k), x])
+        sing = np.linalg.svd(head, compute_uv=False)
+        x_norm2 = float(np.sqrt(max(sing[0] ** 2 - 1.0, 0.0)))
+        if x_norm2 > 1e12:
+            raise ValueError(
+                f"Sylvester splitting ill-conditioned: ||X||_2 = "
+                f"{x_norm2:.3e} exceeds 1e12"
+            )
+        proj = z[:, :k] @ head @ z.conj().T
     rank = int(np.sum(sing > 0.5))
     defect = float(np.linalg.norm(proj @ proj - proj, 2))
     return ContourProjection(matrix=proj, rank=rank,

@@ -91,6 +91,41 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("env,argv,message", [
+    ({"KMAX": "ten"}, (), "LANDAUSPEC_KMAX must be an integer, got 'ten'"),
+    ({"QUAD": "1.5"}, (), "LANDAUSPEC_QUAD must be an integer, got '1.5'"),
+    ({"M": "1,x"}, (),
+     "LANDAUSPEC_M must be a comma list of integers, got '1,x'"),
+    ({"EPS": "0.1:y:0.1"}, (), "LANDAUSPEC_EPS must be a number, a comma "
+     "list or an a:b:step range, got '0.1:y:0.1'"),
+    ({"EPSILON": "abc"}, (), "LANDAUSPEC_EPSILON must be a number, got 'abc'"),
+    ({}, ("--m", "x"), "--m must be a comma list of integers, got 'x'"),
+    ({}, ("--eps", "0.1:y:0.1"), "--eps must be a number, a comma list or "
+     "an a:b:step range, got '0.1:y:0.1'"),
+    ({}, ("--eps", "0.1,y"), "--eps must be a number, a comma list or "
+     "an a:b:step range, got '0.1,y'"),
+    ({}, ("--epsilon", "zz"), "--epsilon must be a number, got 'zz'"),
+])
+def test_conversion_errors_name_the_source(tmp_path, capsys, monkeypatch,
+                                           env, argv, message):
+    for key, value in env.items():
+        monkeypatch.setenv(cli.ENV_PREFIX + key, value)
+    code, _, err = run_cli(capsys, "spectrum", *argv, "--out", str(tmp_path))
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
+def test_failed_run_leaves_no_config_echo(tmp_path, capsys):
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps({"modes": [7], "k_max": 4}))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "spectrum", "--config", str(config_path),
+                           "--out", str(out))
+    assert code == 1
+    assert "too small" in err
+    assert not (out / "config.json").exists()
+
+
 def test_precedence_flag_over_env_over_file(tmp_path, capsys, monkeypatch):
     config_path = tmp_path / "base.json"
     config_path.write_text(json.dumps({"k_max": 10}))
@@ -251,8 +286,10 @@ def test_track_assert_miss_exits_2(tmp_path, capsys, monkeypatch):
                            "--assert-paper", "--out", str(tmp_path))
     assert code == 2
     assert "assertion failed" in err
-    # the report is still written so the miss can be inspected
+    # the report and the config echo are still written so the miss can be
+    # inspected
     assert (tmp_path / "track_m1.json").exists()
+    assert read_json(tmp_path / "config.json")["assert_paper"] is True
 
 
 def test_plot_script_is_standalone_python(tmp_path, capsys):

@@ -281,7 +281,7 @@ def test_contour_complementary_circles(cached_l):
     # on the subspace spanned by the enclosed eigenvectors
     lmat = cached_l(1, 8, 0.0)
     near_one = contour_projection(lmat, ContourSpec(1.0, 0.5))
-    upper = contour_projection(lmat, ContourSpec(4.0, 2.6, nodes=256))
+    upper = contour_projection(lmat, ContourSpec(4.0, 2.6))
     lam, vecs = np.linalg.eig(lmat.entries)
     enclosed = (np.abs(lam - 1.0) < 0.1) | ((lam.real > 1.5) & (lam.real < 6.5))
     both = near_one.matrix + upper.matrix
@@ -291,9 +291,46 @@ def test_contour_complementary_circles(cached_l):
     assert np.abs(near_one.matrix @ upper.matrix).max() <= 1e-8
 
 
-def test_contour_node_count_guard(cached_l):
-    with pytest.raises(ValueError, match="64 nodes"):
-        contour_projection(cached_l(1, 8, 0.0), ContourSpec(1.0, 0.5, nodes=32))
+def trapezoid_projector(lmat, spec, nodes=64):
+    """Riesz projector (1/2 pi i) oint (z - A)^-1 dz by the trapezoid rule on
+    the circle, which converges exponentially in the node count."""
+    a = lmat.entries
+    eye = np.eye(a.shape[0])
+    acc = np.zeros(a.shape, dtype=complex)
+    for z in np.exp(2j * np.pi * np.arange(nodes) / nodes):
+        acc += z * np.linalg.solve((spec.center + spec.radius * z) * eye - a,
+                                   eye)
+    return (spec.radius / nodes) * acc
+
+
+@pytest.mark.parametrize("center", [1.0, 0.0])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_contour_matches_trapezoid(cached_l, m, center):
+    lmat = cached_l(m, 16, 0.05)
+    spec = ContourSpec(center, 0.5)
+    proj = contour_projection(lmat, spec)
+    assert np.abs(proj.matrix - trapezoid_projector(lmat, spec)).max() <= 1e-10
+
+
+def test_contour_enclosing_nothing_or_everything(cached_l):
+    # the spectrum at k_max = 16 lies within |lambda| <= 19
+    lmat = cached_l(1, 16, 0.05)
+    n = lmat.entries.shape[0]
+    empty = contour_projection(lmat, ContourSpec(100.0, 0.5))
+    assert empty.rank == 0 and empty.enclosed == ()
+    assert not empty.matrix.any()
+    full = contour_projection(lmat, ContourSpec(0.0, 1e4))
+    assert full.rank == n and len(full.enclosed) == n
+    assert np.abs(full.matrix - np.eye(n)).max() <= 1e-12
+
+
+def test_contour_splitting_guard():
+    # the eigenvalue 1.6 sits well outside the circle, but the coupling
+    # 1e13 makes the Sylvester solution X = 1e13 / (1 - 1.6) huge
+    fake = OperatorMatrix(1, 8, 0.0,
+                          np.array([[1.0, 1e13], [0.0, 1.6]], dtype=complex))
+    with pytest.raises(ValueError, match="ill-conditioned.*1.667e\\+13"):
+        contour_projection(fake, ContourSpec(1.0, 0.5))
 
 
 def test_contour_eigenvalue_on_contour_guard(cached_l):
