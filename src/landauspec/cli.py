@@ -1,17 +1,20 @@
 """Batch command-line interface.
 
-Four subcommands: ``spectrum`` (dense eigenvalues of one assembly),
-``track`` (parameter sweep, quadratic fit, curve files and a plot
-script), ``verify`` (the invariant battery as a pass/fail table), and
+Four subcommands: ``spectrum`` (dense eigenvalues of one assembled
+operator), ``track`` (parameter sweep, quadratic fit, curve files and a
+plot script), ``verify`` (the invariant battery as a pass/fail table), and
 ``export`` (operator binary plus state JSON files).
 
-Configuration precedence is CLI flag over environment variable
-(prefix ``LANDAUSPEC_``) over config file over built-in default.  The
-resolved configuration is echoed as ``config.json`` next to the reports
-of every run that finishes (exit 0 or 2), and identical configurations
-produce byte-identical output files: lists are emitted in a fixed order
-and every float is printed with 17 significant digits.  A value that does
-not convert is reported with the flag or variable it came from.
+Each setting is one row of ``SETTINGS``: config key, type, flags (each
+with a ``LANDAUSPEC_`` environment twin) and a default for every command
+that reads it.  A subcommand takes only the flags of the settings it
+reads, plus ``--config``; a config-file key or environment variable of a
+setting it does not read is checked, then ignored.  Precedence is flag
+over environment over config file over default.  The settings a run read
+are echoed as ``config.json`` next to the reports of every run that
+finishes (exit 0 or 2).  Identical configurations produce byte-identical
+files: lists in a fixed order, every float with 17 significant digits.
+A value that does not convert is reported with its flag or variable.
 
 Exit codes: 0 success, 1 usage or domain error, 2 invariant failure
 (failed verification, assertion miss, unstable sweep).
@@ -23,7 +26,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -104,94 +107,15 @@ def _pairs(values):
 # ---- configuration -----------------------------------------------------------
 
 
-def _is_int(x):
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _is_number(x):
-    return _is_int(x) or isinstance(x, (float, np.floating))
-
-
-def _list_of(accepts):
-    return lambda v: isinstance(v, (list, tuple)) and all(map(accepts, v))
-
-
-def _is_str(x):
-    return isinstance(x, str)
-
-
-# RunConfig field -> (accepts value, what the error message asks for)
-_FIELD_TYPES = {
-    "command": (_is_str, "a string"),
-    "modes": (_list_of(_is_int), "a list of integers"),
-    "epsilons": (_list_of(_is_number), "a list of numbers"),
-    "k_max": (_is_int, "an integer"),
-    "quad": (lambda v: v is None or _is_int(v), "an integer or null"),
-    "out": (_is_str, "a string"),
-    "formats": (_list_of(_is_str), "a list of strings"),
-    "assert_paper": (lambda v: isinstance(v, bool), "true or false"),
-}
-
-
-@dataclass
-class RunConfig:
-    command: str
-    modes: list
-    epsilons: list
-    k_max: int = DEFAULT_K_MAX
-    quad: int | None = None
-    out: str = "."
-    formats: list = None
-    assert_paper: bool = False
-
-    def __post_init__(self):
-        if self.formats is None:
-            self.formats = ["json", "csv"]
-        for name, (accepts, what) in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if not accepts(value):
-                raise ValueError(
-                    f"config key {name!r} must be {what}, got {value!r}")
-        self.modes = [int(m) for m in self.modes]
-        self.epsilons = [float(e) for e in self.epsilons]
-        if self.k_max < 2:
-            raise ValueError(f"k_max = {self.k_max} is too small")
-        bad = set(self.formats) - {"json", "csv"}
-        if bad:
-            raise ValueError(f"unknown output formats: {sorted(bad)}")
-
-    def to_dict(self):
-        return {
-            "command": self.command,
-            "modes": list(self.modes),
-            "epsilons": [float(e) for e in self.epsilons],
-            "k_max": int(self.k_max),
-            "quad": self.quad if self.quad is None else int(self.quad),
-            "out": self.out,
-            "formats": list(self.formats),
-            "assert_paper": bool(self.assert_paper),
-        }
-
-    @classmethod
-    def from_dict(cls, doc):
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**doc)
-
-
-def _converted(conv, text, source, what):
-    """conv(text), or a ValueError naming the source and the raw value."""
-    try:
-        return conv(text)
-    except ValueError:
-        raise ValueError(f"{source} must be {what}, got {text!r}") from None
-
-
-def _int_list(text, source):
-    return _converted(lambda t: [int(p) for p in t.split(",")], text, source,
-                      "a comma list of integers")
+def _as(conv, what):
+    """A converter of flag or variable text: conv(text), or a ValueError
+    naming the source, ``what`` the text must be and the raw text."""
+    def convert(text, source):
+        try:
+            return conv(text)
+        except ValueError:
+            raise ValueError(f"{source} must be {what}, got {text!r}") from None
+    return convert
 
 
 def parse_eps_range(text, source="epsilon range"):
@@ -204,15 +128,146 @@ def parse_eps_range(text, source="epsilon range"):
     parts = text.split(":") if is_range else [p for p in text.split(",") if p]
     if is_range and len(parts) != 3:
         raise ValueError(f"range must be a:b:step, got {text!r}")
-    values = _converted(lambda _: [float(p) for p in parts], text, source,
-                        "a number, a comma list or an a:b:step range")
+    values = _as(lambda _: [float(p) for p in parts],
+                 "a number, a comma list or an a:b:step range")(text, source)
     if not is_range:
         return values
     a, b, step = values
     if step <= 0 or b < a:
         raise ValueError(f"empty range {text!r}")
-    n = int(round((b - a) / step)) + 1
+    # rounded down, so a step that does not divide b - a stops short of b;
+    # the tolerance keeps b when (b - a) / step lands just below an integer
+    n = int((b - a) / step + 1e-9) + 1
     return [round(a + i * step, 12) for i in range(n)]
+
+
+def _is_int(x):
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_number(x):
+    return _is_int(x) or isinstance(x, (float, np.floating))
+
+
+def _list_of(accepts):
+    return lambda v: isinstance(v, (list, tuple)) and all(map(accepts, v))
+
+
+class Flag(NamedTuple):
+    """One command-line flag of a setting.  Its environment twin is
+    ``LANDAUSPEC_`` plus the flag name in upper case, dashes as
+    underscores (``--assert-paper`` -> ``LANDAUSPEC_ASSERT_PAPER``)."""
+
+    name: str
+    convert: Callable  # (text, source) -> value; errors name the source
+    help: str
+    switch: bool = False  # takes no value; giving it means "true"
+
+    @property
+    def dest(self):
+        return self.name[2:].replace("-", "_")
+
+
+class Setting(NamedTuple):
+    """One row of the settings table."""
+
+    field: str  # RunConfig attribute and config-file key
+    accepts: Callable  # the type check of a value
+    what: str  # what that check asks for, in words
+    defaults: dict  # command -> default, for every command that reads it
+    flags: tuple  # the last twin set wins; two flags given are an error
+
+
+COMMANDS = {
+    "spectrum": "dense eigenvalues of one assembled operator",
+    "track": "sweep the near-1 group over epsilon and fit its drift",
+    "verify": "run the invariant battery and print a pass/fail table",
+    "export": "write operator binaries and state JSON files",
+}
+
+SETTINGS = (
+    Setting("modes", _list_of(_is_int), "a list of integers",
+            {"spectrum": [0], "track": [1], "export": [0]},
+            (Flag("--m", _as(lambda t: [int(p) for p in t.split(",")],
+                             "a comma list of integers"),
+                  "mode or comma list of modes"),)),
+    Setting("epsilons", _list_of(_is_number), "a list of numbers",
+            {"spectrum": [0.0], "track": list(DEFAULT_EPS_GRID),
+             "export": [0.0]},
+            (Flag("--eps", parse_eps_range,
+                  "epsilon range a:b:step or comma list"),
+             Flag("--epsilon", _as(lambda t: [float(t)], "a number"),
+                  "single epsilon value"))),
+    Setting("k_max", _is_int, "an integer",
+            dict.fromkeys(COMMANDS, DEFAULT_K_MAX),
+            (Flag("--kmax", _as(int, "an integer"),
+                  "spectral truncation degree"),)),
+    Setting("quad", lambda v: v is None or _is_int(v), "an integer or null",
+            dict.fromkeys(("spectrum", "export")),
+            (Flag("--quad", _as(int, "an integer"),
+                  "quadrature node override for direct assemblies"),)),
+    Setting("out", lambda v: isinstance(v, str), "a string",
+            dict.fromkeys(COMMANDS, "."),
+            (Flag("--out", lambda text, _: text, "output directory"),)),
+    Setting("formats", _list_of(lambda v: isinstance(v, str)),
+            "a list of strings",
+            dict.fromkeys(("spectrum", "track"), ["json", "csv"]),
+            (Flag("--format", lambda text, _: text.split(","),
+                  "comma list from {json,csv}"),)),
+    Setting("assert_paper", lambda v: isinstance(v, bool), "true or false",
+            {"track": False},
+            (Flag("--assert-paper",
+                  lambda text, _: text.lower() in ("1", "true", "yes"),
+                  "exit 2 unless fitted coefficients hit targets",
+                  switch=True),)),
+)
+
+
+def read_by(command):
+    """The settings ``command`` reads, in table order."""
+    return [s for s in SETTINGS if command in s.defaults]
+
+
+class RunConfig:
+    """The checked settings of one run, one attribute per setting its
+    command reads.  A value given for a setting the command does not read
+    is checked like any other, then dropped."""
+
+    def __init__(self, command, **values):
+        if command not in COMMANDS:
+            raise ValueError(f"unknown command {command!r}")
+        unknown = set(values) - {s.field for s in SETTINGS}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        self.command = command
+        for s in SETTINGS:
+            reads = command in s.defaults
+            if not reads and s.field not in values:
+                continue
+            value = values.get(s.field, s.defaults.get(command))
+            if not s.accepts(value):
+                raise ValueError(f"config key {s.field!r} must be {s.what}, "
+                                 f"got {value!r}")
+            if isinstance(value, (list, tuple)) and not value:
+                raise ValueError(f"config key {s.field!r} must not be empty")
+            if reads:
+                setattr(self, s.field, value)
+        if hasattr(self, "epsilons"):  # a JSON 0 is read as an int
+            self.epsilons = [float(e) for e in self.epsilons]
+        if self.k_max < 2:
+            raise ValueError(f"k_max = {self.k_max} is too small")
+        bad = set(getattr(self, "formats", ())) - {"json", "csv"}
+        if bad:
+            raise ValueError(f"unknown output formats: {sorted(bad)}")
+
+    def to_dict(self):
+        return {"command": self.command,
+                **{s.field: getattr(self, s.field)
+                   for s in read_by(self.command)}}
+
+    def __eq__(self, other):
+        return (isinstance(other, RunConfig)
+                and self.to_dict() == other.to_dict())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -224,49 +279,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--m", help="mode or comma list of modes")
-    common.add_argument("--eps", help="epsilon range a:b:step or comma list")
-    common.add_argument("--epsilon", help="single epsilon value")
-    common.add_argument("--kmax", type=int, help="spectral truncation degree")
-    common.add_argument("--quad", type=int,
-                        help="quadrature node override for direct assemblies")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--format", dest="formats",
-                        help="comma list from {json,csv}")
-    common.add_argument("--assert-paper", dest="assert_paper",
-                        action="store_const", const=True, default=None,
-                        help="exit 2 unless fitted coefficients hit targets")
-    common.add_argument("--config", help="JSON config file")
-
     parser = _Parser(prog="landauspec",
                      description="Spectral studies of the linearized flow "
                                  "around Landau solutions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("spectrum", "dense eigenvalues of one assembled operator"),
-        ("track", "sweep the near-1 group over epsilon and fit its drift"),
-        ("verify", "run the invariant battery and print a pass/fail table"),
-        ("export", "write operator binaries and state JSON files"),
-    ):
-        sub.add_parser(name, parents=[common], help=text)
+    for command, text in COMMANDS.items():
+        cmd = sub.add_parser(command, help=text)
+        for flag in (f for s in read_by(command) for f in s.flags):
+            kind = {"action": "store_const", "const": "true"}
+            cmd.add_argument(flag.name, help=flag.help,
+                             **(kind if flag.switch else {}))
+        cmd.add_argument("--config", help="JSON config file")
     return parser
 
 
-_DEFAULTS = {
-    "spectrum": {"modes": [0], "epsilons": [0.0]},
-    "track": {"modes": [1], "epsilons": list(DEFAULT_EPS_GRID)},
-    "verify": {"modes": [0, 1, 2], "epsilons": [0.05]},
-    "export": {"modes": [0], "epsilons": [0.0]},
-}
-
-
 def resolve_config(args):
-    """Merge defaults, config file, environment, and CLI flags."""
-    merged = dict(_DEFAULTS[args.command])
-    merged.update({"k_max": DEFAULT_K_MAX, "quad": None, "out": ".",
-                   "formats": ["json", "csv"], "assert_paper": False})
-
+    """Merge the config file, then the environment, then the flags; later
+    sources win and RunConfig fills the defaults."""
+    merged = {}
     config_path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
     if config_path:
         with open(config_path) as fh:
@@ -276,49 +306,18 @@ def resolve_config(args):
                              f"object, not {type(doc).__name__}")
         doc.pop("command", None)
         merged.update(doc)
-
-    env = os.environ
-    if ENV_PREFIX + "M" in env:
-        merged["modes"] = _int_list(env[ENV_PREFIX + "M"], ENV_PREFIX + "M")
-    if ENV_PREFIX + "EPS" in env:
-        merged["epsilons"] = parse_eps_range(env[ENV_PREFIX + "EPS"],
-                                             ENV_PREFIX + "EPS")
-    if ENV_PREFIX + "EPSILON" in env:
-        merged["epsilons"] = [_converted(float, env[ENV_PREFIX + "EPSILON"],
-                                         ENV_PREFIX + "EPSILON", "a number")]
-    for key, name in (("KMAX", "k_max"), ("QUAD", "quad")):
-        if ENV_PREFIX + key in env:
-            merged[name] = _converted(int, env[ENV_PREFIX + key],
-                                      ENV_PREFIX + key, "an integer")
-    if ENV_PREFIX + "OUT" in env:
-        merged["out"] = env[ENV_PREFIX + "OUT"]
-    if ENV_PREFIX + "FORMAT" in env:
-        merged["formats"] = env[ENV_PREFIX + "FORMAT"].split(",")
-    if ENV_PREFIX + "ASSERT_PAPER" in env:
-        merged["assert_paper"] = env[ENV_PREFIX + "ASSERT_PAPER"].lower() in (
-            "1", "true", "yes")
-
-    if args.eps is not None and args.epsilon is not None:
-        raise ValueError("--eps and --epsilon are mutually exclusive")
-    if args.m is not None:
-        merged["modes"] = _int_list(args.m, "--m")
-    if args.eps is not None:
-        merged["epsilons"] = parse_eps_range(args.eps, "--eps")
-    if args.epsilon is not None:
-        merged["epsilons"] = [_converted(float, args.epsilon, "--epsilon",
-                                         "a number")]
-    if args.kmax is not None:
-        merged["k_max"] = args.kmax
-    if args.quad is not None:
-        merged["quad"] = args.quad
-    if args.out is not None:
-        merged["out"] = args.out
-    if args.formats is not None:
-        merged["formats"] = args.formats.split(",")
-    if args.assert_paper is not None:
-        merged["assert_paper"] = args.assert_paper
-
-    return RunConfig.from_dict({"command": args.command, **merged})
+    for s in SETTINGS:
+        for flag in s.flags:
+            env = ENV_PREFIX + flag.dest.upper()
+            if env in os.environ:
+                merged[s.field] = flag.convert(os.environ[env], env)
+        given = [f for f in s.flags if getattr(args, f.dest, None) is not None]
+        if len(given) > 1:
+            raise ValueError(f"{given[0].name} and {given[1].name} are "
+                             f"mutually exclusive")
+        for flag in given:
+            merged[s.field] = flag.convert(getattr(args, flag.dest), flag.name)
+    return RunConfig(args.command, **merged)
 
 
 def _prepare_out(config):

@@ -17,11 +17,11 @@ one triangular Sylvester solve.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .landau import LandauProfile, eval_profile_derivative, eval_profiles
 from .operators import assemble_L
@@ -91,9 +91,12 @@ def track(m, epsilons, k_max=DEFAULT_K_MAX):
     order = np.lexsort((rows[0].imag, rows[0].real))
     curve[0] = rows[0][order]
     for i in range(1, eps.size):
-        cost = np.abs(curve[i - 1][:, None] - rows[i][None, :])
-        ri, ci = scipy.optimize.linear_sum_assignment(cost)
-        curve[i, ri] = rows[i][ci]
+        # a group has at most two members, so every order can be tried; on
+        # a tie in the total distance the first branch keeps its nearest point
+        prev = curve[i - 1]
+        curve[i] = min(itertools.permutations(rows[i]),
+                       key=lambda p: (np.abs(prev - p).sum(),
+                                      abs(prev[0] - p[0])))
         step = abs(eps[i] - eps[i - 1])
         moved = np.abs(curve[i] - curve[i - 1]).max()
         if step > 0 and moved > 10.0 * step:
@@ -342,12 +345,6 @@ def _tilt_state(epsilon, k_max):
                            0.5 * fp * s, 0.5 * pp * s)
 
 
-def _mode_residual(state, lmat):
-    image = state_from_flat(state.m, state.k_max,
-                            lmat.entries @ state.to_flat())
-    return x_norm(image) / x_norm(state)
-
-
 def zero_mode_check(epsilon, direction, k_max):
     """Residual of the operator on the family derivative in the given force
     direction.
@@ -375,10 +372,12 @@ def zero_mode_check(epsilon, direction, k_max):
     res_ax = res_tr = None
     if w_ax > 1e-14:
         axial = _axial_state(epsilon, k_max)
-        res_ax = _mode_residual(axial, assemble_L(0, k_max, epsilon))
+        lmat = assemble_L(0, k_max, epsilon)
+        res_ax = x_norm(lmat.apply_state(axial)) / x_norm(axial)
     if w_tr > 1e-14:
         trans = _tilt_state(epsilon, k_max)
-        res_tr = _mode_residual(trans, assemble_L(1, k_max, epsilon))
+        lmat = assemble_L(1, k_max, epsilon)
+        res_tr = x_norm(lmat.apply_state(trans)) / x_norm(trans)
 
     num = den = 0.0
     if axial is not None:

@@ -42,6 +42,9 @@ def test_parse_eps_range_forms():
         0.02, 0.04, 0.06, 0.08, 0.1]
     assert cli.parse_eps_range("0.1,0.3") == [0.1, 0.3]
     assert cli.parse_eps_range("-0.05") == [-0.05]
+    # a step that does not divide b - a stops short of b, never past it
+    assert cli.parse_eps_range("0:0.1:0.06") == [0.0, 0.06]
+    assert cli.parse_eps_range("0:0.35:0.1") == [0.0, 0.1, 0.2, 0.3]
 
 
 def test_parse_eps_range_rejects_malformed():
@@ -56,14 +59,14 @@ def test_parse_eps_range_rejects_malformed():
 def test_runconfig_round_trip():
     config = cli.RunConfig(command="track", modes=[1, 2],
                            epsilons=[0.02, 0.04], k_max=16, out="somewhere")
-    again = cli.RunConfig.from_dict(config.to_dict())
+    again = cli.RunConfig(**config.to_dict())
     assert again == config
 
 
 def test_runconfig_rejects_bad_fields():
     with pytest.raises(ValueError, match="unknown config keys"):
-        cli.RunConfig.from_dict({"command": "spectrum", "modes": [0],
-                                 "epsilons": [0.0], "k_maximum": 10})
+        cli.RunConfig(command="spectrum", modes=[0], epsilons=[0.0],
+                      k_maximum=10)
     with pytest.raises(ValueError, match="too small"):
         cli.RunConfig(command="spectrum", modes=[0], epsilons=[0.0], k_max=1)
     with pytest.raises(ValueError, match="unknown output formats"):
@@ -105,14 +108,17 @@ def test_usage_errors_exit_1(capsys):
     ({}, ("--eps", "0.1,y"), "--eps must be a number, a comma list or "
      "an a:b:step range, got '0.1,y'"),
     ({}, ("--epsilon", "zz"), "--epsilon must be a number, got 'zz'"),
+    ({}, ("--eps", ","), "config key 'epsilons' must not be empty"),
+    ({"EPS": ","}, (), "config key 'epsilons' must not be empty"),
 ])
 def test_conversion_errors_name_the_source(tmp_path, capsys, monkeypatch,
                                            env, argv, message):
     for key, value in env.items():
         monkeypatch.setenv(cli.ENV_PREFIX + key, value)
-    code, _, err = run_cli(capsys, "spectrum", *argv, "--out", str(tmp_path))
-    assert code == 1
-    assert err == f"error: {message}\n"
+    for command in ("spectrum", "export"):
+        code, _, err = run_cli(capsys, command, *argv, "--out", str(tmp_path))
+        assert code == 1
+        assert err == f"error: {message}\n"
 
 
 def test_failed_run_leaves_no_config_echo(tmp_path, capsys):
@@ -165,6 +171,8 @@ def test_unknown_config_file_key_exits_1(tmp_path, capsys, monkeypatch):
         ({"out": 3}, "'out' must be a string"),
         ({"formats": "json"}, "'formats' must be a list of strings"),
         ({"assert_paper": "yes"}, "'assert_paper' must be true or false"),
+        ({"modes": []}, "config key 'modes' must not be empty"),
+        ({"epsilons": []}, "config key 'epsilons' must not be empty"),
     ]
     for content, message in table:
         config_path.write_text(json.dumps(content))
@@ -172,6 +180,60 @@ def test_unknown_config_file_key_exits_1(tmp_path, capsys, monkeypatch):
                                str(config_path))
         assert code == 1, content
         assert err.startswith("error: ") and message in err, (content, err)
+
+
+# None: a switch, or a value the test fills in
+FLAG_VALUES = {"--m": "1", "--eps": "0.02:0.1:0.02", "--epsilon": "0.05",
+               "--kmax": "12", "--quad": "80", "--out": None, "--format": "csv",
+               "--assert-paper": None, "--config": None}
+READS = {
+    "spectrum": "--m --eps --epsilon --kmax --quad --out --format --config",
+    "track": "--m --eps --epsilon --kmax --out --format --assert-paper "
+             "--config",
+    "verify": "--kmax --out --config",
+    "export": "--m --eps --epsilon --kmax --quad --out --config",
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command in READS for flag in FLAG_VALUES])
+def test_commands_accept_only_the_flags_they_read(tmp_path, capsys,
+                                                  monkeypatch, command, flag):
+    def parse_only(config):
+        os.makedirs(config.out)
+        return 0
+
+    monkeypatch.setattr(cli, f"cmd_{command}", parse_only)
+    config_path = tmp_path / "base.json"
+    config_path.write_text("{}")
+    value = {**FLAG_VALUES, "--config": str(config_path)}[flag]
+    argv = [command, "--out", str(tmp_path / "out")]
+    if flag != "--out":
+        argv += [flag] if value is None else [flag, value]
+    code, _, err = run_cli(capsys, *argv)
+    if flag in READS[command].split():
+        assert code == 0, err
+        assert (tmp_path / "out" / "config.json").exists()
+    else:
+        assert code == 1
+        assert f"error: unrecognized arguments: {flag}" in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_unread_environment_setting_is_checked_then_dropped(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(cli.ENV_PREFIX + "M", "5")
+    code, out, _ = run_cli(capsys, "verify", "--kmax", "16",
+                           "--out", str(tmp_path))
+    assert code == 0
+    assert "12/12 checks passed" in out
+    assert read_json(tmp_path / "config.json") == {
+        "command": "verify", "k_max": 16, "out": str(tmp_path)}
+    monkeypatch.setenv(cli.ENV_PREFIX + "M", "x")
+    code, _, err = run_cli(capsys, "verify", "--out", str(tmp_path / "bad"))
+    assert code == 1
+    assert err == ("error: LANDAUSPEC_M must be a comma list of integers, "
+                   "got 'x'\n")
 
 
 def test_format_float_is_17_digits():

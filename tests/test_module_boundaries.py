@@ -1,7 +1,9 @@
-"""Structural rules of the package source (no import of the package)."""
+"""Structural rules of the package source, read from its syntax trees."""
 
 import ast
 import pathlib
+
+from landauspec import cli
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "landauspec"
 
@@ -35,3 +37,33 @@ def test_no_explicit_inverse_or_condition_number():
                     and node.value.attr == "linalg"):
                 calls.append(f"{path.name}:{node.lineno}: linalg.{node.attr}")
     assert calls == []
+
+
+def test_cli_handlers_read_exactly_their_declared_settings():
+    # each cmd_<name> handler, with the cli functions it calls, reads the
+    # config fields of the settings its command declares in cli.SETTINGS
+    # and no others, so no command accepts a flag it ignores
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def fields_read(name, seen):
+        if name in seen or name not in functions:
+            return set()
+        seen.add(name)
+        fields = set()
+        for node in ast.walk(functions[name]):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "config"):
+                fields.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func,
+                                                           ast.Name):
+                fields |= fields_read(node.func.id, seen)
+        return fields
+
+    read = {name[len("cmd_"):]: fields_read(name, set())
+            for name in functions if name.startswith("cmd_")}
+    declared = {command: {s.field for s in cli.read_by(command)}
+                for command in cli.COMMANDS}
+    assert read == declared
