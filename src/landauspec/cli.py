@@ -15,6 +15,8 @@ are echoed as ``config.json`` next to the reports of every run that
 finishes (exit 0 or 2).  Identical configurations produce byte-identical
 files: lists in a fixed order, every float with 17 significant digits.
 A value that does not convert is reported with its flag or variable.
+The quadrature is not a setting: every assembly uses the Gauss rule
+that k_max determines.
 
 Exit codes: 0 success, 1 usage or domain error, 2 invariant failure
 (failed verification, assertion miss, unstable sweep).
@@ -46,7 +48,6 @@ from .eigentracker import (
     zero_mode_check,
 )
 from .operators import assemble_L, assemble_L0, save_operator
-from .sphbasis import QuadratureGrid
 from .statespace import save_state_json
 
 C_TARGETS = {0: 0.0, 1: 1.0 / 15.0, 2: 4.0 / 15.0}
@@ -202,10 +203,6 @@ SETTINGS = (
             dict.fromkeys(COMMANDS, DEFAULT_K_MAX),
             (Flag("--kmax", _as(int, "an integer"),
                   "spectral truncation degree"),)),
-    Setting("quad", lambda v: v is None or _is_int(v), "an integer or null",
-            dict.fromkeys(("spectrum", "export")),
-            (Flag("--quad", _as(int, "an integer"),
-                  "quadrature node override for direct assemblies"),)),
     Setting("out", lambda v: isinstance(v, str), "a string",
             dict.fromkeys(COMMANDS, "."),
             (Flag("--out", lambda text, _: text, "output directory"),)),
@@ -325,12 +322,6 @@ def _prepare_out(config):
     return config.out
 
 
-def _assembly_grid(config):
-    if config.quad is None:
-        return None
-    return QuadratureGrid.build(config.quad)
-
-
 # ---- subcommands -------------------------------------------------------------
 
 
@@ -339,8 +330,7 @@ def cmd_spectrum(config):
     code = 0
     for m in config.modes:
         for eps in config.epsilons:
-            lmat = assemble_L(m, config.k_max, eps,
-                              grid=_assembly_grid(config))
+            lmat = assemble_L(m, config.k_max, eps)
             lam = np.sort_complex(np.linalg.eigvals(lmat.entries))
             cluster = lam[np.abs(lam - 1.0) < eigentracker.CLUSTER_RADIUS]
             integer_defect = None
@@ -474,20 +464,17 @@ def _verify_checks(config):
     yield ("swirl_eigenvalue[eps=0.5]", abs(lam_sw - 1.0) <= 1e-9,
            f"|lam-1| = {abs(lam_sw - 1.0):.1e}")
 
-    total = 0
+    total1 = total0 = 0
     idem_ok = True
     for m in (0, 1, 2):
-        proj = contour_projection(assemble_L(m, 16, 0.05),
-                                  ContourSpec(1.0, 0.5))
-        total += proj.rank * (2 if m else 1)
+        lmat = assemble_L(m, 16, 0.05)
+        proj = contour_projection(lmat, ContourSpec(1.0, 0.5))
+        total1 += proj.rank * (2 if m else 1)
         idem_ok &= proj.idempotency_defect <= 1e-8
-    yield "P1_rank[eps=0.05]", total == 8 and idem_ok, f"{total}"
-
-    total0 = 0
-    for m in (0, 1):
-        proj = contour_projection(assemble_L(m, 16, 0.05),
-                                  ContourSpec(0.0, 0.5))
-        total0 += proj.rank * (2 if m else 1)
+        if m < 2:  # m = 2 has no eigenvalue near 0
+            proj = contour_projection(lmat, ContourSpec(0.0, 0.5))
+            total0 += proj.rank * (2 if m else 1)
+    yield "P1_rank[eps=0.05]", total1 == 8 and idem_ok, f"{total1}"
     yield "P0_rank[eps=0.05]", total0 == 3, f"{total0}"
 
     _, resid = translation_eigenvector(0.1, 30)
@@ -535,8 +522,7 @@ def cmd_export(config):
     out = _prepare_out(config)
     for m in config.modes:
         for eps in config.epsilons:
-            lmat = assemble_L(m, config.k_max, eps,
-                              grid=_assembly_grid(config))
+            lmat = assemble_L(m, config.k_max, eps)
             tag = f"m{m}_eps{eps:g}"
             save_operator(lmat, os.path.join(out, f"operator_{tag}.bin"),
                           os.path.join(out, f"operator_{tag}.json"))

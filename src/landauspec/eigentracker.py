@@ -10,9 +10,13 @@ absence of a rotation rate.  The constructive routines
 symmetry modes directly from the closed-form background profiles, the
 zero modes analytically from the closed-form family derivatives, and
 report how well the assembled matrix annihilates or preserves them.
-`contour_projection` certifies the size of an eigenvalue group by the
-rank of its Riesz projector, computed from one ordered Schur form and
-one triangular Sylvester solve.
+The constructions sample the profiles on the same default Gauss rule of
+k_max that the assembly uses (`sphbasis.legendre_values`), and the
+assembly's tail monitor is the one resolution check they need.
+`contour_projection` builds the Riesz projector of an eigenvalue group
+from one ordered Schur form and one triangular Sylvester solve; it
+certifies the number of eigenvalues inside the circle, their separation
+from the rest of the spectrum and the conditioning of the splitting.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ import scipy.linalg
 from .landau import LandauProfile, eval_profile_derivative, eval_profiles
 from .operators import assemble_L
 from .sphbasis import (
-    QuadratureGrid,
-    default_node_count,
     laplacian,
     legendre_values,
     project,
@@ -209,27 +211,6 @@ def swirl_block_eigenvalue(epsilon, k_max):
     return complex(lam[np.argmin(np.abs(lam - 1.0))])
 
 
-def _tail_ratio(state):
-    """Fraction of squared coefficient mass in the top decile of degrees."""
-    total = 0.0
-    tail = 0.0
-    for f in state.components().values():
-        mass = np.abs(f.coeffs) ** 2
-        cut = max(1, int(np.ceil(0.1 * mass.size)))
-        total += mass.sum()
-        tail += mass[-cut:].sum()
-    return tail / total if total > 0.0 else 0.0
-
-
-def _require_resolved(state, k_max):
-    ratio = _tail_ratio(state)
-    if ratio > 1e-10:
-        raise ValueError(
-            f"k_max = {k_max} under-resolves the profile: top-decile "
-            f"coefficient mass fraction {ratio:.2e} exceeds 1e-10"
-        )
-
-
 def _symmetry_state(table, t_theta, t_phi, u_r, q):
     """State of a velocity field on the sphere given by its tangential pair,
     its radial component and its pressure trace (nodal values on the table's
@@ -253,14 +234,10 @@ def _symmetry_state(table, t_theta, t_phi, u_r, q):
                        star)
 
 
-def _mode_table(m, k_max):
-    grid = QuadratureGrid.build(default_node_count(k_max))
-    return grid, legendre_values(k_max, m, grid)
-
-
 def landau_state(epsilon, k_max):
     """State representation of a background family member itself (m = 0)."""
-    grid, table = _mode_table(0, k_max)
+    table = legendre_values(k_max, 0)
+    grid = table.grid
     prof = eval_profiles(LandauProfile(epsilon), grid.theta)
     return _symmetry_state(table, prof["V"], np.zeros(grid.theta.size),
                            prof["F"], prof["p"])
@@ -274,7 +251,8 @@ def translation_eigenvector(epsilon, k_max):
     the tangential background, the radial slot combines the theta-slopes of
     the tangential and radial backgrounds, and the starred slot balances
     those against the translated boundary pressure.  The relative residual
-    is |(L - 1) state| / |state| in the weighted norm.
+    is |(L - 1) state| / |state| in the weighted norm.  A k_max too small
+    for eps is reported by the tail monitor of the assembly of L.
     """
     if epsilon == 0.0:
         raise ValueError(
@@ -282,7 +260,8 @@ def translation_eigenvector(epsilon, k_max):
         )
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("construction validated for eps in (0, 0.5]")
-    grid, table = _mode_table(1, k_max)
+    table = legendre_values(k_max, 1)
+    grid = table.grid
     c = grid.x
     s = grid.sin_theta
     d = 1.0 - epsilon * c
@@ -300,7 +279,6 @@ def translation_eigenvector(epsilon, k_max):
     zero = zero_field(1, k_max)
     state = StateVector(1, zero.copy(), psi, zero.copy(), psi_prime,
                         radial, star)
-    _require_resolved(state, k_max)
 
     lmat = assemble_L(1, k_max, epsilon)
     flat = state.to_flat()
@@ -322,7 +300,8 @@ class ZeroModeReport:
 def _axial_state(epsilon, k_max):
     """Derivative of the family in its parameter (m = 0): the background
     state built from the closed-form eps-derivatives of (V, F, p)."""
-    grid, table = _mode_table(0, k_max)
+    table = legendre_values(k_max, 0)
+    grid = table.grid
     der = eval_profile_derivative(LandauProfile(epsilon), grid.theta)
     return _symmetry_state(table, der["dV_deps"], np.zeros(grid.theta.size),
                            der["dF_deps"], der["dp_deps"])
@@ -333,7 +312,8 @@ def _tilt_state(epsilon, k_max):
     from the exact slopes in t = cos(theta) of the closed-form profiles
     f = 2((1 - eps^2)/(1 - eps t)^2 - 1), w = -2 eps/(1 - eps t) and
     p = 4 eps (t - eps)/(1 - eps t)^2."""
-    grid, table = _mode_table(1, k_max)
+    table = legendre_values(k_max, 1)
+    grid = table.grid
     c = grid.x
     s = grid.sin_theta
     d = 1.0 - epsilon * c
@@ -433,13 +413,16 @@ class ContourProjection:
 
 def contour_projection(lmat, spec):
     """Riesz projector onto the eigenvalues inside a circle, from an ordered
-    Schur form; rank counted from singular values above 1/2.
+    Schur form.
 
     One complex Schur form A = Z T Z^H moves the k enclosed eigenvalues to
     the leading block T11.  The Sylvester equation T11 X - X T22 = T12
     decouples that block from the trailing one, and the projector is
-    P = Z[:, :k] [I X] Z^H.  Its nonzero singular values are those of the
-    k x n block [I X], since Z is unitary.
+    P = Z[:, :k] [I X] Z^H.  Its rank is k: Z is unitary and every
+    singular value of [I X] is sqrt(1 + s^2) >= 1 for a singular value s
+    of X.  What the projector certifies is therefore that count, the
+    separation of the enclosed group from the rest of the spectrum, and
+    the conditioning ||X||_2 of the splitting.
 
     Errors out if an eigenvalue sits within 1e-3 of the contour, if the
     circle fails to separate the enclosed group from the rest of the
@@ -475,7 +458,6 @@ def contour_projection(lmat, spec):
     if k in (0, n):
         # ztrsyl rejects an empty block; P is 0 or I here
         proj = np.eye(n, dtype=complex) if k else np.zeros((n, n), complex)
-        sing = np.ones(k)
     else:
         x, scale, info = scipy.linalg.lapack.ztrsyl(
             t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
@@ -484,17 +466,14 @@ def contour_projection(lmat, spec):
                 f"Sylvester splitting ill-conditioned: ztrsyl info {info}, "
                 f"scale {scale:.3e}"
             )
-        head = np.hstack([np.eye(k), x])
-        sing = np.linalg.svd(head, compute_uv=False)
-        x_norm2 = float(np.sqrt(max(sing[0] ** 2 - 1.0, 0.0)))
+        x_norm2 = float(np.linalg.norm(x, 2))
         if x_norm2 > 1e12:
             raise ValueError(
                 f"Sylvester splitting ill-conditioned: ||X||_2 = "
                 f"{x_norm2:.3e} exceeds 1e12"
             )
-        proj = z[:, :k] @ head @ z.conj().T
-    rank = int(np.sum(sing > 0.5))
+        proj = z[:, :k] @ np.hstack([np.eye(k), x]) @ z.conj().T
     defect = float(np.linalg.norm(proj @ proj - proj, 2))
-    return ContourProjection(matrix=proj, rank=rank,
+    return ContourProjection(matrix=proj, rank=k,
                              idempotency_defect=defect,
                              enclosed=tuple(np.sort_complex(inside)))

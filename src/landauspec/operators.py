@@ -25,9 +25,10 @@ has only (phi', psi', radial_star) rows:
 
 with phi'-row = invLap(div T), psi'-row = invLap(curl T), and the projection
 of G feeding the radial_star row.  Evaluation is pointwise on a Gauss grid
-followed by exact projections; the profiles are rational in cos(theta), so
-aliasing is controlled by the node-count precondition and checked after the
-fact by a spectral tail monitor.
+followed by exact projections on the default Gauss rule of k_max
+(`sphbasis.legendre_values`); the profiles are rational in cos(theta), so
+what that rule and the truncation miss is caught after the fact by a
+spectral tail monitor.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ import numpy as np
 
 from .landau import LandauProfile, eval_profiles
 from .sphbasis import (
-    QuadratureGrid,
-    default_node_count,
     legendre_values,
     laplacian,
     project,
@@ -143,9 +142,9 @@ def _k_integrand(bg, xi, dxi, xip, th, dth, ths, div_xi):
     return t_theta, t_phi, g
 
 
-def apply_K(state, epsilon, table, background=None):
+def apply_K(state, epsilon, table):
     """Matrix-free application of K to one state (pointwise pipeline)."""
-    bg = background or background_on_grid(epsilon, table.grid)
+    bg = background_on_grid(epsilon, table.grid)
     xi_t, xi_p = tangent_field(state.phi, state.psi, table)
     dxi_t, dxi_p = tangent_field_dtheta(state.phi, state.psi, table)
     xip_t, xip_p = tangent_field(state.phi_prime, state.psi_prime, table)
@@ -185,16 +184,10 @@ def _tail_mass_ratio(kmat, imap):
     return np.sqrt(tail / total)
 
 
-def assemble_K(m, k_max, epsilon, grid=None):
+def assemble_K(m, k_max, epsilon):
     LandauProfile(epsilon)  # domain check
-    if grid is None:
-        grid = QuadratureGrid.build(default_node_count(k_max))
-    if grid.n_nodes < default_node_count(k_max):
-        raise ValueError(
-            f"{grid.n_nodes} nodes under-resolve k_max = {k_max}; "
-            f"need at least {default_node_count(k_max)}"
-        )
-    table = legendre_values(k_max, m, grid)
+    table = legendre_values(k_max, m)
+    grid = table.grid
     imap = StateIndexMap(m, k_max)
     n = grid.n_nodes
     am = abs(m)
@@ -260,11 +253,11 @@ def assemble_K(m, k_max, epsilon, grid=None):
     return OperatorMatrix(m=m, k_max=k_max, epsilon=epsilon, entries=kmat)
 
 
-def assemble_L(m, k_max, epsilon, grid=None):
+def assemble_L(m, k_max, epsilon):
     l0 = assemble_L0(m, k_max)
     if epsilon == 0.0:
         return l0
-    k = assemble_K(m, k_max, epsilon, grid=grid)
+    k = assemble_K(m, k_max, epsilon)
     return OperatorMatrix(m=m, k_max=k_max, epsilon=epsilon,
                           entries=l0.entries + k.entries)
 

@@ -135,11 +135,15 @@ class LegendreTable:
         return k - self.k_min
 
 
-def legendre_values(k_max, m, grid):
-    """Build the LegendreTable for signed order m on the given grid."""
+def legendre_values(k_max, m, grid=None):
+    """Build the LegendreTable for signed order m on the given grid, or on
+    the default Gauss rule of k_max: the one quadrature every assembly and
+    state construction in the library uses."""
     am = abs(m)
     if am > k_max:
         raise ValueError(f"|m| = {am} exceeds k_max = {k_max}")
+    if grid is None:
+        grid = QuadratureGrid.build(default_node_count(k_max))
     x = grid.x
     raws = {mu: _raw_signed(k_max, mu, x) for mu in range(am - 2, am + 3)}
 

@@ -11,8 +11,14 @@ import numpy as np
 import pytest
 
 from landauspec import cli
-from landauspec.operators import assemble_L, load_operator
-from landauspec.statespace import load_state_json, x_norm
+from landauspec.operators import apply_K, assemble_L, assemble_L0, load_operator
+from landauspec.sphbasis import QuadratureGrid, legendre_values
+from landauspec.statespace import (
+    StateIndexMap,
+    load_state_json,
+    state_from_flat,
+    x_norm,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -96,7 +102,7 @@ def test_usage_errors_exit_1(capsys):
 
 @pytest.mark.parametrize("env,argv,message", [
     ({"KMAX": "ten"}, (), "LANDAUSPEC_KMAX must be an integer, got 'ten'"),
-    ({"QUAD": "1.5"}, (), "LANDAUSPEC_QUAD must be an integer, got '1.5'"),
+    ({"KMAX": "1.5"}, (), "LANDAUSPEC_KMAX must be an integer, got '1.5'"),
     ({"M": "1,x"}, (),
      "LANDAUSPEC_M must be a comma list of integers, got '1,x'"),
     ({"EPS": "0.1:y:0.1"}, (), "LANDAUSPEC_EPS must be a number, a comma "
@@ -164,7 +170,7 @@ def test_unknown_config_file_key_exits_1(tmp_path, capsys, monkeypatch):
         ("ten", "must hold a JSON object, not str"),
         ({"k_max": "ten"}, "'k_max' must be an integer"),
         ({"k_max": 12.0}, "'k_max' must be an integer"),
-        ({"quad": True}, "'quad' must be an integer or null"),
+        ({"quad": 80}, "unknown config keys: ['quad']"),
         ({"modes": 1}, "'modes' must be a list of integers"),
         ({"modes": ["1"]}, "'modes' must be a list of integers"),
         ({"epsilons": [0.1, "x"]}, "'epsilons' must be a list of numbers"),
@@ -187,11 +193,11 @@ FLAG_VALUES = {"--m": "1", "--eps": "0.02:0.1:0.02", "--epsilon": "0.05",
                "--kmax": "12", "--quad": "80", "--out": None, "--format": "csv",
                "--assert-paper": None, "--config": None}
 READS = {
-    "spectrum": "--m --eps --epsilon --kmax --quad --out --format --config",
+    "spectrum": "--m --eps --epsilon --kmax --out --format --config",
     "track": "--m --eps --epsilon --kmax --out --format --assert-paper "
              "--config",
     "verify": "--kmax --out --config",
-    "export": "--m --eps --epsilon --kmax --quad --out --config",
+    "export": "--m --eps --epsilon --kmax --out --config",
 }
 
 
@@ -281,15 +287,22 @@ def test_spectrum_rejects_out_of_range_epsilon(tmp_path, capsys):
 
 
 def test_spectrum_quadrature_override_matches_default(tmp_path, capsys):
-    for sub, extra in (("default", []), ("fine", ["--quad", "96"])):
-        code, _, _ = run_cli(capsys, "spectrum", "--m", "1",
-                             "--epsilon", "0.05", "--kmax", "10",
-                             "--out", str(tmp_path / sub), *extra)
-        assert code == 0
-    base = read_json(tmp_path / "default" / "spectrum_m1_eps0.05.json")
-    fine = read_json(tmp_path / "fine" / "spectrum_m1_eps0.05.json")
+    # spectrum's quadrature follows from k_max; a 96-node rule, applied
+    # column by column through apply_K, must give the same eigenvalues
+    m, k_max, eps = 1, 10, 0.05
+    code, _, _ = run_cli(capsys, "spectrum", "--m", str(m),
+                         "--epsilon", str(eps), "--kmax", str(k_max),
+                         "--out", str(tmp_path))
+    assert code == 0
+    base = read_json(tmp_path / "spectrum_m1_eps0.05.json")
     a = np.array([complex(re, im) for re, im in base["eigenvalues"]])
-    b = np.array([complex(re, im) for re, im in fine["eigenvalues"]])
+    table = legendre_values(k_max, m, QuadratureGrid.build(96))
+    dim = StateIndexMap(m, k_max).dim
+    fine = assemble_L0(m, k_max).entries.astype(complex)
+    for j, unit in enumerate(np.eye(dim, dtype=complex)):
+        fine[:, j] += apply_K(state_from_flat(m, k_max, unit), eps,
+                              table).to_flat()
+    b = np.linalg.eigvals(fine)
     # the complex sort can swap near-degenerate pairs, so match as sets
     assert np.abs(a[:, None] - b[None, :]).min(axis=1).max() <= 1e-10
 

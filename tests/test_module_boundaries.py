@@ -67,3 +67,25 @@ def test_cli_handlers_read_exactly_their_declared_settings():
     declared = {command: {s.field for s in cli.read_by(command)}
                 for command in cli.COMMANDS}
     assert read == declared
+
+
+def test_quadrature_is_chosen_only_in_sphbasis():
+    # the Gauss rule is a function of k_max that sphbasis.legendre_values
+    # builds; a module choosing its own node count could sample the
+    # profiles on a rule other than the one the assembly integrates with
+    def name(node):
+        for attr in ("id", "attr", "name"):  # Name, Attribute, alias
+            if isinstance(getattr(node, attr, None), str):
+                return getattr(node, attr)
+        return None
+
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "sphbasis.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if name(node) == "default_node_count" or (
+                    isinstance(node, ast.Attribute) and node.attr == "build"
+                    and name(node.value) == "QuadratureGrid"):
+                uses.append(f"{path.name}:{node.lineno}")
+    assert uses == []
