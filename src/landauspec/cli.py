@@ -325,38 +325,53 @@ def _prepare_out(config):
 # ---- subcommands -------------------------------------------------------------
 
 
-def cmd_spectrum(config):
-    out = _prepare_out(config)
-    code = 0
+def _report_tags(config):
+    """(m, eps, tag) for each pair a spectrum or export run writes, in run
+    order; the tag names the pair's files.  Two pairs with one tag would
+    overwrite each other's files, so that is an error before any assembly."""
+    pairs = {}
     for m in config.modes:
         for eps in config.epsilons:
-            lmat = assemble_L(m, config.k_max, eps)
-            lam = np.sort_complex(np.linalg.eigvals(lmat.entries))
-            cluster = lam[np.abs(lam - 1.0) < eigentracker.CLUSTER_RADIUS]
-            integer_defect = None
-            if eps == 0.0:
-                integer_defect = float(np.abs(lam - np.round(lam)).max())
-                if integer_defect > 1e-8:
-                    print(f"invariant failure: unperturbed spectrum at "
-                          f"m = {m} is not integer (defect {integer_defect})",
-                          file=sys.stderr)
-                    code = 2
             tag = f"m{m}_eps{eps:g}"
-            if "json" in config.formats:
-                write_json(os.path.join(out, f"spectrum_{tag}.json"), {
-                    "mode": m,
-                    "epsilon": eps,
-                    "k_max": config.k_max,
-                    "eigenvalues": _pairs(lam),
-                    "cluster": _pairs(cluster),
-                    "integer_defect": integer_defect,
-                })
-            if "csv" in config.formats:
-                lines = ["index,re,im"]
-                lines += [f"{i},{format_float(v.real)},{format_float(v.imag)}"
-                          for i, v in enumerate(lam)]
-                write_atomic(os.path.join(out, f"spectrum_{tag}.csv"),
-                             "\n".join(lines) + "\n")
+            if tag in pairs:
+                raise ValueError(
+                    f"(m, eps) = {pairs[tag]!r} and {(m, eps)!r} share the "
+                    f"report tag {tag!r}")
+            pairs[tag] = (m, eps)
+    return [(m, eps, tag) for tag, (m, eps) in pairs.items()]
+
+
+def cmd_spectrum(config):
+    tags = _report_tags(config)
+    out = _prepare_out(config)
+    code = 0
+    for m, eps, tag in tags:
+        lmat = assemble_L(m, config.k_max, eps)
+        lam = np.sort_complex(np.linalg.eigvals(lmat.entries))
+        cluster = lam[np.abs(lam - 1.0) < eigentracker.CLUSTER_RADIUS]
+        integer_defect = None
+        if eps == 0.0:
+            integer_defect = float(np.abs(lam - np.round(lam)).max())
+            if integer_defect > 1e-8:
+                print(f"invariant failure: unperturbed spectrum at "
+                      f"m = {m} is not integer (defect {integer_defect})",
+                      file=sys.stderr)
+                code = 2
+        if "json" in config.formats:
+            write_json(os.path.join(out, f"spectrum_{tag}.json"), {
+                "mode": m,
+                "epsilon": eps,
+                "k_max": config.k_max,
+                "eigenvalues": _pairs(lam),
+                "cluster": _pairs(cluster),
+                "integer_defect": integer_defect,
+            })
+        if "csv" in config.formats:
+            lines = ["index,re,im"]
+            lines += [f"{i},{format_float(v.real)},{format_float(v.imag)}"
+                      for i, v in enumerate(lam)]
+            write_atomic(os.path.join(out, f"spectrum_{tag}.csv"),
+                         "\n".join(lines) + "\n")
     return code
 
 
@@ -451,7 +466,7 @@ def _verify_checks(config):
     for m in (0, 1, 2):
         lam = np.linalg.eigvals(assemble_L0(m, 20).entries)
         worst = max(worst, float(np.abs(lam - np.round(lam)).max()))
-        mult = int(np.sum(np.abs(lam - 1.0) < 0.25))
+        mult = int(np.sum(np.abs(lam - 1.0) < eigentracker.CLUSTER_RADIUS))
         mults_ok &= mult == cluster_size(m)
     yield ("l0_integrality[m=0..2,k=20]", worst <= 1e-8 and mults_ok,
            f"defect {worst:.1e}, unit multiplicities 2/2/1")
@@ -519,13 +534,12 @@ def cmd_verify(config):
 
 
 def cmd_export(config):
+    tags = _report_tags(config)
     out = _prepare_out(config)
-    for m in config.modes:
-        for eps in config.epsilons:
-            lmat = assemble_L(m, config.k_max, eps)
-            tag = f"m{m}_eps{eps:g}"
-            save_operator(lmat, os.path.join(out, f"operator_{tag}.bin"),
-                          os.path.join(out, f"operator_{tag}.json"))
+    for m, eps, tag in tags:
+        lmat = assemble_L(m, config.k_max, eps)
+        save_operator(lmat, os.path.join(out, f"operator_{tag}.bin"),
+                      os.path.join(out, f"operator_{tag}.json"))
     eps0 = config.epsilons[0]
     if eps0 > 0.0:
         save_state_json(landau_state(eps0, config.k_max),

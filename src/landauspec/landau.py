@@ -156,7 +156,7 @@ class SeriesProfiles:
         return {"V": V, "F": F}
 
 
-def series_profiles(epsilon, order):
+def series_profiles(order):
     """Return the expansion of (V, F) through eps^order (order 2 or 3).
 
     V = -2 eps sin - 2 eps^2 cos sin - 2 eps^3 cos^2 sin - ...

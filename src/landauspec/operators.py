@@ -24,11 +24,13 @@ has only (phi', psi', radial_star) rows:
                 + 2 th F - th* F - q F
 
 with phi'-row = invLap(div T), psi'-row = invLap(curl T), and the projection
-of G feeding the radial_star row.  Evaluation is pointwise on a Gauss grid
-followed by exact projections on the default Gauss rule of k_max
-(`sphbasis.legendre_values`); the profiles are rational in cos(theta), so
-what that rule and the truncation miss is caught after the fact by a
-spectral tail monitor.
+of G feeding the radial_star row.  One pipeline computes K on a block of
+flat states: nodal synthesis (table rows times coefficients), the
+pointwise integrand, then exact weak-form projections.  `apply_K` feeds it
+one state; `assemble_K` feeds it every unit column on the default Gauss
+rule of k_max (`sphbasis.legendre_values`).  The profiles are rational in
+cos(theta), so what that rule and the truncation miss is caught after the
+fact by a spectral tail monitor.
 """
 
 from __future__ import annotations
@@ -40,22 +42,8 @@ import os
 import numpy as np
 
 from .landau import LandauProfile, eval_profiles
-from .sphbasis import (
-    legendre_values,
-    laplacian,
-    project,
-    project_div_curl,
-    solve_poisson,
-    synthesize,
-    tangent_field,
-    tangent_field_dtheta,
-)
-from .statespace import (
-    COMPONENTS,
-    StateIndexMap,
-    state_from_flat,
-    zero_state,
-)
+from .sphbasis import legendre_values
+from .statespace import COMPONENTS, StateIndexMap, state_from_flat
 
 
 @dataclass
@@ -131,8 +119,8 @@ def background_on_grid(epsilon, grid):
 
 def _k_integrand(bg, xi, dxi, xip, th, dth, ths, div_xi):
     """Pointwise (T_theta, T_phi, G) of K from the synthesized tangent pairs
-    xi, d_theta xi, xi' and the radial scalars; the background arrays in bg
-    broadcast against them (one state, or one column per basis state)."""
+    xi, d_theta xi, xi' and the radial scalars, one column per state; the
+    background arrays in bg are single columns that broadcast against them."""
     (xi_t, xi_p), (dxi_t, dxi_p), (xip_t, xip_p) = xi, dxi, xip
     q = -(div_xi + th + ths)
     t_theta = -bg["V"] * dxi_t - bg["dV"] * xi_t - bg["F"] * xip_t
@@ -142,25 +130,53 @@ def _k_integrand(bg, xi, dxi, xip, th, dth, ths, div_xi):
     return t_theta, t_phi, g
 
 
-def apply_K(state, epsilon, table):
-    """Matrix-free application of K to one state (pointwise pipeline)."""
-    bg = background_on_grid(epsilon, table.grid)
-    xi_t, xi_p = tangent_field(state.phi, state.psi, table)
-    dxi_t, dxi_p = tangent_field_dtheta(state.phi, state.psi, table)
-    xip_t, xip_p = tangent_field(state.phi_prime, state.psi_prime, table)
-    th = synthesize(state.radial, table)
-    dth = synthesize(state.radial, table, "dtheta")
-    ths = synthesize(state.radial_star, table)
-    div_xi = synthesize(laplacian(state.phi), table)
-    t_theta, t_phi, g = _k_integrand(bg, (xi_t, xi_p), (dxi_t, dxi_p),
-                                     (xip_t, xip_p), th, dth, ths, div_xi)
+def _k_columns(x, epsilon, table):
+    """Images under K of the flat states in the columns of x (dim x ncols):
+    nodal synthesis of every component, the K integrand, then the weak-form
+    projections with the inverse Laplacian applied as a product."""
+    imap = StateIndexMap(table.m, table.k_max)
+    am = abs(table.m)
 
-    div_t, curl_t = project_div_curl(t_theta, t_phi, table)
-    out = zero_state(state.m, state.k_max)
-    out.phi_prime.coeffs[:] = solve_poisson(div_t).coeffs
-    out.psi_prime.coeffs[:] = solve_poisson(curl_t).coeffs
-    out.radial_star.coeffs[:] = project(g, table).coeffs
+    def rows(arr, name):
+        # the per-degree rows of a table-shaped array that name's slots use
+        return arr[imap.k_lo(name) - am:]
+
+    def nodal(kind, name, weight=1.0):
+        # (n_nodes x ncols) values of one component through one table
+        return (rows(getattr(table, kind), name).T * weight) @ x[imap.sl(name)]
+
+    ks = imap.degrees("phi").astype(float)  # the primed pair shares them
+    kk = ks * (ks + 1.0)
+    xi = (nodal("dtheta", "phi") - 1j * nodal("m_sin", "psi"),
+          1j * nodal("m_sin", "phi") + nodal("dtheta", "psi"))
+    dxi = (nodal("d2theta", "phi") - 1j * nodal("dm_sin", "psi"),
+           1j * nodal("dm_sin", "phi") + nodal("d2theta", "psi"))
+    xip = (nodal("dtheta", "phi_prime") - 1j * nodal("m_sin", "psi_prime"),
+           1j * nodal("m_sin", "phi_prime") + nodal("dtheta", "psi_prime"))
+    bg = {key: val[:, None]
+          for key, val in background_on_grid(epsilon, table.grid).items()}
+    t_theta, t_phi, g = _k_integrand(
+        bg, xi, dxi, xip, nodal("val", "radial"), nodal("dtheta", "radial"),
+        nodal("val", "radial_star"), nodal("val", "phi", -kk))
+
+    wt = table.grid.w
+    norm2 = (table.norms**2)[:, None]
+    div_c = ((table.dtheta * wt) @ (-t_theta) + (table.m_sin * wt) @ (1j * t_phi)) / norm2
+    curl_c = ((table.dtheta * wt) @ (-t_phi) + (table.m_sin * wt) @ (-1j * t_theta)) / norm2
+    g_c = (table.val * wt) @ g / norm2
+
+    inv_lap = (-1.0 / kk)[:, None]
+    out = np.zeros((imap.dim, x.shape[1]), dtype=complex)
+    out[imap.sl("phi_prime")] = rows(div_c, "phi_prime") * inv_lap
+    out[imap.sl("psi_prime")] = rows(curl_c, "psi_prime") * inv_lap
+    out[imap.sl("radial_star")] = rows(g_c, "radial_star")
     return out
+
+
+def apply_K(state, epsilon, table):
+    """Matrix-free application of K to one state."""
+    image = _k_columns(state.to_flat()[:, None], epsilon, table)
+    return state_from_flat(state.m, state.k_max, image[:, 0])
 
 
 def _tail_mass_ratio(kmat, imap):
@@ -187,62 +203,8 @@ def _tail_mass_ratio(kmat, imap):
 def assemble_K(m, k_max, epsilon):
     LandauProfile(epsilon)  # domain check
     table = legendre_values(k_max, m)
-    grid = table.grid
     imap = StateIndexMap(m, k_max)
-    n = grid.n_nodes
-    am = abs(m)
-
-    # Pointwise synthesis of every flat basis column at once: each (n x dim)
-    # array holds one pointwise quantity for all columns.
-    z = lambda: np.zeros((n, imap.dim), dtype=complex)
-    xi_t, xi_p, dxi_t, dxi_p = z(), z(), z(), z()
-    xip_t, xip_p = z(), z()
-    th, dth, ths, div_xi = z(), z(), z(), z()
-
-    def rows(name):
-        lo = imap.k_lo(name)
-        return slice(lo - am, k_max - am + 1)
-
-    for name in ("phi", "psi"):
-        r = rows(name)
-        sl = imap.sl(name)
-        if name == "phi":
-            xi_t[:, sl] = table.dtheta[r].T
-            xi_p[:, sl] = 1j * table.m_sin[r].T
-            dxi_t[:, sl] = table.d2theta[r].T
-            dxi_p[:, sl] = 1j * table.dm_sin[r].T
-            ks = imap.degrees(name).astype(float)
-            div_xi[:, sl] = table.val[r].T * (-ks * (ks + 1.0))
-        else:
-            xi_t[:, sl] = -1j * table.m_sin[r].T
-            xi_p[:, sl] = table.dtheta[r].T
-            dxi_t[:, sl] = -1j * table.dm_sin[r].T
-            dxi_p[:, sl] = table.d2theta[r].T
-    xip_t[:, imap.sl("phi_prime")] = table.dtheta[rows("phi_prime")].T
-    xip_p[:, imap.sl("phi_prime")] = 1j * table.m_sin[rows("phi_prime")].T
-    xip_t[:, imap.sl("psi_prime")] = -1j * table.m_sin[rows("psi_prime")].T
-    xip_p[:, imap.sl("psi_prime")] = table.dtheta[rows("psi_prime")].T
-    th[:, imap.sl("radial")] = table.val[rows("radial")].T
-    dth[:, imap.sl("radial")] = table.dtheta[rows("radial")].T
-    ths[:, imap.sl("radial_star")] = table.val[rows("radial_star")].T
-
-    col = lambda a: a[:, None]
-    bg = {key: col(val) for key, val in background_on_grid(epsilon, grid).items()}
-    t_theta, t_phi, g = _k_integrand(bg, (xi_t, xi_p), (dxi_t, dxi_p),
-                                     (xip_t, xip_p), th, dth, ths, div_xi)
-
-    wt = grid.w
-    norm2 = col(table.norms**2)
-    div_c = ((table.dtheta * wt) @ (-t_theta) + (table.m_sin * wt) @ (1j * t_phi)) / norm2
-    curl_c = ((table.dtheta * wt) @ (-t_phi) + (table.m_sin * wt) @ (-1j * t_theta)) / norm2
-    g_c = (table.val * wt) @ g / norm2
-
-    kmat = np.zeros((imap.dim, imap.dim), dtype=complex)
-    ks = imap.degrees("phi_prime").astype(float)
-    inv_lap = -1.0 / (ks * (ks + 1.0))
-    kmat[imap.sl("phi_prime")] = div_c[rows("phi_prime")] * col(inv_lap)
-    kmat[imap.sl("psi_prime")] = curl_c[rows("psi_prime")] * col(inv_lap)
-    kmat[imap.sl("radial_star")] = g_c[rows("radial_star")]
+    kmat = _k_columns(np.eye(imap.dim), epsilon, table)
 
     tail = _tail_mass_ratio(kmat, imap)
     if tail > 1e-10:

@@ -101,14 +101,6 @@ class GraphMap:
     defect_history: tuple
 
 
-def _is_unit_branch(k, lam, family, m):
-    if lam != 1:
-        return False
-    if family == "stream":
-        return k == 1 and abs(m) <= 1
-    return k == 2
-
-
 def _branch_basis(m, k_max):
     """Exact branch columns for the whole truncated space, E members first
     (stream before gradient), then Y degree by degree.  Returns the basis
@@ -134,7 +126,7 @@ def _branch_basis(m, k_max):
                     col[idx] = float(frame.rows[a][j])
                     row[idx] = float(frame.inv[j][a])
                 label = (k, lam, frame.family)
-                if _is_unit_branch(k, lam, frame.family, m):
+                if lam == 1:
                     scale = z_coefficient(k, m)
                     e_entries.append((label, col * scale, row / scale))
                 else:

@@ -13,6 +13,9 @@ poles:
     2m P_k^m / sin(theta) = -[ P_(k-1)^(m+1) + (k+m-1)(k+m) P_(k-1)^(m-1) ]
 
 with P_k^(-m) = (-1)^m (k-m)!/(k+m)! P_k^m closing the order range.
+
+Synthesis at the nodes is a product with a table's rows (coeffs @ dtheta
+gives d/dtheta of the field); `project` and `project_div_curl` go back.
 """
 
 from __future__ import annotations
@@ -234,16 +237,6 @@ def project(values, table):
     return ModalField(table.m, coeffs)
 
 
-def synthesize(field, table, kind="val"):
-    """Pointwise values at the quadrature nodes.
-
-    kind selects the table: "val", "dtheta" (d/dtheta of the synthesis),
-    "m_sin" (m/sin(theta) times the synthesis), "d2theta", or "dm_sin".
-    """
-    tab = getattr(table, kind)
-    return field.coeffs @ tab
-
-
 def laplacian(field):
     """Surface Laplacian, diagonal in this basis: (Delta f)_k = -k(k+1) f_k."""
     ks = np.arange(abs(field.m), abs(field.m) + field.coeffs.size)
@@ -268,24 +261,6 @@ def solve_poisson(rhs):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(ks > 0, coeffs / (-ks * (ks + 1.0)), 0.0)
     return ModalField(rhs.m, out)
-
-
-def tangent_field(phi, psi, table):
-    """Pointwise components of xi = grad(phi) + grad_perp(psi).
-
-    xi_theta = d_theta phi - (i m / sin) psi
-    xi_phi   = (i m / sin) phi + d_theta psi
-    """
-    xi_t = synthesize(phi, table, "dtheta") - 1j * synthesize(psi, table, "m_sin")
-    xi_p = 1j * synthesize(phi, table, "m_sin") + synthesize(psi, table, "dtheta")
-    return xi_t, xi_p
-
-
-def tangent_field_dtheta(phi, psi, table):
-    """Theta-derivatives of the tangent components of grad phi + grad_perp psi."""
-    dxi_t = synthesize(phi, table, "d2theta") - 1j * synthesize(psi, table, "dm_sin")
-    dxi_p = 1j * synthesize(phi, table, "dm_sin") + synthesize(psi, table, "d2theta")
-    return dxi_t, dxi_p
 
 
 def project_div_curl(xi_theta, xi_phi, table):

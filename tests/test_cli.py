@@ -328,6 +328,28 @@ def test_out_path_collision_exits_1(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command,argv,message", [
+    ("spectrum", ("--m", "1", "--eps", "0.1,0.1000001", "--kmax", "12"),
+     "(m, eps) = (1, 0.1) and (1, 0.1000001) share the report tag "
+     "'m1_eps0.1'"),
+    ("export", ("--m", "1,1", "--eps", "0.05,0.05"),
+     "(m, eps) = (1, 0.05) and (1, 0.05) share the report tag 'm1_eps0.05'"),
+], ids=["spectrum", "export"])
+def test_colliding_report_tags_exit_1(tmp_path, capsys, monkeypatch,
+                                      command, argv, message):
+    # two (m, eps) pairs whose files share a name would overwrite each
+    # other's reports; the run stops before it assembles or writes anything
+    def no_assembly(*args):
+        raise AssertionError("assembled before the tag check")
+
+    monkeypatch.setattr(cli, "assemble_L", no_assembly)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, command, *argv, "--out", str(out))
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # ---- track -------------------------------------------------------------------
 
 

@@ -141,7 +141,7 @@ def test_series_profiles_order2_gap():
     eps = 0.01
     theta = np.linspace(0.0, np.pi, 201)
     exact = eval_profiles(LandauProfile(eps), theta)
-    approx = series_profiles(eps, order=2).evaluate(eps, theta)
+    approx = series_profiles(order=2).evaluate(eps, theta)
     gap = max(np.max(np.abs(exact["V"] - approx["V"])),
               np.max(np.abs(exact["F"] - approx["F"])))
     assert gap <= 10.0 * eps ** 3
@@ -149,7 +149,7 @@ def test_series_profiles_order2_gap():
 
 def test_series_profiles_halving_ratio():
     theta = np.linspace(0.0, np.pi, 201)
-    table = series_profiles(0.0, order=2)
+    table = series_profiles(order=2)
 
     def gap(eps):
         exact = eval_profiles(LandauProfile(eps), theta)
@@ -164,8 +164,8 @@ def test_series_profiles_halving_ratio():
 def test_series_profiles_order3_terms():
     # Third-order coefficients: V3 = -2 cos^2 sin, F3 = 8 cos^3 - 4 cos.
     theta = np.linspace(0.0, np.pi, 51)
-    t2 = series_profiles(0.0, order=2)
-    t3 = series_profiles(0.0, order=3)
+    t2 = series_profiles(order=2)
+    t3 = series_profiles(order=3)
     eps = 1.0  # evaluate coefficient difference directly
     d = t3.evaluate(eps, theta)
     d2 = t2.evaluate(eps, theta)
@@ -176,4 +176,4 @@ def test_series_profiles_order3_terms():
 
 def test_series_profiles_bad_order():
     with pytest.raises(ValueError):
-        series_profiles(0.1, order=4)
+        series_profiles(order=4)

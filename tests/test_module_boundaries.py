@@ -89,3 +89,20 @@ def test_quadrature_is_chosen_only_in_sphbasis():
                     and name(node.value) == "QuadratureGrid"):
                 uses.append(f"{path.name}:{node.lineno}")
     assert uses == []
+
+
+def test_k_integrand_has_one_caller():
+    # K is computed by one pipeline: apply_K and assemble_K both run it,
+    # so the pointwise integrand is evaluated in exactly one function
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "_k_integrand"):
+                    callers.add(f"{path.name}:{func.name}")
+    assert len(callers) == 1, sorted(callers)

@@ -18,7 +18,6 @@ from landauspec.sphbasis import (
     default_node_count,
     legendre_values,
     norm_constant,
-    synthesize,
 )
 from landauspec.statespace import COMPONENTS, StateIndexMap
 
@@ -112,7 +111,7 @@ def test_e_basis_unit_amplitude(m, profiles):
     grid = QuadratureGrid.build(default_node_count(k_max))
     table = legendre_values(k_max, m, grid)
     state = bl.e_state(0)
-    vals = synthesize(state.components()[name], table, "val")
+    vals = state.components()[name].coeffs @ table.val
     np.testing.assert_allclose(vals, expect(grid.theta), atol=1e-13)
 
 

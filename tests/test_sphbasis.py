@@ -14,9 +14,6 @@ from landauspec.sphbasis import (
     project,
     project_div_curl,
     solve_poisson,
-    synthesize,
-    tangent_field,
-    tangent_field_dtheta,
     zero_field,
 )
 
@@ -24,6 +21,16 @@ from landauspec.sphbasis import (
 def make_table(k_max, m, n=None):
     grid = QuadratureGrid.build(n or default_node_count(k_max))
     return legendre_values(k_max, m, grid)
+
+
+def tangent(phi, psi, d, msin):
+    """Nodal xi = grad(phi) + grad_perp(psi) from a theta-derivative table d
+    and an m/sin(theta) table msin (dtheta/m_sin for xi, d2theta/dm_sin for
+    its theta-derivative):
+        xi_theta = d phi - i msin psi,   xi_phi = i msin phi + d psi
+    """
+    return (phi.coeffs @ d - 1j * (psi.coeffs @ msin),
+            1j * (phi.coeffs @ msin) + psi.coeffs @ d)
 
 
 def test_quadrature_weights_sum():
@@ -138,7 +145,7 @@ def test_project_orthonormal_basis_function():
     tab = make_table(6, 1)
     f = zero_field(1, 6)
     f.coeffs[tab.row(2)] = 1.0
-    vals = synthesize(f, tab)
+    vals = f.coeffs @ tab.val
     back = project(vals, tab)
     want = np.zeros(6, dtype=complex)
     want[1] = 1.0
@@ -162,7 +169,7 @@ def test_project_roundtrip_random():
         tab = make_table(15, m)
         f = ModalField(m, rng.normal(size=16 - abs(m))
                        + 1j * rng.normal(size=16 - abs(m)))
-        vals = synthesize(f, tab)
+        vals = f.coeffs @ tab.val
         back = project(vals, tab)
         assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-12
 
@@ -178,7 +185,7 @@ def test_project_rejects_sparse_grid():
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_laplacian_eigenrelation_pointwise(m):
-    # synthesize -> pointwise Delta via tables -> project, against -k(k+1).
+    # table rows -> pointwise Delta -> project, against -k(k+1).
     k_max = 40
     tab = make_table(k_max, m)
     s = tab.grid.sin_theta
@@ -186,10 +193,9 @@ def test_laplacian_eigenrelation_pointwise(m):
     for k in (max(m, 1), 7, 25, 40):
         f = zero_field(m, k_max)
         f.coeffs[tab.row(k)] = 1.0
-        vals = (synthesize(f, tab, "d2theta")
-                + cot * synthesize(f, tab, "dtheta"))
+        vals = f.coeffs @ tab.d2theta + cot * (f.coeffs @ tab.dtheta)
         if m != 0:
-            vals -= (m / s) * synthesize(f, tab, "m_sin")
+            vals -= (m / s) * (f.coeffs @ tab.m_sin)
         got = project(vals, tab)
         want = np.zeros_like(f.coeffs)
         want[tab.row(k)] = -k * (k + 1.0)
@@ -228,7 +234,7 @@ def test_grad_perp_div_curl():
     rng = np.random.default_rng(5)
     tab = make_table(12, 2)
     psi = ModalField(2, rng.normal(size=11) + 1j * rng.normal(size=11))
-    xi_t, xi_p = tangent_field(zero_field(2, 12), psi, tab)
+    xi_t, xi_p = tangent(zero_field(2, 12), psi, tab.dtheta, tab.m_sin)
     div, curl = project_div_curl(xi_t, xi_p, tab)
     scale = 1.0 + np.max(np.abs(laplacian(psi).coeffs))
     assert np.max(np.abs(div.coeffs)) <= 1e-12 * scale
@@ -239,7 +245,7 @@ def test_grad_div_curl():
     rng = np.random.default_rng(6)
     tab = make_table(12, 1)
     phi = ModalField(1, rng.normal(size=12) + 1j * rng.normal(size=12))
-    xi_t, xi_p = tangent_field(phi, zero_field(1, 12), tab)
+    xi_t, xi_p = tangent(phi, zero_field(1, 12), tab.dtheta, tab.m_sin)
     div, curl = project_div_curl(xi_t, xi_p, tab)
     scale = 1.0 + np.max(np.abs(laplacian(phi).coeffs))
     assert np.max(np.abs(div.coeffs - laplacian(phi).coeffs)) <= 1e-12 * scale
@@ -262,14 +268,15 @@ def test_stream_z1_tangent_field():
     tab = make_table(4, 1)
     psi = zero_field(1, 4)
     psi.coeffs[tab.row(1)] = -norm_constant(1, 1)
-    xi_t, xi_p = tangent_field(zero_field(1, 4), psi, tab)
+    xi_t, xi_p = tangent(zero_field(1, 4), psi, tab.dtheta, tab.m_sin)
     assert np.allclose(xi_t, -1j, atol=1e-13)
     assert np.allclose(xi_p, tab.grid.x, atol=1e-13)
 
 
 def test_tangent_field_dtheta_consistency():
-    # d/dtheta of the tangent components, against central differences taken
-    # on tables built at shifted angles.
+    # the d2theta and dm_sin tables give d/dtheta of the tangent components
+    # built from dtheta and m_sin, against central differences taken on
+    # tables built at shifted angles
     k_max = 10
     theta = np.linspace(0.5, np.pi - 0.5, 7)
     h = 1e-5
@@ -281,12 +288,12 @@ def test_tangent_field_dtheta_consistency():
         grid = QuadratureGrid(n_nodes=tharr.size, x=np.cos(tharr),
                               w=np.zeros(tharr.size))
         tab = legendre_values(k_max, 1, grid)
-        return tangent_field(phi, psi, tab)
+        return tangent(phi, psi, tab.dtheta, tab.m_sin)
 
     grid0 = QuadratureGrid(n_nodes=theta.size, x=np.cos(theta),
                            w=np.zeros(theta.size))
     tab0 = legendre_values(k_max, 1, grid0)
-    d_t, d_p = tangent_field_dtheta(phi, psi, tab0)
+    d_t, d_p = tangent(phi, psi, tab0.d2theta, tab0.dm_sin)
     up_t, up_p = at(theta + h)
     dn_t, dn_p = at(theta - h)
     scale = 1.0 + max(np.max(np.abs(d_t)), np.max(np.abs(d_p)))
