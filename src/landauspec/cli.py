@@ -405,6 +405,10 @@ print("wrote", path.replace(".csv", ".png"))
 
 
 def cmd_track(config):
+    for i, m in enumerate(config.modes):  # files are named by m alone
+        if m in config.modes[:i]:
+            raise ValueError(
+                f"mode m = {m} is repeated in modes {config.modes}")
     out = _prepare_out(config)
     code = 0
     for m in config.modes:
@@ -509,12 +513,12 @@ def _verify_checks(config):
 
     beta_ok = True
     details = []
-    for m, target in ((1, 1.0 / 15.0), (2, 4.0 / 15.0)):
+    for m in (1, 2):
         fit = fit_quadratic(track(m, DEFAULT_EPS_GRID, k_max=config.k_max))
         beta_ok &= bool(
             np.all(np.abs(np.array(fit.beta_raw))
                    <= 10.0 * max(DEFAULT_EPS_GRID) ** 3))
-        ok = abs(fit.c - target) <= 0.05 * target
+        ok = abs(fit.c - C_TARGETS[m]) <= 0.05 * C_TARGETS[m]
         details.append(f"c[m={m}] = {fit.c:.5f}")
         yield f"fit_c[m={m}]", ok, details[-1]
     yield "beta_probe[grid]", beta_ok, "max |Im lambda| <= 10 eps^3"

@@ -67,7 +67,9 @@ class OperatorMatrix:
 
 
 def l0_degree_block(k):
-    """The 6x6 action of L0 on degree k >= 1, component order as COMPONENTS."""
+    """The 6x6 action of L0 on degree k >= 0, component order as COMPONENTS.
+    Degree zero survives only in radial_star: th* -> th* + 3q with q = -th*,
+    hence the isolated eigenvalue -2."""
     kk = float(k * (k + 1))
     b = np.zeros((6, 6))
     i = {name: j for j, name in enumerate(COMPONENTS)}
@@ -92,7 +94,7 @@ def assemble_L0(m, k_max):
         raise ValueError(f"k_max = {k_max} too small for the L0 assembly at m = {m}")
     imap = StateIndexMap(m, k_max)
     mat = np.zeros((imap.dim, imap.dim), dtype=complex)
-    for k in range(max(abs(m), 1), k_max + 1):
+    for k in range(abs(m), k_max + 1):
         block = l0_degree_block(k)
         slots = [(name, imap.index(name, k))
                  for name in COMPONENTS if imap.k_lo(name) <= k]
@@ -100,10 +102,6 @@ def assemble_L0(m, k_max):
             for cname, cidx in slots:
                 mat[ridx, cidx] = block[COMPONENTS.index(rname),
                                         COMPONENTS.index(cname)]
-    if m == 0:
-        # Degree zero survives only in radial_star: th* -> th* + 3q with
-        # q = -th*, hence the isolated eigenvalue -2.
-        mat[imap.index("radial_star", 0), imap.index("radial_star", 0)] = -2.0
     return OperatorMatrix(m=m, k_max=k_max, epsilon=0.0, entries=mat)
 
 

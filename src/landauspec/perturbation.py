@@ -4,7 +4,8 @@ The truncated operator L = L0 + K is rewritten in the exact eigenbasis of
 L0 (the per-degree branch vectors).  E denotes the lambda = 1 eigenspace
 of the chosen mode: the stream vector at degree 1 plus the radial pair at
 degree 2 for m in {0, +-1}, and the degree-2 radial pair alone for
-|m| = 2.  Y is everything else.  In these coordinates
+|m| = 2.  Y is everything else, at m = 0 including the isolated degree-0
+member branch_frame(0).  In these coordinates
 
     L = [[I + A, B], [C, Lambda + D]]
 
@@ -111,12 +112,7 @@ def _branch_basis(m, k_max):
     e_entries = []
     y_entries = []
 
-    if m == 0:
-        i0 = imap.index("radial_star", 0)
-        col = np.zeros(n, dtype=complex)
-        col[i0] = 1.0
-        y_entries.append(((0, -2, "isolated"), col, col.copy()))
-    for k in range(max(abs(m), 1), k_max + 1):
+    for k in range(abs(m), k_max + 1):
         for frame in branch_frame(k):
             idxs = [imap.index(name, k) for name in frame.slots]
             for j, lam in enumerate(frame.lams):

@@ -7,14 +7,15 @@ into two families:
 * the stream pair, carried by (psi, psi') alone, with eigenvalues
   k and -(k+1) and coefficient vectors (1, -k) and (1, k+1);
 * the gradient quartet, carried by (phi, phi', radial, radial_star),
-  with eigenvalues k+1, k-1, -k and -k-2 and coefficient vectors that
-  are rational functions of k.
+  with eigenvalues k+1, k-1, -k and -k-2 and coefficient vectors read
+  off one table, the rows of the 4x4 frame matrix ``mcal(k)``.
 
-Everything here is kept in exact rational arithmetic.  The same vectors,
-rescaled, form the six-member frame used to expand an arbitrary block and
-hence to build spectral projections of the unperturbed operator; the 4x4
-change-of-basis on the gradient slots has determinant -(2k+1)^2, which is
-what makes the expansion well posed at every degree.
+Degree zero keeps radial_star alone, an isolated eigenvector at -2.
+Everything here is kept in exact rational arithmetic.  The branch vectors
+of each degree form the frame (``branch_frame``) used to expand an
+arbitrary block and hence to build spectral projections of the unperturbed
+operator; the frame matrix has determinant -(2k+1)^2, which is what makes
+the expansion well posed at every degree.
 """
 
 from __future__ import annotations
@@ -68,38 +69,37 @@ class BranchVector:
         return st
 
 
-def _branch_coeffs(k, lam):
-    """Family and exact coefficient tuple of the degree-k branch at lam."""
-    if lam == k:
-        return "stream", (Fraction(1), Fraction(-k))
-    if lam == -(k + 1):
-        return "stream", (Fraction(1), Fraction(k + 1))
+def _frame_rows(k):
+    """Rows of the degree-k gradient frame matrix, ordered by eigenvalue
+    (k-1, k+1, -k-2, -k), columns (d*xi, d*xi', radial, radial_star)."""
+    F = Fraction
+    return (
+        (F(-(k - 2) * (k + 1), 4 * k - 2),
+         F((k - 1) * (k - 2) * (k + 1), 4 * k - 2),
+         F(k + 1, 4 * k - 2),
+         F(-1) - F((k - 1) * (k + 1), 4 * k - 2)),
+        (F(-k), F(k * (k + 1)), F(1), F(-k - 1)),
+        (F((k + 3) * k, 4 * k + 6),
+         F(k * (k + 2) * (k + 3), 4 * k + 6),
+         F(k, 4 * k + 6),
+         F(-1) + F(k * (k + 2), 4 * k + 6)),
+        (F(k + 1), F(k * (k + 1)), F(1), F(k)),
+    )
+
+
+def _degree_branches(k):
+    """Family and exact coefficient tuple of every branch of degree k >= 1,
+    keyed by eigenvalue.  A gradient branch is the frame-matrix row at its
+    eigenvalue scaled to a unit radial entry, with both potentials divided
+    by k(k+1) and q = k(k+1) phi - radial - radial_star appended."""
     kk = Fraction(k * (k + 1))
-    if lam == k + 1:
-        coeffs = (Fraction(-1, k + 1), Fraction(1), Fraction(1),
-                  Fraction(-(k + 1)), Fraction(0))
-    elif lam == k - 1:
-        coeffs = (Fraction(-(k - 2)) / kk,
-                  Fraction((k - 1) * (k - 2)) / kk,
-                  Fraction(1),
-                  Fraction(-(k * k + 4 * k - 3), k + 1),
-                  Fraction(4 * k - 2, k + 1))
-    elif lam == -k:
-        coeffs = (Fraction(1, k), Fraction(1), Fraction(1), Fraction(k),
-                  Fraction(0))
-    elif lam == -k - 2:
-        coeffs = (Fraction(k + 3) / kk,
-                  Fraction((k + 2) * (k + 3)) / kk,
-                  Fraction(1),
-                  Fraction(k * k - 2 * k - 6, k),
-                  Fraction(4 * k + 6, k))
-    else:
-        valid = stream_eigenvalues(k) + gradient_eigenvalues(k)
-        raise ValueError(
-            f"lambda = {lam} is not a branch eigenvalue at degree {k}; "
-            f"the block spectrum is {sorted(valid)}"
-        )
-    return "gradient", coeffs
+    branches = {k: ("stream", (Fraction(1), Fraction(-k))),
+                -(k + 1): ("stream", (Fraction(1), Fraction(k + 1)))}
+    for lam, row in zip((k - 1, k + 1, -k - 2, -k), _frame_rows(k)):
+        dxi, dxi_prime, radial, radial_star = (x / row[2] for x in row)
+        branches[lam] = ("gradient", (dxi / kk, dxi_prime / kk, radial,
+                                      radial_star, dxi - radial - radial_star))
+    return branches
 
 
 def branch_vector(k, m, lam):
@@ -109,7 +109,13 @@ def branch_vector(k, m, lam):
             f"degree k = {k} has no branch block at mode m = {m}; "
             f"need k >= {max(abs(m), 1)}"
         )
-    return BranchVector(k, m, lam, *_branch_coeffs(k, lam))
+    branches = _degree_branches(k)
+    if lam not in branches:
+        raise ValueError(
+            f"lambda = {lam} is not a branch eigenvalue at degree {k}; "
+            f"the block spectrum is {sorted(branches)}"
+        )
+    return BranchVector(k, m, lam, *branches[lam])
 
 
 class BranchFrame(NamedTuple):
@@ -130,19 +136,24 @@ _FAMILIES = (("stream", STREAM_SLOTS, stream_eigenvalues),
 
 @functools.lru_cache(maxsize=None)
 def branch_frame(k):
-    """The stream and gradient BranchFrames of degree k >= 1.
+    """The BranchFrames of degree k >= 0: the isolated radial_star member
+    at k = 0, the stream and gradient frames at k >= 1.
 
     Branch coefficients do not depend on the mode m, so one cached frame
     serves every m.  A cache miss goes through private names only, so a
     call tracer sees the same public calls whether or not the frame was
     already cached."""
     k = int(k)
-    if k < 1:
-        raise ValueError(f"the branch frame needs k >= 1, got {k}")
+    if k < 0:
+        raise ValueError(f"the branch frame needs k >= 0, got {k}")
+    if k == 0:  # degree zero survives only in radial_star, at -2
+        return (BranchFrame("isolated", ("radial_star",), (-2,),
+                            ((Fraction(1),),), ((Fraction(1),),)),)
+    branches = _degree_branches(k)
     frames = []
     for family, slots, eigenvalues in _FAMILIES:
         lams = eigenvalues(k)
-        cols = [_branch_coeffs(k, lam)[1] for lam in lams]
+        cols = [branches[lam][1] for lam in lams]
         rows = tuple(tuple(col[i] for col in cols) for i in range(len(slots)))
         inv = tuple(tuple(r) for r in _exact_inv(rows))
         frames.append(BranchFrame(family, slots, lams, rows, inv))
@@ -151,9 +162,8 @@ def branch_frame(k):
 
 @dataclass(frozen=True)
 class McalMatrix:
-    """The 4x4 gradient-family frame matrix at degree k, rows ordered by
-    eigenvalue (k-1, k+1, -k-2, -k), columns (d*xi, d*xi', radial,
-    radial_star)."""
+    """The 4x4 gradient-family frame matrix at degree k: the rows of
+    `_frame_rows`, from which the gradient branch vectors are derived."""
 
     k: int
     rows: tuple
@@ -166,20 +176,7 @@ def mcal(k):
     k = int(k)
     if k < 0:
         raise ValueError(f"degree k = {k} must be a non-negative integer")
-    F = Fraction
-    rows = (
-        (F(-(k - 2) * (k + 1), 4 * k - 2),
-         F((k - 1) * (k - 2) * (k + 1), 4 * k - 2),
-         F(k + 1, 4 * k - 2),
-         F(-1) - F((k - 1) * (k + 1), 4 * k - 2)),
-        (F(-k), F(k * (k + 1)), F(1), F(-k - 1)),
-        (F((k + 3) * k, 4 * k + 6),
-         F(k * (k + 2) * (k + 3), 4 * k + 6),
-         F(k, 4 * k + 6),
-         F(-1) + F(k * (k + 2), 4 * k + 6)),
-        (F(k + 1), F(k * (k + 1)), F(1), F(k)),
-    )
-    return McalMatrix(k=k, rows=rows)
+    return McalMatrix(k=k, rows=_frame_rows(k))
 
 
 def _exact_det(rows):
@@ -228,10 +225,7 @@ def l0_projection(S, m, k_max):
             f"[{-k_max - 2}, {k_max + 1}] representable at k_max = {k_max}"
         )
     proj = np.zeros((imap.dim, imap.dim), dtype=complex)
-    if m == 0 and -2 in sset:
-        i0 = imap.index("radial_star", 0)
-        proj[i0, i0] = 1.0
-    for k in range(max(abs(m), 1), k_max + 1):
+    for k in range(abs(m), k_max + 1):
         for frame in branch_frame(k):
             keep = [lam in sset for lam in frame.lams]
             if not any(keep):

@@ -9,7 +9,14 @@ from landauspec.operators import assemble_L
 def cached_l():
     """Memoized operator assembly shared across the session.
 
-    Sweeps and acceptance checks revisit the same (m, k_max, eps) triples;
-    callers must treat the returned matrices as read-only.
+    Sweeps and acceptance checks revisit the same (m, k_max, eps) triples.
+    The returned matrices are read-only, so a caller that writes into a
+    shared operator fails loudly instead of corrupting later tests.
     """
-    return functools.lru_cache(maxsize=None)(assemble_L)
+    @functools.lru_cache(maxsize=None)
+    def assemble(m, k_max, epsilon):
+        lmat = assemble_L(m, k_max, epsilon)
+        lmat.entries.setflags(write=False)
+        return lmat
+
+    return assemble

@@ -389,6 +389,22 @@ def test_track_assert_miss_exits_2(tmp_path, capsys, monkeypatch):
     assert read_json(tmp_path / "config.json")["assert_paper"] is True
 
 
+def test_repeated_track_mode_exits_1(tmp_path, capsys, monkeypatch):
+    # track names its files by m alone, so a repeated mode would rerun the
+    # sweep and overwrite its own reports; the run stops before any of it
+    def no_track(*args, **kwargs):
+        raise AssertionError("tracked before the mode check")
+
+    monkeypatch.setattr(cli, "track", no_track)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "track", "--m", "1,1", "--kmax", "16",
+                           "--out", str(out))
+    assert code == 1
+    assert err == "error: mode m = 1 is repeated in modes [1, 1]\n"
+    assert not (out / "config.json").exists()
+    assert not out.exists()
+
+
 def test_plot_script_is_standalone_python(tmp_path, capsys):
     code = cli.main(["track", "--m", "2", "--kmax", "12",
                      "--eps", "0.02:0.08:0.02", "--out", str(tmp_path)])

@@ -70,6 +70,17 @@ def test_l0_block_diagonal_structure():
     assert np.max(np.abs(l0.entries[mask])) == 0.0
 
 
+@pytest.mark.parametrize("k_max", [2, 5, 24])
+def test_l0_degree_zero_slot_is_isolated(k_max):
+    # at m = 0 degree zero keeps only radial_star, where L0 acts as -2
+    entries = assemble_L0(0, k_max).entries
+    i0 = StateIndexMap(0, k_max).index("radial_star", 0)
+    expect = np.zeros(entries.shape[0])
+    expect[i0] = -2.0
+    assert np.array_equal(entries[i0, :], expect)
+    assert np.array_equal(entries[:, i0], expect)
+
+
 def test_l0_requires_kmax():
     with pytest.raises(ValueError):
         assemble_L0(1, 1)

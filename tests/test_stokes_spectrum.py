@@ -1,9 +1,11 @@
+import inspect
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from landauspec import stokes_spectrum
 from landauspec.operators import assemble_L0
 from landauspec.statespace import (
     StateIndexMap,
@@ -132,8 +134,45 @@ def test_branch_frame_is_exact_and_shared():
                 for b in range(n):
                     entry = sum(f.rows[a][c] * f.inv[c][b] for c in range(n))
                     assert entry == (1 if a == b else 0)
+    assert branch_frame(0) == (
+        ("isolated", ("radial_star",), (-2,), ((1,),), ((1,),)),)
     with pytest.raises(ValueError):
-        branch_frame(0)
+        branch_frame(-1)
+
+
+def test_branch_frame_miss_calls_no_public_function(monkeypatch):
+    # a call tracer wraps the public functions and methods of this module;
+    # a cache miss must reach none of them, or traced counts would depend
+    # on what earlier calls left in the cache
+    calls = []
+
+    def count(owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls.append(attr)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+        return attr
+
+    wrapped = set()
+    for name, obj in list(vars(stokes_spectrum).items()):
+        if name.startswith("_") or \
+                getattr(obj, "__module__", None) != stokes_spectrum.__name__:
+            continue
+        if inspect.isfunction(obj):
+            wrapped.add(count(stokes_spectrum, name))
+        elif inspect.isclass(obj):
+            for attr, raw in list(vars(obj).items()):
+                if not attr.startswith("_") and inspect.isfunction(raw):
+                    wrapped.add(count(obj, attr))
+    assert {"mcal", "determinant", "gradient_eigenvalues"} <= wrapped
+
+    branch_frame.cache_clear()
+    for k in range(9):
+        branch_frame(k)
+    assert calls == []
 
 
 def test_projection_rank_lambda_one():
