@@ -131,11 +131,15 @@ def parse_eps_range(text, source="epsilon range"):
         raise ValueError(f"range must be a:b:step, got {text!r}")
     values = _as(lambda _: [float(p) for p in parts],
                  "a number, a comma list or an a:b:step range")(text, source)
+    if not all(abs(v) <= sys.float_info.max for v in values):
+        raise ValueError(f"{source} must be finite, got {text!r}")
     if not is_range:
         return values
     a, b, step = values
     if step <= 0 or b < a:
         raise ValueError(f"empty range {text!r}")
+    if not (b - a) / step < 1e6:  # also an overflow to inf
+        raise ValueError(f"{source} range {text!r} has over a million points")
     # rounded down, so a step that does not divide b - a stops short of b;
     # the tolerance keeps b when (b - a) / step lands just below an integer
     n = int((b - a) / step + 1e-9) + 1
@@ -146,8 +150,10 @@ def _is_int(x):
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _is_number(x):
-    return _is_int(x) or isinstance(x, (float, np.floating))
+def _is_finite(x):
+    # NaN fails the comparison, and so does a JSON integer beyond float range
+    return (_is_int(x) or isinstance(x, (float, np.floating))) and (
+        abs(x) <= sys.float_info.max)
 
 
 def _list_of(accepts):
@@ -192,7 +198,7 @@ SETTINGS = (
             (Flag("--m", _as(lambda t: [int(p) for p in t.split(",")],
                              "a comma list of integers"),
                   "mode or comma list of modes"),)),
-    Setting("epsilons", _list_of(_is_number), "a list of numbers",
+    Setting("epsilons", _list_of(_is_finite), "a list of numbers, all finite",
             {"spectrum": [0.0], "track": list(DEFAULT_EPS_GRID),
              "export": [0.0]},
             (Flag("--eps", parse_eps_range,
@@ -466,14 +472,16 @@ def _verify_checks(config):
     yield "mcal_det[k=0..50]", dets_ok, "-(2k+1)^2"
 
     worst = 0.0
-    mults_ok = True
+    mults = []
     for m in (0, 1, 2):
         lam = np.linalg.eigvals(assemble_L0(m, 20).entries)
         worst = max(worst, float(np.abs(lam - np.round(lam)).max()))
-        mult = int(np.sum(np.abs(lam - 1.0) < eigentracker.CLUSTER_RADIUS))
-        mults_ok &= mult == cluster_size(m)
+        mults.append(int(np.sum(np.abs(lam - 1.0)
+                                < eigentracker.CLUSTER_RADIUS)))
+    mults_ok = mults == [cluster_size(m) for m in (0, 1, 2)]
     yield ("l0_integrality[m=0..2,k=20]", worst <= 1e-8 and mults_ok,
-           f"defect {worst:.1e}, unit multiplicities 2/2/1")
+           f"defect {worst:.1e}, unit multiplicities "
+           + "/".join(map(str, mults)))
 
     samples = np.linspace(-0.999, 0.999, 1000)
     res = swirl_ode_residual(0.5, samples)

@@ -38,6 +38,7 @@ from .sphbasis import (
     zero_field,
 )
 from .statespace import StateVector, state_from_flat, x_norm
+from .stokes_spectrum import branch_frame
 
 DEFAULT_K_MAX = 24
 DEFAULT_EPS_GRID = (0.02, 0.04, 0.06, 0.08, 0.10)
@@ -45,11 +46,14 @@ CLUSTER_RADIUS = 0.25
 
 
 def cluster_size(m):
-    """Multiplicity of the eigenvalue group at 1 in the unperturbed operator."""
-    sizes = {0: 2, 1: 2, 2: 1}
-    if abs(m) not in sizes:
+    """Multiplicity of the eigenvalue group at 1 in the unperturbed operator,
+    counted on the exact frames.  Only the degree-1 stream branch (k) and the
+    degree-2 gradient branch (k - 1) sit at 1, so degrees above 2 add none."""
+    size = sum(frame.lams.count(1) for k in range(abs(m), 3)
+               for frame in branch_frame(k))
+    if size == 0:
         raise ValueError(f"no eigenvalue group at 1 for mode |m| = {abs(m)}")
-    return sizes[abs(m)]
+    return size
 
 
 @dataclass

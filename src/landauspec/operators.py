@@ -13,6 +13,9 @@ radial, radial_star), writing kk = k(k+1), is
 
 which packages (xi, xi', th, th*) -> (-xi', -xi' + Lap xi - grad(q - 2 th),
 -th* - q, th* + 3 q + Lap th) with q = -(div xi + th + th*) eliminated.
+Each of its 13 terms is one row of a coupling table, set on every degree
+both its slots admit; degree zero reaches radial_star alone, where
+th* -> th* + 3q with q = -th* is the isolated eigenvalue -2.
 
 K carries the frozen background profile (V tangential, F radial).  Its image
 has only (phi', psi', radial_star) rows:
@@ -26,11 +29,13 @@ has only (phi', psi', radial_star) rows:
 with phi'-row = invLap(div T), psi'-row = invLap(curl T), and the projection
 of G feeding the radial_star row.  One pipeline computes K on a block of
 flat states: nodal synthesis (table rows times coefficients), the
-pointwise integrand, then exact weak-form projections.  `apply_K` feeds it
-one state; `assemble_K` feeds it every unit column on the default Gauss
-rule of k_max (`sphbasis.legendre_values`).  The profiles are rational in
-cos(theta), so what that rule and the truncation miss is caught after the
-fact by a spectral tail monitor.
+pointwise integrand, then the weak-form projections of `sphbasis` on the
+whole block, with invLap a product with -1/(k(k+1)) (`solve_poisson`
+divides, which rounds differently).  `apply_K` feeds it one state;
+`assemble_K` feeds it every unit column on the default Gauss rule of k_max
+(`sphbasis.legendre_values`).  The profiles are rational in cos(theta), so
+what that rule and the truncation miss is caught after the fact by a
+spectral tail monitor.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import os
 import numpy as np
 
 from .landau import LandauProfile, eval_profiles
-from .sphbasis import legendre_values
+from .sphbasis import legendre_values, project, project_div_curl
 from .statespace import COMPONENTS, StateIndexMap, state_from_flat
 
 
@@ -66,27 +71,22 @@ class OperatorMatrix:
                                self.entries @ state.to_flat())
 
 
-def l0_degree_block(k):
-    """The 6x6 action of L0 on degree k >= 0, component order as COMPONENTS.
-    Degree zero survives only in radial_star: th* -> th* + 3q with q = -th*,
-    hence the isolated eigenvalue -2."""
-    kk = float(k * (k + 1))
-    b = np.zeros((6, 6))
-    i = {name: j for j, name in enumerate(COMPONENTS)}
-    b[i["phi"], i["phi_prime"]] = -1.0
-    b[i["psi"], i["psi_prime"]] = -1.0
-    b[i["phi_prime"], i["phi"]] = -2.0 * kk
-    b[i["phi_prime"], i["phi_prime"]] = -1.0
-    b[i["phi_prime"], i["radial"]] = 3.0
-    b[i["phi_prime"], i["radial_star"]] = 1.0
-    b[i["psi_prime"], i["psi"]] = -kk
-    b[i["psi_prime"], i["psi_prime"]] = -1.0
-    b[i["radial"], i["phi"]] = -kk
-    b[i["radial"], i["radial"]] = 1.0
-    b[i["radial_star"], i["phi"]] = 3.0 * kk
-    b[i["radial_star"], i["radial"]] = -(3.0 + kk)
-    b[i["radial_star"], i["radial_star"]] = -2.0
-    return b
+# (row, column, a, b) per term of the L0 action above: entry a + b k(k+1)
+_L0_COUPLINGS = (
+    ("phi", "phi_prime", -1, 0),
+    ("psi", "psi_prime", -1, 0),
+    ("phi_prime", "phi", 0, -2),
+    ("phi_prime", "phi_prime", -1, 0),
+    ("phi_prime", "radial", 3, 0),
+    ("phi_prime", "radial_star", 1, 0),
+    ("psi_prime", "psi", 0, -1),
+    ("psi_prime", "psi_prime", -1, 0),
+    ("radial", "phi", 0, -1),
+    ("radial", "radial", 1, 0),
+    ("radial_star", "phi", 0, 3),
+    ("radial_star", "radial", -3, -1),
+    ("radial_star", "radial_star", -2, 0),
+)
 
 
 def assemble_L0(m, k_max):
@@ -94,14 +94,9 @@ def assemble_L0(m, k_max):
         raise ValueError(f"k_max = {k_max} too small for the L0 assembly at m = {m}")
     imap = StateIndexMap(m, k_max)
     mat = np.zeros((imap.dim, imap.dim), dtype=complex)
-    for k in range(abs(m), k_max + 1):
-        block = l0_degree_block(k)
-        slots = [(name, imap.index(name, k))
-                 for name in COMPONENTS if imap.k_lo(name) <= k]
-        for rname, ridx in slots:
-            for cname, cidx in slots:
-                mat[ridx, cidx] = block[COMPONENTS.index(rname),
-                                        COMPONENTS.index(cname)]
+    for row, col, a, b in _L0_COUPLINGS:
+        ks = np.arange(max(imap.k_lo(row), imap.k_lo(col)), k_max + 1)
+        mat[imap.index(row, ks), imap.index(col, ks)] = a + b * ks * (ks + 1)
     return OperatorMatrix(m=m, k_max=k_max, epsilon=0.0, entries=mat)
 
 
@@ -157,17 +152,13 @@ def _k_columns(x, epsilon, table):
         bg, xi, dxi, xip, nodal("val", "radial"), nodal("dtheta", "radial"),
         nodal("val", "radial_star"), nodal("val", "phi", -kk))
 
-    wt = table.grid.w
-    norm2 = (table.norms**2)[:, None]
-    div_c = ((table.dtheta * wt) @ (-t_theta) + (table.m_sin * wt) @ (1j * t_phi)) / norm2
-    curl_c = ((table.dtheta * wt) @ (-t_phi) + (table.m_sin * wt) @ (-1j * t_theta)) / norm2
-    g_c = (table.val * wt) @ g / norm2
-
+    div, curl = project_div_curl(t_theta, t_phi, table)
+    # times -1/(k(k+1)); solve_poisson divides instead and rounds differently
     inv_lap = (-1.0 / kk)[:, None]
     out = np.zeros((imap.dim, x.shape[1]), dtype=complex)
-    out[imap.sl("phi_prime")] = rows(div_c, "phi_prime") * inv_lap
-    out[imap.sl("psi_prime")] = rows(curl_c, "psi_prime") * inv_lap
-    out[imap.sl("radial_star")] = rows(g_c, "radial_star")
+    out[imap.sl("phi_prime")] = rows(div.coeffs, "phi_prime") * inv_lap
+    out[imap.sl("psi_prime")] = rows(curl.coeffs, "psi_prime") * inv_lap
+    out[imap.sl("radial_star")] = rows(project(g, table).coeffs, "radial_star")
     return out
 
 

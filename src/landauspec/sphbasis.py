@@ -16,6 +16,9 @@ with P_k^(-m) = (-1)^m (k-m)!/(k+m)! P_k^m closing the order range.
 
 Synthesis at the nodes is a product with a table's rows (coeffs @ dtheta
 gives d/dtheta of the field); `project` and `project_div_curl` go back.
+They are the one place in the library where nodal values become
+coefficients (the only readers of the quadrature weights and the table
+norms), and they take a block of columns as readily as one field.
 """
 
 from __future__ import annotations
@@ -130,10 +133,6 @@ class LegendreTable:
     def k_min(self):
         return abs(self.m)
 
-    @property
-    def degrees(self):
-        return np.arange(self.k_min, self.k_max + 1)
-
     def row(self, k):
         return k - self.k_min
 
@@ -199,7 +198,8 @@ def legendre_values(k_max, m, grid=None):
 
 @dataclass
 class ModalField:
-    """Coefficients c_k of a mode-m scalar over degrees k = |m| .. k_max."""
+    """Coefficients c_k of a mode-m scalar over degrees k = |m| .. k_max,
+    along the first axis; a projected block keeps its column axis."""
 
     m: int
     coeffs: np.ndarray
@@ -213,7 +213,7 @@ class ModalField:
 
     @property
     def k_max(self):
-        return self.k_min + self.coeffs.size - 1
+        return self.k_min + self.coeffs.shape[0] - 1
 
     def coeff(self, k):
         return self.coeffs[k - self.k_min]
@@ -227,13 +227,15 @@ def zero_field(m, k_max):
 
 
 def project(values, table):
-    """Analysis transform: nodal values of a mode-m scalar -> ModalField."""
+    """Analysis transform: nodal values of a mode-m scalar -> ModalField.
+    Values shaped (nodes, columns) project column by column."""
     if table.grid.n_nodes < table.k_max + 1:
         raise ValueError(
             f"{table.grid.n_nodes} nodes cannot resolve degree {table.k_max}"
         )
     values = np.asarray(values, dtype=complex)
-    coeffs = (table.val * table.grid.w) @ values / table.norms**2
+    norm2 = (table.norms**2).reshape(-1, *[1] * (values.ndim - 1))
+    coeffs = (table.val * table.grid.w) @ values / norm2
     return ModalField(table.m, coeffs)
 
 
@@ -270,9 +272,10 @@ def project_div_curl(xi_theta, xi_phi, table):
         (div xi)_k  = sum_i w_i [ -xi_theta dtheta_k + i xi_phi m_sin_k ]
         (curl xi)_k = sum_i w_i [ -xi_phi dtheta_k - i xi_theta m_sin_k ]
     Boundary terms vanish (sin(theta) factor).  Exact for band-limited fields.
+    Fields shaped (nodes, columns) project column by column.
     """
     wt = table.grid.w
-    norm2 = table.norms**2
+    norm2 = (table.norms**2).reshape(-1, *[1] * (np.ndim(xi_theta) - 1))
     div_c = ((table.dtheta * wt) @ (-xi_theta) + (table.m_sin * wt) @ (1j * xi_phi))
     curl_c = ((table.dtheta * wt) @ (-xi_phi) + (table.m_sin * wt) @ (-1j * xi_theta))
     return (ModalField(table.m, div_c / norm2),

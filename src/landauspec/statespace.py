@@ -76,7 +76,8 @@ class StateIndexMap:
         return sum(self.count(c) for c in COMPONENTS)
 
     def index(self, name, k):
-        if not self.k_lo(name) <= k <= self.k_max:
+        """Flat index of degree k of a component; k may be an array."""
+        if not self.k_lo(name) <= np.min(k) <= np.max(k) <= self.k_max:
             raise ValueError(f"degree {k} not admissible for {name} at m={self.m}")
         return self.offset(name) + k - self.k_lo(name)
 

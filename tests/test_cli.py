@@ -62,6 +62,39 @@ def test_parse_eps_range_rejects_malformed():
         cli.parse_eps_range("0.1:0.2:0")
 
 
+def test_parse_eps_range_rejects_unbounded_ranges():
+    for text in ("0:1e308:1e-308", "0:2:1e-6"):
+        with pytest.raises(ValueError, match="over a million points"):
+            cli.parse_eps_range(text, "--eps")
+
+
+@pytest.mark.parametrize("argv,env,config,source", [
+    (["--eps", "0:inf:0.1"], {}, None, "--eps"),
+    (["--eps", "nan:1:0.1"], {}, None, "--eps"),
+    ([], {"LANDAUSPEC_EPS": "0:inf:0.1"}, None, "LANDAUSPEC_EPS"),
+    (["--eps", "inf"], {}, None, "--eps"),
+    ([], {}, '{"epsilons": [NaN]}', "'epsilons'"),
+], ids=["flag-range-inf", "flag-range-nan", "env-range", "flag-inf",
+        "config-nan"])
+def test_non_finite_epsilons_exit_1_before_any_output(
+        tmp_path, capsys, monkeypatch, argv, env, config, source):
+    def unreachable(*args):
+        raise AssertionError("assembled with a non-finite epsilon")
+
+    monkeypatch.setattr(cli, "assemble_L", unreachable)
+    monkeypatch.chdir(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if config is not None:
+        (tmp_path / "run.json").write_text(config)
+        argv = [*argv, "--config", "run.json"]
+    code, _, err = run_cli(capsys, "spectrum", *argv, "--out", "out")
+    assert code == 1
+    assert err.startswith("error: ") and source in err, err
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == (["run.json"] if config else [])
+
+
 def test_runconfig_round_trip():
     config = cli.RunConfig(command="track", modes=[1, 2],
                            epsilons=[0.02, 0.04], k_max=16, out="somewhere")

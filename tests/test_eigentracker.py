@@ -16,7 +16,7 @@ from landauspec.eigentracker import (
     translation_eigenvector,
     zero_mode_check,
 )
-from landauspec.operators import OperatorMatrix
+from landauspec.operators import OperatorMatrix, assemble_L0
 from landauspec.perturbation import z_coefficient
 from landauspec.sphbasis import QuadratureGrid, default_node_count, legendre_values, project
 from landauspec.statespace import (
@@ -63,6 +63,18 @@ def test_track_domain_guards():
         track(1, [])
     with pytest.raises(ValueError, match="mode"):
         cluster_size(3)
+
+
+@pytest.mark.parametrize("m", [0, 1, -1, 2, -2])
+def test_cluster_size_counts_the_unit_eigenvalues_of_l0(m):
+    lam = np.linalg.eigvals(assemble_L0(m, 12).entries)
+    assert cluster_size(m) == int(np.sum(np.abs(lam - 1.0) < 1e-8))
+
+
+@pytest.mark.parametrize("m", [3, -3, 4, -4])
+def test_cluster_size_rejects_modes_without_a_unit_group(m):
+    with pytest.raises(ValueError, match="no eigenvalue group at 1"):
+        cluster_size(m)
 
 
 def test_track_negative_epsilon_supported():

@@ -91,6 +91,19 @@ def test_quadrature_is_chosen_only_in_sphbasis():
     assert uses == []
 
 
+def test_nodal_values_become_coefficients_only_in_sphbasis():
+    # sphbasis.project and project_div_curl are the weak-form projections;
+    # a module reading a grid's weights or a table's norms carries a copy
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "sphbasis.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("w", "norms"):
+                reads.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert reads == []
+
+
 def test_k_integrand_has_one_caller():
     # K is computed by one pipeline: apply_K and assemble_K both run it,
     # so the pointwise integrand is evaluated in exactly one function

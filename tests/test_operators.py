@@ -81,6 +81,37 @@ def test_l0_degree_zero_slot_is_isolated(k_max):
     assert np.array_equal(entries[:, i0], expect)
 
 
+def l0_action(k):
+    """The nonzero entries of L0 on degree k, row by row, transcribed from
+    the action stated in the operators module docstring."""
+    kk = k * (k + 1)
+    return {
+        "phi": {"phi_prime": -1},
+        "psi": {"psi_prime": -1},
+        "phi_prime": {"phi": -2 * kk, "phi_prime": -1, "radial": 3,
+                      "radial_star": 1},
+        "psi_prime": {"psi": -kk, "psi_prime": -1},
+        "radial": {"phi": -kk, "radial": 1},
+        "radial_star": {"phi": 3 * kk, "radial": -(3 + kk), "radial_star": -2},
+    }
+
+
+@pytest.mark.parametrize("k_max", [3, 5, 24])
+@pytest.mark.parametrize("m", [0, 1, -1, 2, -2, 3])
+def test_l0_matches_the_documented_action_entrywise(m, k_max):
+    # an independent reference: each degree's 6x6 block scattered slot by
+    # slot, every entry a slot pair of that degree admits
+    imap = StateIndexMap(m, k_max)
+    want = np.zeros((imap.dim, imap.dim), dtype=complex)
+    for k in range(abs(m), k_max + 1):
+        for row, terms in l0_action(k).items():
+            for col, value in terms.items():
+                if max(imap.k_lo(row), imap.k_lo(col)) <= k:
+                    want[imap.index(row, k), imap.index(col, k)] = value
+    got = assemble_L0(m, k_max).entries
+    assert np.argwhere(got != want).tolist() == []
+
+
 def test_l0_requires_kmax():
     with pytest.raises(ValueError):
         assemble_L0(1, 1)

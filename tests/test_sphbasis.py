@@ -299,3 +299,22 @@ def test_tangent_field_dtheta_consistency():
     scale = 1.0 + max(np.max(np.abs(d_t)), np.max(np.abs(d_p)))
     assert np.max(np.abs(d_t - (up_t - dn_t) / (2 * h))) / scale < 1e-8
     assert np.max(np.abs(d_p - (up_p - dn_p) / (2 * h))) / scale < 1e-8
+
+
+@pytest.mark.parametrize("m", [0, 1, -2])
+def test_projections_take_column_blocks(m):
+    # a (nodes x columns) block projects column by column, the degree axis
+    # first and the column axis kept
+    tab = make_table(8, m)
+    rng = np.random.default_rng(4)
+    block = [rng.normal(size=(tab.grid.n_nodes, 3))
+             + 1j * rng.normal(size=(tab.grid.n_nodes, 3)) for _ in range(3)]
+    fields = [project(block[0], tab), *project_div_curl(block[1], block[2],
+                                                        tab)]
+    for j in range(3):
+        single = [project(block[0][:, j], tab),
+                  *project_div_curl(block[1][:, j], block[2][:, j], tab)]
+        for f, g in zip(fields, single):
+            assert f.coeffs.shape == (tab.k_max - abs(m) + 1, 3)
+            assert f.k_max == g.k_max == 8
+            assert np.allclose(f.coeffs[:, j], g.coeffs, rtol=0, atol=1e-14)

@@ -48,6 +48,18 @@ def test_index_map_excluded_slots():
         imap1.index("radial_star", 0)
 
 
+@pytest.mark.parametrize("m", [0, 1, -2])
+def test_index_map_takes_degree_arrays(m):
+    imap = StateIndexMap(m, 6)
+    for name in COMPONENTS:
+        ks = imap.degrees(name)
+        assert imap.index(name, ks).tolist() == [imap.index(name, int(k))
+                                                 for k in ks]
+        for bad in (np.append(ks, 7), np.insert(ks, 0, imap.k_lo(name) - 1)):
+            with pytest.raises(ValueError, match="not admissible"):
+                imap.index(name, bad)
+
+
 def test_flat_roundtrip():
     rng = np.random.default_rng(2)
     for m in (0, 1, -2):
