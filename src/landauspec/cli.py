@@ -12,8 +12,10 @@ reads, plus ``--config``; a config-file key or environment variable of a
 setting it does not read is checked, then ignored.  Precedence is flag
 over environment over config file over default.  The settings a run read
 are echoed as ``config.json`` next to the reports of every run that
-finishes (exit 0 or 2).  Identical configurations produce byte-identical
-files: lists in a fixed order, every float with 17 significant digits.
+finishes (exit 0 or 2).  The output directory is made with the first
+report, so a run that stops before it leaves no directory.  Identical
+configurations produce byte-identical files: lists in a fixed order,
+every float with 17 significant digits.
 A value that does not convert is reported with its flag or variable.
 The quadrature is not a setting: every assembly uses the Gauss rule
 that k_max determines.
@@ -259,6 +261,10 @@ class RunConfig:
             self.epsilons = [float(e) for e in self.epsilons]
         if self.k_max < 2:
             raise ValueError(f"k_max = {self.k_max} is too small")
+        for m in getattr(self, "modes", ()):
+            if abs(m) > self.k_max:
+                raise ValueError(
+                    f"k_max = {self.k_max} too small for mode m = {m}")
         bad = set(getattr(self, "formats", ())) - {"json", "csv"}
         if bad:
             raise ValueError(f"unknown output formats: {sorted(bad)}")
@@ -323,9 +329,11 @@ def resolve_config(args):
     return RunConfig(args.command, **merged)
 
 
-def _prepare_out(config):
+def _report_path(config, name):
+    """Path of the report ``name`` in the output directory, which is made
+    here, with the first report."""
     os.makedirs(config.out, exist_ok=True)
-    return config.out
+    return os.path.join(config.out, name)
 
 
 # ---- subcommands -------------------------------------------------------------
@@ -348,10 +356,8 @@ def _report_tags(config):
 
 
 def cmd_spectrum(config):
-    tags = _report_tags(config)
-    out = _prepare_out(config)
     code = 0
-    for m, eps, tag in tags:
+    for m, eps, tag in _report_tags(config):
         lmat = assemble_L(m, config.k_max, eps)
         lam = np.sort_complex(np.linalg.eigvals(lmat.entries))
         cluster = lam[np.abs(lam - 1.0) < eigentracker.CLUSTER_RADIUS]
@@ -364,7 +370,7 @@ def cmd_spectrum(config):
                       file=sys.stderr)
                 code = 2
         if "json" in config.formats:
-            write_json(os.path.join(out, f"spectrum_{tag}.json"), {
+            write_json(_report_path(config, f"spectrum_{tag}.json"), {
                 "mode": m,
                 "epsilon": eps,
                 "k_max": config.k_max,
@@ -376,7 +382,7 @@ def cmd_spectrum(config):
             lines = ["index,re,im"]
             lines += [f"{i},{format_float(v.real)},{format_float(v.imag)}"
                       for i, v in enumerate(lam)]
-            write_atomic(os.path.join(out, f"spectrum_{tag}.csv"),
+            write_atomic(_report_path(config, f"spectrum_{tag}.csv"),
                          "\n".join(lines) + "\n")
     return code
 
@@ -415,7 +421,7 @@ def cmd_track(config):
         if m in config.modes[:i]:
             raise ValueError(
                 f"mode m = {m} is repeated in modes {config.modes}")
-    out = _prepare_out(config)
+        cluster_size(m)  # a mode without a group at 1 fails before any sweep
     code = 0
     for m in config.modes:
         curve = track(m, config.epsilons, k_max=config.k_max)
@@ -437,7 +443,7 @@ def cmd_track(config):
                 code = 2
 
         if "json" in config.formats:
-            write_json(os.path.join(out, f"track_m{m}.json"), {
+            write_json(_report_path(config, f"track_m{m}.json"), {
                 "mode": m,
                 "epsilons": [float(e) for e in curve.epsilons],
                 "eigenvalues": [_pairs(row) for row in curve.eigenvalues],
@@ -458,9 +464,9 @@ def cmd_track(config):
                     lines.append(f"{format_float(eps)},{j},"
                                  f"{format_float(v.real)},"
                                  f"{format_float(v.imag)}")
-            write_atomic(os.path.join(out, f"curves_m{m}.csv"),
+            write_atomic(_report_path(config, f"curves_m{m}.csv"),
                          "\n".join(lines) + "\n")
-            write_atomic(os.path.join(out, f"plot_curves_m{m}.py"),
+            write_atomic(_report_path(config, f"plot_curves_m{m}.py"),
                          PLOT_SCRIPT.format(m=m))
     return code
 
@@ -533,32 +539,30 @@ def _verify_checks(config):
 
 
 def cmd_verify(config):
-    out = _prepare_out(config)
     rows = []
     failed = 0
     for name, passed, detail in _verify_checks(config):
         rows.append({"check": name, "passed": bool(passed), "detail": detail})
         print(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})")
         failed += 0 if passed else 1
-    write_json(os.path.join(out, "verify.json"), {"checks": rows})
+    write_json(_report_path(config, "verify.json"), {"checks": rows})
     print(f"{len(rows) - failed}/{len(rows)} checks passed")
     return 0 if failed == 0 else 2
 
 
 def cmd_export(config):
-    tags = _report_tags(config)
-    out = _prepare_out(config)
-    for m, eps, tag in tags:
+    for m, eps, tag in _report_tags(config):
         lmat = assemble_L(m, config.k_max, eps)
-        save_operator(lmat, os.path.join(out, f"operator_{tag}.bin"),
-                      os.path.join(out, f"operator_{tag}.json"))
+        save_operator(lmat, _report_path(config, f"operator_{tag}.bin"),
+                      _report_path(config, f"operator_{tag}.json"))
     eps0 = config.epsilons[0]
     if eps0 > 0.0:
         save_state_json(landau_state(eps0, config.k_max),
-                        os.path.join(out, "background_state.json"))
+                        _report_path(config, "background_state.json"))
         if eps0 <= 0.5:
             state, _ = translation_eigenvector(eps0, config.k_max)
-            save_state_json(state, os.path.join(out, "translation_state.json"))
+            save_state_json(state,
+                            _report_path(config, "translation_state.json"))
     return 0
 
 
@@ -575,7 +579,7 @@ def main(argv=None):
         code = handler(config)
         # echoed only once the handler has returned, so a run that stopped
         # on an error leaves no config.json that looks like a finished one
-        write_json(os.path.join(config.out, "config.json"), config.to_dict())
+        write_json(_report_path(config, "config.json"), config.to_dict())
         return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -78,10 +78,15 @@ def track(m, epsilons, k_max=DEFAULT_K_MAX):
     eps = np.asarray(list(epsilons), dtype=float)
     if eps.size == 0:
         raise ValueError("empty parameter grid")
-    if np.any(np.abs(eps) > 0.3):
-        raise ValueError("sweep validated for |eps| <= 0.3 only")
-    if np.any(np.diff(eps) < 0):
-        raise ValueError("parameter grid must be sorted ascending")
+    too_large = eps[np.abs(eps) > 0.3]
+    if too_large.size:
+        raise ValueError(f"sweep validated for |eps| <= 0.3 only, got "
+                         f"eps = {float(too_large[0])!r}")
+    drops = np.flatnonzero(np.diff(eps) < 0)
+    if drops.size:
+        before, after = (float(e) for e in eps[drops[0]:drops[0] + 2])
+        raise ValueError(f"parameter grid must be sorted ascending, got "
+                         f"eps = {after!r} after {before!r}")
     want = cluster_size(m)
     rows = []
     for e in eps:

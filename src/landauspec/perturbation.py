@@ -10,19 +10,20 @@ member branch_frame(0).  In these coordinates
     L = [[I + A, B], [C, Lambda + D]]
 
 with Lambda diagonal (integers different from 1).  The basis is the exact
-Stokes branch frame of every degree (stokes_spectrum.branch_frame): the
-columns are the branch vectors and the rows their exact Fraction inverse,
-each rounded once to floats.  Nothing is orthonormalized, so Lambda is read
-off the branch labels and (I - Lambda)^{-1} is diagonal.  The frame grows
-ill-conditioned with k (4.5e5 at k = 96, 5e8 at k = 1000), but because the
-inverse is exact rather than computed, rows @ columns stays within 4e-14 of
-I up to k = 1000.  A graph map M: E -> Y
-with (I - Lambda) M = C + D M - M A - M B M makes span{(u, M u)} invariant,
-and the spectrum of L near 1 is the spectrum of the reduced matrix
-I + A + B M.  M is found by Picard iteration from M0 = (I - Lambda)^{-1} C;
-the iteration contracts when the weighted norm of K times the largest
-resolvent factor max|1/(1 - lambda)| is below 1/4, which split_blocks
-checks up front.
+Stokes branch frame of every degree, placed on the flat indices by
+stokes_spectrum.frame_slots: each frame is one block of columns (the
+branch vectors) and one block of rows (their exact Fraction inverse), each
+rounded once to floats, and a column permutation puts E first.  Nothing is
+orthonormalized, so Lambda is read off the branch labels and
+(I - Lambda)^{-1} is diagonal.  The frame grows ill-conditioned with k
+(4.5e5 at k = 96, 5e8 at k = 1000), but because the inverse is exact
+rather than computed, rows @ columns stays within 4e-14 of I up to
+k = 1000.  A graph map M: E -> Y with (I - Lambda) M = C + D M - M A - M B M
+makes span{(u, M u)} invariant, and the spectrum of L near 1 is the
+spectrum of the reduced matrix I + A + B M.  M is found by Picard
+iteration from M0 = (I - Lambda)^{-1} C; the iteration contracts when the
+weighted norm of K times the largest resolvent factor max|1/(1 - lambda)|
+is below 1/4, which split_blocks checks up front.
 
 The E basis is normalized so that reduced-matrix entries are directly
 comparable with hand calculations done on the unit-amplitude harmonics
@@ -38,8 +39,8 @@ import numpy as np
 
 from .operators import assemble_L0
 from .sphbasis import norm_constant
-from .statespace import StateIndexMap, state_from_flat, x_weights
-from .stokes_spectrum import branch_frame
+from .statespace import StateIndexMap, x_weights
+from .stokes_spectrum import frame_slots
 
 _Z_SHAPE = {(1, 1): Fraction(1), (2, 1): Fraction(1, 3),
             (3, 1): Fraction(2, 3), (2, 2): Fraction(1, 3)}
@@ -82,17 +83,6 @@ class PerturbationBlocks:
     def dim_e(self):
         return len(self.e_branches)
 
-    def e_state(self, j):
-        flat = self.basis_columns[:, j]
-        return state_from_flat(self.m, self.k_max, flat.copy())
-
-    def lift(self, u, m_map):
-        """State for the graph point (u, M u), u in E coordinates."""
-        u = np.asarray(u, dtype=complex)
-        coords = np.concatenate([u, m_map @ u])
-        return state_from_flat(self.m, self.k_max,
-                               self.basis_columns @ coords)
-
 
 @dataclass
 class GraphMap:
@@ -107,36 +97,26 @@ def _branch_basis(m, k_max):
     (stream before gradient), then Y degree by degree.  Returns the basis
     matrix, its blockwise-exact inverse, and the E and Y labels
     (degree, lambda, family)."""
-    imap = StateIndexMap(m, k_max)
-    n = imap.dim
-    e_entries = []
-    y_entries = []
-
-    for k in range(abs(m), k_max + 1):
-        for frame in branch_frame(k):
-            idxs = [imap.index(name, k) for name in frame.slots]
-            for j, lam in enumerate(frame.lams):
-                col = np.zeros(n, dtype=complex)
-                row = np.zeros(n, dtype=complex)
-                for a, idx in enumerate(idxs):
-                    col[idx] = float(frame.rows[a][j])
-                    row[idx] = float(frame.inv[j][a])
-                label = (k, lam, frame.family)
-                if lam == 1:
-                    scale = z_coefficient(k, m)
-                    e_entries.append((label, col * scale, row / scale))
-                else:
-                    y_entries.append((label, col, row))
-
-    e_entries.sort(key=lambda entry: 0 if entry[0][2] == "stream" else 1)
-    entries = e_entries + y_entries
+    n = StateIndexMap(m, k_max).dim
     cols = np.zeros((n, n), dtype=complex)
     rows = np.zeros((n, n), dtype=complex)
-    for j, (label, col, row) in enumerate(entries):
-        cols[:, j] = col
-        rows[j, :] = row
-    return (cols, rows, tuple(entry[0] for entry in e_entries),
-            tuple(entry[0] for entry in y_entries))
+    labels = []
+    for k, frame, idx in frame_slots(m, k_max):
+        span = slice(len(labels), len(labels) + len(idx))
+        cols[idx, span] = np.array(frame.rows, dtype=float)
+        rows[span, idx] = np.array(frame.inv, dtype=float)
+        labels += [(k, lam, frame.family) for lam in frame.lams]
+
+    e = sorted((j for j, label in enumerate(labels) if label[1] == 1),
+               key=lambda j: labels[j][2] != "stream")
+    order = e + [j for j, label in enumerate(labels) if label[1] != 1]
+    cols = cols[:, order]
+    rows = rows[order]
+    scale = np.array([z_coefficient(labels[j][0], m) for j in e])
+    cols[:, :len(e)] *= scale
+    rows[:len(e)] /= scale[:, None]
+    return (cols, rows, tuple(labels[j] for j in e),
+            tuple(labels[j] for j in order[len(e):]))
 
 
 def split_blocks(lmat, m, strict=True):

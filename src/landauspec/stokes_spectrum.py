@@ -11,11 +11,15 @@ into two families:
   off one table, the rows of the 4x4 frame matrix ``mcal(k)``.
 
 Degree zero keeps radial_star alone, an isolated eigenvector at -2.
-Everything here is kept in exact rational arithmetic.  The branch vectors
-of each degree form the frame (``branch_frame``) used to expand an
-arbitrary block and hence to build spectral projections of the unperturbed
-operator; the frame matrix has determinant -(2k+1)^2, which is what makes
-the expansion well posed at every degree.
+Everything here is kept in exact rational arithmetic, and one Gauss-Jordan
+elimination gives both the inverse of a frame and the determinant of the
+frame matrix.  The branch vectors of each degree form the frame
+(``branch_frame``) used to expand an arbitrary block; ``frame_slots`` puts
+every frame of a truncated mode space on its flat indices, and both the
+spectral projections of the unperturbed operator (``l0_projection``) and
+the branch basis of ``perturbation`` are assembled from it.  The frame
+matrix has determinant -(2k+1)^2, which is what makes the expansion well
+posed at every degree.
 """
 
 from __future__ import annotations
@@ -155,9 +159,22 @@ def branch_frame(k):
         lams = eigenvalues(k)
         cols = [branches[lam][1] for lam in lams]
         rows = tuple(tuple(col[i] for col in cols) for i in range(len(slots)))
-        inv = tuple(tuple(r) for r in _exact_inv(rows))
+        inv, _ = _exact_inv(rows)
+        if inv is None:
+            raise ValueError("frame matrix is singular")
         frames.append(BranchFrame(family, slots, lams, rows, inv))
     return tuple(frames)
+
+
+def frame_slots(m, k_max):
+    """(k, frame, flat indices of frame.slots) for every BranchFrame of the
+    truncated mode-m space, degree by degree from |m|.  The indices come
+    from StateIndexMap.index, and the frames tile the flat space."""
+    imap = StateIndexMap(m, k_max)
+    for k in range(abs(m), k_max + 1):
+        for frame in branch_frame(k):
+            yield k, frame, np.array([imap.index(name, k)
+                                      for name in frame.slots])
 
 
 @dataclass(frozen=True)
@@ -169,7 +186,7 @@ class McalMatrix:
     rows: tuple
 
     def determinant(self):
-        return _exact_det(self.rows)
+        return _exact_inv(self.rows)[1]
 
 
 def mcal(k):
@@ -179,28 +196,24 @@ def mcal(k):
     return McalMatrix(k=k, rows=_frame_rows(k))
 
 
-def _exact_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    det = Fraction(0)
-    for j in range(n):
-        minor = tuple(r[:j] + r[j + 1:] for r in rows[1:])
-        det += (-1) ** j * rows[0][j] * _exact_det(minor)
-    return det
-
-
 def _exact_inv(rows):
+    """One Gauss-Jordan pass in exact arithmetic: (inverse, determinant),
+    the inverse None when the determinant is 0.  The determinant is the
+    product of the pivots, negated on each row swap."""
     n = len(rows)
     a = [list(r) for r in rows]
     inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    det = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
-            raise ValueError("frame matrix is singular")
+            return None, Fraction(0)
+        if piv != col:
+            det = -det
         a[col], a[piv] = a[piv], a[col]
         inv[col], inv[piv] = inv[piv], inv[col]
         pv = a[col][col]
+        det *= pv
         a[col] = [x / pv for x in a[col]]
         inv[col] = [x / pv for x in inv[col]]
         for r in range(n):
@@ -208,7 +221,7 @@ def _exact_inv(rows):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
+    return tuple(map(tuple, inv)), det
 
 
 def l0_projection(S, m, k_max):
@@ -225,17 +238,10 @@ def l0_projection(S, m, k_max):
             f"[{-k_max - 2}, {k_max + 1}] representable at k_max = {k_max}"
         )
     proj = np.zeros((imap.dim, imap.dim), dtype=complex)
-    for k in range(abs(m), k_max + 1):
-        for frame in branch_frame(k):
-            keep = [lam in sset for lam in frame.lams]
-            if not any(keep):
-                continue
-            vmat, vinv = frame.rows, frame.inv
-            idxs = [imap.index(name, k) for name in frame.slots]
-            for a, ia in enumerate(idxs):
-                for b, ib in enumerate(idxs):
-                    val = sum((vmat[a][c] * vinv[c][b]
-                               for c in range(len(frame.lams)) if keep[c]),
-                              Fraction(0))
-                    proj[ia, ib] = float(val)
+    for _, frame, idx in frame_slots(m, k_max):
+        keep = [lam in sset for lam in frame.lams]
+        if any(keep):
+            exact = (np.array(frame.rows, dtype=object)[:, keep]
+                     @ np.array(frame.inv, dtype=object)[keep])
+            proj[np.ix_(idx, idx)] = exact.astype(float)
     return proj

@@ -171,6 +171,26 @@ def test_failed_run_leaves_no_config_echo(tmp_path, capsys):
     assert not (out / "config.json").exists()
 
 
+@pytest.mark.parametrize("argv,value", [
+    (["spectrum", "--m", "30"], "m = 30"),
+    (["spectrum", "--m", "0,30"], "m = 30"),
+    (["track", "--m", "3"], "|m| = 3"),
+    (["track", "--m", "1,3"], "|m| = 3"),
+    (["track", "--eps", "0.5"], "eps = 0.5"),
+    (["export", "--m", "0", "--epsilon", "0.9"], "eps = 0.9"),
+    (["verify", "--kmax", "4"], "k_max = 4"),
+], ids=["spectrum-m", "spectrum-late-m", "track-m", "track-late-m",
+        "track-eps", "export-eps", "verify-kmax"])
+def test_run_stopped_before_its_first_report_leaves_no_directory(
+        tmp_path, capsys, argv, value):
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and value in errors[0], err
+    assert not out.exists()
+
+
 def test_precedence_flag_over_env_over_file(tmp_path, capsys, monkeypatch):
     config_path = tmp_path / "base.json"
     config_path.write_text(json.dumps({"k_max": 10}))

@@ -119,3 +119,20 @@ def test_k_integrand_has_one_caller():
                         and node.func.id == "_k_integrand"):
                     callers.add(f"{path.name}:{func.name}")
     assert len(callers) == 1, sorted(callers)
+
+
+def test_output_directory_is_made_only_by_the_report_path_helper():
+    # the directory appears with the first report, so a run that stops
+    # before it leaves none; a handler making it early would leave one
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}  # node -> innermost enclosing function
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        uses += [f"{path.name}:{owner.get(node, '<module>')}"
+                 for node in ast.walk(tree)
+                 if "makedirs" in (getattr(node, "attr", None),
+                                   getattr(node, "id", None))]
+    assert uses == ["cli.py:_report_path"]

@@ -19,7 +19,7 @@ from landauspec.sphbasis import (
     legendre_values,
     norm_constant,
 )
-from landauspec.statespace import COMPONENTS, StateIndexMap
+from landauspec.statespace import COMPONENTS, StateIndexMap, state_from_flat
 
 REDUCED_MODEL_M1 = np.array([[0.0, 0.0], [-0.2j, 1.0 / 15.0]])
 
@@ -110,14 +110,14 @@ def test_e_basis_unit_amplitude(m, profiles):
     bl = blocks_at(m, 0.0, k_max=k_max)
     grid = QuadratureGrid.build(default_node_count(k_max))
     table = legendre_values(k_max, m, grid)
-    state = bl.e_state(0)
+    state = state_from_flat(m, k_max, bl.basis_columns[:, 0])
     vals = state.components()[name].coeffs @ table.val
     np.testing.assert_allclose(vals, expect(grid.theta), atol=1e-13)
 
 
 def test_e_gradient_pair_shape():
     bl = blocks_at(1, 0.0, k_max=8)
-    state = bl.e_state(1)
+    state = state_from_flat(1, 8, bl.basis_columns[:, 1])
     th = state.components()["radial"]
     ts = state.components()["radial_star"]
     assert th.coeffs[2 - th.k_min] == pytest.approx(z_coefficient(2, 1))
@@ -276,8 +276,13 @@ def test_graph_invariance_of_lifted_subspace():
     g = solve_graph(bl, tol=1e-14)
     red = reduced_matrix(bl, g)
     u = np.array([1.0, 0.7j])
-    lhs = lmat.entries @ bl.lift(u, g.matrix).to_flat()
-    rhs = bl.lift(red @ u, g.matrix).to_flat()
+
+    def lift(v):  # the state of the graph point (v, M v)
+        coords = np.concatenate([v, g.matrix @ v])
+        return state_from_flat(1, k_max, bl.basis_columns @ coords)
+
+    lhs = lmat.entries @ lift(u).to_flat()
+    rhs = lift(red @ u).to_flat()
     scale = np.linalg.norm(lmat.entries, 2) * np.linalg.norm(u)
     assert np.linalg.norm(lhs - rhs) <= (g.defect + 1e-12) * scale
 

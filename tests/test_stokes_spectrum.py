@@ -15,8 +15,10 @@ from landauspec.statespace import (
     x_weights,
 )
 from landauspec.stokes_spectrum import (
+    McalMatrix,
     branch_frame,
     branch_vector,
+    frame_slots,
     gradient_eigenvalues,
     l0_projection,
     mcal,
@@ -92,6 +94,11 @@ def test_mcal_determinant_examples():
     assert mcal(0).determinant() == -1
     assert mcal(1).determinant() == -9
     assert mcal(7).determinant() == -225
+    # the elimination behind it: a row swap flips the sign, and a column
+    # without a pivot makes the determinant 0
+    assert McalMatrix(0, ((F(0), F(1)), (F(1), F(0)))).determinant() == -1
+    assert McalMatrix(0, ((F(1), F(2)), (F(2), F(4)))).determinant() == 0
+    assert McalMatrix(0, ((F(0), F(0)), (F(0), F(3)))).determinant() == 0
 
 
 def test_mcal_determinant_closed_form():
@@ -102,6 +109,27 @@ def test_mcal_determinant_closed_form():
 def test_mcal_rejects_negative_degree():
     with pytest.raises(ValueError):
         mcal(-1)
+
+
+def test_branch_frame_rejects_a_singular_frame(monkeypatch):
+    degree_branches = stokes_spectrum._degree_branches
+
+    def degenerate(k):  # both stream branches on one vector
+        branches = degree_branches(k)
+        branches[-(k + 1)] = branches[k]
+        return branches
+
+    monkeypatch.setattr(stokes_spectrum, "_degree_branches", degenerate)
+    branch_frame.cache_clear()
+    with pytest.raises(ValueError, match="frame matrix is singular"):
+        branch_frame(3)
+
+
+@pytest.mark.parametrize("k_max", [2, 8, 24])
+@pytest.mark.parametrize("m", [0, 1, -1, 2, -2])
+def test_frame_slots_hit_every_flat_index_once(m, k_max):
+    hits = np.concatenate([idx for _, _, idx in frame_slots(m, k_max)])
+    assert sorted(hits) == list(range(StateIndexMap(m, k_max).dim))
 
 
 def test_mcal_rows_scale_branch_vectors():
