@@ -12,8 +12,8 @@ reads, plus ``--config``; a config-file key or environment variable of a
 setting it does not read is checked, then ignored.  Precedence is flag
 over environment over config file over default.  The settings a run read
 are echoed as ``config.json`` next to the reports of every run that
-finishes (exit 0 or 2).  The output directory is made with the first
-report, so a run that stops before it leaves no directory.  Identical
+finishes (exit 0 or 2).  Nothing is written before the last solve, so
+a run that stops on an error leaves no output directory.  Identical
 configurations produce byte-identical files: lists in a fixed order,
 every float with 17 significant digits.
 A value that does not convert is reported with its flag or variable.
@@ -357,6 +357,7 @@ def _report_tags(config):
 
 def cmd_spectrum(config):
     code = 0
+    reports = []  # (writer, file name, contents), written once all solved
     for m, eps, tag in _report_tags(config):
         lmat = assemble_L(m, config.k_max, eps)
         lam = np.sort_complex(np.linalg.eigvals(lmat.entries))
@@ -370,20 +371,22 @@ def cmd_spectrum(config):
                       file=sys.stderr)
                 code = 2
         if "json" in config.formats:
-            write_json(_report_path(config, f"spectrum_{tag}.json"), {
+            reports.append((write_json, f"spectrum_{tag}.json", {
                 "mode": m,
                 "epsilon": eps,
                 "k_max": config.k_max,
                 "eigenvalues": _pairs(lam),
                 "cluster": _pairs(cluster),
                 "integer_defect": integer_defect,
-            })
+            }))
         if "csv" in config.formats:
             lines = ["index,re,im"]
             lines += [f"{i},{format_float(v.real)},{format_float(v.imag)}"
                       for i, v in enumerate(lam)]
-            write_atomic(_report_path(config, f"spectrum_{tag}.csv"),
-                         "\n".join(lines) + "\n")
+            reports.append((write_atomic, f"spectrum_{tag}.csv",
+                            "\n".join(lines) + "\n"))
+    for write, name, contents in reports:
+        write(_report_path(config, name), contents)
     return code
 
 
@@ -423,13 +426,12 @@ def cmd_track(config):
                 f"mode m = {m} is repeated in modes {config.modes}")
         cluster_size(m)  # a mode without a group at 1 fails before any sweep
     code = 0
+    reports = []  # (writer, file name, contents), written once all solved
     for m in config.modes:
         curve = track(m, config.epsilons, k_max=config.k_max)
         fit = fit_quadratic(curve)
-        ranks = []
-        for eps in config.epsilons:
-            lmat = assemble_L(m, config.k_max, float(eps))
-            ranks.append(contour_projection(lmat, ContourSpec(1.0, 0.5)).rank)
+        ranks = [contour_projection(lmat, ContourSpec(1.0, 0.5)).rank
+                 for lmat in curve.operators]
 
         target = C_TARGETS[abs(m)]
         if config.assert_paper:
@@ -443,7 +445,7 @@ def cmd_track(config):
                 code = 2
 
         if "json" in config.formats:
-            write_json(_report_path(config, f"track_m{m}.json"), {
+            reports.append((write_json, f"track_m{m}.json", {
                 "mode": m,
                 "epsilons": [float(e) for e in curve.epsilons],
                 "eigenvalues": [_pairs(row) for row in curve.eigenvalues],
@@ -455,7 +457,7 @@ def cmd_track(config):
                 },
                 "residuals": list(fit.residuals),
                 "ranks": ranks,
-            })
+            }))
         if "csv" in config.formats:
             lines = ["epsilon,branch_id,re,im"]
             for i, eps in enumerate(curve.epsilons):
@@ -464,10 +466,13 @@ def cmd_track(config):
                     lines.append(f"{format_float(eps)},{j},"
                                  f"{format_float(v.real)},"
                                  f"{format_float(v.imag)}")
-            write_atomic(_report_path(config, f"curves_m{m}.csv"),
-                         "\n".join(lines) + "\n")
-            write_atomic(_report_path(config, f"plot_curves_m{m}.py"),
-                         PLOT_SCRIPT.format(m=m))
+            reports.append((write_atomic, f"curves_m{m}.csv",
+                            "\n".join(lines) + "\n"))
+            reports.append((write_atomic, f"plot_curves_m{m}.py",
+                            PLOT_SCRIPT.format(m=m)))
+        del curve  # and its operators, before the next mode assembles its own
+    for write, name, contents in reports:
+        write(_report_path(config, name), contents)
     return code
 
 
@@ -551,18 +556,19 @@ def cmd_verify(config):
 
 
 def cmd_export(config):
-    for m, eps, tag in _report_tags(config):
-        lmat = assemble_L(m, config.k_max, eps)
+    operators = {tag: assemble_L(m, config.k_max, eps)
+                 for m, eps, tag in _report_tags(config)}
+    eps0, states = config.epsilons[0], {}
+    if eps0 > 0.0:
+        states["background_state.json"] = landau_state(eps0, config.k_max)
+        if eps0 <= 0.5:
+            states["translation_state.json"], _ = translation_eigenvector(
+                eps0, config.k_max)
+    for tag, lmat in operators.items():
         save_operator(lmat, _report_path(config, f"operator_{tag}.bin"),
                       _report_path(config, f"operator_{tag}.json"))
-    eps0 = config.epsilons[0]
-    if eps0 > 0.0:
-        save_state_json(landau_state(eps0, config.k_max),
-                        _report_path(config, "background_state.json"))
-        if eps0 <= 0.5:
-            state, _ = translation_eigenvector(eps0, config.k_max)
-            save_state_json(state,
-                            _report_path(config, "translation_state.json"))
+    for name, state in states.items():
+        save_state_json(state, _report_path(config, name))
     return 0
 
 

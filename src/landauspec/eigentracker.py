@@ -7,9 +7,9 @@ group near 1, whose drift under the background encodes the quadratic
 expansion coefficients and whose imaginary parts probe the conjectured
 absence of a rotation rate.  The constructive routines
 (`translation_eigenvector`, `zero_mode_check`, `landau_state`) build the
-symmetry modes directly from the closed-form background profiles, the
-zero modes analytically from the closed-form family derivatives, and
-report how well the assembled matrix annihilates or preserves them.
+symmetry modes as the background of `landau` under a generator (the
+tilt of the axis is minus one half of its theta-slopes), and report how
+well the assembled matrix annihilates or preserves them.
 The constructions sample the profiles on the same default Gauss rule of
 k_max that the assembly uses (`sphbasis.legendre_values`), and the
 assembly's tail monitor is the one resolution check they need.
@@ -62,6 +62,7 @@ class EigenCurve:
     k_max: int
     epsilons: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
+    operators: tuple = field(default=(), repr=False)  # track's, per point
 
     @property
     def n_branches(self):
@@ -88,9 +89,10 @@ def track(m, epsilons, k_max=DEFAULT_K_MAX):
         raise ValueError(f"parameter grid must be sorted ascending, got "
                          f"eps = {after!r} after {before!r}")
     want = cluster_size(m)
-    rows = []
+    rows, operators = [], []
     for e in eps:
-        lam = np.linalg.eigvals(assemble_L(m, k_max, float(e)).entries)
+        operators.append(assemble_L(m, k_max, float(e)))
+        lam = np.linalg.eigvals(operators[-1].entries)
         group = lam[np.abs(lam - 1.0) < CLUSTER_RADIUS]
         if group.size != want:
             raise RuntimeError(
@@ -115,7 +117,7 @@ def track(m, epsilons, k_max=DEFAULT_K_MAX):
                 f"a branch moved {moved:.3e} over step {step:.3e}; "
                 f"matching is not trustworthy, refine the grid"
             )
-    return EigenCurve(m=m, k_max=k_max, epsilons=eps, eigenvalues=curve)
+    return EigenCurve(m, k_max, eps, curve, tuple(operators))
 
 
 @dataclass
@@ -270,14 +272,9 @@ def translation_eigenvector(epsilon, k_max):
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("construction validated for eps in (0, 0.5]")
     table = legendre_values(k_max, 1)
-    grid = table.grid
-    c = grid.x
-    s = grid.sin_theta
-    d = 1.0 - epsilon * c
-    prof = eval_profiles(LandauProfile(epsilon), grid.theta)
-    g = (c - epsilon) / d**2
-    gp = -s * (d + 2.0 * epsilon * (c - epsilon)) / d**3
-    q_prof = 4.0 * epsilon * (-2.0 * g * s + gp * c)
+    c, s = table.grid.x, table.grid.sin_theta
+    prof = eval_profiles(LandauProfile(epsilon), table.grid.theta)
+    q_prof = c * prof["dp_dtheta"] - 2.0 * s * prof["p"]
     theta_prof = prof["dV_dtheta"] * s + prof["dF_dtheta"] * c
 
     psi = project(-1j * prof["V"], table)
@@ -317,21 +314,14 @@ def _axial_state(epsilon, k_max):
 
 
 def _tilt_state(epsilon, k_max):
-    """Derivative of the family under tilting the symmetry axis (m = 1),
-    from the exact slopes in t = cos(theta) of the closed-form profiles
-    f = 2((1 - eps^2)/(1 - eps t)^2 - 1), w = -2 eps/(1 - eps t) and
-    p = 4 eps (t - eps)/(1 - eps t)^2."""
+    """Derivative of the family under tilting the symmetry axis (m = 1):
+    minus one half of the background's theta-slopes, with the azimuthal
+    component carried by the pole-safe quotient V / sin(theta)."""
     table = legendre_values(k_max, 1)
-    grid = table.grid
-    c = grid.x
-    s = grid.sin_theta
-    d = 1.0 - epsilon * c
-    w = -2.0 * epsilon / d
-    fp = 4.0 * epsilon * (1.0 - epsilon**2) / d**3
-    wp = -2.0 * epsilon**2 / d**2
-    pp = 4.0 * epsilon * (1.0 + epsilon * c - 2.0 * epsilon**2) / d**3
-    return _symmetry_state(table, 0.5 * (wp * s**2 - w * c), -0.5j * w,
-                           0.5 * fp * s, 0.5 * pp * s)
+    prof = eval_profiles(LandauProfile(epsilon), table.grid.theta)
+    return _symmetry_state(table, -0.5 * prof["dV_dtheta"],
+                           -0.5j * prof["V_over_sin"],
+                           -0.5 * prof["dF_dtheta"], -0.5 * prof["dp_dtheta"])
 
 
 def zero_mode_check(epsilon, direction, k_max):

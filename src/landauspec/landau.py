@@ -7,8 +7,8 @@ On the unit sphere the velocity field is V(theta) e_theta + F(theta) e_r with
     F(theta) = 2 [ (1 - eps^2) / (1 - eps cos(theta))^2 - 1 ]
 
 and the pressure trace at r = 1 is p(theta) = 4 eps (cos(theta) - eps) /
-(1 - eps cos(theta))^2.  The force magnitude |b| carried by the solution is
-the monotone map
+(1 - eps cos(theta))^2, the closed forms every other module reads from
+here.  The force magnitude |b| carried by the solution is the monotone map
 
     f(eps) = 16 pi [ 1/eps + log((1-eps)/(1+eps)) / (2 eps^2)
                      + 4 eps / (3 (1 - eps^2)) ].
@@ -51,10 +51,11 @@ class LandauProfile:
 
 
 def eval_profiles(profile, theta):
-    """Evaluate V, F, their theta-derivatives, and the pressure trace.
+    """Evaluate V, F, p, their theta-derivatives and V / sin(theta).
 
     theta may be a scalar or an array in [0, pi].  Returns a dict with keys
-    V, F, dV_dtheta, dF_dtheta, p (arrays broadcast like theta).
+    V, F, dV_dtheta, dF_dtheta, p, dp_dtheta and V_over_sin, the last one
+    free of the removable pole (arrays broadcast like theta).
     """
     eps = profile.epsilon
     theta = np.asarray(theta, dtype=float)
@@ -68,7 +69,18 @@ def eval_profiles(profile, theta):
     dV = -2.0 * eps * (c - eps) / d**2
     dF = -4.0 * eps * (1.0 - eps * eps) * s / d**3
     p = 4.0 * eps * (c - eps) / d**2
-    return {"V": V, "F": F, "dV_dtheta": dV, "dF_dtheta": dF, "p": p}
+    dp = -4.0 * eps * s * (d + 2.0 * eps * (c - eps)) / d**3
+    return {"V": V, "F": F, "dV_dtheta": dV, "dF_dtheta": dF, "p": p,
+            "dp_dtheta": dp, "V_over_sin": -2.0 * eps / d}
+
+
+def background_on_grid(epsilon, grid):
+    """Profile arrays used by K: V, F, their derivatives, and V cot(theta)
+    evaluated without the pole-singular quotient."""
+    prof = eval_profiles(LandauProfile(epsilon), grid.theta)
+    v_cot = -2.0 * epsilon * grid.x / (1.0 - epsilon * grid.x)
+    return {"V": prof["V"], "F": prof["F"], "dV": prof["dV_dtheta"],
+            "dF": prof["dF_dtheta"], "V_cot": v_cot}
 
 
 def eval_profile_derivative(profile, theta):

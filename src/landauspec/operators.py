@@ -17,8 +17,8 @@ Each of its 13 terms is one row of a coupling table, set on every degree
 both its slots admit; degree zero reaches radial_star alone, where
 th* -> th* + 3q with q = -th* is the isolated eigenvalue -2.
 
-K carries the frozen background profile (V tangential, F radial).  Its image
-has only (phi', psi', radial_star) rows:
+K carries the frozen background profile (V tangential, F radial) of
+`landau.background_on_grid`.  Its image fills only (phi', psi', radial_star):
 
     tangent T = -(V d_theta + max(dV, V cot)) xi - F xi'   componentwise:
       T_theta = -V d_theta(xi_theta) - dV xi_theta - F xi'_theta
@@ -46,7 +46,7 @@ import os
 
 import numpy as np
 
-from .landau import LandauProfile, eval_profiles
+from .landau import LandauProfile, background_on_grid
 from .sphbasis import legendre_values, project, project_div_curl
 from .statespace import COMPONENTS, StateIndexMap, state_from_flat
 
@@ -98,16 +98,6 @@ def assemble_L0(m, k_max):
         ks = np.arange(max(imap.k_lo(row), imap.k_lo(col)), k_max + 1)
         mat[imap.index(row, ks), imap.index(col, ks)] = a + b * ks * (ks + 1)
     return OperatorMatrix(m=m, k_max=k_max, epsilon=0.0, entries=mat)
-
-
-def background_on_grid(epsilon, grid):
-    """Profile arrays used by K: V, F, their derivatives, and V cot(theta)
-    evaluated without the pole-singular quotient."""
-    prof = eval_profiles(LandauProfile(epsilon), grid.theta)
-    c = grid.x
-    v_cot = -2.0 * epsilon * c / (1.0 - epsilon * c)
-    return {"V": prof["V"], "F": prof["F"], "dV": prof["dV_dtheta"],
-            "dF": prof["dF_dtheta"], "V_cot": v_cot}
 
 
 def _k_integrand(bg, xi, dxi, xip, th, dth, ths, div_xi):

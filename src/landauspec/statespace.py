@@ -56,20 +56,17 @@ class StateIndexMap:
     def __post_init__(self):
         if self.k_max < max(abs(self.m), 1):
             raise ValueError(f"k_max = {self.k_max} too small for m = {self.m}")
+        # (lowest degree, flat offset) of each component, computed once
+        lows = [component_k_min(c, self.m) for c in COMPONENTS]
+        offsets = np.cumsum([0] + [self.k_max - lo + 1 for lo in lows])
+        object.__setattr__(self, "_slots", dict(
+            zip(COMPONENTS, zip(lows, offsets.tolist()))))
 
     def k_lo(self, name):
-        return component_k_min(name, self.m)
+        return self._slots[name][0]
 
     def count(self, name):
         return self.k_max - self.k_lo(name) + 1
-
-    def offset(self, name):
-        off = 0
-        for c in COMPONENTS:
-            if c == name:
-                return off
-            off += self.count(c)
-        raise ValueError(f"unknown component {name!r}")
 
     @property
     def dim(self):
@@ -77,15 +74,18 @@ class StateIndexMap:
 
     def index(self, name, k):
         """Flat index of degree k of a component; k may be an array."""
-        if not self.k_lo(name) <= np.min(k) <= np.max(k) <= self.k_max:
+        lo, off = self._slots[name]
+        scalar = isinstance(k, (int, np.integer))
+        k_min, k_top = (k, k) if scalar else (np.min(k), np.max(k))
+        if not lo <= k_min <= k_top <= self.k_max:
             raise ValueError(f"degree {k} not admissible for {name} at m={self.m}")
-        return self.offset(name) + k - self.k_lo(name)
+        return off + k - lo
 
     def degrees(self, name):
         return np.arange(self.k_lo(name), self.k_max + 1)
 
     def sl(self, name):
-        off = self.offset(name)
+        off = self._slots[name][1]
         return slice(off, off + self.count(name))
 
     def describe(self):

@@ -179,8 +179,12 @@ def test_failed_run_leaves_no_config_echo(tmp_path, capsys):
     (["track", "--eps", "0.5"], "eps = 0.5"),
     (["export", "--m", "0", "--epsilon", "0.9"], "eps = 0.9"),
     (["verify", "--kmax", "4"], "k_max = 4"),
+    # the tail monitor rejects eps = 0.9 once eps = 0.1 is solved
+    (["spectrum", "--eps", "0.1,0.9"], "eps = 0.9"),
+    (["export", "--m", "0", "--eps", "0.1,0.9"], "eps = 0.9"),
 ], ids=["spectrum-m", "spectrum-late-m", "track-m", "track-late-m",
-        "track-eps", "export-eps", "verify-kmax"])
+        "track-eps", "export-eps", "verify-kmax", "spectrum-late-eps",
+        "export-late-eps"])
 def test_run_stopped_before_its_first_report_leaves_no_directory(
         tmp_path, capsys, argv, value):
     out = tmp_path / "out"
@@ -188,6 +192,25 @@ def test_run_stopped_before_its_first_report_leaves_no_directory(
     assert code == 1
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and value in errors[0], err
+    assert not out.exists()
+
+
+def test_track_stopped_on_a_later_mode_leaves_no_directory(
+        tmp_path, capsys, monkeypatch):
+    # the first mode's reports wait until every mode has been swept
+    track = cli.track
+
+    def second_sweep_fails(m, *args, **kwargs):
+        if m == 2:
+            raise RuntimeError("a branch moved too far")
+        return track(m, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "track", second_sweep_fails)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "track", "--m", "1,2", "--kmax", "12",
+                           "--out", str(out))
+    assert code == 2
+    assert err == "invariant failure: a branch moved too far\n"
     assert not out.exists()
 
 

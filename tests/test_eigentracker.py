@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from landauspec import eigentracker
 from landauspec.eigentracker import (
     DEFAULT_EPS_GRID,
     ContourSpec,
@@ -18,8 +19,15 @@ from landauspec.eigentracker import (
 )
 from landauspec.operators import OperatorMatrix, assemble_L0
 from landauspec.perturbation import z_coefficient
-from landauspec.sphbasis import QuadratureGrid, default_node_count, legendre_values, project
+from landauspec.sphbasis import (
+    QuadratureGrid,
+    default_node_count,
+    legendre_values,
+    project,
+    zero_field,
+)
 from landauspec.statespace import (
+    StateVector,
     pressure_of,
     x_inner,
     x_norm,
@@ -202,6 +210,53 @@ def test_translation_degenerate_at_zero():
 def test_translation_tail_guard():
     with pytest.raises(ValueError, match="under-resolves"):
         translation_eigenvector(0.5, 12)
+
+
+def _hand_derived_symmetry_states(eps, k_max):
+    """Tilt and translation states from slopes in t = cos(theta) derived
+    by hand, independent of the profile keys of landau: with d = 1 - eps t,
+    w = V / sin(theta) = -2 eps / d, f = F, p and g = p / (4 eps)."""
+    table = legendre_values(k_max, 1)
+    c, s = table.grid.x, table.grid.sin_theta
+    d = 1.0 - eps * c
+    w = -2.0 * eps / d
+    fp = 4.0 * eps * (1.0 - eps**2) / d**3
+    wp = -2.0 * eps**2 / d**2
+    pp = 4.0 * eps * (1.0 + eps * c - 2.0 * eps**2) / d**3
+    tilt = eigentracker._symmetry_state(
+        table, 0.5 * (wp * s**2 - w * c), -0.5j * w, 0.5 * fp * s,
+        0.5 * pp * s)
+
+    g = (c - eps) / d**2
+    gp = -s * (d + 2.0 * eps * (c - eps)) / d**3
+    v = w * s
+    dv = -(wp * s**2 - w * c)
+    df = -fp * s
+    theta_prof = dv * s + df * c
+    q_prof = 4.0 * eps * (-2.0 * g * s + gp * c)
+    zero = zero_field(1, k_max)
+    psi = project(-1j * v, table)
+    psi_prime = psi.copy()
+    psi_prime.coeffs[:] = -psi.coeffs
+    translation = StateVector(1, zero.copy(), psi, zero.copy(), psi_prime,
+                              project(theta_prof, table),
+                              project(-theta_prof - q_prof, table))
+    return tilt, translation
+
+
+@pytest.mark.parametrize("k_max", [12, 24])
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.3])
+def test_symmetry_states_match_hand_derived_slopes(monkeypatch, eps, k_max):
+    # the states, not their residuals, are under test: L0 stands in for L,
+    # which also skips the tail monitor that rejects eps 0.3 at k_max 12
+    monkeypatch.setattr(eigentracker, "assemble_L",
+                        lambda m, k, e: assemble_L0(m, k))
+    tilt = zero_mode_check(eps, (1.0, 0.0, 0.0), k_max).transverse
+    translation, _ = translation_eigenvector(eps, k_max)
+    for got, want in zip((tilt, translation),
+                         _hand_derived_symmetry_states(eps, k_max)):
+        got, want = got.to_flat(), want.to_flat()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 # ---- background state and zero modes --------------------------------------

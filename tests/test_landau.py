@@ -20,6 +20,8 @@ ORACLE_01_03 = {
     "dV_dtheta": -0.2091135459787315198,
     "dF_dtheta": -0.15816308394572938885,
     "p": 0.4182270919574630396,
+    "dp_dtheta": -0.17182799878728683101,
+    "V_over_sin": -0.22112486524185240241,
 }
 ORACLE_FORCE_001 = 0.50271179810575243826
 ORACLE_FORCE_03 = 16.77796758511674116

@@ -136,3 +136,32 @@ def test_output_directory_is_made_only_by_the_report_path_helper():
                  if "makedirs" in (getattr(node, "attr", None),
                                    getattr(node, "id", None))]
     assert uses == ["cli.py:_report_path"]
+
+
+def test_profile_denominator_is_formed_only_in_landau():
+    # landau evaluates the closed form of the family; a function elsewhere
+    # forming d = 1 - eps cos(theta) carries a second copy of it.  The one
+    # exception is swirl_ode_residual: its cancellation design needs the
+    # closed form in extended precision (longdouble), which landau does
+    # not evaluate.
+    allowed = {"eigentracker.py:swirl_ode_residual"}
+
+    def forms_denominator(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and isinstance(node.left, ast.Constant)
+                and node.left.value == 1
+                and isinstance(node.right, ast.BinOp)
+                and isinstance(node.right.op, ast.Mult)
+                and isinstance(node.right.left, ast.Name)
+                and node.right.left.id in ("eps", "epsilon"))
+
+    owners = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "landau.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    map(forms_denominator, ast.walk(func))):
+                owners.add(f"{path.name}:{func.name}")
+    assert owners == allowed

@@ -55,7 +55,8 @@ def test_index_map_takes_degree_arrays(m):
         ks = imap.degrees(name)
         assert imap.index(name, ks).tolist() == [imap.index(name, int(k))
                                                  for k in ks]
-        for bad in (np.append(ks, 7), np.insert(ks, 0, imap.k_lo(name) - 1)):
+        for bad in (np.append(ks, 7), np.insert(ks, 0, imap.k_lo(name) - 1),
+                    imap.k_lo(name) - 1, 7):
             with pytest.raises(ValueError, match="not admissible"):
                 imap.index(name, bad)
 
