@@ -10,12 +10,14 @@ with a ``LANDAUSPEC_`` environment twin) and a default for every command
 that reads it.  A subcommand takes only the flags of the settings it
 reads, plus ``--config``; a config-file key or environment variable of a
 setting it does not read is checked, then ignored.  Precedence is flag
-over environment over config file over default.  The settings a run read
-are echoed as ``config.json`` next to the reports of every run that
-finishes (exit 0 or 2).  Nothing is written before the last solve, so
-a run that stops on an error leaves no output directory.  Identical
-configurations produce byte-identical files: lists in a fixed order,
-every float with 17 significant digits.
+over environment over config file over default.  Handlers compute and
+``main`` writes: each ``cmd_<name>(config)`` returns its exit code and
+its reports and touches no file; ``main`` checks the output path, runs
+the handler, then makes the directory and writes the reports and, last,
+``config.json``, the settings the run read.  So a run that stops on an
+error leaves no output directory.  Identical configurations produce
+byte-identical files: lists in a fixed order, every float with 17
+significant digits.
 A value that does not convert is reported with its flag or variable.
 The quadrature is not a setting: every assembly uses the Gauss rule
 that k_max determines.
@@ -54,6 +56,8 @@ from .statespace import save_state_json
 
 C_TARGETS = {0: 0.0, 1: 1.0 / 15.0, 2: 4.0 / 15.0}
 ENV_PREFIX = "LANDAUSPEC_"
+_SWITCH_WORDS = {"1": True, "true": True, "yes": True,  # any case
+                 "0": False, "false": False, "no": False}
 
 
 # ---- canonical serialization ------------------------------------------------
@@ -116,7 +120,7 @@ def _as(conv, what):
     def convert(text, source):
         try:
             return conv(text)
-        except ValueError:
+        except (ValueError, KeyError):
             raise ValueError(f"{source} must be {what}, got {text!r}") from None
     return convert
 
@@ -222,7 +226,7 @@ SETTINGS = (
     Setting("assert_paper", lambda v: isinstance(v, bool), "true or false",
             {"track": False},
             (Flag("--assert-paper",
-                  lambda text, _: text.lower() in ("1", "true", "yes"),
+                  _as(lambda t: _SWITCH_WORDS[t.lower()], "true or false"),
                   "exit 2 unless fitted coefficients hit targets",
                   switch=True),)),
 )
@@ -253,7 +257,7 @@ class RunConfig:
             if not s.accepts(value):
                 raise ValueError(f"config key {s.field!r} must be {s.what}, "
                                  f"got {value!r}")
-            if isinstance(value, (list, tuple)) and not value:
+            if isinstance(value, (list, tuple, str)) and not value:
                 raise ValueError(f"config key {s.field!r} must not be empty")
             if reads:
                 setattr(self, s.field, value)
@@ -329,13 +333,6 @@ def resolve_config(args):
     return RunConfig(args.command, **merged)
 
 
-def _report_path(config, name):
-    """Path of the report ``name`` in the output directory, which is made
-    here, with the first report."""
-    os.makedirs(config.out, exist_ok=True)
-    return os.path.join(config.out, name)
-
-
 # ---- subcommands -------------------------------------------------------------
 
 
@@ -357,7 +354,7 @@ def _report_tags(config):
 
 def cmd_spectrum(config):
     code = 0
-    reports = []  # (writer, file name, contents), written once all solved
+    reports = []
     for m, eps, tag in _report_tags(config):
         lmat = assemble_L(m, config.k_max, eps)
         lam = np.sort_complex(np.linalg.eigvals(lmat.entries))
@@ -385,9 +382,7 @@ def cmd_spectrum(config):
                       for i, v in enumerate(lam)]
             reports.append((write_atomic, f"spectrum_{tag}.csv",
                             "\n".join(lines) + "\n"))
-    for write, name, contents in reports:
-        write(_report_path(config, name), contents)
-    return code
+    return code, reports
 
 
 PLOT_SCRIPT = """\
@@ -426,7 +421,7 @@ def cmd_track(config):
                 f"mode m = {m} is repeated in modes {config.modes}")
         cluster_size(m)  # a mode without a group at 1 fails before any sweep
     code = 0
-    reports = []  # (writer, file name, contents), written once all solved
+    reports = []
     for m in config.modes:
         curve = track(m, config.epsilons, k_max=config.k_max)
         fit = fit_quadratic(curve)
@@ -471,9 +466,7 @@ def cmd_track(config):
             reports.append((write_atomic, f"plot_curves_m{m}.py",
                             PLOT_SCRIPT.format(m=m)))
         del curve  # and its operators, before the next mode assembles its own
-    for write, name, contents in reports:
-        write(_report_path(config, name), contents)
-    return code
+    return code, reports
 
 
 def _verify_checks(config):
@@ -550,26 +543,31 @@ def cmd_verify(config):
         rows.append({"check": name, "passed": bool(passed), "detail": detail})
         print(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})")
         failed += 0 if passed else 1
-    write_json(_report_path(config, "verify.json"), {"checks": rows})
     print(f"{len(rows) - failed}/{len(rows)} checks passed")
-    return 0 if failed == 0 else 2
+    report = (write_json, "verify.json", {"checks": rows})
+    return (2 if failed else 0), [report]
+
+
+def _write_operator(path, lmat):
+    save_operator(lmat, path + ".bin", path + ".json")
+
+
+def _write_state(path, state):
+    save_state_json(state, path)
 
 
 def cmd_export(config):
-    operators = {tag: assemble_L(m, config.k_max, eps)
-                 for m, eps, tag in _report_tags(config)}
-    eps0, states = config.epsilons[0], {}
+    reports = [(_write_operator, f"operator_{tag}",
+                assemble_L(m, config.k_max, eps))
+               for m, eps, tag in _report_tags(config)]
+    eps0 = config.epsilons[0]
     if eps0 > 0.0:
-        states["background_state.json"] = landau_state(eps0, config.k_max)
+        reports.append((_write_state, "background_state.json",
+                        landau_state(eps0, config.k_max)))
         if eps0 <= 0.5:
-            states["translation_state.json"], _ = translation_eigenvector(
-                eps0, config.k_max)
-    for tag, lmat in operators.items():
-        save_operator(lmat, _report_path(config, f"operator_{tag}.bin"),
-                      _report_path(config, f"operator_{tag}.json"))
-    for name, state in states.items():
-        save_state_json(state, _report_path(config, name))
-    return 0
+            state, _ = translation_eigenvector(eps0, config.k_max)
+            reports.append((_write_state, "translation_state.json", state))
+    return 0, reports
 
 
 def main(argv=None):
@@ -582,10 +580,18 @@ def main(argv=None):
                "verify": cmd_verify, "export": cmd_export}[args.command]
     try:
         config = resolve_config(args)
-        code = handler(config)
-        # echoed only once the handler has returned, so a run that stopped
-        # on an error leaves no config.json that looks like a finished one
-        write_json(_report_path(config, "config.json"), config.to_dict())
+        # an output path that cannot become a directory fails before any solve
+        existing = config.out
+        while existing and not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if existing and not os.path.isdir(existing):
+            raise ValueError(f"output path {existing!r} is not a directory")
+        code, reports = handler(config)
+        # the echo goes last, so a directory without it is a run cut short
+        reports.append((write_json, "config.json", config.to_dict()))
+        os.makedirs(config.out, exist_ok=True)
+        for write, name, contents in reports:
+            write(os.path.join(config.out, name), contents)
         return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from the rest of the spectrum and the conditioning of the splitting.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -258,12 +258,13 @@ def translation_eigenvector(epsilon, k_max):
     """Exact drift eigenvector at 1 from horizontal translation invariance
     of the background family; returns (state, relative residual).
 
-    All angular profiles are closed-form: the stream slot carries -i times
-    the tangential background, the radial slot combines the theta-slopes of
-    the tangential and radial backgrounds, and the starred slot balances
-    those against the translated boundary pressure.  The relative residual
-    is |(L - 1) state| / |state| in the weighted norm.  A k_max too small
-    for eps is reported by the tail monitor of the assembly of L.
+    All angular profiles are closed-form.  The symmetry-state builder takes
+    no tangential field, the theta-slopes of the tangential and radial
+    backgrounds as the radial profile and the translated boundary pressure;
+    the stream slot then carries -i times the tangential background and its
+    primed slot the negative.  The relative residual is
+    |(L - 1) state| / |state| in the weighted norm.  A k_max too small for
+    eps is reported by the tail monitor of the assembly of L.
     """
     if epsilon == 0.0:
         raise ValueError(
@@ -274,22 +275,22 @@ def translation_eigenvector(epsilon, k_max):
     table = legendre_values(k_max, 1)
     c, s = table.grid.x, table.grid.sin_theta
     prof = eval_profiles(LandauProfile(epsilon), table.grid.theta)
-    q_prof = c * prof["dp_dtheta"] - 2.0 * s * prof["p"]
-    theta_prof = prof["dV_dtheta"] * s + prof["dF_dtheta"] * c
-
+    zero = np.zeros(c.size)
+    state = _symmetry_state(table, zero, zero,
+                            prof["dV_dtheta"] * s + prof["dF_dtheta"] * c,
+                            c * prof["dp_dtheta"] - 2.0 * s * prof["p"])
     psi = project(-1j * prof["V"], table)
     psi_prime = psi.copy()
     psi_prime.coeffs[:] = -psi.coeffs
-    radial = project(theta_prof, table)
-    star = project(-theta_prof - q_prof, table)
-    zero = zero_field(1, k_max)
-    state = StateVector(1, zero.copy(), psi, zero.copy(), psi_prime,
-                        radial, star)
+    state = replace(state, psi=psi, psi_prime=psi_prime)
+    return state, _relative_residual(assemble_L(1, k_max, epsilon), state, 1.0)
 
-    lmat = assemble_L(1, k_max, epsilon)
+
+def _relative_residual(lmat, state, lam):
+    """|(L - lam) state| / |state| in the weighted norm."""
     flat = state.to_flat()
-    resid = state_from_flat(1, k_max, lmat.entries @ flat - flat)
-    return state, x_norm(resid) / x_norm(state)
+    resid = lmat.entries @ flat - lam * flat
+    return x_norm(state_from_flat(lmat.m, lmat.k_max, resid)) / x_norm(state)
 
 
 @dataclass
@@ -347,31 +348,23 @@ def zero_mode_check(epsilon, direction, k_max):
     w_ax = abs(direction[2])
     w_tr = float(np.hypot(direction[0], direction[1]))
 
-    axial = trans = None
-    res_ax = res_tr = None
-    if w_ax > 1e-14:
-        axial = _axial_state(epsilon, k_max)
-        lmat = assemble_L(0, k_max, epsilon)
-        res_ax = x_norm(lmat.apply_state(axial)) / x_norm(axial)
-    if w_tr > 1e-14:
-        trans = _tilt_state(epsilon, k_max)
-        lmat = assemble_L(1, k_max, epsilon)
-        res_tr = x_norm(lmat.apply_state(trans)) / x_norm(trans)
-
+    states, residuals = [], []
     num = den = 0.0
-    if axial is not None:
-        n = w_ax * x_norm(axial)
-        num += (n * res_ax) ** 2
-        den += n**2
-    if trans is not None:
-        n = w_tr * x_norm(trans)
-        num += (n * res_tr) ** 2
-        den += n**2
+    for weight, m, build in ((w_ax, 0, _axial_state), (w_tr, 1, _tilt_state)):
+        state = res = None
+        if weight > 1e-14:
+            state = build(epsilon, k_max)
+            res = _relative_residual(assemble_L(m, k_max, epsilon), state, 0.0)
+            n = weight * x_norm(state)
+            num += (n * res) ** 2
+            den += n**2
+        states.append(state)
+        residuals.append(res)
     return ZeroModeReport(
         epsilon=epsilon, direction=tuple(direction),
         residual=float(np.sqrt(num / den)),
-        axial=axial, transverse=trans,
-        axial_residual=res_ax, transverse_residual=res_tr,
+        axial=states[0], transverse=states[1],
+        axial_residual=residuals[0], transverse_residual=residuals[1],
     )
 
 

@@ -160,6 +160,47 @@ def test_conversion_errors_name_the_source(tmp_path, capsys, monkeypatch,
         assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("M", "1,x", "LANDAUSPEC_M must be a comma list of integers, got '1,x'"),
+    ("EPS", "0.1:y:0.1", "LANDAUSPEC_EPS must be a number, a comma list or "
+     "an a:b:step range, got '0.1:y:0.1'"),
+    ("EPSILON", "abc", "LANDAUSPEC_EPSILON must be a number, got 'abc'"),
+    ("KMAX", "ten", "LANDAUSPEC_KMAX must be an integer, got 'ten'"),
+    ("ASSERT_PAPER", "on",
+     "LANDAUSPEC_ASSERT_PAPER must be true or false, got 'on'"),
+    ("ASSERT_PAPER", "ture",
+     "LANDAUSPEC_ASSERT_PAPER must be true or false, got 'ture'"),
+    ("ASSERT_PAPER", "",
+     "LANDAUSPEC_ASSERT_PAPER must be true or false, got ''"),
+], ids=["M", "EPS", "EPSILON", "KMAX", "ASSERT_PAPER-on", "ASSERT_PAPER-typo",
+        "ASSERT_PAPER-empty"])
+def test_bad_environment_values_exit_1_naming_the_variable(
+        tmp_path, capsys, monkeypatch, key, value, message):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept with a bad environment value")
+
+    monkeypatch.setattr(cli, "track", no_sweep)
+    monkeypatch.setenv(cli.ENV_PREFIX + key, value)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "track", "--out", str(out))
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value,expected", [
+    ("1", True), ("true", True), ("YES", True), ("True", True),
+    ("0", False), ("false", False), ("No", False), ("FALSE", False),
+])
+def test_assert_paper_variable_reads_true_and_false_words(
+        tmp_path, capsys, monkeypatch, value, expected):
+    monkeypatch.setattr(cli, "cmd_track", lambda config: (0, []))
+    monkeypatch.setenv(cli.ENV_PREFIX + "ASSERT_PAPER", value)
+    code, _, err = run_cli(capsys, "track", "--out", str(tmp_path))
+    assert code == 0, err
+    assert read_json(tmp_path / "config.json")["assert_paper"] is expected
+
+
 def test_failed_run_leaves_no_config_echo(tmp_path, capsys):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps({"modes": [7], "k_max": 4}))
@@ -282,8 +323,7 @@ READS = {
 def test_commands_accept_only_the_flags_they_read(tmp_path, capsys,
                                                   monkeypatch, command, flag):
     def parse_only(config):
-        os.makedirs(config.out)
-        return 0
+        return 0, []
 
     monkeypatch.setattr(cli, f"cmd_{command}", parse_only)
     config_path = tmp_path / "base.json"
@@ -402,6 +442,42 @@ def test_out_path_collision_exits_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "spectrum", "--out", str(blocker))
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("out,named", [
+    ("", "config key 'out' must not be empty"),
+    ("occupied", "occupied"),
+    ("occupied/sub", "occupied"),
+], ids=["empty", "file", "below-a-file"])
+def test_unusable_out_exits_1_before_any_check(tmp_path, capsys,
+                                                monkeypatch, out, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "occupied").write_text("not a directory")
+    code, stdout, err = run_cli(capsys, "verify", "--out", out)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and named in err, err
+    assert os.listdir(tmp_path) == ["occupied"]
+    assert (tmp_path / "occupied").read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("command,values", [
+    ("spectrum", {"modes": [0, 1], "epsilons": [0.0, 0.05], "k_max": 12}),
+    ("track", {"modes": [1], "k_max": 12}),
+    ("verify", {"k_max": 16}),
+    ("export", {"modes": [0, 1], "epsilons": [0.1], "k_max": 12}),
+], ids=["spectrum", "track", "verify", "export"])
+def test_handlers_compute_and_main_writes(tmp_path, capsys, monkeypatch,
+                                          command, values):
+    # a handler returns its exit code and its reports and touches no file;
+    # cli.main is the one place that writes them
+    monkeypatch.chdir(tmp_path)
+    config = cli.RunConfig(command, out=str(tmp_path / "out"), **values)
+    code, reports = getattr(cli, f"cmd_{command}")(config)
+    capsys.readouterr()
+    assert code == 0
+    assert reports
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command,argv,message", [

@@ -62,7 +62,10 @@ def test_cli_handlers_read_exactly_their_declared_settings():
                 fields |= fields_read(node.func.id, seen)
         return fields
 
-    read = {name[len("cmd_"):]: fields_read(name, set())
+    # main reads `out` to write every command's reports and echoes the
+    # config through to_dict
+    assert fields_read("main", set()) == {"out", "to_dict"}
+    read = {name[len("cmd_"):]: fields_read(name, set()) | {"out"}
             for name in functions if name.startswith("cmd_")}
     declared = {command: {s.field for s in cli.read_by(command)}
                 for command in cli.COMMANDS}
@@ -121,9 +124,10 @@ def test_k_integrand_has_one_caller():
     assert len(callers) == 1, sorted(callers)
 
 
-def test_output_directory_is_made_only_by_the_report_path_helper():
-    # the directory appears with the first report, so a run that stops
-    # before it leaves none; a handler making it early would leave one
+def test_output_directory_is_made_only_by_main():
+    # main makes the directory once the handler has returned its reports,
+    # so a run that stops before then leaves none; a handler making it
+    # early would leave one
     uses = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -135,7 +139,7 @@ def test_output_directory_is_made_only_by_the_report_path_helper():
                  for node in ast.walk(tree)
                  if "makedirs" in (getattr(node, "attr", None),
                                    getattr(node, "id", None))]
-    assert uses == ["cli.py:_report_path"]
+    assert uses == ["cli.py:main"]
 
 
 def test_profile_denominator_is_formed_only_in_landau():
