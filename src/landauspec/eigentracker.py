@@ -5,18 +5,23 @@ and spectral projectors.
 The sweep machinery (`track`, `fit_quadratic`) works on the eigenvalue
 group near 1, whose drift under the background encodes the quadratic
 expansion coefficients and whose imaginary parts probe the conjectured
-absence of a rotation rate.  The constructive routines
-(`translation_eigenvector`, `zero_mode_check`, `landau_state`) build the
-symmetry modes as the background of `landau` under a generator (the
-tilt of the axis is minus one half of its theta-slopes), and report how
-well the assembled matrix annihilates or preserves them.
+absence of a rotation rate.  Every eigensolve here runs on the
+stream-scaled real form of `operators.real_form`, so an imaginary part is
+never rounding: it is half of an exact conjugate pair.  The constructive
+routines (`translation_eigenvector`, `zero_mode_check`, `landau_state`)
+build the symmetry modes as the background of `landau` under a generator
+(the tilt of the axis is minus one half of its theta-slopes), and report
+how well the assembled matrix annihilates or preserves them.
 The constructions sample the profiles on the same default Gauss rule of
 k_max that the assembly uses (`sphbasis.legendre_values`), and the
 assembly's tail monitor is the one resolution check they need.
 `contour_projection` builds the Riesz projector of an eigenvalue group
-from one ordered Schur form and one triangular Sylvester solve; it
-certifies the number of eigenvalues inside the circle, their separation
-from the rest of the spectrum and the conditioning of the splitting.
+from one ordered real Schur form of the stream-scaled matrix and one
+quasi-triangular Sylvester solve, P = D Z1 [I X] Z^T D^-1; a circle
+centred on the real axis holds both members of a conjugate pair or
+neither, so the ordering never splits a 2x2 block.  It certifies the
+number of eigenvalues inside the circle, their separation from the rest
+of the spectrum and the conditioning of the splitting.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from .landau import LandauProfile, eval_profile_derivative, eval_profiles
-from .operators import assemble_L
+from .operators import assemble_L, real_form
 from .sphbasis import (
     laplacian,
     legendre_values,
@@ -92,7 +97,7 @@ def track(m, epsilons, k_max=DEFAULT_K_MAX):
     rows, operators = [], []
     for e in eps:
         operators.append(assemble_L(m, k_max, float(e)))
-        lam = np.linalg.eigvals(operators[-1].entries)
+        lam = np.linalg.eigvals(real_form(operators[-1])[0])
         group = lam[np.abs(lam - 1.0) < CLUSTER_RADIUS]
         if group.size != want:
             raise RuntimeError(
@@ -211,14 +216,14 @@ def swirl_block_eigenvalue(epsilon, k_max):
     """Eigenvalue of the closed axisymmetric stream sub-block nearest 1.
 
     The (psi, psi') rows of the m = 0 operator never couple back to the
-    other components, so their spectrum can be read off a sub-matrix.
+    other components, so their spectrum can be read off a sub-matrix of
+    the real form.
     """
     lmat = assemble_L(0, k_max, epsilon)
     imap = lmat.index_map
     sl_a, sl_b = imap.sl("psi"), imap.sl("psi_prime")
     idx = np.r_[sl_a.start:sl_a.stop, sl_b.start:sl_b.stop]
-    sub = lmat.entries[np.ix_(idx, idx)]
-    lam = np.linalg.eigvals(sub)
+    lam = np.linalg.eigvals(real_form(lmat)[0][np.ix_(idx, idx)])
     return complex(lam[np.argmin(np.abs(lam - 1.0))])
 
 
@@ -405,32 +410,49 @@ class ContourProjection:
 
 def contour_projection(lmat, spec):
     """Riesz projector onto the eigenvalues inside a circle, from an ordered
-    Schur form.
+    real Schur form.
 
-    One complex Schur form A = Z T Z^H moves the k enclosed eigenvalues to
-    the leading block T11.  The Sylvester equation T11 X - X T22 = T12
-    decouples that block from the trailing one, and the projector is
-    P = Z[:, :k] [I X] Z^H.  Its rank is k: Z is unitary and every
-    singular value of [I X] is sqrt(1 + s^2) >= 1 for a singular value s
-    of X.  What the projector certifies is therefore that count, the
-    separation of the enclosed group from the rest of the spectrum, and
-    the conditioning ||X||_2 of the splitting.
+    L is similar to its real form A = D^-1 L D (`operators.real_form`).
+    One real Schur form A = Z T Z^T moves the k enclosed eigenvalues to the
+    leading block T11, with each complex pair a 2x2 block on the diagonal.
+    The circle is centred on the real axis, so it holds both members of a
+    conjugate pair or neither, and the ordering never splits a block.  The
+    Sylvester equation T11 X - X T22 = T12 decouples T11 from the trailing
+    block, and the projector is P = D Z[:, :k] [I X] Z^T D^-1.  Its rank
+    is k: D and Z are unitary and every singular value of [I X] is
+    sqrt(1 + s^2) >= 1 for a singular value s of X.  For the same reason
+    ||P^2 - P||_2 and ||X||_2 are those of the real projector.  What the
+    projector certifies is therefore that count, the separation of the
+    enclosed group from the rest of the spectrum, and the conditioning
+    ||X||_2 of the splitting.
 
-    Errors out if an eigenvalue sits within 1e-3 of the contour, if the
-    circle fails to separate the enclosed group from the rest of the
-    spectrum by twice its own spread, or if the splitting is
-    ill-conditioned: ||X||_2 above 1e12, or a Sylvester solve that had to
-    scale its right-hand side or failed.
+    Errors out if the centre is off the real axis, if an eigenvalue sits
+    within 1e-3 of the contour, if the circle fails to separate the
+    enclosed group from the rest of the spectrum by twice its own spread,
+    or if the splitting is ill-conditioned: ||X||_2 above 1e12, or a
+    Sylvester solve that had to scale its right-hand side or failed.
     """
     if spec.radius <= 0.0:
         raise ValueError("contour radius must be positive")
-    a = lmat.entries
+    center = complex(spec.center)
+    if center.imag != 0.0:
+        raise ValueError(f"contour centre {center} is off the real axis, so "
+                         f"the circle can split a conjugate pair")
+    a, scale = real_form(lmat)
     n = a.shape[0]
-    t, z, k = scipy.linalg.schur(
-        a, output="complex",
-        sort=lambda lam: abs(lam - spec.center) < spec.radius)
-    lam_all = np.diag(t)
-    dist_circle = np.abs(np.abs(lam_all - spec.center) - spec.radius)
+
+    def select(re, im):
+        return abs(complex(re, im) - center) < spec.radius
+
+    # the workspace query lets the Hessenberg reduction run blocked; the
+    # minimal default workspace is 1.7x slower at dim 576
+    lwork = int(scipy.linalg.lapack.dgees(select, a, lwork=-1)[-2][0])
+    t, k, wr, wi, z, _, info = scipy.linalg.lapack.dgees(
+        select, a, sort_t=1, lwork=lwork)
+    if info != 0:
+        raise ValueError(f"ordered real Schur form failed: dgees info {info}")
+    lam_all = wr + 1j * wi
+    dist_circle = np.abs(np.abs(lam_all - center) - spec.radius)
     if dist_circle.min() < 1e-3:
         raise ValueError(
             f"an eigenvalue lies within 1e-3 of the contour "
@@ -440,23 +462,23 @@ def contour_projection(lmat, spec):
     outside = lam_all[k:]
     spread = _max_cluster_spread(inside)
     if inside.size and outside.size:
-        gap = float(np.abs(outside - spec.center).min()
-                    - np.abs(inside - spec.center).max())
+        gap = float(np.abs(outside - center).min()
+                    - np.abs(inside - center).max())
         if gap < 2.0 * spread:
             raise ValueError(
                 f"contour does not separate: annular gap {gap:.3e} is below "
                 f"twice the enclosed cluster spread {spread:.3e}"
             )
     if k in (0, n):
-        # ztrsyl rejects an empty block; P is 0 or I here
-        proj = np.eye(n, dtype=complex) if k else np.zeros((n, n), complex)
+        # dtrsyl rejects an empty block; P is 0 or I here
+        real_proj = np.eye(n) if k else np.zeros((n, n))
     else:
-        x, scale, info = scipy.linalg.lapack.ztrsyl(
+        x, sylv_scale, info = scipy.linalg.lapack.dtrsyl(
             t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
-        if info != 0 or scale < 1.0:
+        if info != 0 or sylv_scale < 1.0:
             raise ValueError(
-                f"Sylvester splitting ill-conditioned: ztrsyl info {info}, "
-                f"scale {scale:.3e}"
+                f"Sylvester splitting ill-conditioned: dtrsyl info {info}, "
+                f"scale {sylv_scale:.3e}"
             )
         x_norm2 = float(np.linalg.norm(x, 2))
         if x_norm2 > 1e12:
@@ -464,8 +486,9 @@ def contour_projection(lmat, spec):
                 f"Sylvester splitting ill-conditioned: ||X||_2 = "
                 f"{x_norm2:.3e} exceeds 1e12"
             )
-        proj = z[:, :k] @ np.hstack([np.eye(k), x]) @ z.conj().T
-    defect = float(np.linalg.norm(proj @ proj - proj, 2))
+        real_proj = z[:, :k] @ np.hstack([np.eye(k), x]) @ z.T
+    defect = float(np.linalg.norm(real_proj @ real_proj - real_proj, 2))
+    proj = real_proj * (scale[:, None] * scale.conj()[None, :])
     return ContourProjection(matrix=proj, rank=k,
                              idempotency_defect=defect,
                              enclosed=tuple(np.sort_complex(inside)))

@@ -36,6 +36,17 @@ divides, which rounds differently).  `apply_K` feeds it one state;
 (`sphbasis.legendre_values`).  The profiles are rational in cos(theta), so
 what that rule and the truncation miss is caught after the fact by a
 spectral tail monitor.
+
+L is real up to the phase of the stream slots: every block is real or
+purely imaginary, and the imaginary blocks are exactly the couplings
+between (psi, psi') and the other four slots.  `real_form` scales the
+stream slots by i, D = diag(i on psi and psi', 1 elsewhere), and returns
+D^-1 L D in float64.  Each factor of the scaling is 1, i or -i, which
+rounds nothing, so the imaginary part it drops must be exactly 0.0, and
+anything else is an error naming its size.  Every eigensolve runs on this
+real form, in real LAPACK; its eigenvalues are those of L, and a real
+matrix has them in exact conjugate pairs.  `OperatorMatrix.entries`, the
+operator file and the states keep the complex basis.
 """
 
 from __future__ import annotations
@@ -201,6 +212,34 @@ def assemble_L(m, k_max, epsilon):
     k = assemble_K(m, k_max, epsilon)
     return OperatorMatrix(m=m, k_max=k_max, epsilon=epsilon,
                           entries=l0.entries + k.entries)
+
+
+# the slots whose scaling by i makes L real
+STREAM_SLOTS = ("psi", "psi_prime")
+
+
+def real_form(lmat):
+    """The stream-scaled operator D^-1 L D as a contiguous float64 array,
+    and the diagonal of D: i on the stream slots, 1 elsewhere.
+
+    Every factor of D^-1 L D is 1, i or -i, so the scaling rounds nothing,
+    and the imaginary part it drops must be exactly zero."""
+    imap = lmat.index_map
+    shape = (imap.dim, imap.dim)
+    if lmat.entries.shape != shape:
+        raise ValueError(f"operator entries have shape {lmat.entries.shape}, "
+                         f"but (m, k_max) = ({lmat.m}, {lmat.k_max}) "
+                         f"indexes {shape}")
+    scale = np.ones(imap.dim, dtype=complex)
+    for name in STREAM_SLOTS:
+        scale[imap.sl(name)] = 1j
+    scaled = lmat.entries * scale[None, :]
+    scaled *= scale.conj()[:, None]  # D^-1 = conj(D), as |D| = 1
+    dropped = float(np.abs(scaled.imag).max())
+    if dropped != 0.0:
+        raise ValueError(f"stream-scaled operator is not real: it has an "
+                         f"imaginary part of size {dropped:.3e}")
+    return np.ascontiguousarray(scaled.real), scale
 
 
 def save_operator(opmat, bin_path, sidecar_path):

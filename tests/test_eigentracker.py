@@ -146,6 +146,18 @@ def test_conjecture_probe_imag_parts_negligible():
         assert fit.beta_residual <= 1e-7
 
 
+@pytest.mark.parametrize("k_max", [16, 24])
+@pytest.mark.parametrize("m", [0, 1, -1, 2, -2])
+def test_tracked_group_is_exactly_real(m, k_max):
+    # claim 4 as structure: track solves the real form of L, whose
+    # eigenvalues are real or exact conjugate pairs, so any imaginary part
+    # here would be a pair inside the group, not rounding
+    grids = (DEFAULT_EPS_GRID, tuple(sorted(-e for e in DEFAULT_EPS_GRID)))
+    for grid in grids:
+        curve = track(m, grid, k_max=k_max)
+        assert not curve.eigenvalues.imag.any(), grid
+
+
 # ---- swirl ODE and persistence --------------------------------------------
 
 
@@ -391,11 +403,18 @@ def test_contour_enclosing_nothing_or_everything(cached_l):
     assert np.abs(full.matrix - np.eye(n)).max() <= 1e-12
 
 
+def fake_operator(diagonal):
+    """A real diagonal operator of the (m = 1, k_max = 8) shape, dim 48,
+    whose leading entries are the given ones and the rest 10.0."""
+    entries = np.diag(list(diagonal) + [10.0] * (48 - len(diagonal)))
+    return OperatorMatrix(1, 8, 0.0, entries.astype(complex))
+
+
 def test_contour_splitting_guard():
     # the eigenvalue 1.6 sits well outside the circle, but the coupling
     # 1e13 makes the Sylvester solution X = 1e13 / (1 - 1.6) huge
-    fake = OperatorMatrix(1, 8, 0.0,
-                          np.array([[1.0, 1e13], [0.0, 1.6]], dtype=complex))
+    fake = fake_operator([1.0, 1.6])
+    fake.entries[0, 1] = 1e13
     with pytest.raises(ValueError, match="ill-conditioned.*1.667e\\+13"):
         contour_projection(fake, ContourSpec(1.0, 0.5))
 
@@ -407,10 +426,23 @@ def test_contour_eigenvalue_on_contour_guard(cached_l):
 
 
 def test_contour_separation_guard():
-    fake = OperatorMatrix(1, 8, 0.0,
-                          np.diag([0.78, 1.0, 1.22, 1.52]).astype(complex))
+    fake = fake_operator([0.78, 1.0, 1.22, 1.52])
     with pytest.raises(ValueError, match="does not separate"):
         contour_projection(fake, ContourSpec(1.0, 0.5))
+
+
+def test_contour_rejects_an_operator_of_the_wrong_shape():
+    fake = OperatorMatrix(1, 8, 0.0, np.diag([0.78, 1.0]).astype(complex))
+    with pytest.raises(ValueError,
+                       match=r"shape \(2, 2\).*\(1, 8\) indexes \(48, 48\)"):
+        contour_projection(fake, ContourSpec(1.0, 0.5))
+
+
+def test_contour_rejects_an_off_axis_centre(cached_l):
+    # a real Schur form keeps a conjugate pair together, which a circle
+    # centred off the real axis could split
+    with pytest.raises(ValueError, match=r"centre \(1\+0\.1j\) is off"):
+        contour_projection(cached_l(1, 8, 0.0), ContourSpec(1.0 + 0.1j, 0.5))
 
 
 # ---- sweep-level invariants ------------------------------------------------

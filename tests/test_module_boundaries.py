@@ -39,6 +39,37 @@ def test_no_explicit_inverse_or_condition_number():
     assert calls == []
 
 
+def test_every_eigensolve_goes_through_the_real_form():
+    # L is real in operators.real_form's stream scaling; an eigensolve of
+    # OperatorMatrix.entries itself runs complex LAPACK at about three
+    # times the cost and leaves rounding in the imaginary parts.  A name
+    # assigned from an expression that reads `.entries` counts as reading it.
+    def solver(func):
+        name = ast.unparse(func).split(".")
+        return ((name[-2:-1] == ["linalg"] and name[-1] in ("eigvals", "eig"))
+                or name[-1] == "schur"
+                or (name[-2:-1] == ["lapack"]
+                    and name[-1].endswith(("gees", "trsyl"))))
+
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = {target.id for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign)
+                   and ".entries" in ast.unparse(node.value)
+                   for target in node.targets
+                   if isinstance(target, ast.Name)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and solver(node.func)):
+                continue
+            for arg in node.args + [kw.value for kw in node.keywords]:
+                text = ast.unparse(arg)
+                if ".entries" in text or text in aliases:
+                    calls.append(f"{path.name}:{node.lineno}: "
+                                 f"{ast.unparse(node.func)}({text})")
+    assert calls == []
+
+
 def test_cli_handlers_read_exactly_their_declared_settings():
     # each cmd_<name> handler, with the cli functions it calls, reads the
     # config fields of the settings its command declares in cli.SETTINGS

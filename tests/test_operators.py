@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from landauspec.operators import (
     OperatorMatrix,
@@ -10,7 +11,9 @@ from landauspec.operators import (
     assemble_K,
     assemble_L,
     assemble_L0,
+    STREAM_SLOTS,
     load_operator,
+    real_form,
     save_operator,
 )
 from landauspec.sphbasis import (
@@ -266,6 +269,60 @@ def test_resolvent_norm_decay_up_the_line():
         a = (0.5 + 1j * t) * np.eye(l0.dim) - l0.entries
         norms.append(1.0 / np.min(np.linalg.svd(a, compute_uv=False)))
     assert norms[0] > norms[1] > norms[2]
+
+
+def stream_signs(imap):
+    """S = -1 on the stream slots, +1 elsewhere."""
+    signs = np.ones(imap.dim)
+    for name in STREAM_SLOTS:
+        signs[imap.sl(name)] = -1.0
+    return signs
+
+
+@pytest.mark.parametrize("m", [-2, -1, 0, 1, 2])
+def test_real_form_drops_an_imaginary_part_of_exactly_zero(m):
+    # real_form raises unless the part it drops is exactly 0.0, and the
+    # scaling back by D reproduces L bit for bit
+    cases = [(k_max, eps) for k_max in (12, 16, 24)
+             for eps in (0.0, 0.05, 0.1)] + [(32, 0.3)]
+    for k_max, eps in cases:
+        lmat = assemble_L(m, k_max, eps)
+        real, scale = real_form(lmat)
+        assert real.dtype == np.float64 and real.flags.c_contiguous
+        assert set(scale) == {1.0, 1j}
+        back = real * (scale[:, None] * scale.conj()[None, :])
+        assert np.array_equal(back, lmat.entries), (k_max, eps)
+
+
+def test_real_form_names_a_real_coupling_across_the_stream_slots():
+    lmat = assemble_L(1, 12, 0.05)
+    imap = lmat.index_map
+    planted = lmat.entries.copy()
+    planted[imap.index("psi", 2), imap.index("radial", 3)] += 0.25
+    with pytest.raises(ValueError, match="imaginary part of size 2.500e-01"):
+        real_form(OperatorMatrix(1, 12, 0.05, planted))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_real_form_reflects_exactly_between_modes(m):
+    # the real form of L(-m) is that of L(m) conjugated by S, bit for bit,
+    # so the spectrum at -m is the spectrum at m
+    for k_max, eps in ((16, 0.1), (24, 0.05), (32, 0.3)):
+        plus, _ = real_form(assemble_L(m, k_max, eps))
+        minus, _ = real_form(assemble_L(-m, k_max, eps))
+        signs = stream_signs(StateIndexMap(m, k_max))
+        assert np.array_equal(minus, signs[:, None] * plus * signs[None, :])
+
+
+@pytest.mark.parametrize("m", [-1, 0, 1, 2])
+def test_real_form_spectrum_matches_the_complex_one(m):
+    for k_max, eps in ((16, 0.05), (24, 0.1)):
+        lmat = assemble_L(m, k_max, eps)
+        real = np.linalg.eigvals(real_form(lmat)[0])
+        cplx = np.linalg.eigvals(lmat.entries)
+        cost = np.abs(real[:, None] - cplx[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        assert cost[rows, cols].max() <= 1e-10, (k_max, eps)
 
 
 def test_operator_export_bit_exact(tmp_path):
