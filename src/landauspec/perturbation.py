@@ -21,9 +21,20 @@ rather than computed, rows @ columns stays within 4e-14 of I up to
 k = 1000.  A graph map M: E -> Y with (I - Lambda) M = C + D M - M A - M B M
 makes span{(u, M u)} invariant, and the spectrum of L near 1 is the
 spectrum of the reduced matrix I + A + B M.  M is found by Picard
-iteration from M0 = (I - Lambda)^{-1} C; the iteration contracts when the
+iteration from M0 = (I - Lambda)^{-1} C, applied as a row scaling by the
+resolvent vector 1/(1 - lambda); the iteration contracts when the
 weighted norm of K times the largest resolvent factor max|1/(1 - lambda)|
 is below 1/4, which split_blocks checks up front.
+
+The blocks are formed in real arithmetic.  K is read in the stream-scaled
+real form of `operators.real_form`, K_r = S^-1 K S with S = diag(i on psi
+and psi', 1 elsewhere), on the rows where K is not zero (its image fills
+phi', psi' and radial_star).  Every frame lives on stream slots only or
+on non-stream slots only, so rows S = S_b rows with S_b = diag(i on
+stream branches, 1 elsewhere), and the branch coordinates of K are
+S_b (rows K_r columns) S_b^-1.  Each factor of the re-phasing is 1, i or
+-i, which rounds nothing: an entry between a stream and a non-stream
+branch is purely imaginary, every other entry purely real.
 
 The E basis is normalized so that reduced-matrix entries are directly
 comparable with hand calculations done on the unit-amplitude harmonics
@@ -37,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .operators import assemble_L0
+from .operators import assemble_L0, real_form
 from .sphbasis import norm_constant
 from .statespace import StateIndexMap, x_weights
 from .stokes_spectrum import frame_slots
@@ -71,9 +82,15 @@ class PerturbationBlocks:
     c: np.ndarray = field(repr=False)
     d: np.ndarray = field(repr=False)
     lam_y: np.ndarray = field(repr=False)
-    inv_lambda: np.ndarray = field(repr=False)
+    resolvent: np.ndarray = field(repr=False)
     kappa: float
     k_norm: float
+
+    @property
+    def inv_lambda(self):
+        """(I - Lambda)^{-1} as a dense diagonal; the solves scale rows by
+        the resolvent vector instead."""
+        return np.diag(self.resolvent).astype(complex)
 
     @property
     def smallness(self):
@@ -98,8 +115,8 @@ def _branch_basis(m, k_max):
     matrix, its blockwise-exact inverse, and the E and Y labels
     (degree, lambda, family)."""
     n = StateIndexMap(m, k_max).dim
-    cols = np.zeros((n, n), dtype=complex)
-    rows = np.zeros((n, n), dtype=complex)
+    cols = np.zeros((n, n))
+    rows = np.zeros((n, n))
     labels = []
     for k, frame, idx in frame_slots(m, k_max):
         span = slice(len(labels), len(labels) + len(idx))
@@ -129,14 +146,20 @@ def split_blocks(lmat, m, strict=True):
     if m != lmat.m:
         raise ValueError(f"operator is assembled at m = {lmat.m}, not {m}")
     k_max = lmat.k_max
-    imap = StateIndexMap(m, k_max)
-    kmat = lmat.entries - assemble_L0(m, k_max).entries
-    w = np.sqrt(x_weights(imap))
-    k_norm = float(np.linalg.norm((kmat * w[:, None]) / w[None, :], 2))
+    # K in the stream-scaled real form, on the rows its image reaches
+    kmat = real_form(lmat)[0] - real_form(assemble_L0(m, k_max))[0]
+    live = np.flatnonzero(kmat.any(axis=1))
+    kmat = kmat[live]
+    w = np.sqrt(x_weights(StateIndexMap(m, k_max)))
+    k_norm = float(np.linalg.norm((kmat * w[live, None]) / w[None, :], 2))
 
     cols, rows, e_branches, y_branches = _branch_basis(m, k_max)
     n_e = len(e_branches)
-    k_coord = rows @ kmat @ cols
+    # S_b, the stream scaling carried to the branches
+    phase = np.array([1j if label[2] == "stream" else 1.0
+                      for label in e_branches + y_branches])
+    k_coord = phase[:, None] * ((rows[:, live] @ kmat) @ cols)
+    k_coord *= phase.conj()[None, :]
     a = k_coord[:n_e, :n_e]
     b = k_coord[:n_e, n_e:]
     c = k_coord[n_e:, :n_e]
@@ -144,14 +167,13 @@ def split_blocks(lmat, m, strict=True):
 
     lam_y = np.array([float(label[1]) for label in y_branches])
     resolvent = 1.0 / (1.0 - lam_y)
-    inv_lambda = np.diag(resolvent).astype(complex)
     kappa = float(np.max(np.abs(resolvent)))
 
     blocks = PerturbationBlocks(
         m=m, k_max=k_max, epsilon=lmat.epsilon,
         e_branches=e_branches, y_branches=y_branches,
         basis_columns=cols, basis_rows=rows,
-        a=a, b=b, c=c, d=d, lam_y=lam_y, inv_lambda=inv_lambda,
+        a=a, b=b, c=c, d=d, lam_y=lam_y, resolvent=resolvent,
         kappa=kappa, k_norm=k_norm,
     )
     if strict and blocks.smallness >= 0.25:
@@ -165,18 +187,18 @@ def split_blocks(lmat, m, strict=True):
 
 def solve_graph(blocks, tol=1e-12, max_iter=200):
     """Picard iteration for the graph map, started at (I-Lambda)^{-1} C."""
-    inv_l, a, b, c, d = (blocks.inv_lambda, blocks.a, blocks.b,
-                         blocks.c, blocks.d)
-    m_cur = inv_l @ c
+    r, a, b, c, d = (blocks.resolvent[:, None], blocks.a, blocks.b,
+                     blocks.c, blocks.d)
+    m_cur = r * c
     history = []
     for it in range(1, max_iter + 1):
-        m_new = inv_l @ (c + d @ m_cur - m_cur @ a - m_cur @ (b @ m_cur))
+        m_new = r * (c + d @ m_cur - m_cur @ a - m_cur @ (b @ m_cur))
         defect = float(np.linalg.norm(m_new - m_cur, 2))
         history.append(defect)
         m_cur = m_new
         if defect <= tol * max(1.0, float(np.linalg.norm(m_cur, 2))):
-            fixed_image = inv_l @ (c + d @ m_cur - m_cur @ a
-                                   - m_cur @ (b @ m_cur))
+            fixed_image = r * (c + d @ m_cur - m_cur @ a
+                               - m_cur @ (b @ m_cur))
             final = float(np.linalg.norm(fixed_image - m_cur, 2))
             return GraphMap(matrix=m_cur, iterations=it, defect=final,
                             defect_history=tuple(history))
@@ -191,7 +213,7 @@ def reduced_matrix(blocks, graph=None):
     a GraphMap from solve_graph.  With graph=None uses M = (I-Lambda)^{-1} C,
     correct to second order in epsilon."""
     if graph is None:
-        m_map = blocks.inv_lambda @ blocks.c
+        m_map = blocks.resolvent[:, None] * blocks.c
     else:
         m_map = graph.matrix
     n_e = blocks.dim_e

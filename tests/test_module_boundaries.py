@@ -70,6 +70,21 @@ def test_every_eigensolve_goes_through_the_real_form():
     assert calls == []
 
 
+def test_perturbation_reads_operators_only_through_the_real_form():
+    # split_blocks forms the branch coordinates of K in real arithmetic,
+    # on operators.real_form's stream scaling, which also names a
+    # mis-shaped or non-real operator; a read of OperatorMatrix.entries
+    # would form them in complex arithmetic, unchecked
+    tree = ast.parse((SRC / "perturbation.py").read_text())
+    reads = [f"perturbation.py:{node.lineno}: {ast.unparse(node)}"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "entries"]
+    calls = {ast.unparse(node.func) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)}
+    assert reads == []
+    assert "real_form" in calls
+
+
 def test_cli_handlers_read_exactly_their_declared_settings():
     # each cmd_<name> handler, with the cli functions it calls, reads the
     # config fields of the settings its command declares in cli.SETTINGS

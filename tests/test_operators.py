@@ -262,6 +262,18 @@ def test_assemble_l_is_sum():
     assert np.array_equal(assemble_L(1, 12, 0.0).entries, l0.entries)
 
 
+@pytest.mark.parametrize("m", [-2, -1, 0, 1, 2])
+@pytest.mark.parametrize("k_max", [16, 24])
+@pytest.mark.parametrize("eps", [0.05, 0.1])
+def test_k_image_fills_only_the_primed_and_radial_star_rows(m, k_max, eps):
+    # the module docstring's image of K; perturbation.split_blocks takes
+    # its norm and branch coordinates on the rows that are not zero
+    kmat = assemble_K(m, k_max, eps)
+    imap = kmat.index_map
+    for name in ("phi", "psi", "radial"):
+        assert not kmat.entries[imap.sl(name)].any(), name
+
+
 def test_resolvent_norm_decay_up_the_line():
     l0 = assemble_L0(1, 12)
     norms = []

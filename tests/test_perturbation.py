@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from landauspec.operators import assemble_L
+from landauspec.operators import OperatorMatrix, assemble_L, assemble_L0
 from landauspec.perturbation import (
     GraphMap,
     reduced_matrix,
@@ -19,7 +19,12 @@ from landauspec.sphbasis import (
     legendre_values,
     norm_constant,
 )
-from landauspec.statespace import COMPONENTS, StateIndexMap, state_from_flat
+from landauspec.statespace import (
+    COMPONENTS,
+    StateIndexMap,
+    state_from_flat,
+    x_weights,
+)
 
 REDUCED_MODEL_M1 = np.array([[0.0, 0.0], [-0.2j, 1.0 / 15.0]])
 
@@ -50,6 +55,57 @@ def test_smallness_guard():
 def test_mode_mismatch_rejected():
     with pytest.raises(ValueError, match="m = 1"):
         split_blocks(assemble_L(1, 12, 0.0), 0)
+
+
+def misshaped_operator():
+    return OperatorMatrix(1, 12, 0.05, np.zeros((4, 4), dtype=complex))
+
+
+def planted_stream_coupling():
+    lmat = assemble_L(1, 12, 0.05)
+    imap = lmat.index_map
+    planted = lmat.entries.copy()
+    planted[imap.index("psi_prime", 3), imap.index("phi", 2)] += 0.25
+    return OperatorMatrix(1, 12, 0.05, planted)
+
+
+@pytest.mark.parametrize("build, match", [
+    (misshaped_operator, r"shape \(4, 4\).*indexes \(72, 72\)"),
+    (planted_stream_coupling, "imaginary part of size 2.500e-01"),
+], ids=["misshaped", "real-stream-coupling"])
+def test_bad_operator_rejected(build, match):
+    # split_blocks reads the operator through operators.real_form, whose
+    # checks name the shapes or the size of the imaginary part
+    with pytest.raises(ValueError, match=match):
+        split_blocks(build(), 1, strict=False)
+
+
+@pytest.mark.parametrize("m", [-2, -1, 0, 1, 2])
+@pytest.mark.parametrize("k_max, eps", [
+    *((k_max, eps) for k_max in (12, 24, 96) for eps in (0.0, 0.05, 0.1)),
+    (32, 0.3),
+])
+def test_real_split_matches_the_complex_reference(m, k_max, eps):
+    """split_blocks forms the blocks in the stream-scaled real form and
+    re-phases them by i on the stream branches.  They agree to rounding
+    with the blocks formed from the complex entries, and the phases are
+    exact: an entry between a stream branch and a non-stream branch is
+    purely imaginary, every other entry purely real."""
+    lmat = assemble_L(m, k_max, eps)
+    bl = split_blocks(lmat, m, strict=False)
+    kmat = lmat.entries - assemble_L0(m, k_max).entries
+    ref = bl.basis_rows @ kmat @ bl.basis_columns
+    w = np.sqrt(x_weights(lmat.index_map))
+    ref_norm = np.linalg.norm((kmat * w[:, None]) / w[None, :], 2)
+    coord = np.block([[bl.a, bl.b], [bl.c, bl.d]])
+    assert np.abs(coord - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert abs(bl.k_norm - ref_norm) <= 1e-13 * ref_norm
+
+    stream = np.array([label[2] == "stream"
+                       for label in bl.e_branches + bl.y_branches])
+    cross = stream[:, None] != stream[None, :]
+    assert not coord.real[cross].any()
+    assert not coord.imag[~cross].any()
 
 
 # explicit ids keep the names of the k_max = 12 cases stable
