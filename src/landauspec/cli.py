@@ -51,7 +51,7 @@ from .eigentracker import (
     translation_eigenvector,
     zero_mode_check,
 )
-from .operators import assemble_L, assemble_L0, real_form, save_operator
+from .operators import assemble_L, assemble_L0, save_operator
 from .statespace import save_state_json
 
 C_TARGETS = {0: 0.0, 1: 1.0 / 15.0, 2: 4.0 / 15.0}
@@ -357,7 +357,7 @@ def cmd_spectrum(config):
     reports = []
     for m, eps, tag in _report_tags(config):
         lmat = assemble_L(m, config.k_max, eps)
-        lam = np.sort_complex(np.linalg.eigvals(real_form(lmat)[0]))
+        lam = np.sort_complex(np.linalg.eigvals(lmat.entries))
         cluster = lam[np.abs(lam - 1.0) < eigentracker.CLUSTER_RADIUS]
         integer_defect = None
         if eps == 0.0:
@@ -478,7 +478,7 @@ def _verify_checks(config):
     worst = 0.0
     mults = []
     for m in (0, 1, 2):
-        lam = np.linalg.eigvals(real_form(assemble_L0(m, 20))[0])
+        lam = np.linalg.eigvals(assemble_L0(m, 20).entries)
         worst = max(worst, float(np.abs(lam - np.round(lam)).max()))
         mults.append(int(np.sum(np.abs(lam - 1.0)
                                 < eigentracker.CLUSTER_RADIUS)))

@@ -5,13 +5,15 @@ and spectral projectors.
 The sweep machinery (`track`, `fit_quadratic`) works on the eigenvalue
 group near 1, whose drift under the background encodes the quadratic
 expansion coefficients and whose imaginary parts probe the conjectured
-absence of a rotation rate.  Every eigensolve here runs on the
-stream-scaled real form of `operators.real_form`, so an imaginary part is
-never rounding: it is half of an exact conjugate pair.  The constructive
-routines (`translation_eigenvector`, `zero_mode_check`, `landau_state`)
-build the symmetry modes as the background of `landau` under a generator
-(the tilt of the axis is minus one half of its theta-slopes), and report
-how well the assembled matrix annihilates or preserves them.
+absence of a rotation rate.  Every eigensolve here runs on
+`OperatorMatrix.entries`, the stream-scaled real form of L, so an
+imaginary part is never rounding: it is half of an exact conjugate pair.
+The constructive routines (`translation_eigenvector`, `zero_mode_check`,
+`landau_state`) build the symmetry modes, complex states, as the
+background of `landau` under a generator (the tilt of the axis is minus
+one half of its theta-slopes), and report how well the assembled operator,
+applied through `OperatorMatrix.apply_flat`, annihilates or preserves
+them.
 The constructions sample the profiles on the same default Gauss rule of
 k_max that the assembly uses (`sphbasis.legendre_values`), and the
 assembly's tail monitor is the one resolution check they need.
@@ -33,7 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from .landau import LandauProfile, eval_profile_derivative, eval_profiles
-from .operators import assemble_L, real_form
+from .operators import assemble_L, stream_scale
 from .sphbasis import (
     laplacian,
     legendre_values,
@@ -97,7 +99,7 @@ def track(m, epsilons, k_max=DEFAULT_K_MAX):
     rows, operators = [], []
     for e in eps:
         operators.append(assemble_L(m, k_max, float(e)))
-        lam = np.linalg.eigvals(real_form(operators[-1])[0])
+        lam = np.linalg.eigvals(operators[-1].entries)
         group = lam[np.abs(lam - 1.0) < CLUSTER_RADIUS]
         if group.size != want:
             raise RuntimeError(
@@ -217,13 +219,13 @@ def swirl_block_eigenvalue(epsilon, k_max):
 
     The (psi, psi') rows of the m = 0 operator never couple back to the
     other components, so their spectrum can be read off a sub-matrix of
-    the real form.
+    the entries.
     """
     lmat = assemble_L(0, k_max, epsilon)
     imap = lmat.index_map
     sl_a, sl_b = imap.sl("psi"), imap.sl("psi_prime")
     idx = np.r_[sl_a.start:sl_a.stop, sl_b.start:sl_b.stop]
-    lam = np.linalg.eigvals(real_form(lmat)[0][np.ix_(idx, idx)])
+    lam = np.linalg.eigvals(lmat.entries[np.ix_(idx, idx)])
     return complex(lam[np.argmin(np.abs(lam - 1.0))])
 
 
@@ -294,7 +296,7 @@ def translation_eigenvector(epsilon, k_max):
 def _relative_residual(lmat, state, lam):
     """|(L - lam) state| / |state| in the weighted norm."""
     flat = state.to_flat()
-    resid = lmat.entries @ flat - lam * flat
+    resid = lmat.apply_flat(flat) - lam * flat
     return x_norm(state_from_flat(lmat.m, lmat.k_max, resid)) / x_norm(state)
 
 
@@ -412,7 +414,8 @@ def contour_projection(lmat, spec):
     """Riesz projector onto the eigenvalues inside a circle, from an ordered
     real Schur form.
 
-    L is similar to its real form A = D^-1 L D (`operators.real_form`).
+    L is similar to its real form A = D^-1 L D, the entries of the
+    operator, with D = `operators.stream_scale`.
     One real Schur form A = Z T Z^T moves the k enclosed eigenvalues to the
     leading block T11, with each complex pair a 2x2 block on the diagonal.
     The circle is centred on the real axis, so it holds both members of a
@@ -438,7 +441,8 @@ def contour_projection(lmat, spec):
     if center.imag != 0.0:
         raise ValueError(f"contour centre {center} is off the real axis, so "
                          f"the circle can split a conjugate pair")
-    a, scale = real_form(lmat)
+    a = lmat.entries
+    scale = stream_scale(lmat.index_map)
     n = a.shape[0]
 
     def select(re, im):

@@ -39,14 +39,20 @@ spectral tail monitor.
 
 L is real up to the phase of the stream slots: every block is real or
 purely imaginary, and the imaginary blocks are exactly the couplings
-between (psi, psi') and the other four slots.  `real_form` scales the
-stream slots by i, D = diag(i on psi and psi', 1 elsewhere), and returns
-D^-1 L D in float64.  Each factor of the scaling is 1, i or -i, which
-rounds nothing, so the imaginary part it drops must be exactly 0.0, and
-anything else is an error naming its size.  Every eigensolve runs on this
-real form, in real LAPACK; its eigenvalues are those of L, and a real
-matrix has them in exact conjugate pairs.  `OperatorMatrix.entries`, the
-operator file and the states keep the complex basis.
+between (psi, psi') and the other four slots.  With D = diag(i on psi and
+psi', 1 elsewhere) (`stream_scale`), `OperatorMatrix.entries` holds the
+stream-scaled D^-1 L D as a contiguous float64 array.  L0 is real as
+written; K's pipeline and tail monitor work in the complex basis of the
+states, and `assemble_K` converts its matrix once; L is the sum of the two.
+Each factor of the scaling is 1, i or -i, which rounds nothing, so the
+imaginary part a conversion drops must be exactly 0.0, and anything else
+is an error naming its size.  Every eigensolve runs on the entries, in
+real LAPACK; their eigenvalues are those of L, and a real matrix has them
+in exact conjugate pairs.  The states and the operator file keep the
+complex basis: `complex_entries` is the matrix D A D^-1 that
+`save_operator` writes and `OperatorMatrix.apply_flat` multiplies a
+complex state by, and `load_operator` converts it back with the same
+check, so the round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -59,15 +65,42 @@ import numpy as np
 
 from .landau import LandauProfile, background_on_grid
 from .sphbasis import legendre_values, project, project_div_curl
-from .statespace import COMPONENTS, StateIndexMap, state_from_flat
+from .statespace import (
+    COMPONENTS,
+    STREAM_SLOTS,
+    StateIndexMap,
+    state_from_flat,
+)
+
+
+def stream_scale(imap):
+    """The diagonal of D: i on the stream slots, 1 elsewhere."""
+    scale = np.ones(imap.dim, dtype=complex)
+    for name in STREAM_SLOTS:
+        scale[imap.sl(name)] = 1j
+    return scale
 
 
 @dataclass
 class OperatorMatrix:
+    """An assembled operator; entries is its stream-scaled real form
+    D^-1 L D in float64."""
+
     m: int
     k_max: int
     epsilon: float
     entries: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        shape = (self.index_map.dim,) * 2
+        if self.entries.dtype != np.float64:
+            raise ValueError(f"operator entries have dtype "
+                             f"{self.entries.dtype}, expected the float64 "
+                             f"stream-scaled form")
+        if self.entries.shape != shape:
+            raise ValueError(f"operator entries have shape "
+                             f"{self.entries.shape}, but (m, k_max) = "
+                             f"({self.m}, {self.k_max}) indexes {shape}")
 
     @property
     def index_map(self):
@@ -77,9 +110,42 @@ class OperatorMatrix:
     def dim(self):
         return self.entries.shape[0]
 
+    def apply_flat(self, flat):
+        """D A D^-1 times a complex flat state, on `complex_entries`, the
+        matrix the operator file holds, so the image is bit for bit that
+        of L in the complex basis; D (A (D^-1 x)) sums the same terms in
+        another order."""
+        return complex_entries(self) @ flat
+
     def apply_state(self, state):
         return state_from_flat(self.m, self.k_max,
-                               self.entries @ state.to_flat())
+                               self.apply_flat(state.to_flat()))
+
+
+def _stream_scaled_real(mat, imap, source):
+    """D^-1 M D of a complex matrix M in the basis of the states, as a
+    contiguous float64 array.  Every factor is 1, i or -i, so the scaling
+    rounds nothing, and the imaginary part it drops must be exactly zero."""
+    scale = stream_scale(imap)
+    scaled = mat * scale[None, :]
+    scaled *= scale.conj()[:, None]  # D^-1 = conj(D), as |D| = 1
+    dropped = float(np.abs(scaled.imag).max())
+    if dropped != 0.0:
+        raise ValueError(f"{source} is not real in the stream scaling: it "
+                         f"has an imaginary part of size {dropped:.3e}")
+    return np.ascontiguousarray(scaled.real)
+
+
+def complex_entries(opmat):
+    """The operator in the complex basis of the states, D A D^-1, as a
+    complex128 array.  Every factor is 1, i or -i, which rounds nothing;
+    adding 0.0 turns each zero part into +0.0, as in L0 + K summed in that
+    basis."""
+    scale = stream_scale(opmat.index_map)
+    mat = opmat.entries * scale[:, None]
+    mat *= scale.conj()[None, :]
+    mat += 0.0
+    return mat
 
 
 # (row, column, a, b) per term of the L0 action above: entry a + b k(k+1)
@@ -104,7 +170,7 @@ def assemble_L0(m, k_max):
     if k_max < max(abs(m), 2):
         raise ValueError(f"k_max = {k_max} too small for the L0 assembly at m = {m}")
     imap = StateIndexMap(m, k_max)
-    mat = np.zeros((imap.dim, imap.dim), dtype=complex)
+    mat = np.zeros((imap.dim, imap.dim))
     for row, col, a, b in _L0_COUPLINGS:
         ks = np.arange(max(imap.k_lo(row), imap.k_lo(col)), k_max + 1)
         mat[imap.index(row, ks), imap.index(col, ks)] = a + b * ks * (ks + 1)
@@ -202,7 +268,8 @@ def assemble_K(m, k_max, epsilon):
             f"truncation k_max = {k_max} under-resolves the eps = {epsilon} "
             f"background (tail mass {tail:.2e} in the last degree decile)"
         )
-    return OperatorMatrix(m=m, k_max=k_max, epsilon=epsilon, entries=kmat)
+    return OperatorMatrix(m=m, k_max=k_max, epsilon=epsilon,
+                          entries=_stream_scaled_real(kmat, imap, "K"))
 
 
 def assemble_L(m, k_max, epsilon):
@@ -214,38 +281,11 @@ def assemble_L(m, k_max, epsilon):
                           entries=l0.entries + k.entries)
 
 
-# the slots whose scaling by i makes L real
-STREAM_SLOTS = ("psi", "psi_prime")
-
-
-def real_form(lmat):
-    """The stream-scaled operator D^-1 L D as a contiguous float64 array,
-    and the diagonal of D: i on the stream slots, 1 elsewhere.
-
-    Every factor of D^-1 L D is 1, i or -i, so the scaling rounds nothing,
-    and the imaginary part it drops must be exactly zero."""
-    imap = lmat.index_map
-    shape = (imap.dim, imap.dim)
-    if lmat.entries.shape != shape:
-        raise ValueError(f"operator entries have shape {lmat.entries.shape}, "
-                         f"but (m, k_max) = ({lmat.m}, {lmat.k_max}) "
-                         f"indexes {shape}")
-    scale = np.ones(imap.dim, dtype=complex)
-    for name in STREAM_SLOTS:
-        scale[imap.sl(name)] = 1j
-    scaled = lmat.entries * scale[None, :]
-    scaled *= scale.conj()[:, None]  # D^-1 = conj(D), as |D| = 1
-    dropped = float(np.abs(scaled.imag).max())
-    if dropped != 0.0:
-        raise ValueError(f"stream-scaled operator is not real: it has an "
-                         f"imaginary part of size {dropped:.3e}")
-    return np.ascontiguousarray(scaled.real), scale
-
-
 def save_operator(opmat, bin_path, sidecar_path):
-    """Column-major complex binary plus JSON sidecar; bit-exact round trip."""
+    """Column-major complex binary of D A D^-1 plus JSON sidecar; bit-exact
+    round trip."""
     tmp = str(bin_path) + ".tmp"
-    np.asfortranarray(opmat.entries).ravel(order="F").tofile(tmp)
+    complex_entries(opmat).ravel(order="F").tofile(tmp)
     os.replace(tmp, bin_path)
     doc = {
         "m": int(opmat.m),
@@ -265,16 +305,18 @@ def save_operator(opmat, bin_path, sidecar_path):
 def load_operator(bin_path, sidecar_path):
     with open(sidecar_path) as fh:
         doc = json.load(fh)
+    imap = StateIndexMap(int(doc["m"]), int(doc["k_max"]))
     expected = {"dtype": "complex128", "order": "column-major",
-                "dim": StateIndexMap(int(doc["m"]), int(doc["k_max"])).dim}
+                "dim": imap.dim}
     for name, value in expected.items():
         if doc.get(name) != value:
             raise ValueError(f"sidecar field {name!r} is {doc.get(name)!r}, "
                              f"expected {value!r}")
-    dim = int(doc["dim"])
+    dim = imap.dim
     raw = np.fromfile(bin_path, dtype=np.complex128)
     if raw.size != dim * dim:
         raise ValueError(f"matrix file holds {raw.size} entries, expected {dim * dim}")
-    entries = raw.reshape((dim, dim), order="F")
-    return OperatorMatrix(m=int(doc["m"]), k_max=int(doc["k_max"]),
+    entries = _stream_scaled_real(raw.reshape((dim, dim), order="F"), imap,
+                                  f"operator file {os.fspath(bin_path)!r}")
+    return OperatorMatrix(m=imap.m, k_max=imap.k_max,
                           epsilon=float(doc["epsilon"]), entries=entries)

@@ -24,6 +24,10 @@ from .sphbasis import ModalField, zero_field
 
 COMPONENTS = ("phi", "psi", "phi_prime", "psi_prime", "radial", "radial_star")
 
+# the stream function pair: closed under the zero-background operator, and
+# the slots whose scaling by i makes the linearized operator real
+STREAM_SLOTS = ("psi", "psi_prime")
+
 # Sobolev weight exponents of the X inner product, slot by slot: the pairing
 # of degree-k coefficients carries (k(k+1))^s with
 #   potentials       s = 3   (Laplacian of the potential, measured in H^1)

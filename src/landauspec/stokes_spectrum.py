@@ -31,10 +31,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .statespace import StateIndexMap, zero_state
+from .statespace import STREAM_SLOTS, StateIndexMap, zero_state
 
 GRADIENT_SLOTS = ("phi", "phi_prime", "radial", "radial_star")
-STREAM_SLOTS = ("psi", "psi_prime")
 
 
 def stream_eigenvalues(k):

@@ -39,50 +39,35 @@ def test_no_explicit_inverse_or_condition_number():
     assert calls == []
 
 
-def test_every_eigensolve_goes_through_the_real_form():
-    # L is real in operators.real_form's stream scaling; an eigensolve of
-    # OperatorMatrix.entries itself runs complex LAPACK at about three
-    # times the cost and leaves rounding in the imaginary parts.  A name
-    # assigned from an expression that reads `.entries` counts as reading it.
-    def solver(func):
-        name = ast.unparse(func).split(".")
-        return ((name[-2:-1] == ["linalg"] and name[-1] in ("eigvals", "eig"))
-                or name[-1] == "schur"
-                or (name[-2:-1] == ["lapack"]
-                    and name[-1].endswith(("gees", "trsyl"))))
-
-    calls = []
+def test_complex_basis_is_formed_only_at_the_file_boundary():
+    # OperatorMatrix.entries is the real D^-1 L D; the complex basis of the
+    # states and the operator file comes from operators.complex_entries,
+    # which only the file writer and the product with a state call, so no
+    # eigensolve or block product runs on it
+    callers = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        aliases = {target.id for node in ast.walk(tree)
-                   if isinstance(node, ast.Assign)
-                   and ".entries" in ast.unparse(node.value)
-                   for target in node.targets
-                   if isinstance(target, ast.Name)}
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call) and solver(node.func)):
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            for arg in node.args + [kw.value for kw in node.keywords]:
-                text = ast.unparse(arg)
-                if ".entries" in text or text in aliases:
-                    calls.append(f"{path.name}:{node.lineno}: "
-                                 f"{ast.unparse(node.func)}({text})")
-    assert calls == []
+            callers |= {f"{path.name}:{func.name}"
+                        for node in ast.walk(func)
+                        if isinstance(node, ast.Call)
+                        and ast.unparse(node.func).split(".")[-1]
+                        == "complex_entries"}
+    assert callers == {"operators.py:apply_flat", "operators.py:save_operator"}
 
 
-def test_perturbation_reads_operators_only_through_the_real_form():
-    # split_blocks forms the branch coordinates of K in real arithmetic,
-    # on operators.real_form's stream scaling, which also names a
-    # mis-shaped or non-real operator; a read of OperatorMatrix.entries
-    # would form them in complex arithmetic, unchecked
-    tree = ast.parse((SRC / "perturbation.py").read_text())
-    reads = [f"perturbation.py:{node.lineno}: {ast.unparse(node)}"
-             for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr == "entries"]
-    calls = {ast.unparse(node.func) for node in ast.walk(tree)
-             if isinstance(node, ast.Call)}
-    assert reads == []
-    assert "real_form" in calls
+def test_stream_slots_are_defined_once():
+    # the slots that the stream scaling multiplies by i, and that carry the
+    # stream family, have one home; the modules that need them import it
+    homes = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "STREAM_SLOTS"
+                     for t in node.targets)]
+    assert len(homes) == 1, homes
 
 
 def test_cli_handlers_read_exactly_their_declared_settings():

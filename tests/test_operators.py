@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from landauspec.operators import (
     assemble_K,
     assemble_L,
     assemble_L0,
-    STREAM_SLOTS,
+    complex_entries,
     load_operator,
-    real_form,
     save_operator,
+    stream_scale,
 )
 from landauspec.sphbasis import (
     QuadratureGrid,
@@ -25,6 +26,7 @@ from landauspec.sphbasis import (
 )
 from landauspec.statespace import (
     COMPONENTS,
+    STREAM_SLOTS,
     StateIndexMap,
     state_from_flat,
     zero_state,
@@ -111,8 +113,11 @@ def test_l0_matches_the_documented_action_entrywise(m, k_max):
             for col, value in terms.items():
                 if max(imap.k_lo(row), imap.k_lo(col)) <= k:
                     want[imap.index(row, k), imap.index(col, k)] = value
-    got = assemble_L0(m, k_max).entries
-    assert np.argwhere(got != want).tolist() == []
+    l0 = assemble_L0(m, k_max)
+    assert np.argwhere(l0.entries != want).tolist() == []
+    # L0 couples no stream slot to another slot, so its stream scaling is
+    # itself: the entries are L0 in the complex basis of the states too
+    assert np.array_equal(complex_entries(l0), l0.entries)
 
 
 def test_l0_requires_kmax():
@@ -213,7 +218,7 @@ def test_matrix_free_matches_assembled():
         dim = StateIndexMap(m, k_max).dim
         st = state_from_flat(m, k_max,
                              rng.normal(size=dim) + 1j * rng.normal(size=dim))
-        via_matrix = kmat.entries @ st.to_flat()
+        via_matrix = complex_entries(kmat) @ st.to_flat()
         scale = 1.0 + np.max(np.abs(via_matrix))
         for table in (legendre_values(k_max, m),
                       legendre_values(k_max, m, fine)):
@@ -224,10 +229,10 @@ def test_matrix_free_matches_assembled():
 
 def test_k_conjugation_between_modes():
     for m in (1, 2):
-        kp = assemble_K(m, 16, 0.2)
-        km = assemble_K(-m, 16, 0.2)
-        scale = 1.0 + np.max(np.abs(kp.entries))
-        assert np.max(np.abs(km.entries - np.conj(kp.entries))) <= 1e-13 * scale
+        kp = complex_entries(assemble_K(m, 16, 0.2))
+        km = complex_entries(assemble_K(-m, 16, 0.2))
+        scale = 1.0 + np.max(np.abs(kp))
+        assert np.max(np.abs(km - np.conj(kp))) <= 1e-13 * scale
 
 
 def test_l_spectral_symmetry_in_eps_sign():
@@ -291,37 +296,56 @@ def stream_signs(imap):
     return signs
 
 
+def save_and_read(opmat, tmp_path):
+    """Save an operator; returns the file paths and the raw complex matrix."""
+    bin_path, side_path = tmp_path / "op.bin", tmp_path / "op.json"
+    save_operator(opmat, bin_path, side_path)
+    raw = np.fromfile(bin_path, dtype=np.complex128)
+    return bin_path, side_path, raw.reshape((opmat.dim, opmat.dim), order="F")
+
+
 @pytest.mark.parametrize("m", [-2, -1, 0, 1, 2])
-def test_real_form_drops_an_imaginary_part_of_exactly_zero(m):
-    # real_form raises unless the part it drops is exactly 0.0, and the
-    # scaling back by D reproduces L bit for bit
+def test_real_form_drops_an_imaginary_part_of_exactly_zero(m, tmp_path):
+    # the entries are D^-1 L D in float64: scaling the complex basis of the
+    # file by D leaves an imaginary part of exactly 0.0 and a real part
+    # equal to the entries bit for bit, and loading the file gives them back
     cases = [(k_max, eps) for k_max in (12, 16, 24)
              for eps in (0.0, 0.05, 0.1)] + [(32, 0.3)]
     for k_max, eps in cases:
         lmat = assemble_L(m, k_max, eps)
-        real, scale = real_form(lmat)
+        real = lmat.entries
         assert real.dtype == np.float64 and real.flags.c_contiguous
+        scale = stream_scale(lmat.index_map)
         assert set(scale) == {1.0, 1j}
-        back = real * (scale[:, None] * scale.conj()[None, :])
-        assert np.array_equal(back, lmat.entries), (k_max, eps)
+        bin_path, side_path, raw = save_and_read(lmat, tmp_path)
+        scaled = raw * (scale.conj()[:, None] * scale[None, :])
+        assert not scaled.imag.any(), (k_max, eps)
+        assert scaled.real.tobytes() == real.tobytes(), (k_max, eps)
+        back = load_operator(bin_path, side_path).entries
+        assert back.flags.c_contiguous
+        assert back.tobytes() == real.tobytes(), (k_max, eps)
 
 
-def test_real_form_names_a_real_coupling_across_the_stream_slots():
+def test_real_form_names_a_real_coupling_across_the_stream_slots(tmp_path):
+    # a real coupling from radial into psi, planted in a saved file, has no
+    # real stream-scaled form; load_operator names its size
     lmat = assemble_L(1, 12, 0.05)
     imap = lmat.index_map
-    planted = lmat.entries.copy()
-    planted[imap.index("psi", 2), imap.index("radial", 3)] += 0.25
-    with pytest.raises(ValueError, match="imaginary part of size 2.500e-01"):
-        real_form(OperatorMatrix(1, 12, 0.05, planted))
+    bin_path, side_path, raw = save_and_read(lmat, tmp_path)
+    raw[imap.index("psi", 2), imap.index("radial", 3)] += 0.25
+    raw.ravel(order="F").tofile(bin_path)
+    with pytest.raises(ValueError, match=r"operator file .*op\.bin.* is not "
+                       r"real .*imaginary part of size 2\.500e-01"):
+        load_operator(bin_path, side_path)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_real_form_reflects_exactly_between_modes(m):
-    # the real form of L(-m) is that of L(m) conjugated by S, bit for bit,
+    # the entries of L(-m) are those of L(m) conjugated by S, bit for bit,
     # so the spectrum at -m is the spectrum at m
     for k_max, eps in ((16, 0.1), (24, 0.05), (32, 0.3)):
-        plus, _ = real_form(assemble_L(m, k_max, eps))
-        minus, _ = real_form(assemble_L(-m, k_max, eps))
+        plus = assemble_L(m, k_max, eps).entries
+        minus = assemble_L(-m, k_max, eps).entries
         signs = stream_signs(StateIndexMap(m, k_max))
         assert np.array_equal(minus, signs[:, None] * plus * signs[None, :])
 
@@ -330,11 +354,57 @@ def test_real_form_reflects_exactly_between_modes(m):
 def test_real_form_spectrum_matches_the_complex_one(m):
     for k_max, eps in ((16, 0.05), (24, 0.1)):
         lmat = assemble_L(m, k_max, eps)
-        real = np.linalg.eigvals(real_form(lmat)[0])
-        cplx = np.linalg.eigvals(lmat.entries)
+        real = np.linalg.eigvals(lmat.entries)
+        cplx = np.linalg.eigvals(complex_entries(lmat))
         cost = np.abs(real[:, None] - cplx[None, :])
         rows, cols = linear_sum_assignment(cost)
         assert cost[rows, cols].max() <= 1e-10, (k_max, eps)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: assemble_L0(2, 12),
+    lambda: assemble_K(-1, 16, 0.05),
+    lambda: assemble_L(0, 24, 0.1),
+], ids=["L0", "K", "L"])
+def test_assembled_entries_are_contiguous_float64(build):
+    entries = build().entries
+    assert entries.dtype == np.float64
+    assert entries.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float32, np.int64])
+def test_operator_entries_must_be_float64(dtype):
+    # the complex basis reaches an operator only through load_operator,
+    # which converts it; complex entries are an error, not a cast
+    entries = np.eye(StateIndexMap(1, 8).dim, dtype=dtype)
+    with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)}, "
+                       f"expected the float64"):
+        OperatorMatrix(1, 8, 0.0, entries)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (48, 47), (48,)])
+def test_operator_entries_must_have_the_indexed_shape(shape):
+    with pytest.raises(ValueError, match=re.escape(
+            f"shape {shape}, but (m, k_max) = (1, 8) indexes (48, 48)")):
+        OperatorMatrix(1, 8, 0.0, np.zeros(shape))
+
+
+@pytest.mark.parametrize("m, k_max, eps", [
+    (0, 8, 0.0), (1, 12, 0.05), (-2, 16, 0.1), (2, 24, 0.3)])
+def test_operator_file_holds_the_complex_basis(m, k_max, eps, tmp_path):
+    # the file is D A D^-1 in complex128, column-major, every zero part
+    # +0.0: byte for byte what complex_entries gives, and entrywise the
+    # stream scaling of the entries written out by hand
+    lmat = assemble_L(m, k_max, eps)
+    bin_path, _, raw = save_and_read(lmat, tmp_path)
+    cplx = complex_entries(lmat)
+    assert cplx.dtype == np.complex128
+    assert bin_path.read_bytes() == cplx.ravel(order="F").tobytes()
+    scale = np.where(stream_signs(lmat.index_map) < 0, 1j, 1.0)
+    assert np.array_equal(raw, scale[:, None] * lmat.entries
+                          * scale.conj()[None, :])
+    parts = np.concatenate([raw.real.ravel(), raw.imag.ravel()])
+    assert not np.signbit(parts[parts == 0.0]).any()
 
 
 def test_operator_export_bit_exact(tmp_path):
@@ -343,7 +413,7 @@ def test_operator_export_bit_exact(tmp_path):
     side_path = tmp_path / "k.json"
     save_operator(kmat, bin_path, side_path)
     back = load_operator(bin_path, side_path)
-    assert np.array_equal(back.entries, kmat.entries)
+    assert back.entries.tobytes() == kmat.entries.tobytes()
     assert back.m == 2 and back.k_max == 12 and back.epsilon == 0.07
     assert back.index_map.describe() == kmat.index_map.describe()
 

@@ -5,7 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from landauspec.operators import OperatorMatrix, assemble_L, assemble_L0
+from landauspec.operators import (
+    OperatorMatrix,
+    assemble_L,
+    assemble_L0,
+    complex_entries,
+    load_operator,
+    save_operator,
+)
 from landauspec.perturbation import (
     GraphMap,
     reduced_matrix,
@@ -57,27 +64,33 @@ def test_mode_mismatch_rejected():
         split_blocks(assemble_L(1, 12, 0.0), 0)
 
 
-def misshaped_operator():
-    return OperatorMatrix(1, 12, 0.05, np.zeros((4, 4), dtype=complex))
+def misshaped_operator(tmp_path):
+    return OperatorMatrix(1, 12, 0.05, np.zeros((4, 4)))
 
 
-def planted_stream_coupling():
+def planted_stream_coupling(tmp_path):
+    # a real coupling from phi into psi' planted in a saved operator file
     lmat = assemble_L(1, 12, 0.05)
     imap = lmat.index_map
-    planted = lmat.entries.copy()
-    planted[imap.index("psi_prime", 3), imap.index("phi", 2)] += 0.25
-    return OperatorMatrix(1, 12, 0.05, planted)
+    bin_path, side_path = tmp_path / "l.bin", tmp_path / "l.json"
+    save_operator(lmat, bin_path, side_path)
+    raw = np.fromfile(bin_path, dtype=np.complex128).reshape(
+        (imap.dim, imap.dim), order="F")
+    raw[imap.index("psi_prime", 3), imap.index("phi", 2)] += 0.25
+    raw.ravel(order="F").tofile(bin_path)
+    return load_operator(bin_path, side_path)
 
 
 @pytest.mark.parametrize("build, match", [
     (misshaped_operator, r"shape \(4, 4\).*indexes \(72, 72\)"),
     (planted_stream_coupling, "imaginary part of size 2.500e-01"),
 ], ids=["misshaped", "real-stream-coupling"])
-def test_bad_operator_rejected(build, match):
-    # split_blocks reads the operator through operators.real_form, whose
-    # checks name the shapes or the size of the imaginary part
+def test_bad_operator_rejected(tmp_path, build, match):
+    # an operator reaches split_blocks only through the checks of
+    # OperatorMatrix and load_operator, which name the shapes or the size
+    # of the imaginary part
     with pytest.raises(ValueError, match=match):
-        split_blocks(build(), 1, strict=False)
+        split_blocks(build(tmp_path), 1, strict=False)
 
 
 @pytest.mark.parametrize("m", [-2, -1, 0, 1, 2])
@@ -88,12 +101,13 @@ def test_bad_operator_rejected(build, match):
 def test_real_split_matches_the_complex_reference(m, k_max, eps):
     """split_blocks forms the blocks in the stream-scaled real form and
     re-phases them by i on the stream branches.  They agree to rounding
-    with the blocks formed from the complex entries, and the phases are
-    exact: an entry between a stream branch and a non-stream branch is
-    purely imaginary, every other entry purely real."""
+    with the blocks formed from K in the complex basis of the states, and
+    the phases are exact: an entry between a stream branch and a
+    non-stream branch is purely imaginary, every other entry purely
+    real."""
     lmat = assemble_L(m, k_max, eps)
     bl = split_blocks(lmat, m, strict=False)
-    kmat = lmat.entries - assemble_L0(m, k_max).entries
+    kmat = complex_entries(lmat) - complex_entries(assemble_L0(m, k_max))
     ref = bl.basis_rows @ kmat @ bl.basis_columns
     w = np.sqrt(x_weights(lmat.index_map))
     ref_norm = np.linalg.norm((kmat * w[:, None]) / w[None, :], 2)
@@ -337,9 +351,10 @@ def test_graph_invariance_of_lifted_subspace():
         coords = np.concatenate([v, g.matrix @ v])
         return state_from_flat(1, k_max, bl.basis_columns @ coords)
 
-    lhs = lmat.entries @ lift(u).to_flat()
+    lmat_c = complex_entries(lmat)
+    lhs = lmat_c @ lift(u).to_flat()
     rhs = lift(red @ u).to_flat()
-    scale = np.linalg.norm(lmat.entries, 2) * np.linalg.norm(u)
+    scale = np.linalg.norm(lmat_c, 2) * np.linalg.norm(u)
     assert np.linalg.norm(lhs - rhs) <= (g.defect + 1e-12) * scale
 
 
