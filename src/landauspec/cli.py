@@ -425,8 +425,6 @@ def cmd_track(config):
     for m in config.modes:
         curve = track(m, config.epsilons, k_max=config.k_max)
         fit = fit_quadratic(curve)
-        ranks = [contour_projection(lmat, ContourSpec(1.0, 0.5)).rank
-                 for lmat in curve.operators]
 
         target = C_TARGETS[abs(m)]
         if config.assert_paper:
@@ -451,7 +449,7 @@ def cmd_track(config):
                     "beta_max_over_eps3": fit.beta_residual,
                 },
                 "residuals": list(fit.residuals),
-                "ranks": ranks,
+                "ranks": list(curve.ranks),
             }))
         if "csv" in config.formats:
             lines = ["epsilon,branch_id,re,im"]
@@ -465,7 +463,6 @@ def cmd_track(config):
                             "\n".join(lines) + "\n"))
             reports.append((write_atomic, f"plot_curves_m{m}.py",
                             PLOT_SCRIPT.format(m=m)))
-        del curve  # and its operators, before the next mode assembles its own
     return code, reports
 
 

@@ -17,13 +17,17 @@ them.
 The constructions sample the profiles on the same default Gauss rule of
 k_max that the assembly uses (`sphbasis.legendre_values`), and the
 assembly's tail monitor is the one resolution check they need.
-`contour_projection` builds the Riesz projector of an eigenvalue group
-from one ordered real Schur form of the stream-scaled matrix and one
-quasi-triangular Sylvester solve, P = D Z1 [I X] Z^T D^-1; a circle
-centred on the real axis holds both members of a conjugate pair or
-neither, so the ordering never splits a 2x2 block.  It certifies the
-number of eigenvalues inside the circle, their separation from the rest
-of the spectrum and the conditioning of the splitting.
+One ordered real Schur form of the stream-scaled matrix on a circle
+centred on the real axis, with one quasi-triangular Sylvester solve,
+serves both `track` and `contour_projection` (`_ordered_schur`, the one
+caller of `dgees` and `dtrsyl`); the circle holds both members of a
+conjugate pair or neither, so the ordering never splits a 2x2 block.
+`track` takes it once per grid point without Schur vectors: the group
+near 1 is read off its eigenvalues and the count inside TRACK_CONTOUR is
+the point's rank.  `contour_projection` takes it with vectors and builds
+the Riesz projector P = D Z1 [I X] Z^T D^-1.  Either way the form
+certifies the number of eigenvalues inside the circle, their separation
+from the rest of the spectrum and the conditioning of the splitting.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ class EigenCurve:
     k_max: int
     epsilons: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
-    operators: tuple = field(default=(), repr=False)  # track's, per point
+    ranks: tuple = ()  # track's count inside TRACK_CONTOUR, per point
 
     @property
     def n_branches(self):
@@ -79,6 +83,12 @@ class EigenCurve:
 def track(m, epsilons, k_max=DEFAULT_K_MAX):
     """Follow the near-1 eigenvalue group along a sorted parameter grid.
 
+    Each point takes one ordered real Schur form of the assembled operator,
+    without Schur vectors, on the circle TRACK_CONTOUR; the group is read
+    off its eigenvalues, and the number inside the circle is the point's
+    rank.  The Schur form carries every guard of `contour_projection`: no
+    eigenvalue within 1e-3 of the circle, a gap of twice the enclosed
+    spread, and a well-conditioned Sylvester splitting.
     Branches are matched between consecutive grid points by minimum-cost
     assignment; a change in group size or a jump larger than ten times
     the grid step aborts the sweep.
@@ -96,10 +106,12 @@ def track(m, epsilons, k_max=DEFAULT_K_MAX):
         raise ValueError(f"parameter grid must be sorted ascending, got "
                          f"eps = {after!r} after {before!r}")
     want = cluster_size(m)
-    rows, operators = [], []
+    rows, ranks = [], []
     for e in eps:
-        operators.append(assemble_L(m, k_max, float(e)))
-        lam = np.linalg.eigvals(operators[-1].entries)
+        lam, rank, _, _ = _ordered_schur(
+            assemble_L(m, k_max, float(e)).entries, TRACK_CONTOUR,
+            vectors=False)
+        ranks.append(rank)
         group = lam[np.abs(lam - 1.0) < CLUSTER_RADIUS]
         if group.size != want:
             raise RuntimeError(
@@ -124,7 +136,7 @@ def track(m, epsilons, k_max=DEFAULT_K_MAX):
                 f"a branch moved {moved:.3e} over step {step:.3e}; "
                 f"matching is not trustworthy, refine the grid"
             )
-    return EigenCurve(m, k_max, eps, curve, tuple(operators))
+    return EigenCurve(m, k_max, eps, curve, tuple(ranks))
 
 
 @dataclass
@@ -402,6 +414,10 @@ class ContourSpec:
     radius: float
 
 
+# the circle on which `track` counts the group near 1 (its ranks)
+TRACK_CONTOUR = ContourSpec(1.0, 0.5)
+
+
 @dataclass
 class ContourProjection:
     matrix: np.ndarray = field(repr=False)
@@ -410,30 +426,21 @@ class ContourProjection:
     enclosed: tuple
 
 
-def contour_projection(lmat, spec):
-    """Riesz projector onto the eigenvalues inside a circle, from an ordered
-    real Schur form.
+def _ordered_schur(a, spec, vectors):
+    """Ordered real Schur form A = Z T Z^T of a real matrix, with the k
+    eigenvalues inside the circle of spec in the leading block T11, and the
+    solution X of the Sylvester equation T11 X - X T22 = T12 that decouples
+    T11 from the trailing block.
 
-    L is similar to its real form A = D^-1 L D, the entries of the
-    operator, with D = `operators.stream_scale`.
-    One real Schur form A = Z T Z^T moves the k enclosed eigenvalues to the
-    leading block T11, with each complex pair a 2x2 block on the diagonal.
-    The circle is centred on the real axis, so it holds both members of a
-    conjugate pair or neither, and the ordering never splits a block.  The
-    Sylvester equation T11 X - X T22 = T12 decouples T11 from the trailing
-    block, and the projector is P = D Z[:, :k] [I X] Z^T D^-1.  Its rank
-    is k: D and Z are unitary and every singular value of [I X] is
-    sqrt(1 + s^2) >= 1 for a singular value s of X.  For the same reason
-    ||P^2 - P||_2 and ||X||_2 are those of the real projector.  What the
-    projector certifies is therefore that count, the separation of the
-    enclosed group from the rest of the spectrum, and the conditioning
-    ||X||_2 of the splitting.
-
-    Errors out if the centre is off the real axis, if an eigenvalue sits
-    within 1e-3 of the contour, if the circle fails to separate the
-    enclosed group from the rest of the spectrum by twice its own spread,
-    or if the splitting is ill-conditioned: ||X||_2 above 1e12, or a
-    Sylvester solve that had to scale its right-hand side or failed.
+    Returns (eigenvalues wr + i wi in Schur order, k, Z or None, X or None):
+    Z only when vectors is true, X only when 0 < k < n.  The circle is
+    centred on the real axis, so it holds both members of a conjugate pair
+    or neither, and the ordering never splits a 2x2 block.  Errors out if
+    the centre is off the real axis, if an eigenvalue sits within 1e-3 of
+    the contour, if the circle fails to separate the enclosed group from
+    the rest of the spectrum by twice its own spread, or if the splitting
+    is ill-conditioned: ||X||_2 above 1e12, or a Sylvester solve that had
+    to scale its right-hand side or failed.
     """
     if spec.radius <= 0.0:
         raise ValueError("contour radius must be positive")
@@ -441,8 +448,6 @@ def contour_projection(lmat, spec):
     if center.imag != 0.0:
         raise ValueError(f"contour centre {center} is off the real axis, so "
                          f"the circle can split a conjugate pair")
-    a = lmat.entries
-    scale = stream_scale(lmat.index_map)
     n = a.shape[0]
 
     def select(re, im):
@@ -450,20 +455,21 @@ def contour_projection(lmat, spec):
 
     # the workspace query lets the Hessenberg reduction run blocked; the
     # minimal default workspace is 1.7x slower at dim 576
-    lwork = int(scipy.linalg.lapack.dgees(select, a, lwork=-1)[-2][0])
+    lwork = int(scipy.linalg.lapack.dgees(
+        select, a, compute_v=int(vectors), lwork=-1)[-2][0])
     t, k, wr, wi, z, _, info = scipy.linalg.lapack.dgees(
-        select, a, sort_t=1, lwork=lwork)
+        select, a, compute_v=int(vectors), sort_t=1, lwork=lwork)
     if info != 0:
         raise ValueError(f"ordered real Schur form failed: dgees info {info}")
-    lam_all = wr + 1j * wi
-    dist_circle = np.abs(np.abs(lam_all - center) - spec.radius)
+    lam = wr + 1j * wi
+    dist_circle = np.abs(np.abs(lam - center) - spec.radius)
     if dist_circle.min() < 1e-3:
         raise ValueError(
             f"an eigenvalue lies within 1e-3 of the contour "
             f"(distance {dist_circle.min():.2e})"
         )
-    inside = lam_all[:k]
-    outside = lam_all[k:]
+    inside = lam[:k]
+    outside = lam[k:]
     spread = _max_cluster_spread(inside)
     if inside.size and outside.size:
         gap = float(np.abs(outside - center).min()
@@ -473,10 +479,8 @@ def contour_projection(lmat, spec):
                 f"contour does not separate: annular gap {gap:.3e} is below "
                 f"twice the enclosed cluster spread {spread:.3e}"
             )
-    if k in (0, n):
-        # dtrsyl rejects an empty block; P is 0 or I here
-        real_proj = np.eye(n) if k else np.zeros((n, n))
-    else:
+    x = None
+    if 0 < k < n:  # dtrsyl rejects an empty block
         x, sylv_scale, info = scipy.linalg.lapack.dtrsyl(
             t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
         if info != 0 or sylv_scale < 1.0:
@@ -490,9 +494,35 @@ def contour_projection(lmat, spec):
                 f"Sylvester splitting ill-conditioned: ||X||_2 = "
                 f"{x_norm2:.3e} exceeds 1e12"
             )
+    return lam, k, z if vectors else None, x
+
+
+def contour_projection(lmat, spec):
+    """Riesz projector onto the eigenvalues inside a circle, from an ordered
+    real Schur form.
+
+    L is similar to its real form A = D^-1 L D, the entries of the
+    operator, with D = `operators.stream_scale`.
+    One real Schur form A = Z T Z^T with Schur vectors moves the k enclosed
+    eigenvalues to the leading block T11, and the Sylvester solution X
+    decouples it from the trailing block (`track` takes the same form
+    without vectors).  The projector is P = D Z[:, :k] [I X] Z^T D^-1.  Its
+    rank is k: D and Z are unitary and every singular value of [I X] is
+    sqrt(1 + s^2) >= 1 for a singular value s of X.  For the same reason
+    ||P^2 - P||_2 and ||X||_2 are those of the real projector.  What the
+    projector certifies is therefore that count, the separation of the
+    enclosed group from the rest of the spectrum, and the conditioning
+    ||X||_2 of the splitting; it raises the errors of `_ordered_schur`.
+    """
+    lam, k, z, x = _ordered_schur(lmat.entries, spec, vectors=True)
+    n = lam.size
+    if x is None:  # P is 0 or I
+        real_proj = np.eye(n) if k else np.zeros((n, n))
+    else:
         real_proj = z[:, :k] @ np.hstack([np.eye(k), x]) @ z.T
     defect = float(np.linalg.norm(real_proj @ real_proj - real_proj, 2))
+    scale = stream_scale(lmat.index_map)
     proj = real_proj * (scale[:, None] * scale.conj()[None, :])
     return ContourProjection(matrix=proj, rank=k,
                              idempotency_defect=defect,
-                             enclosed=tuple(np.sort_complex(inside)))
+                             enclosed=tuple(np.sort_complex(lam[:k])))

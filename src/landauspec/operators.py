@@ -124,16 +124,35 @@ class OperatorMatrix:
 
 def _stream_scaled_real(mat, imap, source):
     """D^-1 M D of a complex matrix M in the basis of the states, as a
-    contiguous float64 array.  Every factor is 1, i or -i, so the scaling
-    rounds nothing, and the imaginary part it drops must be exactly zero."""
-    scale = stream_scale(imap)
-    scaled = mat * scale[None, :]
-    scaled *= scale.conj()[:, None]  # D^-1 = conj(D), as |D| = 1
-    dropped = float(np.abs(scaled.imag).max())
-    if dropped != 0.0:
+    contiguous float64 array.  D^-1 M D multiplies entry (i, j) by
+    conj(D_i) D_j: i when only column j is a stream slot, -i when only row
+    i is, and 1 otherwise.  So each entry is the real part of M's, or minus
+    or plus its imaginary part, read block by block over the runs of
+    stream and other slots; the part it drops must be exactly zero, and
+    adding 0.0 turns each zero into +0.0, as the complex product did."""
+    stream = stream_scale(imap).imag > 0.0
+    bounds = [0, *(np.flatnonzero(np.diff(stream)) + 1), stream.size]
+    runs = [(slice(a, b), bool(stream[a])) for a, b in zip(bounds, bounds[1:])]
+    out = np.empty(mat.shape)
+    dropped = []
+    for cols, col_stream in runs:  # column-major, the order of the file
+        for rows, row_stream in runs:
+            block = mat[rows, cols]
+            kept, drop = block.real, block.imag
+            if row_stream != col_stream:
+                kept, drop = drop, kept
+            if drop.any():
+                dropped.append(np.abs(drop).max())
+            np.multiply(kept, -1.0 if col_stream > row_stream else 1.0,
+                        out=out[rows, cols])
+    if dropped:
         raise ValueError(f"{source} is not real in the stream scaling: it "
-                         f"has an imaginary part of size {dropped:.3e}")
-    return np.ascontiguousarray(scaled.real)
+                         f"has an imaginary part of size "
+                         f"{float(np.max(dropped)):.3e}")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{source} has a non-finite entry")
+    out += 0.0
+    return out
 
 
 def complex_entries(opmat):

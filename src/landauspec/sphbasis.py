@@ -24,6 +24,7 @@ norms), and they take a block of columns as readily as one field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 
 import numpy as np
 
@@ -43,10 +44,14 @@ class QuadratureGrid:
     w: np.ndarray = field(repr=False)
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def build(cls, n_nodes):
+        """The rule with n_nodes nodes, built once per node count: every
+        caller shares one grid, whose nodes and weights are read-only."""
         if n_nodes < 1:
             raise ValueError(f"need at least one node, got {n_nodes}")
         x, w = np.polynomial.legendre.leggauss(n_nodes)
+        x.flags.writeable = w.flags.writeable = False
         return cls(n_nodes=n_nodes, x=x, w=w)
 
     @property

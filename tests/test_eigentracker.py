@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -410,13 +412,17 @@ def fake_operator(diagonal):
     return OperatorMatrix(1, 8, 0.0, entries)
 
 
-def test_contour_splitting_guard():
+def _planted_coupling():
     # the eigenvalue 1.6 sits well outside the circle, but the coupling
     # 1e13 makes the Sylvester solution X = 1e13 / (1 - 1.6) huge
     fake = fake_operator([1.0, 1.6])
     fake.entries[0, 1] = 1e13
+    return fake
+
+
+def test_contour_splitting_guard():
     with pytest.raises(ValueError, match="ill-conditioned.*1.667e\\+13"):
-        contour_projection(fake, ContourSpec(1.0, 0.5))
+        contour_projection(_planted_coupling(), ContourSpec(1.0, 0.5))
 
 
 def test_contour_eigenvalue_on_contour_guard(cached_l):
@@ -445,6 +451,42 @@ def test_contour_rejects_an_off_axis_centre(cached_l):
     # centred off the real axis could split
     with pytest.raises(ValueError, match=r"centre \(1\+0\.1j\) is off"):
         contour_projection(cached_l(1, 8, 0.0), ContourSpec(1.0 + 0.1j, 0.5))
+
+
+@pytest.mark.parametrize("fake,message", [
+    (lambda: fake_operator([1.0, 1.0, 1.5]), "within 1e-3 of the contour"),
+    (lambda: fake_operator([0.78, 1.0, 1.22, 1.52]), "does not separate"),
+    (_planted_coupling, "Sylvester splitting ill-conditioned.*1.667e\\+13"),
+], ids=["on-contour", "no-gap", "splitting"])
+def test_track_keeps_the_contour_guards(monkeypatch, fake, message):
+    # track counts its ranks on the Schur form that contour_projection
+    # takes, so each guard of the projector trips in the sweep too
+    monkeypatch.setattr(eigentracker, "assemble_L",
+                        lambda m, k_max, eps: fake())
+    with pytest.raises(ValueError, match=message):
+        track(1, [0.05], k_max=8)
+
+
+@pytest.mark.parametrize("k_max", [16, 24])
+@pytest.mark.parametrize("m", [0, 1, -1, 2, -2])
+def test_track_ranks_and_group_match_the_projector_and_eigvals(cached_l, m,
+                                                              k_max):
+    # the one vector-free Schur form per point gives the projector's rank
+    # and, to rounding, the group that a plain eigensolve finds
+    grids = (DEFAULT_EPS_GRID, tuple(sorted(-e for e in DEFAULT_EPS_GRID)))
+    for grid in grids:
+        curve = track(m, grid, k_max=k_max)
+        assert len(curve.ranks) == len(grid)
+        for eps, rank, group in zip(grid, curve.ranks, curve.eigenvalues):
+            lmat = cached_l(m, k_max, eps)
+            assert rank == contour_projection(
+                lmat, ContourSpec(1.0, 0.5)).rank, (grid, eps)
+            lam = np.linalg.eigvals(lmat.entries)
+            want = lam[np.abs(lam - 1.0) < eigentracker.CLUSTER_RADIUS]
+            assert want.size == group.size
+            gap = min(np.abs(np.array(p) - group).max()
+                      for p in itertools.permutations(want))
+            assert gap <= 1e-12, (grid, eps, gap)
 
 
 # ---- sweep-level invariants ------------------------------------------------

@@ -8,6 +8,22 @@ from landauspec import cli
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "landauspec"
 
 
+def _calls_by_function(name):
+    """Functions under src/landauspec whose body calls something whose
+    dotted name ends in `name`, as "module.py:function"."""
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            callers += [f"{path.name}:{func.name}"
+                        for node in ast.walk(func)
+                        if isinstance(node, ast.Call)
+                        and ast.unparse(node.func).split(".")[-1] == name]
+    return callers
+
+
 def test_no_private_names_imported_across_modules():
     # a module-private helper that another module needs belongs in the
     # public API of its home module
@@ -44,18 +60,8 @@ def test_complex_basis_is_formed_only_at_the_file_boundary():
     # states and the operator file comes from operators.complex_entries,
     # which only the file writer and the product with a state call, so no
     # eigensolve or block product runs on it
-    callers = set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        for func in ast.walk(tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            callers |= {f"{path.name}:{func.name}"
-                        for node in ast.walk(func)
-                        if isinstance(node, ast.Call)
-                        and ast.unparse(node.func).split(".")[-1]
-                        == "complex_entries"}
-    assert callers == {"operators.py:apply_flat", "operators.py:save_operator"}
+    assert set(_calls_by_function("complex_entries")) == {
+        "operators.py:apply_flat", "operators.py:save_operator"}
 
 
 def test_stream_slots_are_defined_once():
@@ -200,3 +206,25 @@ def test_profile_denominator_is_formed_only_in_landau():
                     map(forms_denominator, ast.walk(func))):
                 owners.add(f"{path.name}:{func.name}")
     assert owners == allowed
+
+
+def test_schur_form_and_sylvester_solve_have_one_home():
+    # track's ranks and contour_projection's projector come from one
+    # ordered real Schur form and one Sylvester solve, so every guard on
+    # them is written once; dgees is called twice there, the workspace
+    # query and the factorisation
+    home = ["eigentracker.py:_ordered_schur"]
+    assert sorted(set(_calls_by_function("dgees"))) == home
+    assert _calls_by_function("dtrsyl") == home
+
+
+def test_track_takes_no_second_eigensolve():
+    # the tracked group is read off the Schur form that also gives the
+    # ranks; a plain eigensolve beside it would factor each point twice
+    tree = ast.parse((SRC / "eigentracker.py").read_text())
+    track = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "track")
+    calls = [ast.unparse(node.func) for node in ast.walk(track)
+             if isinstance(node, ast.Call)]
+    assert not [c for c in calls if c.split(".")[-1] in ("eigvals", "eig")]
+    assert "_ordered_schur" in calls

@@ -339,6 +339,39 @@ def test_real_form_names_a_real_coupling_across_the_stream_slots(tmp_path):
         load_operator(bin_path, side_path)
 
 
+@pytest.mark.parametrize("m", [0, 1, -2])
+def test_load_operator_matches_the_complex_scaling_in_every_zero(m, tmp_path):
+    # load_operator picks each entry's real or imaginary part by the stream
+    # slots of its row and column; a file with -0.0 in random zero parts
+    # loads to the real part of D^-1 M D taken in complex arithmetic, byte
+    # for byte
+    lmat = assemble_L(m, 12, 0.05)
+    bin_path, side_path, raw = save_and_read(lmat, tmp_path)
+    rng = np.random.default_rng(7)
+    for part in (raw.real, raw.imag):
+        part[(part == 0.0) & (rng.random(raw.shape) < 0.5)] = -0.0
+    raw.ravel(order="F").tofile(bin_path)
+    scale = stream_scale(lmat.index_map)
+    scaled = raw * scale[None, :]
+    scaled *= scale.conj()[:, None]
+    assert not scaled.imag.any()
+    back = load_operator(bin_path, side_path).entries
+    assert back.tobytes() == scaled.real.tobytes()
+    assert back.tobytes() == lmat.entries.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_load_operator_names_a_non_finite_entry(value, tmp_path):
+    lmat = assemble_L(1, 12, 0.05)
+    imap = lmat.index_map
+    bin_path, side_path, raw = save_and_read(lmat, tmp_path)
+    raw[imap.index("radial", 3), imap.index("radial", 3)] = value
+    raw.ravel(order="F").tofile(bin_path)
+    with pytest.raises(ValueError, match=r"operator file .*op\.bin.* has a "
+                       r"non-finite entry"):
+        load_operator(bin_path, side_path)
+
+
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_real_form_reflects_exactly_between_modes(m):
     # the entries of L(-m) are those of L(m) conjugated by S, bit for bit,

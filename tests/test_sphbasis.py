@@ -38,6 +38,21 @@ def test_quadrature_weights_sum():
     assert np.sum(grid.w) == pytest.approx(2.0, abs=1e-14)
 
 
+def test_quadrature_grid_is_built_once_per_node_count():
+    # every assembly takes the default rule of its k_max through
+    # legendre_values; all of them share one grid, which no caller can
+    # write into
+    n = default_node_count(24)
+    grid = QuadratureGrid.build(n)
+    assert QuadratureGrid.build(n) is grid
+    assert legendre_values(24, 1).grid is grid
+    assert QuadratureGrid.build(n + 2) is not grid
+    for nodes in (grid.x, grid.w):
+        assert not nodes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[0] = 0.0
+
+
 def test_quadrature_polynomial_exactness():
     n = 9
     grid = QuadratureGrid.build(n)
