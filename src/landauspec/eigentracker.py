@@ -252,11 +252,13 @@ def _symmetry_state(table, t_theta, t_phi, u_r, q):
     stay empty.
     """
     div_c, curl_c = project_div_curl(np.asarray(t_theta, dtype=complex),
-                                     np.asarray(t_phi, dtype=complex), table)
+                                     -1j * np.asarray(t_phi, dtype=complex),
+                                     table)
+    curl_c.coeffs *= 1j  # the projection returns the curl divided by i
     phi = solve_poisson(div_c)
     psi = solve_poisson(curl_c)
-    radial = project(u_r, table)
-    q_f = project(q, table)
+    radial = project(np.asarray(u_r, dtype=complex), table)
+    q_f = project(np.asarray(q, dtype=complex), table)
     star = q_f.copy()
     star.coeffs[:] = -laplacian(phi).coeffs - radial.coeffs - q_f.coeffs
     zero = zero_field(table.m, table.k_max)

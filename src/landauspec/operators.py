@@ -27,37 +27,48 @@ K carries the frozen background profile (V tangential, F radial) of
                 + 2 th F - th* F - q F
 
 with phi'-row = invLap(div T), psi'-row = invLap(curl T), and the projection
-of G feeding the radial_star row.  One pipeline computes K on a block of
-flat states: nodal synthesis (table rows times coefficients), the
-pointwise integrand, then the weak-form projections of `sphbasis` on the
-whole block, with invLap a product with -1/(k(k+1)) (`solve_poisson`
-divides, which rounds differently).  `apply_K` feeds it one state;
-`assemble_K` feeds it every unit column on the default Gauss rule of k_max
-(`sphbasis.legendre_values`).  The profiles are rational in cos(theta), so
-what that rule and the truncation miss is caught after the fact by a
-spectral tail monitor.
+of G feeding the radial_star row.
 
 L is real up to the phase of the stream slots: every block is real or
 purely imaginary, and the imaginary blocks are exactly the couplings
 between (psi, psi') and the other four slots.  With D = diag(i on psi and
 psi', 1 elsewhere) (`stream_scale`), `OperatorMatrix.entries` holds the
-stream-scaled D^-1 L D as a contiguous float64 array.  L0 is real as
-written; K's pipeline and tail monitor work in the complex basis of the
-states, and `assemble_K` converts its matrix once; L is the sum of the two.
-Each factor of the scaling is 1, i or -i, which rounds nothing, so the
-imaginary part a conversion drops must be exactly 0.0, and anything else
-is an error naming its size.  Every eigensolve runs on the entries, in
-real LAPACK; their eigenvalues are those of L, and a real matrix has them
-in exact conjugate pairs.  The states and the operator file keep the
-complex basis: `complex_entries` is the matrix D A D^-1 that
-`save_operator` writes and `OperatorMatrix.apply_flat` multiplies a
-complex state by, and `load_operator` converts it back with the same
-check, so the round trip is bit-exact.
+stream-scaled D^-1 L D as a contiguous float64 array, and K is computed
+in that form from the start.  Writing psi = i psi_r on the stream slots,
+xi_theta, its slopes, T_theta, G and div T are real, while xi_phi, T_phi
+and curl T each carry exactly one factor i; that factor stays implicit
+(the phi component enters `sphbasis.project_div_curl` divided by i, and
+the curl comes back so) and cancels where D^-1 scales the psi' row.  One
+pipeline, `_k_columns`, maps a block of stream-scaled flat states to
+their images under D^-1 K D: nodal synthesis (table rows times
+coefficients), the pointwise integrand, then the weak-form projections of
+`sphbasis` on the whole block, with invLap a product with -1/(k(k+1))
+(`solve_poisson` divides, which rounds differently).  A real block gives
+a float64 image with no complex temporaries.  `assemble_K` feeds it every
+unit column on the default Gauss rule of k_max (`sphbasis.legendre_values`,
+one shared table per (k_max, m)); `apply_K` scales a complex state by
+D^-1 before and by D after.  The profiles are rational in cos(theta), so
+what that rule and the truncation miss is caught after the fact by a
+spectral tail monitor.
+
+L0 is real as written and does not depend on eps: its entries are one
+read-only (rows, cols, values) pattern per (m, k_max), built once, which
+`assemble_L0` scatters into zeros and `assemble_L` adds into K's fresh
+entries in place.  Every eigensolve runs on the entries, in real LAPACK;
+their eigenvalues are those of L, and a real matrix has them in exact
+conjugate pairs.  The states and the operator file keep the complex
+basis.  `OperatorMatrix.apply_flat` multiplies a complex state as
+D (A (D^-1 x)), with two real products.  `complex_entries` forms the
+matrix D A D^-1 for `save_operator` alone, and `load_operator` converts
+it back, checking that the imaginary part it drops is exactly 0.0; each
+factor of the scaling is 1, i or -i, which rounds nothing, so the round
+trip is bit-exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import json
 import os
 
@@ -111,11 +122,12 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
     def apply_flat(self, flat):
-        """D A D^-1 times a complex flat state, on `complex_entries`, the
-        matrix the operator file holds, so the image is bit for bit that
-        of L in the complex basis; D (A (D^-1 x)) sums the same terms in
-        another order."""
-        return complex_entries(self) @ flat
+        """D A D^-1 times a complex flat state, as D (A (D^-1 x)): one real
+        product for each of the real and imaginary parts, so no complex
+        matrix is formed."""
+        scale = stream_scale(self.index_map)
+        x = flat * scale.conj()
+        return scale * (self.entries @ x.real + 1j * (self.entries @ x.imag))
 
     def apply_state(self, state):
         return state_from_flat(self.m, self.k_max,
@@ -157,9 +169,9 @@ def _stream_scaled_real(mat, imap, source):
 
 def complex_entries(opmat):
     """The operator in the complex basis of the states, D A D^-1, as a
-    complex128 array.  Every factor is 1, i or -i, which rounds nothing;
-    adding 0.0 turns each zero part into +0.0, as in L0 + K summed in that
-    basis."""
+    complex128 array: the matrix the operator file holds.  Every factor is
+    1, i or -i, which rounds nothing; adding 0.0 turns each zero part into
+    +0.0."""
     scale = stream_scale(opmat.index_map)
     mat = opmat.entries * scale[:, None]
     mat *= scale.conj()[None, :]
@@ -185,15 +197,52 @@ _L0_COUPLINGS = (
 )
 
 
-def assemble_L0(m, k_max):
+@functools.lru_cache(maxsize=None)
+def _l0_scatter(k_max, layout):
+    """(rows, cols, values) of the coupling table on a slot layout, one
+    (lowest degree, flat offset) pair per component, as read-only arrays."""
+    slots = dict(zip(COMPONENTS, layout))
+    parts = []
+    for row, col, a, b in _L0_COUPLINGS:
+        (lo_r, off_r), (lo_c, off_c) = slots[row], slots[col]
+        ks = np.arange(max(lo_r, lo_c), k_max + 1)
+        parts.append((off_r + ks - lo_r, off_c + ks - lo_c,
+                      (a + b * ks * (ks + 1)).astype(float)))
+    pattern = tuple(np.concatenate(arrs) for arrs in zip(*parts))
+    for arr in pattern:
+        arr.flags.writeable = False
+    return pattern
+
+
+def _l0_pattern(m, k_max):
+    """L0's entries as (rows, cols, values), built once per slot layout, so
+    once per (|m|, k_max).  The layout is read through the index map on
+    every call, so a miss goes through private names only and a call
+    tracer sees the same public calls whether or not the pattern was
+    already built."""
     if k_max < max(abs(m), 2):
         raise ValueError(f"k_max = {k_max} too small for the L0 assembly at m = {m}")
     imap = StateIndexMap(m, k_max)
-    mat = np.zeros((imap.dim, imap.dim))
-    for row, col, a, b in _L0_COUPLINGS:
-        ks = np.arange(max(imap.k_lo(row), imap.k_lo(col)), k_max + 1)
-        mat[imap.index(row, ks), imap.index(col, ks)] = a + b * ks * (ks + 1)
+    return _l0_scatter(k_max, tuple((imap.k_lo(name), imap.sl(name).start)
+                                    for name in COMPONENTS))
+
+
+def assemble_L0(m, k_max):
+    rows, cols, values = _l0_pattern(m, k_max)
+    dim = StateIndexMap(m, k_max).dim
+    mat = np.zeros((dim, dim))
+    mat[rows, cols] = values
     return OperatorMatrix(m=m, k_max=k_max, epsilon=0.0, entries=mat)
+
+
+def k_entries(lmat):
+    """K of an assembled operator in the stream-scaled real form: a copy of
+    its entries with L0's pattern taken out, byte for byte the entries
+    minus those of `assemble_L0`."""
+    rows, cols, values = _l0_pattern(lmat.m, lmat.k_max)
+    kmat = lmat.entries.copy()
+    kmat[rows, cols] -= values
+    return kmat
 
 
 def _k_integrand(bg, xi, dxi, xip, th, dth, ths, div_xi):
@@ -210,9 +259,11 @@ def _k_integrand(bg, xi, dxi, xip, th, dth, ths, div_xi):
 
 
 def _k_columns(x, epsilon, table):
-    """Images under K of the flat states in the columns of x (dim x ncols):
-    nodal synthesis of every component, the K integrand, then the weak-form
-    projections with the inverse Laplacian applied as a product."""
+    """Images under D^-1 K D of the stream-scaled flat states in the
+    columns of x (dim x ncols): nodal synthesis of every component, the K
+    integrand, then the weak-form projections with the inverse Laplacian
+    applied as a product.  The phi components of the tangent pairs, T_phi
+    and the curl are carried divided by i, so a real block stays real."""
     imap = StateIndexMap(table.m, table.k_max)
     am = abs(table.m)
 
@@ -224,24 +275,26 @@ def _k_columns(x, epsilon, table):
         # (n_nodes x ncols) values of one component through one table
         return (rows(getattr(table, kind), name).T * weight) @ x[imap.sl(name)]
 
+    def tangent(d, msin, phi, psi):
+        # (xi_theta, xi_phi / i) of grad(phi) + grad_perp(i psi)
+        return (nodal(d, phi) + nodal(msin, psi),
+                nodal(msin, phi) + nodal(d, psi))
+
     ks = imap.degrees("phi").astype(float)  # the primed pair shares them
     kk = ks * (ks + 1.0)
-    xi = (nodal("dtheta", "phi") - 1j * nodal("m_sin", "psi"),
-          1j * nodal("m_sin", "phi") + nodal("dtheta", "psi"))
-    dxi = (nodal("d2theta", "phi") - 1j * nodal("dm_sin", "psi"),
-           1j * nodal("dm_sin", "phi") + nodal("d2theta", "psi"))
-    xip = (nodal("dtheta", "phi_prime") - 1j * nodal("m_sin", "psi_prime"),
-           1j * nodal("m_sin", "phi_prime") + nodal("dtheta", "psi_prime"))
     bg = {key: val[:, None]
           for key, val in background_on_grid(epsilon, table.grid).items()}
     t_theta, t_phi, g = _k_integrand(
-        bg, xi, dxi, xip, nodal("val", "radial"), nodal("dtheta", "radial"),
+        bg, tangent("dtheta", "m_sin", "phi", "psi"),
+        tangent("d2theta", "dm_sin", "phi", "psi"),
+        tangent("dtheta", "m_sin", "phi_prime", "psi_prime"),
+        nodal("val", "radial"), nodal("dtheta", "radial"),
         nodal("val", "radial_star"), nodal("val", "phi", -kk))
 
     div, curl = project_div_curl(t_theta, t_phi, table)
     # times -1/(k(k+1)); solve_poisson divides instead and rounds differently
     inv_lap = (-1.0 / kk)[:, None]
-    out = np.zeros((imap.dim, x.shape[1]), dtype=complex)
+    out = np.zeros(x.shape, dtype=np.result_type(x, float))
     out[imap.sl("phi_prime")] = rows(div.coeffs, "phi_prime") * inv_lap
     out[imap.sl("psi_prime")] = rows(curl.coeffs, "psi_prime") * inv_lap
     out[imap.sl("radial_star")] = rows(project(g, table).coeffs, "radial_star")
@@ -249,27 +302,34 @@ def _k_columns(x, epsilon, table):
 
 
 def apply_K(state, epsilon, table):
-    """Matrix-free application of K to one state."""
-    image = _k_columns(state.to_flat()[:, None], epsilon, table)
-    return state_from_flat(state.m, state.k_max, image[:, 0])
+    """Matrix-free application of K to one state: D^-1 on the way into the
+    stream-scaled pipeline and D on the way out, both exact."""
+    scale = stream_scale(state.index_map)
+    image = _k_columns((state.to_flat() * scale.conj())[:, None], epsilon,
+                       table)
+    return state_from_flat(state.m, state.k_max, image[:, 0] * scale)
 
 
 def _tail_mass_ratio(kmat, imap):
     """Fraction of a probe image's coefficient mass in the last decile of
     degrees.  The probe puts a unit coefficient in the lowest admissible slot
-    of every component; a healthy truncation leaves its image's tail empty."""
-    probe = np.zeros(imap.dim, dtype=complex)
+    of every component; a healthy truncation leaves its image's tail empty.
+    kmat is D^-1 K D, so it is applied to D^-1 probe, held as its real and
+    imaginary parts, two real columns; the image has the moduli of K probe
+    entry by entry."""
+    probe = np.zeros((imap.dim, 2))
     for name in COMPONENTS:
-        probe[imap.index(name, imap.k_lo(name))] = 1.0
-    image = kmat @ probe
+        part = int(name in STREAM_SLOTS)  # D^-1 probe is -i there
+        probe[imap.index(name, imap.k_lo(name)), part] = 1.0
+    mass = np.sum((kmat @ probe) ** 2, axis=1)
     cut = imap.k_max - max(1, imap.k_max // 10)
     total = 0.0
     tail = 0.0
     for name in COMPONENTS:
-        block = image[imap.sl(name)]
+        block = mass[imap.sl(name)]
         ks = imap.degrees(name)
-        total += float(np.sum(np.abs(block) ** 2))
-        tail += float(np.sum(np.abs(block[ks > cut]) ** 2))
+        total += float(np.sum(block))
+        tail += float(np.sum(block[ks > cut]))
     if total == 0.0:
         return 0.0
     return np.sqrt(tail / total)
@@ -287,17 +347,22 @@ def assemble_K(m, k_max, epsilon):
             f"truncation k_max = {k_max} under-resolves the eps = {epsilon} "
             f"background (tail mass {tail:.2e} in the last degree decile)"
         )
-    return OperatorMatrix(m=m, k_max=k_max, epsilon=epsilon,
-                          entries=_stream_scaled_real(kmat, imap, "K"))
+    if not np.isfinite(kmat).all():
+        raise ValueError("K has a non-finite entry")
+    kmat += 0.0  # -0.0 to +0.0: L0 added in place equals the dense sum
+    return OperatorMatrix(m=m, k_max=k_max, epsilon=epsilon, entries=kmat)
 
 
 def assemble_L(m, k_max, epsilon):
-    l0 = assemble_L0(m, k_max)
+    """L = L0 + K in the stream-scaled real form: L0's cached pattern added
+    into K's fresh entries in place, bit for bit the sum of the two
+    matrices because K holds no -0.0."""
     if epsilon == 0.0:
-        return l0
-    k = assemble_K(m, k_max, epsilon)
-    return OperatorMatrix(m=m, k_max=k_max, epsilon=epsilon,
-                          entries=l0.entries + k.entries)
+        return assemble_L0(m, k_max)
+    rows, cols, values = _l0_pattern(m, k_max)
+    entries = assemble_K(m, k_max, epsilon).entries
+    entries[rows, cols] += values
+    return OperatorMatrix(m=m, k_max=k_max, epsilon=epsilon, entries=entries)
 
 
 def save_operator(opmat, bin_path, sidecar_path):

@@ -28,10 +28,10 @@ is below 1/4, which split_blocks checks up front.
 
 The blocks are formed in real arithmetic.  `OperatorMatrix.entries` is
 the stream-scaled real form S^-1 L S with S = diag(i on psi and psi', 1
-elsewhere), so K_r = S^-1 K S is the entries of L minus those of L0, read
-on the rows where K is not zero (its image fills phi', psi' and
-radial_star).  Every frame lives on stream slots only or on non-stream
-slots only, so rows S = S_b rows with S_b = diag(i on stream branches, 1
+elsewhere), so K_r = S^-1 K S is the entries of L minus those of L0
+(`operators.k_entries`, from L0's cached pattern), read on the rows where
+K is not zero (its image fills phi', psi' and radial_star).  Every frame
+lives on stream slots only or on non-stream slots only, so rows S = S_b rows with S_b = diag(i on stream branches, 1
 elsewhere), and the branch coordinates of K are S_b (rows K_r columns)
 S_b^-1.  Each factor of the re-phasing is 1, i or
 -i, which rounds nothing: an entry between a stream and a non-stream
@@ -49,7 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .operators import assemble_L0
+from .operators import k_entries
 from .sphbasis import norm_constant
 from .statespace import StateIndexMap, x_weights
 from .stokes_spectrum import frame_slots
@@ -148,7 +148,7 @@ def split_blocks(lmat, m, strict=True):
         raise ValueError(f"operator is assembled at m = {lmat.m}, not {m}")
     k_max = lmat.k_max
     # K in the stream-scaled real form, on the rows its image reaches
-    kmat = lmat.entries - assemble_L0(m, k_max).entries
+    kmat = k_entries(lmat)
     live = np.flatnonzero(kmat.any(axis=1))
     kmat = kmat[live]
     w = np.sqrt(x_weights(StateIndexMap(m, k_max)))

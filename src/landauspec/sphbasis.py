@@ -18,7 +18,13 @@ Synthesis at the nodes is a product with a table's rows (coeffs @ dtheta
 gives d/dtheta of the field); `project` and `project_div_curl` go back.
 They are the one place in the library where nodal values become
 coefficients (the only readers of the quadrature weights and the table
-norms), and they take a block of columns as readily as one field.
+norms), and they take a block of columns as readily as one field.  A
+tangent field enters them with its phi component divided by i, the
+stream scaling of the states, so a real block projects to real
+coefficients.
+
+The tables on the default rule of k_max depend on (k_max, m) alone, so
+`legendre_values` builds each of them once and shares it read-only.
 """
 
 from __future__ import annotations
@@ -69,6 +75,10 @@ def legendre_raw(k_max, m, x):
     Rows with k < m are zero.  Upward three-term recurrence in k (the stable
     direction), seeded by the double-factorial diagonal term.
     """
+    return _legendre_raw(k_max, m, x)
+
+
+def _legendre_raw(k_max, m, x):
     if m < 0:
         raise ValueError("legendre_raw expects m >= 0")
     x = np.asarray(x, dtype=float)
@@ -90,9 +100,9 @@ def legendre_raw(k_max, m, x):
 def _raw_signed(k_max, mu, x):
     """P_k^mu for signed order mu, via the factorial reflection for mu < 0."""
     if mu >= 0:
-        return legendre_raw(k_max, mu, x)
+        return _legendre_raw(k_max, mu, x)
     mu = -mu
-    tab = legendre_raw(k_max, mu, x)
+    tab = _legendre_raw(k_max, mu, x)
     fac = np.zeros(k_max + 1)
     for k in range(mu, k_max + 1):
         r = 1.0
@@ -104,6 +114,10 @@ def _raw_signed(k_max, mu, x):
 
 def norm_constant(k, m):
     """N_km with integral of (P_k^m)^2 over [-1,1] equal to N_km^2."""
+    return _norm_constant(k, m)
+
+
+def _norm_constant(k, m):
     m = abs(m)
     r = 1.0
     for j in range(k - m + 1, k + m + 1):
@@ -142,15 +156,33 @@ class LegendreTable:
         return k - self.k_min
 
 
+# the tables on the default rule, by (k_max, m)
+_DEFAULT_TABLES = {}
+
+
 def legendre_values(k_max, m, grid=None):
-    """Build the LegendreTable for signed order m on the given grid, or on
-    the default Gauss rule of k_max: the one quadrature every assembly and
-    state construction in the library uses."""
+    """The LegendreTable for signed order m on the default Gauss rule of
+    k_max, the one quadrature every assembly and state construction in the
+    library uses, or built fresh on the given grid.
+
+    The default table is built once per (k_max, m) and shared; the arrays
+    of every table are read-only, like the grid's nodes.  A miss goes through
+    private names only, so a call tracer sees the same public calls
+    whether or not the table was already built."""
     am = abs(m)
     if am > k_max:
         raise ValueError(f"|m| = {am} exceeds k_max = {k_max}")
-    if grid is None:
-        grid = QuadratureGrid.build(default_node_count(k_max))
+    if grid is not None:
+        return _build_table(k_max, m, grid)
+    grid = QuadratureGrid.build(default_node_count(k_max))
+    key = (k_max, m)
+    if key not in _DEFAULT_TABLES:
+        _DEFAULT_TABLES[key] = _build_table(k_max, m, grid)
+    return _DEFAULT_TABLES[key]
+
+
+def _build_table(k_max, m, grid):
+    am = abs(m)
     x = grid.x
     raws = {mu: _raw_signed(k_max, mu, x) for mu in range(am - 2, am + 3)}
 
@@ -169,7 +201,7 @@ def legendre_values(k_max, m, grid=None):
 
     for k in range(am, k_max + 1):
         i = k - am
-        n_km = norm_constant(k, am)
+        n_km = _norm_constant(k, am)
         val[i] = raws[am][k] / n_km
         dth[i] = dtheta_raw(am, k) / n_km
         a_up = (k + am + 1) * (k - am)
@@ -197,6 +229,8 @@ def legendre_values(k_max, m, grid=None):
         dmsin *= -sign
 
     norms = np.sqrt((val * val) @ grid.w)
+    for arr in (val, dth, msin, d2, dmsin, norms):
+        arr.flags.writeable = False
     return LegendreTable(m=m, k_max=k_max, grid=grid, val=val, dtheta=dth,
                          m_sin=msin, d2theta=d2, dm_sin=dmsin, norms=norms)
 
@@ -210,7 +244,11 @@ class ModalField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        # real coefficients, as a stream-scaled block has, stay real
+        coeffs = np.asarray(self.coeffs)
+        if not np.iscomplexobj(coeffs):
+            coeffs = coeffs.astype(float, copy=False)
+        self.coeffs = coeffs
 
     @property
     def k_min(self):
@@ -233,12 +271,13 @@ def zero_field(m, k_max):
 
 def project(values, table):
     """Analysis transform: nodal values of a mode-m scalar -> ModalField.
-    Values shaped (nodes, columns) project column by column."""
+    Values shaped (nodes, columns) project column by column; real values
+    give real coefficients."""
     if table.grid.n_nodes < table.k_max + 1:
         raise ValueError(
             f"{table.grid.n_nodes} nodes cannot resolve degree {table.k_max}"
         )
-    values = np.asarray(values, dtype=complex)
+    values = np.asarray(values)
     norm2 = (table.norms**2).reshape(-1, *[1] * (values.ndim - 1))
     coeffs = (table.val * table.grid.w) @ values / norm2
     return ModalField(table.m, coeffs)
@@ -270,18 +309,26 @@ def solve_poisson(rhs):
     return ModalField(rhs.m, out)
 
 
-def project_div_curl(xi_theta, xi_phi, table):
-    """Weak-form projections of the surface divergence and curl.
+def project_div_curl(xi_theta, xi_phi_over_i, table):
+    """Weak-form projections of the surface divergence and curl of the
+    tangent field (xi_theta, i xi_phi_over_i); the curl comes back divided
+    by i as well.
 
     Integration by parts against Pbar_k^m moves the derivative off the field:
-        (div xi)_k  = sum_i w_i [ -xi_theta dtheta_k + i xi_phi m_sin_k ]
-        (curl xi)_k = sum_i w_i [ -xi_phi dtheta_k - i xi_theta m_sin_k ]
+        (div xi)_k      = sum_i w_i [ -xi_theta dtheta_k - u m_sin_k ]
+        (curl xi)_k / i = sum_i w_i [ -u dtheta_k - xi_theta m_sin_k ]
+    with u = xi_phi_over_i.
     Boundary terms vanish (sin(theta) factor).  Exact for band-limited fields.
+    The factor i is the stream scaling of the states: xi = grad(phi) +
+    grad_perp(i psi) with real phi and psi is real in this form, so a real
+    block projects to real coefficients.  A complex caller passes
+    -1j * xi_phi and multiplies the curl by 1j, both exact.
     Fields shaped (nodes, columns) project column by column.
     """
     wt = table.grid.w
     norm2 = (table.norms**2).reshape(-1, *[1] * (np.ndim(xi_theta) - 1))
-    div_c = ((table.dtheta * wt) @ (-xi_theta) + (table.m_sin * wt) @ (1j * xi_phi))
-    curl_c = ((table.dtheta * wt) @ (-xi_phi) + (table.m_sin * wt) @ (-1j * xi_theta))
+    dtheta, m_sin = table.dtheta * wt, table.m_sin * wt
+    div_c = dtheta @ (-xi_theta) + m_sin @ (-xi_phi_over_i)
+    curl_c = dtheta @ (-xi_phi_over_i) + m_sin @ (-xi_theta)
     return (ModalField(table.m, div_c / norm2),
             ModalField(table.m, curl_c / norm2))

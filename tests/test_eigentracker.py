@@ -276,6 +276,24 @@ def test_symmetry_states_match_hand_derived_slopes(monkeypatch, eps, k_max):
 # ---- background state and zero modes --------------------------------------
 
 
+@pytest.mark.parametrize("m", [1, -2])
+def test_symmetry_state_reads_a_stream_function_back(m):
+    # every symmetry mode in use has a curl-free tangent field, so this
+    # pins the stream slot: grad_perp(psi), given in the complex basis of
+    # the states, goes through the stream-scaled projection and back
+    k_max = 12
+    table = legendre_values(k_max, m)
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=k_max - abs(m) + 1) + 1j * rng.normal(
+        size=k_max - abs(m) + 1)
+    zero = np.zeros(table.grid.n_nodes)
+    state = eigentracker._symmetry_state(
+        table, -1j * (psi @ table.m_sin), psi @ table.dtheta, zero, zero)
+    scale = np.abs(psi).max()
+    assert np.abs(state.psi.coeffs - psi).max() <= 1e-12 * scale
+    assert np.abs(state.phi.coeffs).max() <= 1e-12 * scale
+
+
 def test_landau_state_slots():
     eps, k_max = 0.1, 24
     state = landau_state(eps, k_max)

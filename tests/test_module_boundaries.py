@@ -56,12 +56,12 @@ def test_no_explicit_inverse_or_condition_number():
 
 
 def test_complex_basis_is_formed_only_at_the_file_boundary():
-    # OperatorMatrix.entries is the real D^-1 L D; the complex basis of the
-    # states and the operator file comes from operators.complex_entries,
-    # which only the file writer and the product with a state call, so no
-    # eigensolve or block product runs on it
+    # OperatorMatrix.entries is the real D^-1 L D; the complex matrix of the
+    # operator file comes from operators.complex_entries, which only the
+    # file writer calls, so no eigensolve, block product or product with a
+    # state runs on it
     assert set(_calls_by_function("complex_entries")) == {
-        "operators.py:apply_flat", "operators.py:save_operator"}
+        "operators.py:save_operator"}
 
 
 def test_stream_slots_are_defined_once():
@@ -228,3 +228,16 @@ def test_track_takes_no_second_eigensolve():
              if isinstance(node, ast.Call)]
     assert not [c for c in calls if c.split(".")[-1] in ("eigvals", "eig")]
     assert "_ordered_schur" in calls
+
+
+def test_l0_is_read_from_its_cached_pattern():
+    # L0 does not depend on eps, so its entries are one cached pattern per
+    # (m, k_max): assemble_L adds it into K and split_blocks takes it out of
+    # L (operators.k_entries), so no perturbed assembly or split builds a
+    # second L0; only L at eps = 0 and the verify battery's integrality
+    # check are L0 itself
+    assert sorted(_calls_by_function("assemble_L0")) == [
+        "cli.py:_verify_checks", "operators.py:assemble_L"]
+    assert sorted(_calls_by_function("_l0_pattern")) == [
+        "operators.py:assemble_L", "operators.py:assemble_L0",
+        "operators.py:k_entries"]

@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from landauspec import operators
+from landauspec.landau import background_on_grid
 from landauspec.operators import (
     OperatorMatrix,
+    _k_columns,
+    _l0_pattern,
     apply_K,
     assemble_K,
     assemble_L,
     assemble_L0,
     complex_entries,
+    k_entries,
     load_operator,
     save_operator,
     stream_scale,
@@ -252,6 +257,134 @@ def test_pure_swirl_subblock_closed():
                             np.arange(imap.dim)[imap.sl("psi_prime")]])
     outside = np.setdiff1d(np.arange(imap.dim), swirl)
     assert np.max(np.abs(lmat.entries[np.ix_(outside, swirl)])) <= 1e-12
+
+
+def complex_k_reference(m, k_max, eps):
+    """K in the complex basis of the states, written with the explicit
+    factors of i of the module docstring: xi_theta = d_theta phi -
+    i m_sin psi and xi_phi = i m_sin phi + d_theta psi (likewise their
+    theta-slopes and xi'), the weak forms (div T)_k = sum_i w_i
+    (-T_theta dtheta_k + i T_phi m_sin_k) and (curl T)_k = sum_i w_i
+    (-T_phi dtheta_k - i T_theta m_sin_k) over the squared row norms, and
+    invLap a product with -1/(k(k+1))."""
+    table = legendre_values(k_max, m)
+    imap = StateIndexMap(m, k_max)
+    am = abs(m)
+    eye = np.eye(imap.dim)
+
+    def nodal(arr, name, weight=1.0):
+        return (arr[imap.k_lo(name) - am:].T * weight) @ eye[imap.sl(name)]
+
+    def tangent(d, msin, phi, psi):
+        return (nodal(d, phi) - 1j * nodal(msin, psi),
+                1j * nodal(msin, phi) + nodal(d, psi))
+
+    xi = tangent(table.dtheta, table.m_sin, "phi", "psi")
+    dxi = tangent(table.d2theta, table.dm_sin, "phi", "psi")
+    xip = tangent(table.dtheta, table.m_sin, "phi_prime", "psi_prime")
+    ks = imap.degrees("phi").astype(float)
+    kk = ks * (ks + 1.0)
+    th, dth = nodal(table.val, "radial"), nodal(table.dtheta, "radial")
+    ths = nodal(table.val, "radial_star")
+    q = -(nodal(table.val, "phi", -kk) + th + ths)
+    bg = {key: val[:, None]
+          for key, val in background_on_grid(eps, table.grid).items()}
+    t_theta = -bg["V"] * dxi[0] - bg["dV"] * xi[0] - bg["F"] * xip[0]
+    t_phi = -bg["V"] * dxi[1] - bg["V_cot"] * xi[1] - bg["F"] * xip[1]
+    g = (-bg["V"] * dth - bg["dF"] * xi[0] + 2.0 * bg["V"] * xi[0]
+         + bg["F"] * (2.0 * th - ths - q))
+    w = table.grid.w
+    norm2 = (table.norms ** 2)[:, None]
+    div = ((table.dtheta * w) @ (-t_theta)
+           + (table.m_sin * w) @ (1j * t_phi)) / norm2
+    curl = ((table.dtheta * w) @ (-t_phi)
+            + (table.m_sin * w) @ (-1j * t_theta)) / norm2
+    out = np.zeros((imap.dim, imap.dim), dtype=complex)
+    inv_lap = (-1.0 / kk)[:, None]
+    out[imap.sl("phi_prime")] = div[imap.k_lo("phi_prime") - am:] * inv_lap
+    out[imap.sl("psi_prime")] = curl[imap.k_lo("psi_prime") - am:] * inv_lap
+    out[imap.sl("radial_star")] = ((table.val * w) @ g / norm2)[
+        imap.k_lo("radial_star") - am:]
+    return out
+
+
+@pytest.mark.parametrize("m", [0, 1, -1, 2, -2])
+@pytest.mark.parametrize("k_max", [12, 24, 48])
+def test_real_k_matches_the_complex_reference(m, k_max):
+    # K is computed in the stream-scaled basis, where every factor of i
+    # cancels; the complex reference scaled by D must be exactly real, and
+    # its real part must be K's entries up to rounding.  The tail monitor
+    # rejects eps 0.3 at k_max 12, so there the kernel itself is compared.
+    imap = StateIndexMap(m, k_max)
+    scale = stream_scale(imap)
+    for eps in (0.02, 0.1, 0.3):
+        ref = complex_k_reference(m, k_max, eps)
+        ref *= scale[None, :]
+        ref *= scale.conj()[:, None]
+        assert not ref.imag.any(), eps
+        if (k_max, eps) == (12, 0.3):
+            with pytest.raises(ValueError, match="under-resolves"):
+                assemble_K(m, k_max, eps)
+            got = _k_columns(np.eye(imap.dim), eps, legendre_values(k_max, m))
+        else:
+            got = assemble_K(m, k_max, eps).entries
+        assert (np.abs(got - ref.real).max()
+                <= 1e-15 * np.abs(got).max()), eps
+
+
+@pytest.mark.parametrize("m", [0, 1, -2])
+def test_k_columns_keep_a_real_block_real(m):
+    # a real block of stream-scaled states has a float64 image; a complex
+    # block maps its real and imaginary parts separately
+    k_max, eps = 16, 0.1
+    dim = StateIndexMap(m, k_max).dim
+    table = legendre_values(k_max, m)
+    rng = np.random.default_rng(3)
+    re, im = rng.normal(size=(dim, 4)), rng.normal(size=(dim, 4))
+    real_re, real_im = (_k_columns(x, eps, table) for x in (re, im))
+    assert real_re.dtype == real_im.dtype == np.float64
+    both = _k_columns(re + 1j * im, eps, table)
+    assert both.dtype == np.complex128
+    scale = 1.0 + np.abs(both).max()
+    assert np.abs(both - (real_re + 1j * real_im)).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_assemble_k_names_a_non_finite_background_value(value, monkeypatch):
+    def planted(epsilon, grid):
+        bg = background_on_grid(epsilon, grid)
+        bg["V"] = bg["V"].copy()
+        bg["V"][3] = value
+        return bg
+
+    monkeypatch.setattr(operators, "background_on_grid", planted)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match="K has a non-finite entry"):
+        assemble_K(1, 12, 0.05)
+
+
+@pytest.mark.parametrize("m", [0, 1, -1, 2, -2])
+@pytest.mark.parametrize("k_max", [16, 24, 96])
+def test_k_entries_take_out_l0_byte_for_byte(m, k_max):
+    # split_blocks reads K as L with L0's cached pattern subtracted; that is
+    # the entries minus those of the assembled L0, to the byte
+    lmat = assemble_L(m, k_max, 0.05)
+    want = lmat.entries - assemble_L0(m, k_max).entries
+    assert k_entries(lmat).tobytes() == want.tobytes()
+
+
+def test_l0_pattern_is_built_once_and_read_only():
+    pattern = _l0_pattern(2, 16)
+    assert _l0_pattern(2, 16) is pattern
+    for arr in pattern:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    rows, cols, values = pattern
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
+    dense = np.zeros((StateIndexMap(2, 16).dim,) * 2)
+    dense[rows, cols] = values
+    assert np.array_equal(dense, assemble_L0(2, 16).entries)
 
 
 def test_tail_monitor_trips_on_underresolution():

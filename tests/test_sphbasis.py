@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from landauspec import sphbasis
 from landauspec.landau import LandauProfile, eval_profiles
 from landauspec.sphbasis import (
     LegendreTable,
@@ -51,6 +52,44 @@ def test_quadrature_grid_is_built_once_per_node_count():
         assert not nodes.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             nodes[0] = 0.0
+
+
+TABLE_ARRAYS = ("val", "dtheta", "m_sin", "d2theta", "dm_sin", "norms")
+
+
+def test_default_tables_are_built_once_and_read_only():
+    # the table on the default rule depends on (k_max, m) alone, so every
+    # assembly shares one; a table on an explicit grid is built fresh
+    table = legendre_values(24, -2)
+    assert legendre_values(24, -2) is table
+    assert legendre_values(24, 2) is not table
+    for name in TABLE_ARRAYS:
+        arr = getattr(table, name)
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    grid = QuadratureGrid.build(default_node_count(24))
+    fresh = legendre_values(24, -2, grid)
+    assert fresh is not table and legendre_values(24, -2, grid) is not fresh
+    for name in TABLE_ARRAYS:
+        assert np.array_equal(getattr(fresh, name), getattr(table, name))
+
+
+def test_a_table_miss_calls_no_public_builder(monkeypatch):
+    # a miss builds through private names only, so a call tracer counts the
+    # same public calls whether or not the table was already built
+    want = legendre_values(17, 3, QuadratureGrid.build(default_node_count(17)))
+
+    def public(*args):
+        raise AssertionError("a table miss called a public builder")
+
+    monkeypatch.setattr(sphbasis, "_DEFAULT_TABLES", {})
+    monkeypatch.setattr(sphbasis, "legendre_raw", public)
+    monkeypatch.setattr(sphbasis, "norm_constant", public)
+    got = legendre_values(17, 3)
+    assert sphbasis._DEFAULT_TABLES == {(17, 3): got}
+    for name in TABLE_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_quadrature_polynomial_exactness():
@@ -250,10 +289,11 @@ def test_grad_perp_div_curl():
     tab = make_table(12, 2)
     psi = ModalField(2, rng.normal(size=11) + 1j * rng.normal(size=11))
     xi_t, xi_p = tangent(zero_field(2, 12), psi, tab.dtheta, tab.m_sin)
-    div, curl = project_div_curl(xi_t, xi_p, tab)
+    div, curl = project_div_curl(xi_t, -1j * xi_p, tab)
     scale = 1.0 + np.max(np.abs(laplacian(psi).coeffs))
     assert np.max(np.abs(div.coeffs)) <= 1e-12 * scale
-    assert np.max(np.abs(curl.coeffs - laplacian(psi).coeffs)) <= 1e-12 * scale
+    assert (np.max(np.abs(1j * curl.coeffs - laplacian(psi).coeffs))
+            <= 1e-12 * scale)
 
 
 def test_grad_div_curl():
@@ -261,7 +301,7 @@ def test_grad_div_curl():
     tab = make_table(12, 1)
     phi = ModalField(1, rng.normal(size=12) + 1j * rng.normal(size=12))
     xi_t, xi_p = tangent(phi, zero_field(1, 12), tab.dtheta, tab.m_sin)
-    div, curl = project_div_curl(xi_t, xi_p, tab)
+    div, curl = project_div_curl(xi_t, -1j * xi_p, tab)
     scale = 1.0 + np.max(np.abs(laplacian(phi).coeffs))
     assert np.max(np.abs(div.coeffs - laplacian(phi).coeffs)) <= 1e-12 * scale
     assert np.max(np.abs(curl.coeffs)) <= 1e-12 * scale
@@ -314,6 +354,29 @@ def test_tangent_field_dtheta_consistency():
     scale = 1.0 + max(np.max(np.abs(d_t)), np.max(np.abs(d_p)))
     assert np.max(np.abs(d_t - (up_t - dn_t) / (2 * h))) / scale < 1e-8
     assert np.max(np.abs(d_p - (up_p - dn_p) / (2 * h))) / scale < 1e-8
+
+
+@pytest.mark.parametrize("m", [0, 1, -2])
+def test_projections_keep_a_real_block_real(m):
+    # grad(phi) + grad_perp(i psi) with real phi and psi is real in the
+    # stream-scaled form (xi_theta, xi_phi / i): its div and curl / i come
+    # back real, as the Laplacians of phi and psi, and so does a scalar
+    k_max = 12
+    tab = make_table(k_max, m)
+    rng = np.random.default_rng(8)
+    phi, psi = (rng.normal(size=(k_max - abs(m) + 1, 3)) for _ in range(2))
+    xi_t = phi.T @ tab.dtheta + psi.T @ tab.m_sin
+    xi_p = phi.T @ tab.m_sin + psi.T @ tab.dtheta
+    div, curl = project_div_curl(xi_t.T, xi_p.T, tab)
+    scalar = project((phi.T @ tab.val).T, tab)
+    for field in (div, curl, scalar):
+        assert field.coeffs.dtype == np.float64
+    ks = np.arange(abs(m), k_max + 1)
+    kk = (ks * (ks + 1.0))[:, None]
+    scale = 1.0 + kk.max() * max(np.abs(phi).max(), np.abs(psi).max())
+    assert np.abs(div.coeffs + kk * phi).max() <= 1e-12 * scale
+    assert np.abs(curl.coeffs + kk * psi).max() <= 1e-12 * scale
+    assert np.abs(scalar.coeffs - phi).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("m", [0, 1, -2])
