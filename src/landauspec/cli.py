@@ -20,7 +20,9 @@ byte-identical files: lists in a fixed order, every float with 17
 significant digits.
 A value that does not convert is reported with its flag or variable.
 The quadrature is not a setting: every assembly uses the Gauss rule
-that k_max determines.
+that k_max determines.  ``track``'s k_max defaults to None: each grid
+point then takes ``sphbasis.default_k_max(eps, m)``, its report lists
+the k_max of every point, and ``config.json`` echoes null.
 
 Exit codes: 0 success, 1 usage or domain error, 2 invariant failure
 (failed verification, assertion miss, unstable sweep).
@@ -39,7 +41,6 @@ import numpy as np
 from . import eigentracker, stokes_spectrum
 from .eigentracker import (
     DEFAULT_EPS_GRID,
-    DEFAULT_K_MAX,
     ContourSpec,
     cluster_size,
     contour_projection,
@@ -55,6 +56,9 @@ from .operators import assemble_L, assemble_L0, save_operator
 from .statespace import save_state_json
 
 C_TARGETS = {0: 0.0, 1: 1.0 / 15.0, 2: 4.0 / 15.0}
+# the truncation of spectrum, verify and export; track takes one per grid
+# point from eps unless it is given one
+DEFAULT_K_MAX = 24
 ENV_PREFIX = "LANDAUSPEC_"
 _SWITCH_WORDS = {"1": True, "true": True, "yes": True,  # any case
                  "0": False, "false": False, "no": False}
@@ -212,7 +216,7 @@ SETTINGS = (
              Flag("--epsilon", _as(lambda t: [float(t)], "a number"),
                   "single epsilon value"))),
     Setting("k_max", _is_int, "an integer",
-            dict.fromkeys(COMMANDS, DEFAULT_K_MAX),
+            {**dict.fromkeys(COMMANDS, DEFAULT_K_MAX), "track": None},
             (Flag("--kmax", _as(int, "an integer"),
                   "spectral truncation degree"),)),
     Setting("out", lambda v: isinstance(v, str), "a string",
@@ -254,7 +258,9 @@ class RunConfig:
             if not reads and s.field not in values:
                 continue
             value = values.get(s.field, s.defaults.get(command))
-            if not s.accepts(value):
+            # a default of None stands for "chosen per run", and may be given
+            unset = reads and value is None and s.defaults[command] is None
+            if not unset and not s.accepts(value):
                 raise ValueError(f"config key {s.field!r} must be {s.what}, "
                                  f"got {value!r}")
             if isinstance(value, (list, tuple, str)) and not value:
@@ -263,10 +269,10 @@ class RunConfig:
                 setattr(self, s.field, value)
         if hasattr(self, "epsilons"):  # a JSON 0 is read as an int
             self.epsilons = [float(e) for e in self.epsilons]
-        if self.k_max < 2:
+        if self.k_max is not None and self.k_max < 2:
             raise ValueError(f"k_max = {self.k_max} is too small")
         for m in getattr(self, "modes", ()):
-            if abs(m) > self.k_max:
+            if self.k_max is not None and abs(m) > self.k_max:
                 raise ValueError(
                     f"k_max = {self.k_max} too small for mode m = {m}")
         bad = set(getattr(self, "formats", ())) - {"json", "csv"}
@@ -450,6 +456,7 @@ def cmd_track(config):
                 },
                 "residuals": list(fit.residuals),
                 "ranks": list(curve.ranks),
+                "k_max": list(curve.k_max),
             }))
         if "csv" in config.formats:
             lines = ["epsilon,branch_id,re,im"]

@@ -24,8 +24,12 @@ caller of `dgees` and `dtrsyl`); the circle holds both members of a
 conjugate pair or neither, so the ordering never splits a 2x2 block.
 `track` takes it once per grid point without Schur vectors: the group
 near 1 is read off its eigenvalues and the count inside TRACK_CONTOUR is
-the point's rank.  `contour_projection` takes it with vectors and builds
-the Riesz projector P = D Z1 [I X] Z^T D^-1.  Either way the form
+the point's rank.  Unless it is given a k_max, `track` truncates each
+point at `sphbasis.default_k_max(eps, m)`, the degree at which the
+background's coefficients decay below the tail monitor's threshold, with
+a margin; the monitor still checks every assembly.
+`contour_projection` takes the form with vectors and builds the Riesz
+projector P = D Z1 [I X] Z^T D^-1.  Either way the form
 certifies the number of eigenvalues inside the circle, their separation
 from the rest of the spectrum and the conditioning of the splitting.
 """
@@ -41,6 +45,7 @@ import scipy.linalg
 from .landau import LandauProfile, eval_profile_derivative, eval_profiles
 from .operators import assemble_L, stream_scale
 from .sphbasis import (
+    default_k_max,
     laplacian,
     legendre_values,
     project,
@@ -51,7 +56,6 @@ from .sphbasis import (
 from .statespace import StateVector, state_from_flat, x_norm
 from .stokes_spectrum import branch_frame
 
-DEFAULT_K_MAX = 24
 DEFAULT_EPS_GRID = (0.02, 0.04, 0.06, 0.08, 0.10)
 CLUSTER_RADIUS = 0.25
 
@@ -70,7 +74,7 @@ def cluster_size(m):
 @dataclass
 class EigenCurve:
     m: int
-    k_max: int
+    k_max: tuple  # the truncation of each point
     epsilons: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
     ranks: tuple = ()  # track's count inside TRACK_CONTOUR, per point
@@ -80,9 +84,13 @@ class EigenCurve:
         return self.eigenvalues.shape[1]
 
 
-def track(m, epsilons, k_max=DEFAULT_K_MAX):
+def track(m, epsilons, k_max=None):
     """Follow the near-1 eigenvalue group along a sorted parameter grid.
 
+    Each point is assembled at the given k_max, or, when k_max is None, at
+    its own `default_k_max(eps, m)`; either way the assembly's tail monitor
+    rejects a truncation too small for the point's eps, and the curve
+    records each point's k_max.
     Each point takes one ordered real Schur form of the assembled operator,
     without Schur vectors, on the circle TRACK_CONTOUR; the group is read
     off its eigenvalues, and the number inside the circle is the point's
@@ -106,11 +114,12 @@ def track(m, epsilons, k_max=DEFAULT_K_MAX):
         raise ValueError(f"parameter grid must be sorted ascending, got "
                          f"eps = {after!r} after {before!r}")
     want = cluster_size(m)
+    k_maxes = tuple(default_k_max(e, m) if k_max is None else k_max
+                    for e in eps)
     rows, ranks = [], []
-    for e in eps:
+    for e, k in zip(eps, k_maxes):
         lam, rank, _, _ = _ordered_schur(
-            assemble_L(m, k_max, float(e)).entries, TRACK_CONTOUR,
-            vectors=False)
+            assemble_L(m, k, float(e)).entries, TRACK_CONTOUR, vectors=False)
         ranks.append(rank)
         group = lam[np.abs(lam - 1.0) < CLUSTER_RADIUS]
         if group.size != want:
@@ -136,7 +145,7 @@ def track(m, epsilons, k_max=DEFAULT_K_MAX):
                 f"a branch moved {moved:.3e} over step {step:.3e}; "
                 f"matching is not trustworthy, refine the grid"
             )
-    return EigenCurve(m, k_max, eps, curve, tuple(ranks))
+    return EigenCurve(m, k_maxes, eps, curve, tuple(ranks))
 
 
 @dataclass

@@ -75,7 +75,12 @@ import os
 import numpy as np
 
 from .landau import LandauProfile, background_on_grid
-from .sphbasis import legendre_values, project, project_div_curl
+from .sphbasis import (
+    TAIL_TOLERANCE,
+    legendre_values,
+    project,
+    project_div_curl,
+)
 from .statespace import (
     COMPONENTS,
     STREAM_SLOTS,
@@ -103,7 +108,9 @@ class OperatorMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        shape = (self.index_map.dim,) * 2
+        # the map is built once; (m, k_max) are not reassigned after this
+        self._index_map = StateIndexMap(self.m, self.k_max)
+        shape = (self._index_map.dim,) * 2
         if self.entries.dtype != np.float64:
             raise ValueError(f"operator entries have dtype "
                              f"{self.entries.dtype}, expected the float64 "
@@ -115,7 +122,7 @@ class OperatorMatrix:
 
     @property
     def index_map(self):
-        return StateIndexMap(self.m, self.k_max)
+        return self._index_map
 
     @property
     def dim(self):
@@ -320,19 +327,14 @@ def _tail_mass_ratio(kmat, imap):
     probe = np.zeros((imap.dim, 2))
     for name in COMPONENTS:
         part = int(name in STREAM_SLOTS)  # D^-1 probe is -i there
-        probe[imap.index(name, imap.k_lo(name)), part] = 1.0
+        probe[imap.sl(name).start, part] = 1.0
     mass = np.sum((kmat @ probe) ** 2, axis=1)
-    cut = imap.k_max - max(1, imap.k_max // 10)
-    total = 0.0
-    tail = 0.0
-    for name in COMPONENTS:
-        block = mass[imap.sl(name)]
-        ks = imap.degrees(name)
-        total += float(np.sum(block))
-        tail += float(np.sum(block[ks > cut]))
+    total = mass.sum()
     if total == 0.0:
         return 0.0
-    return np.sqrt(tail / total)
+    degrees = np.concatenate([imap.degrees(name) for name in COMPONENTS])
+    cut = imap.k_max - max(1, imap.k_max // 10)
+    return float(np.sqrt(mass[degrees > cut].sum() / total))
 
 
 def assemble_K(m, k_max, epsilon):
@@ -342,7 +344,7 @@ def assemble_K(m, k_max, epsilon):
     kmat = _k_columns(np.eye(imap.dim), epsilon, table)
 
     tail = _tail_mass_ratio(kmat, imap)
-    if tail > 1e-10:
+    if tail > TAIL_TOLERANCE:
         raise ValueError(
             f"truncation k_max = {k_max} under-resolves the eps = {epsilon} "
             f"background (tail mass {tail:.2e} in the last degree decile)"
@@ -355,14 +357,15 @@ def assemble_K(m, k_max, epsilon):
 
 def assemble_L(m, k_max, epsilon):
     """L = L0 + K in the stream-scaled real form: L0's cached pattern added
-    into K's fresh entries in place, bit for bit the sum of the two
-    matrices because K holds no -0.0."""
+    in place into the entries of the fresh K that `assemble_K` returns,
+    which becomes L; bit for bit the sum of the two matrices because K
+    holds no -0.0."""
     if epsilon == 0.0:
         return assemble_L0(m, k_max)
     rows, cols, values = _l0_pattern(m, k_max)
-    entries = assemble_K(m, k_max, epsilon).entries
-    entries[rows, cols] += values
-    return OperatorMatrix(m=m, k_max=k_max, epsilon=epsilon, entries=entries)
+    lmat = assemble_K(m, k_max, epsilon)
+    lmat.entries[rows, cols] += values
+    return lmat
 
 
 def save_operator(opmat, bin_path, sidecar_path):

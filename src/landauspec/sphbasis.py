@@ -25,20 +25,55 @@ coefficients.
 
 The tables on the default rule of k_max depend on (k_max, m) alone, so
 `legendre_values` builds each of them once and shares it read-only.
+
+The truncation is chosen here too: `default_k_max(epsilon, m)` is the
+k_max at which the eps-background's coefficients have decayed below
+TAIL_TOLERANCE, the tail monitor's threshold, with a margin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import functools
+import math
 
 import numpy as np
+
+# the largest relative coefficient mass a truncation may leave in its tail:
+# the threshold of the assembly's tail monitor, and the target of
+# `default_k_max`
+TAIL_TOLERANCE = 1e-10
 
 
 def default_node_count(k_max):
     """Default Gauss-Legendre node count: exact for the products that arise
     in the operator assemblies, with headroom for the rational eps-profiles."""
     return 2 * k_max + 16
+
+
+def default_k_max(epsilon, m):
+    """Truncation for the background of parameter eps in mode m.
+
+    The profiles have a pole at cos(theta) = 1/eps, so the coefficients of
+    the operator decay like rho^-k, with the Bernstein-ellipse rate
+    rho^-1 = |eps| / (1 + sqrt(1 - eps^2)).  The rule takes the
+    ceil(log(TAIL_TOLERANCE) / log(rho^-1)) degrees that this decay needs,
+    counted from the lowest degree max(|m|, 1) that the tail monitor's
+    probe fills, plus a margin of 5.  At eps = 0 the decay term is its
+    limit 1, so the result grows with |eps| from a floor of
+    6 + max(|m|, 1).  The margin is one degree more than the tail monitor
+    needs anywhere on |eps| <= 0.3 for |m| <= 2: there the rule less one
+    degree also passes the monitor.
+    """
+    e = abs(float(epsilon))
+    if not e < 1.0:
+        raise ValueError(f"no truncation resolves the background at "
+                         f"eps = {epsilon!r}; |eps| must be below 1")
+    decay = 1
+    if e > 0.0:
+        log_rate = math.log(e) - math.log1p(math.sqrt(1.0 - e * e))
+        decay = max(1, math.ceil(math.log(TAIL_TOLERANCE) / log_rate))
+    return decay + max(abs(m), 1) + 5
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ used by the eigensolves.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -60,11 +61,14 @@ class StateIndexMap:
     def __post_init__(self):
         if self.k_max < max(abs(self.m), 1):
             raise ValueError(f"k_max = {self.k_max} too small for m = {self.m}")
-        # (lowest degree, flat offset) of each component, computed once
+        # (lowest degree, flat offset) of each component and the dimension,
+        # computed once
         lows = [component_k_min(c, self.m) for c in COMPONENTS]
-        offsets = np.cumsum([0] + [self.k_max - lo + 1 for lo in lows])
+        offsets = list(itertools.accumulate(
+            (self.k_max - lo + 1 for lo in lows), initial=0))
         object.__setattr__(self, "_slots", dict(
-            zip(COMPONENTS, zip(lows, offsets.tolist()))))
+            zip(COMPONENTS, zip(lows, offsets))))
+        object.__setattr__(self, "_dim", offsets[-1])
 
     def k_lo(self, name):
         return self._slots[name][0]
@@ -74,7 +78,7 @@ class StateIndexMap:
 
     @property
     def dim(self):
-        return sum(self.count(c) for c in COMPONENTS)
+        return self._dim
 
     def index(self, name, k):
         """Flat index of degree k of a component; k may be an array."""

@@ -18,7 +18,8 @@ from landauspec.operators import (
     complex_entries,
     load_operator,
 )
-from landauspec.sphbasis import QuadratureGrid, legendre_values
+from landauspec.eigentracker import DEFAULT_EPS_GRID, fit_quadratic, track
+from landauspec.sphbasis import QuadratureGrid, default_k_max, legendre_values
 from landauspec.statespace import (
     StateIndexMap,
     load_state_json,
@@ -226,11 +227,13 @@ def test_failed_run_leaves_no_config_echo(tmp_path, capsys):
     (["track", "--eps", "0.5"], "eps = 0.5"),
     (["export", "--m", "0", "--epsilon", "0.9"], "eps = 0.9"),
     (["verify", "--kmax", "4"], "k_max = 4"),
+    (["track", "--kmax", "1"], "k_max = 1 is too small"),
     # the tail monitor rejects eps = 0.9 once eps = 0.1 is solved
     (["spectrum", "--eps", "0.1,0.9"], "eps = 0.9"),
     (["export", "--m", "0", "--eps", "0.1,0.9"], "eps = 0.9"),
 ], ids=["spectrum-m", "spectrum-late-m", "track-m", "track-late-m",
-        "track-eps", "export-eps", "verify-kmax", "spectrum-late-eps",
+        "track-eps", "export-eps", "verify-kmax", "track-kmax",
+        "spectrum-late-eps",
         "export-late-eps"])
 def test_run_stopped_before_its_first_report_leaves_no_directory(
         tmp_path, capsys, argv, value):
@@ -302,6 +305,8 @@ def test_unknown_config_file_key_exits_1(tmp_path, capsys, monkeypatch):
         ({"assert_paper": "yes"}, "'assert_paper' must be true or false"),
         ({"modes": []}, "config key 'modes' must not be empty"),
         ({"epsilons": []}, "config key 'epsilons' must not be empty"),
+        # only track's default may be given as null
+        ({"k_max": None}, "'k_max' must be an integer, got None"),
     ]
     for content, message in table:
         config_path.write_text(json.dumps(content))
@@ -523,6 +528,54 @@ def test_track_assert_paper_m1(tmp_path, capsys):
     assert csv_lines[0] == "epsilon,branch_id,re,im"
     assert len(csv_lines) == 1 + 5 * 2
     assert (tmp_path / "plot_curves_m1.py").exists()
+
+
+def test_default_track_takes_k_max_from_eps_and_echoes_null(tmp_path,
+                                                            capsys):
+    out = tmp_path / "a"
+    code, _, _ = run_cli(capsys, "track", "--m", "1,-2", "--out", str(out))
+    assert code == 0
+    for m in (1, -2):
+        doc = read_json(out / f"track_m{m}.json")
+        assert doc["k_max"] == [default_k_max(e, m) for e in DEFAULT_EPS_GRID]
+    echoed = read_json(out / "config.json")
+    assert "k_max" in echoed and echoed["k_max"] is None
+    # the echo runs again as a config file, with the same reports
+    again = tmp_path / "b"
+    code, _, _ = run_cli(capsys, "track", "--config", str(out / "config.json"),
+                         "--out", str(again))
+    assert code == 0
+    for name in os.listdir(out):
+        if name != "config.json":
+            assert (out / name).read_bytes() == (again / name).read_bytes()
+
+
+@pytest.mark.parametrize("given", ["flag", "environment", "config"])
+def test_track_at_an_explicit_k_max_is_the_library_sweep(tmp_path, capsys,
+                                                         monkeypatch, given):
+    # --kmax 24, LANDAUSPEC_KMAX=24 and a config k_max of 24 all sweep every
+    # point at 24, exactly as track(m, grid, k_max=24) does
+    argv = ["track", "--m", "2", "--out", str(tmp_path)]
+    if given == "flag":
+        argv += ["--kmax", "24"]
+    elif given == "environment":
+        monkeypatch.setenv(cli.ENV_PREFIX + "KMAX", "24")
+    else:
+        (tmp_path / "run.json").write_text(json.dumps({"k_max": 24}))
+        argv += ["--config", str(tmp_path / "run.json")]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = read_json(tmp_path / "track_m2.json")
+    curve = track(2, DEFAULT_EPS_GRID, k_max=24)
+    fit = fit_quadratic(curve)
+    assert doc["eigenvalues"] == [[[v.real, v.imag] for v in row]
+                                  for row in curve.eigenvalues]
+    assert doc["fit"]["c"] == fit.c
+    assert doc["fit"]["c_branches"] == list(fit.c_branches)
+    assert doc["residuals"] == list(fit.residuals)
+    assert doc["ranks"] == list(curve.ranks) == [1] * 5
+    assert doc["k_max"] == [24] * 5
+    assert read_json(tmp_path / "config.json")["k_max"] == 24
 
 
 def test_track_m0_group_stays_pinned(tmp_path, capsys):

@@ -23,6 +23,7 @@ from landauspec.operators import OperatorMatrix, assemble_L0, complex_entries
 from landauspec.perturbation import z_coefficient
 from landauspec.sphbasis import (
     QuadratureGrid,
+    default_k_max,
     default_node_count,
     legendre_values,
     project,
@@ -85,6 +86,34 @@ def test_cluster_size_counts_the_unit_eigenvalues_of_l0(m):
 def test_cluster_size_rejects_modes_without_a_unit_group(m):
     with pytest.raises(ValueError, match="no eigenvalue group at 1"):
         cluster_size(m)
+
+
+def test_track_records_the_k_max_of_every_point():
+    grid = (-0.1, 0.0, 0.05, 0.3)
+    assert track(2, grid).k_max == tuple(default_k_max(e, 2) for e in grid)
+    assert track(2, grid).k_max == (15, 8, 14, 20)
+    assert track(2, grid, k_max=20).k_max == (20,) * 4
+
+
+def test_track_without_k_max_keeps_the_tail_monitor(monkeypatch):
+    # the rule only proposes a truncation; an assembly it under-resolves
+    # fails as it would at an explicit k_max
+    monkeypatch.setattr(eigentracker, "default_k_max", lambda eps, m: 8)
+    with pytest.raises(ValueError, match="k_max = 8 under-resolves the "
+                                         "eps = 0.1 background"):
+        track(1, [0.02, 0.1])
+
+
+@pytest.mark.parametrize("m", [0, 1, -1, 2, -2])
+def test_track_at_the_rule_matches_k_max_32(m):
+    # the rule's truncation leaves the group where a generous one puts it:
+    # within 5e-13 (24 and 32 differ by up to 1.9e-13) and with equal ranks
+    grid = (*DEFAULT_EPS_GRID, 0.2, 0.3)
+    ruled = track(m, grid)
+    fine = track(m, grid, k_max=32)
+    assert ruled.ranks == fine.ranks
+    gap = np.abs(ruled.eigenvalues - fine.eigenvalues).max()
+    assert gap <= 5e-13, gap
 
 
 def test_track_negative_epsilon_supported():

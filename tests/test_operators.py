@@ -12,6 +12,7 @@ from landauspec.operators import (
     OperatorMatrix,
     _k_columns,
     _l0_pattern,
+    _tail_mass_ratio,
     apply_K,
     assemble_K,
     assemble_L,
@@ -24,6 +25,7 @@ from landauspec.operators import (
 )
 from landauspec.sphbasis import (
     QuadratureGrid,
+    default_k_max,
     default_node_count,
     laplacian,
     legendre_values,
@@ -390,6 +392,68 @@ def test_l0_pattern_is_built_once_and_read_only():
 def test_tail_monitor_trips_on_underresolution():
     with pytest.raises(ValueError):
         assemble_K(0, 24, 0.9)
+
+
+def _tail_mass_reference(kmat, imap):
+    # the monitor's number summed component by component
+    probe = np.zeros((imap.dim, 2))
+    for name in COMPONENTS:
+        probe[imap.index(name, imap.k_lo(name)),
+              int(name in STREAM_SLOTS)] = 1.0
+    mass = np.sum((kmat @ probe) ** 2, axis=1)
+    cut = imap.k_max - max(1, imap.k_max // 10)
+    total = tail = 0.0
+    for name in COMPONENTS:
+        block = mass[imap.sl(name)]
+        total += float(np.sum(block))
+        tail += float(np.sum(block[imap.degrees(name) > cut]))
+    return np.sqrt(tail / total)
+
+
+@pytest.mark.parametrize("m", [0, 1, -1, 2, -2])
+@pytest.mark.parametrize("k_max", [8, 12, 24, 25])
+def test_tail_mass_is_one_masked_reduction(m, k_max):
+    # the flat degree mask reads the same decile as the component loop;
+    # k_max 8 under-resolves eps 0.1 and 25 has a two-degree decile
+    imap = StateIndexMap(m, k_max)
+    table = legendre_values(k_max, m)
+    for eps in (0.02, 0.1):
+        kmat = _k_columns(np.eye(imap.dim), eps, table)
+        got = _tail_mass_ratio(kmat, imap)
+        want = _tail_mass_reference(kmat, imap)
+        assert isinstance(got, float)
+        assert abs(got - want) <= 1e-14 * want, (eps, got, want)
+    assert _tail_mass_ratio(np.zeros((imap.dim,) * 2), imap) == 0.0
+
+
+def test_tail_monitor_names_k_max_eps_and_the_mass():
+    with pytest.raises(ValueError, match=re.escape(
+            "truncation k_max = 8 under-resolves the eps = 0.1 background "
+            "(tail mass ")) as info:
+        assemble_K(1, 8, 0.1)
+    assert re.search(r"tail mass \d\.\d\de-\d\d in the last degree "
+                     r"decile\)$", str(info.value))
+
+
+# 60 points over [-0.3, 0.3], the range `track` accepts, none at eps = 0
+RULE_GRID = np.linspace(-0.3, 0.3, 60)
+
+
+@pytest.mark.parametrize("m", [0, 1, -1, 2, -2])
+def test_default_k_max_passes_the_tail_monitor_with_a_degree_to_spare(m):
+    # the rule, and the rule less one degree, both resolve the background
+    # at every point; the tightest point is m = 0 near |eps| = 0.28
+    for eps in RULE_GRID:
+        k_max = default_k_max(eps, m)
+        for k in (k_max, k_max - 1):
+            assemble_K(m, k, float(eps))
+
+
+def test_operator_builds_its_index_map_once():
+    lmat = assemble_L(1, 12, 0.1)
+    imap = lmat.index_map
+    assert lmat.index_map is imap
+    assert imap == StateIndexMap(1, 12) and lmat.dim == imap.dim
 
 
 def test_assemble_l_is_sum():

@@ -6,7 +6,9 @@ from landauspec.landau import LandauProfile, eval_profiles
 from landauspec.sphbasis import (
     LegendreTable,
     ModalField,
+    TAIL_TOLERANCE,
     QuadratureGrid,
+    default_k_max,
     default_node_count,
     laplacian,
     legendre_raw,
@@ -32,6 +34,36 @@ def tangent(phi, psi, d, msin):
     """
     return (phi.coeffs @ d - 1j * (psi.coeffs @ msin),
             1j * (phi.coeffs @ msin) + psi.coeffs @ d)
+
+
+@pytest.mark.parametrize("m", [0, 1, -1, 2, -2, 3])
+def test_default_k_max_grows_with_abs_eps_from_its_floor(m):
+    # at eps = 0 the decay term is its limit 1, so the floor is where the
+    # rule starts; it never falls as |eps| grows, and it reads |eps| only
+    floor = 6 + max(abs(m), 1)
+    assert default_k_max(0.0, m) == floor
+    eps = np.linspace(0.0, 0.99, 991)
+    rule = [default_k_max(e, m) for e in eps]
+    assert rule == [default_k_max(-e, m) for e in eps]
+    assert rule[0] == floor and min(np.diff(rule)) >= 0
+    assert default_k_max(5e-324, m) == floor  # rho^-1 itself underflows
+
+
+def test_default_k_max_follows_the_bernstein_rate():
+    # ceil(log(TAIL_TOLERANCE) / log(rho^-1)) + max(|m|, 1) + 5, with
+    # rho^-1 = eps / (1 + sqrt(1 - eps^2)); on the paper's grid
+    assert TAIL_TOLERANCE == 1e-10
+    grid = (0.02, 0.04, 0.06, 0.08, 0.10)
+    assert [default_k_max(e, 1) for e in grid] == [12, 12, 13, 14, 14]
+    assert [default_k_max(e, 2) for e in grid] == [13, 13, 14, 15, 15]
+    assert [default_k_max(e, 0) for e in grid] == [12, 12, 13, 14, 14]
+    assert default_k_max(0.3, 0) == 19 and default_k_max(0.3, -2) == 20
+
+
+@pytest.mark.parametrize("eps", [1.0, -1.0, 1.5, np.inf, np.nan])
+def test_default_k_max_rejects_eps_without_a_decay(eps):
+    with pytest.raises(ValueError, match="no truncation resolves"):
+        default_k_max(eps, 1)
 
 
 def test_quadrature_weights_sum():

@@ -22,7 +22,10 @@ from landauspec.statespace import (
 @pytest.mark.parametrize("m,expected", [(0, 6 * 10 + 1), (1, 6 * 10),
                                         (-1, 6 * 10), (2, 6 * 9), (-2, 6 * 9)])
 def test_index_map_dimension(m, expected):
-    assert StateIndexMap(m, 10).dim == expected
+    imap = StateIndexMap(m, 10)
+    assert imap.dim == expected
+    assert imap.dim == sum(imap.count(name) for name in COMPONENTS)
+    assert imap.sl(COMPONENTS[-1]).stop == expected
 
 
 def test_index_map_bijective():
