@@ -221,23 +221,23 @@ def _l0_scatter(k_max, layout):
     return pattern
 
 
-def _l0_pattern(m, k_max):
-    """L0's entries as (rows, cols, values), built once per slot layout, so
-    once per (|m|, k_max).  The layout is read through the index map on
-    every call, so a miss goes through private names only and a call
-    tracer sees the same public calls whether or not the pattern was
+def _l0_pattern(imap):
+    """L0's entries on an index map as (rows, cols, values), built once per
+    slot layout, so once per (|m|, k_max).  The layout is read through the
+    map on every call, so a miss goes through private names only and a
+    call tracer sees the same public calls whether or not the pattern was
     already built."""
+    m, k_max = imap.m, imap.k_max
     if k_max < max(abs(m), 2):
         raise ValueError(f"k_max = {k_max} too small for the L0 assembly at m = {m}")
-    imap = StateIndexMap(m, k_max)
     return _l0_scatter(k_max, tuple((imap.k_lo(name), imap.sl(name).start)
                                     for name in COMPONENTS))
 
 
 def assemble_L0(m, k_max):
-    rows, cols, values = _l0_pattern(m, k_max)
-    dim = StateIndexMap(m, k_max).dim
-    mat = np.zeros((dim, dim))
+    imap = StateIndexMap(m, k_max)
+    rows, cols, values = _l0_pattern(imap)
+    mat = np.zeros((imap.dim, imap.dim))
     mat[rows, cols] = values
     return OperatorMatrix(m=m, k_max=k_max, epsilon=0.0, entries=mat)
 
@@ -246,7 +246,7 @@ def k_entries(lmat):
     """K of an assembled operator in the stream-scaled real form: a copy of
     its entries with L0's pattern taken out, byte for byte the entries
     minus those of `assemble_L0`."""
-    rows, cols, values = _l0_pattern(lmat.m, lmat.k_max)
+    rows, cols, values = _l0_pattern(lmat.index_map)
     kmat = lmat.entries.copy()
     kmat[rows, cols] -= values
     return kmat
@@ -265,13 +265,12 @@ def _k_integrand(bg, xi, dxi, xip, th, dth, ths, div_xi):
     return t_theta, t_phi, g
 
 
-def _k_columns(x, epsilon, table):
-    """Images under D^-1 K D of the stream-scaled flat states in the
-    columns of x (dim x ncols): nodal synthesis of every component, the K
+def _k_columns(x, epsilon, table, imap):
+    """Images under D^-1 K D of the stream-scaled flat states, indexed by
+    imap, in the columns of x: nodal synthesis of every component, the K
     integrand, then the weak-form projections with the inverse Laplacian
     applied as a product.  The phi components of the tangent pairs, T_phi
     and the curl are carried divided by i, so a real block stays real."""
-    imap = StateIndexMap(table.m, table.k_max)
     am = abs(table.m)
 
     def rows(arr, name):
@@ -313,7 +312,7 @@ def apply_K(state, epsilon, table):
     stream-scaled pipeline and D on the way out, both exact."""
     scale = stream_scale(state.index_map)
     image = _k_columns((state.to_flat() * scale.conj())[:, None], epsilon,
-                       table)
+                       table, state.index_map)
     return state_from_flat(state.m, state.k_max, image[:, 0] * scale)
 
 
@@ -341,7 +340,7 @@ def assemble_K(m, k_max, epsilon):
     LandauProfile(epsilon)  # domain check
     table = legendre_values(k_max, m)
     imap = StateIndexMap(m, k_max)
-    kmat = _k_columns(np.eye(imap.dim), epsilon, table)
+    kmat = _k_columns(np.eye(imap.dim), epsilon, table, imap)
 
     tail = _tail_mass_ratio(kmat, imap)
     if tail > TAIL_TOLERANCE:
@@ -362,8 +361,8 @@ def assemble_L(m, k_max, epsilon):
     holds no -0.0."""
     if epsilon == 0.0:
         return assemble_L0(m, k_max)
-    rows, cols, values = _l0_pattern(m, k_max)
     lmat = assemble_K(m, k_max, epsilon)
+    rows, cols, values = _l0_pattern(lmat.index_map)
     lmat.entries[rows, cols] += values
     return lmat
 

@@ -9,33 +9,33 @@ member branch_frame(0).  In these coordinates
 
     L = [[I + A, B], [C, Lambda + D]]
 
-with Lambda diagonal (integers different from 1).  The basis is the exact
-Stokes branch frame of every degree, placed on the flat indices by
-stokes_spectrum.frame_slots: each frame is one block of columns (the
-branch vectors) and one block of rows (their exact Fraction inverse), each
-rounded once to floats, and a column permutation puts E first.  Nothing is
-orthonormalized, so Lambda is read off the branch labels and
+with Lambda diagonal (integers different from 1).  The basis is block
+diagonal: one exact Stokes branch frame per degree and family (columns
+the branch vectors, rows their exact Fraction inverse) on the flat
+indices of stokes_spectrum.frame_slots, rounded to floats once in
+branch_frame's cache, and applied frame by frame, never formed.  Nothing
+is orthonormalized, so Lambda is read off the branch labels and
 (I - Lambda)^{-1} is diagonal.  The frame grows ill-conditioned with k
 (4.5e5 at k = 96, 5e8 at k = 1000), but because the inverse is exact
-rather than computed, rows @ columns stays within 4e-14 of I up to
-k = 1000.  A graph map M: E -> Y with (I - Lambda) M = C + D M - M A - M B M
-makes span{(u, M u)} invariant, and the spectrum of L near 1 is the
-spectrum of the reduced matrix I + A + B M.  M is found by Picard
-iteration from M0 = (I - Lambda)^{-1} C, applied as a row scaling by the
-resolvent vector 1/(1 - lambda); the iteration contracts when the
-weighted norm of K times the largest resolvent factor max|1/(1 - lambda)|
-is below 1/4, which split_blocks checks up front.
+rather than computed, each rounded inverse times its rounded frame is
+within 5e-14 of I up to k = 1000.  A graph map M: E -> Y with
+(I - Lambda) M = C + D M - M A - M B M makes span{(u, M u)} invariant,
+and the spectrum of L near 1 is that of the reduced matrix I + A + B M.
+M is found by Picard iteration from M0 = (I - Lambda)^{-1} C, applied as
+a row scaling by the resolvent vector 1/(1 - lambda); the iteration
+contracts when the weighted norm of K times the largest resolvent factor
+max|1/(1 - lambda)| is below 1/4, which split_blocks checks up front.
 
 The blocks are formed in real arithmetic.  `OperatorMatrix.entries` is
 the stream-scaled real form S^-1 L S with S = diag(i on psi and psi', 1
 elsewhere), so K_r = S^-1 K S is the entries of L minus those of L0
-(`operators.k_entries`, from L0's cached pattern), read on the rows where
-K is not zero (its image fills phi', psi' and radial_star).  Every frame
-lives on stream slots only or on non-stream slots only, so rows S = S_b rows with S_b = diag(i on stream branches, 1
-elsewhere), and the branch coordinates of K are S_b (rows K_r columns)
-S_b^-1.  Each factor of the re-phasing is 1, i or
--i, which rounds nothing: an entry between a stream and a non-stream
-branch is purely imaginary, every other entry purely real.
+(`operators.k_entries`, from L0's cached pattern), its norm read on the
+rows K reaches (phi', psi' and radial_star).  Every frame lives on stream
+slots only or on non-stream slots only, so the frames carry S to
+S_b = diag(i on stream branches, 1 elsewhere), and the branch coordinates
+of K are S_b (rows K_r columns) S_b^-1.  Each factor of the re-phasing is
+1, i or -i, which rounds nothing: an entry between a stream and a
+non-stream branch is purely imaginary, every other entry purely real.
 
 The E basis is normalized so that reduced-matrix entries are directly
 comparable with hand calculations done on the unit-amplitude harmonics
@@ -45,17 +45,15 @@ comparable with hand calculations done on the unit-amplitude harmonics
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .operators import k_entries
 from .sphbasis import norm_constant
-from .statespace import StateIndexMap, x_weights
+from .statespace import x_weights
 from .stokes_spectrum import frame_slots
 
-_Z_SHAPE = {(1, 1): Fraction(1), (2, 1): Fraction(1, 3),
-            (3, 1): Fraction(2, 3), (2, 2): Fraction(1, 3)}
+_Z_SHAPE = {(1, 1): 1.0, (2, 1): 1 / 3, (3, 1): 2 / 3, (2, 2): 1 / 3}
 
 
 def z_coefficient(k, m):
@@ -66,7 +64,7 @@ def z_coefficient(k, m):
         return norm_constant(k, 0)
     shape = _Z_SHAPE[(k, abs(m))]
     sign = (-1.0) ** m if m > 0 else 1.0
-    return sign * float(shape) * norm_constant(k, abs(m))
+    return sign * shape * norm_constant(k, abs(m))
 
 
 @dataclass
@@ -76,8 +74,6 @@ class PerturbationBlocks:
     epsilon: float
     e_branches: tuple
     y_branches: tuple
-    basis_columns: np.ndarray = field(repr=False)
-    basis_rows: np.ndarray = field(repr=False)
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
@@ -110,33 +106,6 @@ class GraphMap:
     defect_history: tuple
 
 
-def _branch_basis(m, k_max):
-    """Exact branch columns for the whole truncated space, E members first
-    (stream before gradient), then Y degree by degree.  Returns the basis
-    matrix, its blockwise-exact inverse, and the E and Y labels
-    (degree, lambda, family)."""
-    n = StateIndexMap(m, k_max).dim
-    cols = np.zeros((n, n))
-    rows = np.zeros((n, n))
-    labels = []
-    for k, frame, idx in frame_slots(m, k_max):
-        span = slice(len(labels), len(labels) + len(idx))
-        cols[idx, span] = np.array(frame.rows, dtype=float)
-        rows[span, idx] = np.array(frame.inv, dtype=float)
-        labels += [(k, lam, frame.family) for lam in frame.lams]
-
-    e = sorted((j for j, label in enumerate(labels) if label[1] == 1),
-               key=lambda j: labels[j][2] != "stream")
-    order = e + [j for j, label in enumerate(labels) if label[1] != 1]
-    cols = cols[:, order]
-    rows = rows[order]
-    scale = np.array([z_coefficient(labels[j][0], m) for j in e])
-    cols[:, :len(e)] *= scale
-    rows[:len(e)] /= scale[:, None]
-    return (cols, rows, tuple(labels[j] for j in e),
-            tuple(labels[j] for j in order[len(e):]))
-
-
 def split_blocks(lmat, m, strict=True):
     """Branch-coordinate block decomposition of an assembled operator.
 
@@ -146,34 +115,48 @@ def split_blocks(lmat, m, strict=True):
     the blocks anyway (the Picard solve may still converge in practice)."""
     if m != lmat.m:
         raise ValueError(f"operator is assembled at m = {lmat.m}, not {m}")
-    k_max = lmat.k_max
-    # K in the stream-scaled real form, on the rows its image reaches
+    # K in the stream-scaled real form; its norm on the rows it reaches
     kmat = k_entries(lmat)
     live = np.flatnonzero(kmat.any(axis=1))
-    kmat = kmat[live]
-    w = np.sqrt(x_weights(StateIndexMap(m, k_max)))
-    k_norm = float(np.linalg.norm((kmat * w[live, None]) / w[None, :], 2))
+    w = np.sqrt(x_weights(lmat.index_map))
+    k_norm = float(np.linalg.norm(kmat[live] * w[live, None] / w, 2))
 
-    cols, rows, e_branches, y_branches = _branch_basis(m, k_max)
-    n_e = len(e_branches)
+    slots = list(frame_slots(m, lmat.k_max))
+    labels = [(k, lam, frame.family) for k, frame, _ in slots
+              for lam in frame.lams]
+    # E first, in frame order: degree-1 stream, then degree-2 gradient
+    order = sorted(range(len(labels)), key=lambda j: labels[j][1] != 1)
+    labels = [labels[j] for j in order]
+    n_e = sum(label[1] == 1 for label in labels)
+    # rows K columns, frame by frame: each inverse maps K's rows at its
+    # indices in place (row idx[i] then holds branch i), and each frame maps
+    # those rows' columns at its indices into its branches' E-first columns
+    for _, frame, idx in slots:
+        kmat[idx] = frame.float_inv @ kmat[idx]
+    flat_rows = np.concatenate([idx for *_, idx in slots])[order]
+    spans = np.split(np.argsort(order),
+                     np.cumsum([idx.size for *_, idx in slots])[:-1])
+    k_coord = np.empty(kmat.shape, dtype=complex)
+    for (_, frame, idx), span in zip(slots, spans):
+        k_coord[:, span] = kmat[flat_rows[:, None], idx] @ frame.float_rows
+    # E is normalized to the unit-amplitude harmonics
+    scale = np.array([z_coefficient(k, m) for k, *_ in labels[:n_e]])
+    k_coord[:n_e] /= scale[:, None]
+    k_coord[:, :n_e] *= scale
     # S_b, the stream scaling carried to the branches
-    phase = np.array([1j if label[2] == "stream" else 1.0
-                      for label in e_branches + y_branches])
-    k_coord = phase[:, None] * ((rows[:, live] @ kmat) @ cols)
+    phase = np.array([1j if f == "stream" else 1.0 for *_, f in labels])
+    k_coord *= phase[:, None]
     k_coord *= phase.conj()[None, :]
-    a = k_coord[:n_e, :n_e]
-    b = k_coord[:n_e, n_e:]
-    c = k_coord[n_e:, :n_e]
-    d = k_coord[n_e:, n_e:]
+    a, b = k_coord[:n_e, :n_e], k_coord[:n_e, n_e:]
+    c, d = k_coord[n_e:, :n_e], k_coord[n_e:, n_e:]
 
-    lam_y = np.array([float(label[1]) for label in y_branches])
+    lam_y = np.array([float(lam) for _, lam, _ in labels[n_e:]])
     resolvent = 1.0 / (1.0 - lam_y)
     kappa = float(np.max(np.abs(resolvent)))
 
     blocks = PerturbationBlocks(
-        m=m, k_max=k_max, epsilon=lmat.epsilon,
-        e_branches=e_branches, y_branches=y_branches,
-        basis_columns=cols, basis_rows=rows,
+        m=m, k_max=lmat.k_max, epsilon=lmat.epsilon,
+        e_branches=tuple(labels[:n_e]), y_branches=tuple(labels[n_e:]),
         a=a, b=b, c=c, d=d, lam_y=lam_y, resolvent=resolvent,
         kappa=kappa, k_norm=k_norm,
     )

@@ -118,10 +118,12 @@ class StateVector:
         for name, f in fields.items():
             if f.m != self.m or f.k_max != k_max:
                 raise ValueError(f"component {name} disagrees on (m, k_max)")
+        # the map is built once; (m, k_max) are not reassigned after this
+        self._index_map = StateIndexMap(self.m, k_max)
         # Structurally absent slots must be zero.
         scale = 1.0 + max(np.max(np.abs(f.coeffs)) for f in fields.values())
         for name, f in fields.items():
-            lo = component_k_min(name, self.m)
+            lo = self._index_map.k_lo(name)
             head = f.coeffs[: lo - f.k_min]
             if head.size and np.max(np.abs(head)) > 1e-13 * scale:
                 raise ValueError(
@@ -140,7 +142,7 @@ class StateVector:
 
     @property
     def index_map(self):
-        return StateIndexMap(self.m, self.k_max)
+        return self._index_map
 
     def to_flat(self):
         imap = self.index_map
@@ -160,11 +162,11 @@ def zero_state(m, k_max):
 
 
 def state_from_flat(m, k_max, vec):
-    imap = StateIndexMap(m, k_max)
+    st = zero_state(m, k_max)
+    imap = st.index_map
     vec = np.asarray(vec, dtype=complex)
     if vec.size != imap.dim:
         raise ValueError(f"flat vector length {vec.size}, expected {imap.dim}")
-    st = zero_state(m, k_max)
     for name, f in st.components().items():
         lo = imap.k_lo(name)
         f.coeffs[lo - f.k_min:] = vec[imap.sl(name)]

@@ -15,9 +15,9 @@ Everything here is kept in exact rational arithmetic, and one Gauss-Jordan
 elimination gives both the inverse of a frame and the determinant of the
 frame matrix.  The branch vectors of each degree form the frame
 (``branch_frame``) used to expand an arbitrary block; ``frame_slots`` puts
-every frame of a truncated mode space on its flat indices, and both the
-spectral projections of the unperturbed operator (``l0_projection``) and
-the branch basis of ``perturbation`` are assembled from it.  The frame
+every frame of a truncated mode space on its flat indices.
+``l0_projection`` is assembled from it, and ``perturbation`` applies each
+frame, rounded once, to K's rows and columns at its indices.  The frame
 matrix has determinant -(2k+1)^2, which is what makes the expansion well
 posed at every degree.
 """
@@ -105,8 +105,15 @@ def _degree_branches(k):
     return branches
 
 
+def _integer(name, value):
+    """int(value), which would truncate 2.5, for integral values only."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} = {value!r} is not an integer")
+    return int(value)
+
+
 def branch_vector(k, m, lam):
-    k, m, lam = int(k), int(m), int(lam)
+    k, m, lam = _integer("k", k), _integer("m", m), _integer("lam", lam)
     if k < max(abs(m), 1):
         raise ValueError(
             f"degree k = {k} has no branch block at mode m = {m}; "
@@ -124,13 +131,22 @@ def branch_vector(k, m, lam):
 class BranchFrame(NamedTuple):
     """Exact eigenvector frame of one family on a degree-k block: column j
     of ``rows`` (indexed like ``slots``) is the branch at ``lams[j]``, and
-    ``inv`` is the exact inverse of ``rows``."""
+    ``inv`` is the exact inverse of ``rows``; ``float_*`` round them."""
 
     family: str
     slots: tuple
     lams: tuple
     rows: tuple
     inv: tuple
+    float_rows: np.ndarray
+    float_inv: np.ndarray
+
+
+def _frame(family, slots, lams, rows, inv):
+    """A BranchFrame with read-only float64 copies of rows and inv."""
+    rounded = np.array([rows, inv], dtype=float)
+    rounded.flags.writeable = False
+    return BranchFrame(family, slots, lams, rows, inv, *rounded)
 
 
 _FAMILIES = (("stream", STREAM_SLOTS, stream_eigenvalues),
@@ -146,12 +162,12 @@ def branch_frame(k):
     serves every m.  A cache miss goes through private names only, so a
     call tracer sees the same public calls whether or not the frame was
     already cached."""
-    k = int(k)
+    k = _integer("k", k)
     if k < 0:
         raise ValueError(f"the branch frame needs k >= 0, got {k}")
     if k == 0:  # degree zero survives only in radial_star, at -2
-        return (BranchFrame("isolated", ("radial_star",), (-2,),
-                            ((Fraction(1),),), ((Fraction(1),),)),)
+        return (_frame("isolated", ("radial_star",), (-2,),
+                       ((Fraction(1),),), ((Fraction(1),),)),)
     branches = _degree_branches(k)
     frames = []
     for family, slots, eigenvalues in _FAMILIES:
@@ -161,7 +177,7 @@ def branch_frame(k):
         inv, _ = _exact_inv(rows)
         if inv is None:
             raise ValueError("frame matrix is singular")
-        frames.append(BranchFrame(family, slots, lams, rows, inv))
+        frames.append(_frame(family, slots, lams, rows, inv))
     return tuple(frames)
 
 
@@ -189,7 +205,7 @@ class McalMatrix:
 
 
 def mcal(k):
-    k = int(k)
+    k = _integer("k", k)
     if k < 0:
         raise ValueError(f"degree k = {k} must be a non-negative integer")
     return McalMatrix(k=k, rows=_frame_rows(k))

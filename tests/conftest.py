@@ -3,6 +3,7 @@ import functools
 import pytest
 
 from landauspec.operators import assemble_L
+from landauspec.statespace import StateIndexMap
 
 
 @pytest.fixture(scope="session")
@@ -20,3 +21,17 @@ def cached_l():
         return lmat
 
     return assemble
+
+
+@pytest.fixture
+def index_map_builds(monkeypatch):
+    """A list that grows by one (m, k_max) with every StateIndexMap built."""
+    builds = []
+    build = StateIndexMap.__post_init__
+
+    def counted(self):
+        builds.append((self.m, self.k_max))
+        build(self)
+
+    monkeypatch.setattr(StateIndexMap, "__post_init__", counted)
+    return builds

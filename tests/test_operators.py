@@ -327,7 +327,8 @@ def test_real_k_matches_the_complex_reference(m, k_max):
         if (k_max, eps) == (12, 0.3):
             with pytest.raises(ValueError, match="under-resolves"):
                 assemble_K(m, k_max, eps)
-            got = _k_columns(np.eye(imap.dim), eps, legendre_values(k_max, m))
+            got = _k_columns(np.eye(imap.dim), eps, legendre_values(k_max, m),
+                             imap)
         else:
             got = assemble_K(m, k_max, eps).entries
         assert (np.abs(got - ref.real).max()
@@ -339,13 +340,13 @@ def test_k_columns_keep_a_real_block_real(m):
     # a real block of stream-scaled states has a float64 image; a complex
     # block maps its real and imaginary parts separately
     k_max, eps = 16, 0.1
-    dim = StateIndexMap(m, k_max).dim
+    imap = StateIndexMap(m, k_max)
     table = legendre_values(k_max, m)
     rng = np.random.default_rng(3)
-    re, im = rng.normal(size=(dim, 4)), rng.normal(size=(dim, 4))
-    real_re, real_im = (_k_columns(x, eps, table) for x in (re, im))
+    re, im = rng.normal(size=(imap.dim, 4)), rng.normal(size=(imap.dim, 4))
+    real_re, real_im = (_k_columns(x, eps, table, imap) for x in (re, im))
     assert real_re.dtype == real_im.dtype == np.float64
-    both = _k_columns(re + 1j * im, eps, table)
+    both = _k_columns(re + 1j * im, eps, table, imap)
     assert both.dtype == np.complex128
     scale = 1.0 + np.abs(both).max()
     assert np.abs(both - (real_re + 1j * real_im)).max() <= 1e-14 * scale
@@ -376,8 +377,8 @@ def test_k_entries_take_out_l0_byte_for_byte(m, k_max):
 
 
 def test_l0_pattern_is_built_once_and_read_only():
-    pattern = _l0_pattern(2, 16)
-    assert _l0_pattern(2, 16) is pattern
+    pattern = _l0_pattern(StateIndexMap(2, 16))
+    assert _l0_pattern(StateIndexMap(2, 16)) is pattern
     for arr in pattern:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -418,7 +419,7 @@ def test_tail_mass_is_one_masked_reduction(m, k_max):
     imap = StateIndexMap(m, k_max)
     table = legendre_values(k_max, m)
     for eps in (0.02, 0.1):
-        kmat = _k_columns(np.eye(imap.dim), eps, table)
+        kmat = _k_columns(np.eye(imap.dim), eps, table, imap)
         got = _tail_mass_ratio(kmat, imap)
         want = _tail_mass_reference(kmat, imap)
         assert isinstance(got, float)
@@ -454,6 +455,20 @@ def test_operator_builds_its_index_map_once():
     imap = lmat.index_map
     assert lmat.index_map is imap
     assert imap == StateIndexMap(1, 12) and lmat.dim == imap.dim
+
+
+def test_assembly_builds_one_index_map_besides_the_operators(
+        index_map_builds):
+    # assemble_K's map serves _k_columns and the tail monitor; L0's pattern
+    # is read through the operator's own
+    lmat = assemble_L(1, 12, 0.1)
+    assert index_map_builds == [(1, 12)] * 2
+    assemble_L0(1, 12)
+    k_entries(lmat)
+    assert index_map_builds == [(1, 12)] * 4
+    # apply_K builds only its image's map
+    apply_K(zero_state(1, 12), 0.1, legendre_values(12, 1))
+    assert index_map_builds == [(1, 12)] * 6
 
 
 def test_assemble_l_is_sum():

@@ -1,6 +1,8 @@
 """Block split, graph fixed point, and reduced-matrix fixtures."""
 
 import dataclasses
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,12 +34,34 @@ from landauspec.statespace import (
     state_from_flat,
     x_weights,
 )
+from landauspec.stokes_spectrum import frame_slots
 
 REDUCED_MODEL_M1 = np.array([[0.0, 0.0], [-0.2j, 1.0 / 15.0]])
 
 
 def blocks_at(m, eps, k_max=16):
     return split_blocks(assemble_L(m, k_max, eps), m, strict=False)
+
+
+def branch_basis(m, k_max):
+    """Dense reference for the basis that split_blocks applies frame by
+    frame: (columns, rows, labels), every exact frame rounded to floats on
+    its flat indices, the lambda = 1 members first (stream before
+    gradient) and scaled by z_coefficient, then the rest in frame order."""
+    n = StateIndexMap(m, k_max).dim
+    cols, rows, labels = np.zeros((n, n)), np.zeros((n, n)), []
+    for k, frame, idx in frame_slots(m, k_max):
+        span = slice(len(labels), len(labels) + len(idx))
+        cols[idx, span] = np.array(frame.rows, dtype=float)
+        rows[span, idx] = np.array(frame.inv, dtype=float)
+        labels += [(k, lam, frame.family) for lam in frame.lams]
+    e = sorted((j for j, label in enumerate(labels) if label[1] == 1),
+               key=lambda j: labels[j][2] != "stream")
+    order = e + [j for j, label in enumerate(labels) if label[1] != 1]
+    scale = np.ones(n)
+    scale[:len(e)] = [z_coefficient(labels[j][0], m) for j in e]
+    return (cols[:, order] * scale, rows[order] / scale[:, None],
+            tuple(labels[j] for j in order))
 
 
 def test_zero_eps_blocks_vanish():
@@ -108,7 +132,9 @@ def test_real_split_matches_the_complex_reference(m, k_max, eps):
     lmat = assemble_L(m, k_max, eps)
     bl = split_blocks(lmat, m, strict=False)
     kmat = complex_entries(lmat) - complex_entries(assemble_L0(m, k_max))
-    ref = bl.basis_rows @ kmat @ bl.basis_columns
+    cols, rows, labels = branch_basis(m, k_max)
+    assert bl.e_branches + bl.y_branches == labels
+    ref = rows @ kmat @ cols
     w = np.sqrt(x_weights(lmat.index_map))
     ref_norm = np.linalg.norm((kmat * w[:, None]) / w[None, :], 2)
     coord = np.block([[bl.a, bl.b], [bl.c, bl.d]])
@@ -126,15 +152,50 @@ def test_real_split_matches_the_complex_reference(m, k_max, eps):
 @pytest.mark.parametrize("m, k_max", [
     *(pytest.param(m, 12, id=f"{m}") for m in (0, 1, 2)),
     *(pytest.param(m, 96, id=f"{m}-kmax96") for m in (0, 1, 2)),
+    pytest.param(0, 1000, id="0-kmax1000"),
 ])
 def test_projector_completeness(m, k_max):
-    """The exact branch rows invert the branch columns at rounding level up
-    to the largest truncation the benchmark runs, with no orthonormalizing
-    fallback for the ill-conditioned high-degree frames."""
-    bl = blocks_at(m, 0.1, k_max=k_max)
-    n = bl.basis_columns.shape[0]
-    resid = bl.basis_rows @ bl.basis_columns - np.eye(n)
-    assert np.abs(resid).max() <= 1e-12
+    """Each rounded frame inverse that split_blocks applies inverts its
+    rounded frame at rounding level, checked frame by frame, with no
+    orthonormalizing fallback for the ill-conditioned high-degree frames.
+    The worst residual is 5.0e-15 up to the benchmark's largest truncation,
+    k_max = 96, and 4.9e-14 up to k_max = 1000 (every degree from 0)."""
+    worst = max(np.abs(frame.float_inv @ frame.float_rows
+                       - np.eye(len(idx))).max()
+                for _, frame, idx in frame_slots(m, k_max))
+    assert worst <= (1e-14 if k_max <= 96 else 5e-14)
+
+
+def test_warm_split_rounds_no_fraction(monkeypatch):
+    # the frames are rounded to floats once, in branch_frame's cache
+    lmat = assemble_L(1, 24, 0.05)
+    split_blocks(lmat, 1, strict=False)
+    calls = []
+    exact_float = Fraction.__float__
+
+    def counted(self):
+        calls.append(self)
+        return exact_float(self)
+
+    monkeypatch.setattr(Fraction, "__float__", counted)
+    split_blocks(lmat, 1, strict=False)
+    assert calls == []
+
+
+def test_blocks_retain_only_the_block_matrix():
+    """a, b, c and d are views of one complex n x n matrix, 2 x 8 n^2
+    bytes, and the blocks keep no dense branch basis besides."""
+    lmat = assemble_L(1, 96, 0.05)
+    split_blocks(lmat, 1, strict=False)  # fill branch_frame's cache
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bl = split_blocks(lmat, 1, strict=False)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert bl.d.shape[0] + bl.dim_e == lmat.dim
+    assert retained <= 2.1 * 8 * lmat.dim ** 2
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -174,20 +235,19 @@ def test_z_coefficient_table():
     (2, ("radial", lambda t: np.sin(t) ** 2)),
 ])
 def test_e_basis_unit_amplitude(m, profiles):
-    """The first E member synthesizes to the bare trig profile."""
+    """The first E member synthesizes to the bare trig profile; the basis
+    is the one split_blocks applies (see the complex reference test)."""
     name, expect = profiles
     k_max = 8
-    bl = blocks_at(m, 0.0, k_max=k_max)
     grid = QuadratureGrid.build(default_node_count(k_max))
     table = legendre_values(k_max, m, grid)
-    state = state_from_flat(m, k_max, bl.basis_columns[:, 0])
+    state = state_from_flat(m, k_max, branch_basis(m, k_max)[0][:, 0])
     vals = state.components()[name].coeffs @ table.val
     np.testing.assert_allclose(vals, expect(grid.theta), atol=1e-13)
 
 
 def test_e_gradient_pair_shape():
-    bl = blocks_at(1, 0.0, k_max=8)
-    state = state_from_flat(1, 8, bl.basis_columns[:, 1])
+    state = state_from_flat(1, 8, branch_basis(1, 8)[0][:, 1])
     th = state.components()["radial"]
     ts = state.components()["radial_star"]
     assert th.coeffs[2 - th.k_min] == pytest.approx(z_coefficient(2, 1))
@@ -301,7 +361,7 @@ def test_reduced_matrix_even_in_eps(m, k_max, eps):
     plus, minus = blocks_at(m, eps, k_max), blocks_at(m, -eps, k_max)
     # every branch column is an eigenvector of S, with one sign across E
     s = reflection_signs(m, k_max)
-    cols = plus.basis_columns
+    cols = branch_basis(m, k_max)[0]
     sigma = np.where(np.abs(s[:, None] * cols - cols).max(axis=0) == 0.0,
                      1.0, -1.0)
     assert np.array_equal(s[:, None] * cols, cols * sigma[None, :])
@@ -347,9 +407,11 @@ def test_graph_invariance_of_lifted_subspace():
     red = reduced_matrix(bl, g)
     u = np.array([1.0, 0.7j])
 
+    cols = branch_basis(1, k_max)[0]
+
     def lift(v):  # the state of the graph point (v, M v)
         coords = np.concatenate([v, g.matrix @ v])
-        return state_from_flat(1, k_max, bl.basis_columns @ coords)
+        return state_from_flat(1, k_max, cols @ coords)
 
     lmat_c = complex_entries(lmat)
     lhs = lmat_c @ lift(u).to_flat()

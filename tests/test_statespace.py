@@ -166,3 +166,13 @@ def test_json_roundtrip(tmp_path):
     save_state_json(st, path)
     loaded = load_state_json(path)
     assert np.array_equal(loaded.to_flat(), st.to_flat())
+
+
+def test_a_state_builds_its_index_map_once(index_map_builds):
+    st = zero_state(-1, 9)
+    assert index_map_builds == [(-1, 9)]
+    assert st.index_map is st.index_map
+    x_norm(state_from_flat(-1, 9, st.to_flat() + 1.0))
+    x_inner(st, st.copy())
+    # one map for the state from the flat vector, one for the copy
+    assert index_map_builds == [(-1, 9)] * 3

@@ -162,10 +162,41 @@ def test_branch_frame_is_exact_and_shared():
                 for b in range(n):
                     entry = sum(f.rows[a][c] * f.inv[c][b] for c in range(n))
                     assert entry == (1 if a == b else 0)
-    assert branch_frame(0) == (
-        ("isolated", ("radial_star",), (-2,), ((1,),), ((1,),)),)
+            # the rounded copies are made once, with the frame, read-only
+            for exact, rounded in ((f.rows, f.float_rows),
+                                   (f.inv, f.float_inv)):
+                assert rounded.dtype == np.float64
+                assert not rounded.flags.writeable
+                assert np.array_equal(rounded, np.array(exact, dtype=float))
+    (f0,) = branch_frame(0)
+    assert (f0.family, f0.slots, f0.lams, f0.rows, f0.inv) == (
+        "isolated", ("radial_star",), (-2,), ((1,),), ((1,),))
+    assert f0.float_rows.tolist() == f0.float_inv.tolist() == [[1.0]]
     with pytest.raises(ValueError):
         branch_frame(-1)
+
+
+@pytest.mark.parametrize("fn, args, bad", [
+    (branch_vector, (1, 1, 1.5), "lam = 1.5"),
+    (branch_vector, (2.9, 1, 1), "k = 2.9"),
+    (branch_vector, (2, 0.5, 1), "m = 0.5"),
+    (mcal, (2.7,), "k = 2.7"),
+    (branch_frame, (2.5,), "k = 2.5"),
+], ids=["branch_vector-lam", "branch_vector-k", "branch_vector-m", "mcal",
+        "branch_frame"])
+def test_non_integral_arguments_are_rejected(fn, args, bad):
+    # int() would truncate them to a neighbouring branch, degree or frame
+    cached = branch_frame.cache_info().currsize
+    with pytest.raises(ValueError, match=f"^{bad} is not an integer$"):
+        fn(*args)
+    assert branch_frame.cache_info().currsize == cached
+
+
+def test_integral_floats_are_accepted():
+    assert branch_vector(2.0, 1.0, 1.0) == branch_vector(2, 1, 1)
+    assert mcal(2.0) == mcal(2)
+    assert ([f[:5] for f in branch_frame(2.0)]
+            == [f[:5] for f in branch_frame(2)])
 
 
 def test_branch_frame_miss_calls_no_public_function(monkeypatch):
