@@ -355,7 +355,7 @@ def _tilt_state(epsilon, k_max):
                            -0.5 * prof["dF_dtheta"], -0.5 * prof["dp_dtheta"])
 
 
-def zero_mode_check(epsilon, direction, k_max):
+def zero_mode_check(epsilon, direction, k_max=None):
     """Residual of the operator on the family derivative in the given force
     direction.
 
@@ -364,7 +364,8 @@ def zero_mode_check(epsilon, direction, k_max):
     Both are analytic zero modes, built from the closed-form family
     derivatives.  The reported residual combines the two per-mode relative
     residuals |L state| / |state|, weighted by the direction and the state
-    norms.
+    norms.  Each mode's state and operator are built at the given k_max,
+    or, when k_max is None, at that mode's `default_k_max(epsilon, m)`.
     """
     if epsilon <= 0.0:
         raise ValueError("family derivative needs eps > 0")
@@ -383,8 +384,9 @@ def zero_mode_check(epsilon, direction, k_max):
     for weight, m, build in ((w_ax, 0, _axial_state), (w_tr, 1, _tilt_state)):
         state = res = None
         if weight > 1e-14:
-            state = build(epsilon, k_max)
-            res = _relative_residual(assemble_L(m, k_max, epsilon), state, 0.0)
+            k = default_k_max(epsilon, m) if k_max is None else k_max
+            state = build(epsilon, k)
+            res = _relative_residual(assemble_L(m, k, epsilon), state, 0.0)
             n = weight * x_norm(state)
             num += (n * res) ** 2
             den += n**2

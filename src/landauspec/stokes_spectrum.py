@@ -153,18 +153,24 @@ _FAMILIES = (("stream", STREAM_SLOTS, stream_eigenvalues),
              ("gradient", GRADIENT_SLOTS, gradient_eigenvalues))
 
 
-@functools.lru_cache(maxsize=None)
 def branch_frame(k):
     """The BranchFrames of degree k >= 0: the isolated radial_star member
     at k = 0, the stream and gradient frames at k >= 1.
 
     Branch coefficients do not depend on the mode m, so one cached frame
-    serves every m.  A cache miss goes through private names only, so a
-    call tracer sees the same public calls whether or not the frame was
-    already cached."""
+    serves every m.  The cache is keyed on int(k), so an integral float
+    shares the int's frames.  A cache miss goes through private names
+    only, so a call tracer sees the same public calls whether or not the
+    frame was already cached."""
     k = _integer("k", k)
     if k < 0:
         raise ValueError(f"the branch frame needs k >= 0, got {k}")
+    return _branch_frames(k)
+
+
+@functools.lru_cache(maxsize=None)
+def _branch_frames(k):
+    """branch_frame's cached builder, for an int k >= 0."""
     if k == 0:  # degree zero survives only in radial_star, at -2
         return (_frame("isolated", ("radial_star",), (-2,),
                        ((Fraction(1),),), ((Fraction(1),),)),)
@@ -179,6 +185,10 @@ def branch_frame(k):
             raise ValueError("frame matrix is singular")
         frames.append(_frame(family, slots, lams, rows, inv))
     return tuple(frames)
+
+
+branch_frame.cache_info = _branch_frames.cache_info
+branch_frame.cache_clear = _branch_frames.cache_clear
 
 
 def frame_slots(m, k_max):

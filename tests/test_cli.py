@@ -305,7 +305,7 @@ def test_unknown_config_file_key_exits_1(tmp_path, capsys, monkeypatch):
         ({"assert_paper": "yes"}, "'assert_paper' must be true or false"),
         ({"modes": []}, "config key 'modes' must not be empty"),
         ({"epsilons": []}, "config key 'epsilons' must not be empty"),
-        # only track's default may be given as null
+        # only track's and verify's default may be given as null
         ({"k_max": None}, "'k_max' must be an integer, got None"),
     ]
     for content, message in table:
@@ -633,7 +633,7 @@ def test_verify_battery_passes(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--kmax", "16",
                            "--out", str(tmp_path))
     assert code == 0
-    assert "mcal_det[k=0..50]: PASS" in out
+    assert "mcal_det[all k]: PASS" in out
     assert "swirl_ode[eps=0.5]: PASS" in out
     assert "P1_rank[eps=0.05]: PASS (8)" in out
     assert "P0_rank[eps=0.05]: PASS (3)" in out
@@ -641,6 +641,38 @@ def test_verify_battery_passes(tmp_path, capsys):
     doc = read_json(tmp_path / "verify.json")
     assert len(doc["checks"]) == 12
     assert all(row["passed"] for row in doc["checks"])
+
+
+def test_default_verify_takes_k_max_from_eps(tmp_path, capsys,
+                                             monkeypatch):
+    # the zero-mode and fit rows assemble at the rule, never at the
+    # truncation spectrum and export default to
+    assembled = []
+    assemble = assemble_L
+
+    def spy(m, k_max, epsilon):
+        assembled.append(k_max)
+        return assemble(m, k_max, epsilon)
+
+    for module in (cli, cli.eigentracker):
+        monkeypatch.setattr(module, "assemble_L", spy)
+    code, out, _ = run_cli(capsys, "verify", "--out", str(tmp_path / "a"))
+    assert code == 0
+    assert "12/12 checks passed" in out
+    assert "fit_c[m=1]: PASS (c[m=1] = 0.06626)" in out
+    assert "fit_c[m=2]: PASS (c[m=2] = 0.26538)" in out
+    assert cli.DEFAULT_K_MAX not in assembled
+    rule = {default_k_max(e, m) for m in (1, 2) for e in DEFAULT_EPS_GRID}
+    assert rule <= set(assembled)
+    doc = read_json(tmp_path / "a" / "verify.json")
+    assert len(doc["checks"]) == 12
+    assert all(row["passed"] for row in doc["checks"])
+    echoed = read_json(tmp_path / "a" / "config.json")
+    assert "k_max" in echoed and echoed["k_max"] is None
+    code, _, _ = run_cli(capsys, "verify", "--out", str(tmp_path / "b"))
+    assert code == 0
+    assert ((tmp_path / "a" / "verify.json").read_bytes()
+            == (tmp_path / "b" / "verify.json").read_bytes())
 
 
 def test_verify_reports_failures_with_exit_2(tmp_path, capsys, monkeypatch):

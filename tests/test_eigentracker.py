@@ -358,6 +358,14 @@ def test_zero_mode_mixed_direction():
     assert abs(np.linalg.norm(report.direction) - 1.0) <= 1e-12
 
 
+def test_zero_mode_at_the_rule():
+    # without a k_max each mode is built and assembled at its own rule
+    report = zero_mode_check(0.1, (1.0, 1.0, 1.0), None)
+    assert report.residual <= 1e-9
+    assert report.axial.k_max == default_k_max(0.1, 0)
+    assert report.transverse.k_max == default_k_max(0.1, 1)
+
+
 def test_zero_mode_domain_guards():
     with pytest.raises(ValueError, match="eps > 0"):
         zero_mode_check(0.0, (0, 0, 1), 12)

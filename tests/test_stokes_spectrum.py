@@ -106,6 +106,30 @@ def test_mcal_determinant_closed_form():
         assert mcal(k).determinant() == -((2 * k + 1) ** 2)
 
 
+def _differences(values, order):
+    for _ in range(order):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values
+
+
+def test_mcal_determinant_degree_bound():
+    # verify's determinant row checks k = 0..10 only: scaled by
+    # (4k - 2)(4k + 6) the determinant is a polynomial of degree <= 10, one
+    # from each row's degree, so 11 agreeing degrees make it -(2k+1)^2
+    # everywhere.  A polynomial of degree d has vanishing (d+1)-th
+    # differences, checked here exactly well past the 11 points.
+    ks = range(61)
+    rows = [stokes_spectrum._frame_rows(k) for k in ks]
+    scales = [(4 * k - 2, 1, 4 * k + 6, 1) for k in ks]
+    for i, degree in enumerate((3, 2, 3, 2)):
+        for j in range(4):
+            entries = [r[i][j] * s[i] for r, s in zip(rows, scales)]
+            assert all(x.denominator == 1 for x in entries), (i, j)
+            assert not any(_differences(entries, degree + 1)), (i, j)
+    scaled = [mcal(k).determinant() * s[0] * s[2] for k, s in zip(ks, scales)]
+    assert not any(_differences(scaled, 11))
+
+
 def test_mcal_rejects_negative_degree():
     with pytest.raises(ValueError):
         mcal(-1)
@@ -197,6 +221,15 @@ def test_integral_floats_are_accepted():
     assert mcal(2.0) == mcal(2)
     assert ([f[:5] for f in branch_frame(2.0)]
             == [f[:5] for f in branch_frame(2)])
+
+
+def test_integral_float_shares_the_int_frame():
+    # the cache is keyed on the int, so 2.0 costs no second elimination
+    assert branch_frame(2.0) is branch_frame(2)
+    branch_frame(5)
+    cached = branch_frame.cache_info().currsize
+    assert branch_frame(5.0) is branch_frame(5)
+    assert branch_frame.cache_info().currsize == cached
 
 
 def test_branch_frame_miss_calls_no_public_function(monkeypatch):
