@@ -23,11 +23,12 @@ serves both `track` and `contour_projection` (`_ordered_schur`, the one
 caller of `dgees` and `dtrsyl`); the circle holds both members of a
 conjugate pair or neither, so the ordering never splits a 2x2 block.
 `track` takes it once per grid point without Schur vectors: the group
-near 1 is read off its eigenvalues and the count inside TRACK_CONTOUR is
-the point's rank.  Unless it is given a k_max, `track` truncates each
-point at `sphbasis.default_k_max(eps, m)`, the degree at which the
-background's coefficients decay below the tail monitor's threshold, with
-a margin; the monitor still checks every assembly.
+near 1 is the leading block that the form encloses in TRACK_CONTOUR, and
+its size, the point's rank, must be the unperturbed multiplicity.  Unless
+it is given a k_max, `track` truncates each point at
+`sphbasis.default_k_max(eps, m)`, the degree at which the background's
+coefficients decay below the tail monitor's threshold, with a margin; the
+monitor still checks every assembly.
 `contour_projection` takes the form with vectors and builds the Riesz
 projector P = D Z1 [I X] Z^T D^-1.  Either way the form
 certifies the number of eigenvalues inside the circle, their separation
@@ -92,11 +93,12 @@ def track(m, epsilons, k_max=None):
     rejects a truncation too small for the point's eps, and the curve
     records each point's k_max.
     Each point takes one ordered real Schur form of the assembled operator,
-    without Schur vectors, on the circle TRACK_CONTOUR; the group is read
-    off its eigenvalues, and the number inside the circle is the point's
-    rank.  The Schur form carries every guard of `contour_projection`: no
-    eigenvalue within 1e-3 of the circle, a gap of twice the enclosed
-    spread, and a well-conditioned Sylvester splitting.
+    without Schur vectors, on the circle TRACK_CONTOUR.  The group is the
+    enclosed leading block of that form, which carries every guard of
+    `contour_projection`: no eigenvalue within 1e-3 of the circle, a gap
+    of twice the enclosed spread, and a well-conditioned Sylvester
+    splitting.  The number inside the circle is the point's rank, and the
+    sweep fails unless it equals `cluster_size(m)`.
     Branches are matched between consecutive grid points by minimum-cost
     assignment; a change in group size or a jump larger than ten times
     the grid step aborts the sweep.
@@ -116,18 +118,16 @@ def track(m, epsilons, k_max=None):
     want = cluster_size(m)
     k_maxes = tuple(default_k_max(e, m) if k_max is None else k_max
                     for e in eps)
-    rows, ranks = [], []
+    rows = []
     for e, k in zip(eps, k_maxes):
         lam, rank, _, _ = _ordered_schur(
             assemble_L(m, k, float(e)).entries, TRACK_CONTOUR, vectors=False)
-        ranks.append(rank)
-        group = lam[np.abs(lam - 1.0) < CLUSTER_RADIUS]
-        if group.size != want:
+        if rank != want:
             raise RuntimeError(
-                f"eigenvalue group near 1 has {group.size} members at "
+                f"eigenvalue group near 1 has {rank} members at "
                 f"eps = {e}, expected {want}"
             )
-        rows.append(group)
+        rows.append(lam[:rank])
     curve = np.empty((eps.size, want), dtype=complex)
     order = np.lexsort((rows[0].imag, rows[0].real))
     curve[0] = rows[0][order]
@@ -145,7 +145,7 @@ def track(m, epsilons, k_max=None):
                 f"a branch moved {moved:.3e} over step {step:.3e}; "
                 f"matching is not trustworthy, refine the grid"
             )
-    return EigenCurve(m, k_maxes, eps, curve, tuple(ranks))
+    return EigenCurve(m, k_maxes, eps, curve, (want,) * eps.size)
 
 
 @dataclass
@@ -365,10 +365,15 @@ def zero_mode_check(epsilon, direction, k_max=None):
     derivatives.  The reported residual combines the two per-mode relative
     residuals |L state| / |state|, weighted by the direction and the state
     norms.  Each mode's state and operator are built at the given k_max,
-    or, when k_max is None, at that mode's `default_k_max(epsilon, m)`.
+    or, when k_max is None, at that mode's `default_k_max(epsilon, m)`,
+    whose margin is validated for |eps| <= 0.3 only.
     """
     if epsilon <= 0.0:
         raise ValueError("family derivative needs eps > 0")
+    if k_max is None and epsilon > 0.3:
+        raise ValueError(f"the default truncation is validated for "
+                         f"|eps| <= 0.3 only, got eps = {epsilon!r}; "
+                         f"give a k_max")
     direction = np.asarray(direction, dtype=float)
     if direction.shape != (3,):
         raise ValueError("direction must be a 3-vector")
@@ -427,7 +432,7 @@ class ContourSpec:
     radius: float
 
 
-# the circle on which `track` counts the group near 1 (its ranks)
+# the circle that encloses `track`'s group near 1 (its ranks)
 TRACK_CONTOUR = ContourSpec(1.0, 0.5)
 
 

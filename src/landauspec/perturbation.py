@@ -30,12 +30,16 @@ The blocks are formed in real arithmetic.  `OperatorMatrix.entries` is
 the stream-scaled real form S^-1 L S with S = diag(i on psi and psi', 1
 elsewhere), so K_r = S^-1 K S is the entries of L minus those of L0
 (`operators.k_entries`, from L0's cached pattern), its norm read on the
-rows K reaches (phi', psi' and radial_star).  Every frame lives on stream
-slots only or on non-stream slots only, so the frames carry S to
-S_b = diag(i on stream branches, 1 elsewhere), and the branch coordinates
-of K are S_b (rows K_r columns) S_b^-1.  Each factor of the re-phasing is
-1, i or -i, which rounds nothing: an entry between a stream and a
-non-stream branch is purely imaginary, every other entry purely real.
+rows K reaches (phi', psi' and radial_star).  Every rounded inverse maps
+K_r's rows and then every rounded frame its columns, in place at the
+frame's own flat indices, so branch i of a frame sits at the index of its
+slot i, and one permutation puts E first.  Every frame lives on stream
+slots only or on non-stream slots only, so the stream branches sit
+exactly on the stream slots, the branch scaling S_b is S itself, and the
+branch coordinates of K are S (rows K_r columns) S^-1, read at the
+branches' indices.  Each factor of the re-phasing is 1, i or -i, which
+rounds nothing: an entry between a stream and a non-stream branch is
+purely imaginary, every other entry purely real.
 
 The E basis is normalized so that reduced-matrix entries are directly
 comparable with hand calculations done on the unit-amplitude harmonics
@@ -48,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import k_entries
+from .operators import k_entries, stream_scale
 from .sphbasis import norm_constant
 from .statespace import x_weights
 from .stokes_spectrum import frame_slots
@@ -121,30 +125,29 @@ def split_blocks(lmat, m, strict=True):
     w = np.sqrt(x_weights(lmat.index_map))
     k_norm = float(np.linalg.norm(kmat[live] * w[live, None] / w, 2))
 
+    # rows K columns, frame by frame and in place: every inverse maps K's
+    # rows at its frame's indices, then every frame maps the columns there,
+    # so branch i of a frame sits at the frame's flat index idx[i]
     slots = list(frame_slots(m, lmat.k_max))
-    labels = [(k, lam, frame.family) for k, frame, _ in slots
-              for lam in frame.lams]
-    # E first, in frame order: degree-1 stream, then degree-2 gradient
-    order = sorted(range(len(labels)), key=lambda j: labels[j][1] != 1)
-    labels = [labels[j] for j in order]
-    n_e = sum(label[1] == 1 for label in labels)
-    # rows K columns, frame by frame: each inverse maps K's rows at its
-    # indices in place (row idx[i] then holds branch i), and each frame maps
-    # those rows' columns at its indices into its branches' E-first columns
     for _, frame, idx in slots:
         kmat[idx] = frame.float_inv @ kmat[idx]
-    flat_rows = np.concatenate([idx for *_, idx in slots])[order]
-    spans = np.split(np.argsort(order),
-                     np.cumsum([idx.size for *_, idx in slots])[:-1])
-    k_coord = np.empty(kmat.shape, dtype=complex)
-    for (_, frame, idx), span in zip(slots, spans):
-        k_coord[:, span] = kmat[flat_rows[:, None], idx] @ frame.float_rows
+    for _, frame, idx in slots:
+        kmat[:, idx] = kmat[:, idx] @ frame.float_rows
+    # E first, in frame order: degree-1 stream, then degree-2 gradient
+    labels, perm = zip(*sorted(
+        (((k, lam, frame.family), i) for k, frame, idx in slots
+         for lam, i in zip(frame.lams, idx)),
+        key=lambda branch: branch[0][1] != 1))
+    n_e = sum(lam == 1 for _, lam, _ in labels)
+    # rebinding frees the unpermuted K before its complex copy is made
+    kmat = kmat[np.ix_(perm, perm)]
+    k_coord = kmat.astype(complex)
     # E is normalized to the unit-amplitude harmonics
     scale = np.array([z_coefficient(k, m) for k, *_ in labels[:n_e]])
     k_coord[:n_e] /= scale[:, None]
     k_coord[:, :n_e] *= scale
-    # S_b, the stream scaling carried to the branches
-    phase = np.array([1j if f == "stream" else 1.0 for *_, f in labels])
+    # S_b = S: the stream branches sit on the stream slots
+    phase = stream_scale(lmat.index_map)[list(perm)]
     k_coord *= phase[:, None]
     k_coord *= phase.conj()[None, :]
     a, b = k_coord[:n_e, :n_e], k_coord[:n_e, n_e:]

@@ -366,6 +366,17 @@ def test_zero_mode_at_the_rule():
     assert report.transverse.k_max == default_k_max(0.1, 1)
 
 
+def test_zero_mode_rule_only_inside_its_validated_range():
+    # beyond |eps| = 0.3 the rule falls short of the tail monitor (at eps
+    # 0.41 for m = 0), so the check asks for a k_max instead of naming a
+    # truncation the caller never chose; an explicit k_max still resolves
+    with pytest.raises(ValueError,
+                       match=r"validated for \|eps\| <= 0\.3 only, got "
+                             r"eps = 0\.41; give a k_max"):
+        zero_mode_check(0.41, (0.0, 0.0, 1.0))
+    assert zero_mode_check(0.41, (0.0, 0.0, 1.0), 30).residual <= 1e-8
+
+
 def test_zero_mode_domain_guards():
     with pytest.raises(ValueError, match="eps > 0"):
         zero_mode_check(0.0, (0, 0, 1), 12)
@@ -519,6 +530,17 @@ def test_track_keeps_the_contour_guards(monkeypatch, fake, message):
     monkeypatch.setattr(eigentracker, "assemble_L",
                         lambda m, k_max, eps: fake())
     with pytest.raises(ValueError, match=message):
+        track(1, [0.05], k_max=8)
+
+
+def test_track_fails_when_the_circle_holds_more_than_the_group(monkeypatch):
+    # 1.3 passes every guard of the circle |lambda - 1| < 0.5, so the
+    # enclosed block has three members where m = 1 has a group of two
+    monkeypatch.setattr(eigentracker, "assemble_L",
+                        lambda m, k_max, eps: fake_operator([1.0, 1.0, 1.3]))
+    with pytest.raises(RuntimeError,
+                       match="group near 1 has 3 members at eps = 0.05, "
+                             "expected 2"):
         track(1, [0.05], k_max=8)
 
 
