@@ -367,6 +367,16 @@ def cmd_spectrum(config):
         lmat = assemble_L(m, config.k_max, eps)
         lam = np.sort_complex(np.linalg.eigvals(lmat.entries))
         cluster = lam[np.abs(lam - 1.0) < eigentracker.CLUSTER_RADIUS]
+        # the group size is counted on track's circle; a mode with no
+        # degree <= 2 has no group at 1
+        circle = eigentracker.TRACK_CONTOUR
+        count = int(np.sum(np.abs(lam - circle.center) < circle.radius))
+        want = cluster_size(m) if abs(m) <= 2 else 0
+        if count != want:
+            print(f"invariant failure: {count} eigenvalues in "
+                  f"|lambda - {circle.center:g}| < {circle.radius:g} at "
+                  f"m = {m}, eps = {eps}, expected {want}", file=sys.stderr)
+            code = 2
         integer_defect = None
         if eps == 0.0:
             integer_defect = float(np.abs(lam - np.round(lam)).max())

@@ -44,12 +44,18 @@ their images under D^-1 K D: nodal synthesis (table rows times
 coefficients), the pointwise integrand, then the weak-form projections of
 `sphbasis` on the whole block, with invLap a product with -1/(k(k+1))
 (`solve_poisson` divides, which rounds differently).  A real block gives
-a float64 image with no complex temporaries.  `assemble_K` feeds it every
-unit column on the default Gauss rule of k_max (`sphbasis.legendre_values`,
-one shared table per (k_max, m)); `apply_K` scales a complex state by
-D^-1 before and by D after.  The profiles are rational in cos(theta), so
-what that rule and the truncation miss is caught after the fact by a
-spectral tail monitor.
+a float64 image with no complex temporaries.  `assemble_K` evaluates the
+background once and feeds the pipeline the unit columns in blocks of at
+most _K_BLOCK_COLUMNS (192), on the default Gauss rule of k_max
+(`sphbasis.legendre_values`, one shared table per (k_max, m)), and copies
+each block's image into its columns of one preallocated matrix.  A
+column's image does not depend on the other columns of its block, so the
+entries are those of one pass over the identity, while the temporaries
+scale with the block width rather than with the dimension.  `apply_K`
+evaluates the background itself and scales a complex state by D^-1
+before and by D after.  The profiles are rational in cos(theta), so what
+that rule and the truncation miss is caught after the fact by a spectral
+tail monitor.
 
 L0 is real as written and does not depend on eps: its entries are one
 read-only (rows, cols, values) pattern per (m, k_max), built once, which
@@ -59,7 +65,8 @@ their eigenvalues are those of L, and a real matrix has them in exact
 conjugate pairs.  The states and the operator file keep the complex
 basis.  `OperatorMatrix.apply_flat` multiplies a complex state as
 D (A (D^-1 x)), with two real products.  `complex_entries` forms the
-matrix D A D^-1 for `save_operator` alone, and `load_operator` converts
+matrix D A D^-1 for `save_operator` alone, in column-major order, so the
+file is written from it without a second copy; `load_operator` converts
 it back, checking that the imaginary part it drops is exactly 0.0; each
 factor of the scaling is 1, i or -i, which rounds nothing, so the round
 trip is bit-exact.
@@ -180,7 +187,8 @@ def complex_entries(opmat):
     1, i or -i, which rounds nothing; adding 0.0 turns each zero part into
     +0.0."""
     scale = stream_scale(opmat.index_map)
-    mat = opmat.entries * scale[:, None]
+    # column-major: save_operator writes the file from this array as is
+    mat = np.multiply(opmat.entries, scale[:, None], order="F")
     mat *= scale.conj()[None, :]
     mat += 0.0
     return mat
@@ -265,12 +273,14 @@ def _k_integrand(bg, xi, dxi, xip, th, dth, ths, div_xi):
     return t_theta, t_phi, g
 
 
-def _k_columns(x, epsilon, table, imap):
+def _k_columns(x, bg, table, imap):
     """Images under D^-1 K D of the stream-scaled flat states, indexed by
-    imap, in the columns of x: nodal synthesis of every component, the K
-    integrand, then the weak-form projections with the inverse Laplacian
-    applied as a product.  The phi components of the tangent pairs, T_phi
-    and the curl are carried divided by i, so a real block stays real."""
+    imap, in the columns of x, against the background arrays bg of
+    `landau.background_on_grid` on the table's grid: nodal synthesis of
+    every component, the K integrand, then the weak-form projections with
+    the inverse Laplacian applied as a product.  The phi components of the
+    tangent pairs, T_phi and the curl are carried divided by i, so a real
+    block stays real."""
     am = abs(table.m)
 
     def rows(arr, name):
@@ -288,10 +298,9 @@ def _k_columns(x, epsilon, table, imap):
 
     ks = imap.degrees("phi").astype(float)  # the primed pair shares them
     kk = ks * (ks + 1.0)
-    bg = {key: val[:, None]
-          for key, val in background_on_grid(epsilon, table.grid).items()}
     t_theta, t_phi, g = _k_integrand(
-        bg, tangent("dtheta", "m_sin", "phi", "psi"),
+        {key: val[:, None] for key, val in bg.items()},
+        tangent("dtheta", "m_sin", "phi", "psi"),
         tangent("d2theta", "dm_sin", "phi", "psi"),
         tangent("dtheta", "m_sin", "phi_prime", "psi_prime"),
         nodal("val", "radial"), nodal("dtheta", "radial"),
@@ -311,8 +320,9 @@ def apply_K(state, epsilon, table):
     """Matrix-free application of K to one state: D^-1 on the way into the
     stream-scaled pipeline and D on the way out, both exact."""
     scale = stream_scale(state.index_map)
-    image = _k_columns((state.to_flat() * scale.conj())[:, None], epsilon,
-                       table, state.index_map)
+    image = _k_columns((state.to_flat() * scale.conj())[:, None],
+                       background_on_grid(epsilon, table.grid), table,
+                       state.index_map)
     return state_from_flat(state.m, state.k_max, image[:, 0] * scale)
 
 
@@ -336,11 +346,26 @@ def _tail_mass_ratio(kmat, imap):
     return float(np.sqrt(mass[degrees > cut].sum() / total))
 
 
+# Unit columns per pass of the K pipeline in `assemble_K`.  An operator of
+# this dimension or less (k_max <= 31 at every |m| <= 2) is one block; a
+# larger one keeps its temporaries at this width instead of its dimension.
+_K_BLOCK_COLUMNS = 192
+
+
 def assemble_K(m, k_max, epsilon):
+    """K in the stream-scaled real form, its unit columns fed through the
+    one pipeline in blocks of at most _K_BLOCK_COLUMNS, under the tail
+    monitor."""
     LandauProfile(epsilon)  # domain check
     table = legendre_values(k_max, m)
     imap = StateIndexMap(m, k_max)
-    kmat = _k_columns(np.eye(imap.dim), epsilon, table, imap)
+    bg = background_on_grid(epsilon, table.grid)
+    n = imap.dim
+    kmat = np.empty((n, n))
+    for start in range(0, n, _K_BLOCK_COLUMNS):
+        stop = min(start + _K_BLOCK_COLUMNS, n)
+        kmat[:, start:stop] = _k_columns(np.eye(n, stop - start, -start),
+                                         bg, table, imap)
 
     tail = _tail_mass_ratio(kmat, imap)
     if tail > TAIL_TOLERANCE:
@@ -399,9 +424,13 @@ def load_operator(bin_path, sidecar_path):
             raise ValueError(f"sidecar field {name!r} is {doc.get(name)!r}, "
                              f"expected {value!r}")
     dim = imap.dim
+    # checked before reading: fromfile drops a partial trailing item
+    size = os.path.getsize(bin_path)
+    want = np.dtype(np.complex128).itemsize * dim * dim
+    if size != want:
+        raise ValueError(f"matrix file {os.fspath(bin_path)!r} holds {size} "
+                         f"bytes, expected {want} (complex128, dim {dim})")
     raw = np.fromfile(bin_path, dtype=np.complex128)
-    if raw.size != dim * dim:
-        raise ValueError(f"matrix file holds {raw.size} entries, expected {dim * dim}")
     entries = _stream_scaled_real(raw.reshape((dim, dim), order="F"), imap,
                                   f"operator file {os.fspath(bin_path)!r}")
     return OperatorMatrix(m=imap.m, k_max=imap.k_max,

@@ -12,6 +12,7 @@ import pytest
 
 from landauspec import cli
 from landauspec.operators import (
+    OperatorMatrix,
     apply_K,
     assemble_L,
     assemble_L0,
@@ -404,6 +405,32 @@ def test_spectrum_cluster_drifts_quadratically(tmp_path, capsys):
     (pair,) = doc["cluster"]
     drift = complex(pair[0], pair[1]) - 1.0
     assert abs(drift - 4.0 / 15.0 * 0.06 ** 2) <= 0.1 * abs(drift)
+
+
+@pytest.mark.parametrize("diagonal, count", [
+    ([1.0, 1.0, 1.3], 3), ([1.0, 1.6], 1)], ids=["extra", "missing"])
+def test_spectrum_checks_the_size_of_its_group(tmp_path, capsys, monkeypatch,
+                                               diagonal, count):
+    # the group is counted on track's circle |lambda - 1| < 0.5; 1.3 lies
+    # inside it and 1.6 outside, so m = 1 has three members or one, not two
+    entries = np.diag(diagonal + [10.0] * (48 - len(diagonal)))
+    monkeypatch.setattr(cli, "assemble_L", lambda m, k_max, eps:
+                        OperatorMatrix(m, k_max, eps, entries))
+    code, _, err = run_cli(capsys, "spectrum", "--m", "1", "--epsilon",
+                           "0.05", "--kmax", "8", "--out", str(tmp_path))
+    assert code == 2
+    assert err == (f"invariant failure: {count} eigenvalues in "
+                   f"|lambda - 1| < 0.5 at m = 1, eps = 0.05, expected 2\n")
+    # the report is still written, so the failure can be inspected
+    assert (tmp_path / "spectrum_m1_eps0.05.json").exists()
+
+
+def test_spectrum_mode_without_a_group_expects_none(tmp_path, capsys):
+    # |m| = 3 has no degree <= 2, so no eigenvalue sits near 1
+    code, _, err = run_cli(capsys, "spectrum", "--m", "3", "--epsilon",
+                           "0.05", "--kmax", "16", "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert read_json(tmp_path / "spectrum_m3_eps0.05.json")["cluster"] == []
 
 
 def test_spectrum_rejects_out_of_range_epsilon(tmp_path, capsys):

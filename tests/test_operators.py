@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from landauspec import operators
 from landauspec.landau import background_on_grid
 from landauspec.operators import (
+    _K_BLOCK_COLUMNS,
     OperatorMatrix,
     _k_columns,
     _l0_pattern,
@@ -327,8 +329,9 @@ def test_real_k_matches_the_complex_reference(m, k_max):
         if (k_max, eps) == (12, 0.3):
             with pytest.raises(ValueError, match="under-resolves"):
                 assemble_K(m, k_max, eps)
-            got = _k_columns(np.eye(imap.dim), eps, legendre_values(k_max, m),
-                             imap)
+            table = legendre_values(k_max, m)
+            got = _k_columns(np.eye(imap.dim),
+                             background_on_grid(eps, table.grid), table, imap)
         else:
             got = assemble_K(m, k_max, eps).entries
         assert (np.abs(got - ref.real).max()
@@ -342,14 +345,65 @@ def test_k_columns_keep_a_real_block_real(m):
     k_max, eps = 16, 0.1
     imap = StateIndexMap(m, k_max)
     table = legendre_values(k_max, m)
+    bg = background_on_grid(eps, table.grid)
     rng = np.random.default_rng(3)
     re, im = rng.normal(size=(imap.dim, 4)), rng.normal(size=(imap.dim, 4))
-    real_re, real_im = (_k_columns(x, eps, table, imap) for x in (re, im))
+    real_re, real_im = (_k_columns(x, bg, table, imap) for x in (re, im))
     assert real_re.dtype == real_im.dtype == np.float64
-    both = _k_columns(re + 1j * im, eps, table, imap)
+    both = _k_columns(re + 1j * im, bg, table, imap)
     assert both.dtype == np.complex128
     scale = 1.0 + np.abs(both).max()
     assert np.abs(both - (real_re + 1j * real_im)).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("m", [0, 1, -1, 2, -2])
+@pytest.mark.parametrize("k_max", [40, 48, 96])
+def test_blocked_assembly_is_one_pass_over_the_identity(m, k_max):
+    # assemble_K feeds the pipeline blocks of unit columns; each column's
+    # image is independent of its block, so the entries are byte for byte
+    # those of one pass over the whole identity
+    imap = StateIndexMap(m, k_max)
+    assert imap.dim > _K_BLOCK_COLUMNS
+    table = legendre_values(k_max, m)
+    for eps in (0.05, 0.3):
+        one_pass = _k_columns(np.eye(imap.dim),
+                              background_on_grid(eps, table.grid), table, imap)
+        one_pass += 0.0
+        got = assemble_K(m, k_max, eps).entries
+        assert got.tobytes() == one_pass.tobytes(), eps
+
+
+def _traced_peak(func):
+    """Peak bytes that func allocates over what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = func()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_assembly_temporaries_scale_with_the_block():
+    # at dim 576 the blocks are a third of the columns: the entries and one
+    # block's temporaries stay under 4 x 8 n^2 (one pass over the identity
+    # took 6.8)
+    assemble_L(1, 96, 0.05)  # build the shared table and L0's pattern
+    lmat, peak = _traced_peak(lambda: assemble_L(1, 96, 0.05))
+    assert peak <= 4.0 * 8 * lmat.dim ** 2
+
+
+def test_save_operator_forms_one_complex_copy(tmp_path):
+    # the file is written from complex_entries' column-major array as is,
+    # so saving holds one complex n x n (2 x 8 n^2 bytes) besides the
+    # operator; a second, column-major copy would make it 4
+    lmat = assemble_L(1, 96, 0.05)
+    _, peak = _traced_peak(lambda: save_operator(
+        lmat, tmp_path / "op.bin", tmp_path / "op.json"))
+    assert peak <= 2.25 * 8 * lmat.dim ** 2
+    back = load_operator(tmp_path / "op.bin", tmp_path / "op.json")
+    assert back.entries.tobytes() == lmat.entries.tobytes()
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -419,7 +473,8 @@ def test_tail_mass_is_one_masked_reduction(m, k_max):
     imap = StateIndexMap(m, k_max)
     table = legendre_values(k_max, m)
     for eps in (0.02, 0.1):
-        kmat = _k_columns(np.eye(imap.dim), eps, table, imap)
+        kmat = _k_columns(np.eye(imap.dim),
+                          background_on_grid(eps, table.grid), table, imap)
         got = _tail_mass_ratio(kmat, imap)
         want = _tail_mass_reference(kmat, imap)
         assert isinstance(got, float)
@@ -570,6 +625,24 @@ def test_load_operator_matches_the_complex_scaling_in_every_zero(m, tmp_path):
     back = load_operator(bin_path, side_path).entries
     assert back.tobytes() == scaled.real.tobytes()
     assert back.tobytes() == lmat.entries.tobytes()
+
+
+@pytest.mark.parametrize("change", [-16, 16, 8],
+                         ids=["short", "long", "8-byte-tail"])
+def test_load_operator_names_a_file_of_the_wrong_size(change, tmp_path):
+    # the size is checked before reading: a partial trailing entry, which
+    # fromfile would drop, is an error like a missing or an extra one
+    lmat = assemble_L(1, 12, 0.05)
+    bin_path, side_path, _ = save_and_read(lmat, tmp_path)
+    data = bin_path.read_bytes()
+    want = 16 * lmat.dim ** 2
+    assert len(data) == want
+    bin_path.write_bytes(data[:change] if change < 0
+                         else data + bytes(change))
+    with pytest.raises(ValueError, match=re.escape(
+            f"holds {want + change} bytes, expected {want} (complex128, "
+            f"dim {lmat.dim})")):
+        load_operator(bin_path, side_path)
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
