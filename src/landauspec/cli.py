@@ -366,14 +366,13 @@ def cmd_spectrum(config):
     for m, eps, tag in _report_tags(config):
         lmat = assemble_L(m, config.k_max, eps)
         lam = np.sort_complex(np.linalg.eigvals(lmat.entries))
-        cluster = lam[np.abs(lam - 1.0) < eigentracker.CLUSTER_RADIUS]
-        # the group size is counted on track's circle; a mode with no
-        # degree <= 2 has no group at 1
+        # the group is what track's circle holds; a mode with no degree
+        # <= 2 has no group at 1
         circle = eigentracker.TRACK_CONTOUR
-        count = int(np.sum(np.abs(lam - circle.center) < circle.radius))
+        cluster = lam[np.abs(lam - circle.center) < circle.radius]
         want = cluster_size(m) if abs(m) <= 2 else 0
-        if count != want:
-            print(f"invariant failure: {count} eigenvalues in "
+        if cluster.size != want:
+            print(f"invariant failure: {cluster.size} eigenvalues in "
                   f"|lambda - {circle.center:g}| < {circle.radius:g} at "
                   f"m = {m}, eps = {eps}, expected {want}", file=sys.stderr)
             code = 2
@@ -467,7 +466,7 @@ def cmd_track(config):
                     "beta_max_over_eps3": fit.beta_residual,
                 },
                 "residuals": list(fit.residuals),
-                "ranks": list(curve.ranks),
+                "ranks": [curve.n_branches] * len(curve.epsilons),
                 "k_max": list(curve.k_max),
             }))
         if "csv" in config.formats:
@@ -504,8 +503,8 @@ def _verify_checks(config):
     for m in (0, 1, 2):
         lam = np.linalg.eigvals(assemble_L0(m, 20).entries)
         worst = max(worst, float(np.abs(lam - np.round(lam)).max()))
-        mults.append(int(np.sum(np.abs(lam - 1.0)
-                                < eigentracker.CLUSTER_RADIUS)))
+        mults.append(int(np.sum(np.abs(lam - eigentracker.TRACK_CONTOUR.center)
+                                < eigentracker.TRACK_CONTOUR.radius)))
     mults_ok = mults == [cluster_size(m) for m in (0, 1, 2)]
     yield ("l0_integrality[m=0..2,k=20]", worst <= 1e-8 and mults_ok,
            f"defect {worst:.1e}, unit multiplicities "
@@ -523,7 +522,7 @@ def _verify_checks(config):
     idem_ok = True
     for m in (0, 1, 2):
         lmat = assemble_L(m, 16, 0.05)
-        proj = contour_projection(lmat, ContourSpec(1.0, 0.5))
+        proj = contour_projection(lmat, eigentracker.TRACK_CONTOUR)
         total1 += proj.rank * (2 if m else 1)
         idem_ok &= proj.idempotency_defect <= 1e-8
         if m < 2:  # m = 2 has no eigenvalue near 0

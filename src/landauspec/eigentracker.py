@@ -24,7 +24,7 @@ caller of `dgees` and `dtrsyl`); the circle holds both members of a
 conjugate pair or neither, so the ordering never splits a 2x2 block.
 `track` takes it once per grid point without Schur vectors: the group
 near 1 is the leading block that the form encloses in TRACK_CONTOUR, and
-its size, the point's rank, must be the unperturbed multiplicity.  Unless
+its size must be the unperturbed multiplicity.  Unless
 it is given a k_max, `track` truncates each point at
 `sphbasis.default_k_max(eps, m)`, the degree at which the background's
 coefficients decay below the tail monitor's threshold, with a margin; the
@@ -58,6 +58,7 @@ from .statespace import StateVector, state_from_flat, x_norm
 from .stokes_spectrum import branch_frame
 
 DEFAULT_EPS_GRID = (0.02, 0.04, 0.06, 0.08, 0.10)
+# linkage scale of `_max_cluster_spread`; bench/workloads.py reads it too
 CLUSTER_RADIUS = 0.25
 
 
@@ -78,7 +79,6 @@ class EigenCurve:
     k_max: tuple  # the truncation of each point
     epsilons: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
-    ranks: tuple = ()  # track's count inside TRACK_CONTOUR, per point
 
     @property
     def n_branches(self):
@@ -97,8 +97,7 @@ def track(m, epsilons, k_max=None):
     enclosed leading block of that form, which carries every guard of
     `contour_projection`: no eigenvalue within 1e-3 of the circle, a gap
     of twice the enclosed spread, and a well-conditioned Sylvester
-    splitting.  The number inside the circle is the point's rank, and the
-    sweep fails unless it equals `cluster_size(m)`.
+    splitting.  The sweep fails unless the block's size is `cluster_size(m)`.
     Branches are matched between consecutive grid points by minimum-cost
     assignment; a change in group size or a jump larger than ten times
     the grid step aborts the sweep.
@@ -145,7 +144,7 @@ def track(m, epsilons, k_max=None):
                 f"a branch moved {moved:.3e} over step {step:.3e}; "
                 f"matching is not trustworthy, refine the grid"
             )
-    return EigenCurve(m, k_maxes, eps, curve, (want,) * eps.size)
+    return EigenCurve(m, k_maxes, eps, curve)
 
 
 @dataclass
@@ -432,7 +431,7 @@ class ContourSpec:
     radius: float
 
 
-# the circle that encloses `track`'s group near 1 (its ranks)
+# the circle that holds the group near 1, in every command
 TRACK_CONTOUR = ContourSpec(1.0, 0.5)
 
 

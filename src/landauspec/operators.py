@@ -92,6 +92,7 @@ from .statespace import (
     COMPONENTS,
     STREAM_SLOTS,
     StateIndexMap,
+    json_field,
     state_from_flat,
 )
 
@@ -416,7 +417,9 @@ def save_operator(opmat, bin_path, sidecar_path):
 def load_operator(bin_path, sidecar_path):
     with open(sidecar_path) as fh:
         doc = json.load(fh)
-    imap = StateIndexMap(int(doc["m"]), int(doc["k_max"]))
+    epsilon = json_field(doc, "epsilon", float)
+    imap = StateIndexMap(json_field(doc, "m", int),
+                         json_field(doc, "k_max", int))
     expected = {"dtype": "complex128", "order": "column-major",
                 "dim": imap.dim}
     for name, value in expected.items():
@@ -434,4 +437,4 @@ def load_operator(bin_path, sidecar_path):
     entries = _stream_scaled_real(raw.reshape((dim, dim), order="F"), imap,
                                   f"operator file {os.fspath(bin_path)!r}")
     return OperatorMatrix(m=imap.m, k_max=imap.k_max,
-                          epsilon=float(doc["epsilon"]), entries=entries)
+                          epsilon=epsilon, entries=entries)

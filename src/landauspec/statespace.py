@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -215,9 +216,23 @@ def state_to_json_dict(state):
     }
 
 
+def json_field(doc, key, kind):
+    """``doc[key]`` of a document read from a file, checked to be a JSON
+    integer (``kind`` int) or a JSON number (``kind`` float) and returned as
+    ``kind``; a bool is neither, nor is the NaN or Infinity that Python's
+    json module reads, and a fraction is never truncated."""
+    value = doc[key]
+    allowed = (int,) if kind is int else (int, float)
+    if (isinstance(value, bool) or not isinstance(value, allowed)
+            or isinstance(value, float) and not math.isfinite(value)):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"file field {key!r} must be {what}, got {value!r}")
+    return kind(value)
+
+
 def state_from_json_dict(doc):
-    m = int(doc["m"])
-    k_max = int(doc["k_max"])
+    m = json_field(doc, "m", int)
+    k_max = json_field(doc, "k_max", int)
     st = zero_state(m, k_max)
     for name, f in st.components().items():
         pairs = doc["components"][name]

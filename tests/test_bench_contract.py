@@ -1,4 +1,4 @@
-"""The two steps by which `bench/run.py --trace 1` reads the library from
+"""The steps by which the benchmark in `bench/` reads the library from
 outside, run against the library as it is.
 
 `run.parse_importtime` turns the real `-X importtime` output of
@@ -7,12 +7,21 @@ resolves every other per-layer name of BENCHMARK.json against an installed
 tracer.  Either one raising makes a traced benchmark run exit 1.  Importing
 `run` fixes the BLAS thread count and the import path of the process, so
 both steps run in a child interpreter.
+
+The correctness checks of `workloads` read the reports' `ranks` and
+`cluster` keys and call `eigentracker.CLUSTER_RADIUS`, `cluster_size` and
+`perturbation.split_blocks(..., strict=False)`; an operation whose check
+finds a problem counts as failed, so each check must pass on the real
+outputs.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -49,3 +58,36 @@ def test_traced_benchmark_reads_the_library():
     assert all(seconds > 0.0 for seconds in result["setup"].values())
     assert set(result["layers"]) == {
         name for name in names if not name.startswith(("setup.", "trace."))}
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(ROOT, "bench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_track_paper_check_accepts_the_real_reports(workloads, tmp_path):
+    ctx = workloads.Context(work=str(tmp_path))
+    ops = workloads.check_track(ctx, *workloads.run_cli(
+        workloads.track_argv(ctx)))
+    assert [op.problems for op in ops] == [[]]
+
+
+def test_kmax_scaling_checks_accept_the_real_outputs(workloads, tmp_path):
+    # the command and the steps of the kmax-scaling workload at its
+    # smallest truncation
+    ctx = workloads.Context(work=str(tmp_path), epsilon=0.05)
+    modes = workloads.KMAX_MODES
+    ops = workloads.check_kmax_cli(ctx, *workloads.run_cli([
+        "spectrum", "--m", ",".join(map(str, modes)), "--epsilon",
+        repr(ctx.epsilon), "--kmax", "24", "--out", ctx.out]))
+    assert [op.problems for op in ops] == [[]]
+    assert [workloads.kmax_step(ctx, m, 24) for m in modes] == [[]] * len(
+        modes)

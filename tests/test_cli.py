@@ -407,22 +407,41 @@ def test_spectrum_cluster_drifts_quadratically(tmp_path, capsys):
     assert abs(drift - 4.0 / 15.0 * 0.06 ** 2) <= 0.1 * abs(drift)
 
 
-@pytest.mark.parametrize("diagonal, count", [
-    ([1.0, 1.0, 1.3], 3), ([1.0, 1.6], 1)], ids=["extra", "missing"])
+@pytest.mark.parametrize("diagonal, group", [
+    ([1.0, 1.0, 1.3], [1.0, 1.0, 1.3]), ([1.0, 1.6], [1.0]),
+    ([1.0, 1.3], [1.0, 1.3])], ids=["extra", "missing", "far-member"])
 def test_spectrum_checks_the_size_of_its_group(tmp_path, capsys, monkeypatch,
-                                               diagonal, count):
-    # the group is counted on track's circle |lambda - 1| < 0.5; 1.3 lies
-    # inside it and 1.6 outside, so m = 1 has three members or one, not two
+                                               diagonal, group):
+    # the group is what track's circle |lambda - 1| < 0.5 holds; 1.3 lies
+    # inside it and 1.6 outside, so m = 1 has three members, one, or the
+    # two it should, and the reported cluster is that same group
     entries = np.diag(diagonal + [10.0] * (48 - len(diagonal)))
     monkeypatch.setattr(cli, "assemble_L", lambda m, k_max, eps:
                         OperatorMatrix(m, k_max, eps, entries))
     code, _, err = run_cli(capsys, "spectrum", "--m", "1", "--epsilon",
                            "0.05", "--kmax", "8", "--out", str(tmp_path))
-    assert code == 2
-    assert err == (f"invariant failure: {count} eigenvalues in "
-                   f"|lambda - 1| < 0.5 at m = 1, eps = 0.05, expected 2\n")
-    # the report is still written, so the failure can be inspected
-    assert (tmp_path / "spectrum_m1_eps0.05.json").exists()
+    if len(group) == 2:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 2
+        assert err == (f"invariant failure: {len(group)} eigenvalues in "
+                       f"|lambda - 1| < 0.5 at m = 1, eps = 0.05, "
+                       f"expected 2\n")
+    # the report is written either way, so a failure can be inspected
+    doc = read_json(tmp_path / "spectrum_m1_eps0.05.json")
+    assert doc["cluster"] == [[v, 0.0] for v in group]
+
+
+def test_spectrum_reports_a_group_member_far_from_1(tmp_path, capsys):
+    # at eps = 0.8 the m = 2 member has drifted to 1.43: inside track's
+    # circle, so it is the group spectrum checks and reports
+    code, _, err = run_cli(capsys, "spectrum", "--m", "2", "--epsilon",
+                           "0.8", "--kmax", "60", "--format", "json",
+                           "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    (pair,) = read_json(tmp_path / "spectrum_m2_eps0.8.json")["cluster"]
+    assert 0.25 < abs(complex(*pair) - 1.0) < 0.5
+    assert pair == pytest.approx([1.428253352004673, 0.0], abs=1e-9)
 
 
 def test_spectrum_mode_without_a_group_expects_none(tmp_path, capsys):
@@ -600,7 +619,8 @@ def test_track_at_an_explicit_k_max_is_the_library_sweep(tmp_path, capsys,
     assert doc["fit"]["c"] == fit.c
     assert doc["fit"]["c_branches"] == list(fit.c_branches)
     assert doc["residuals"] == list(fit.residuals)
-    assert doc["ranks"] == list(curve.ranks) == [1] * 5
+    assert doc["ranks"] == [curve.n_branches] * len(DEFAULT_EPS_GRID) \
+        == [1] * 5
     assert doc["k_max"] == [24] * 5
     assert read_json(tmp_path / "config.json")["k_max"] == 24
 

@@ -107,11 +107,13 @@ def test_track_without_k_max_keeps_the_tail_monitor(monkeypatch):
 @pytest.mark.parametrize("m", [0, 1, -1, 2, -2])
 def test_track_at_the_rule_matches_k_max_32(m):
     # the rule's truncation leaves the group where a generous one puts it:
-    # within 5e-13 (24 and 32 differ by up to 1.9e-13) and with equal ranks
+    # within 5e-13 (24 and 32 differ by up to 1.9e-13) and with the same
+    # group size at every point
     grid = (*DEFAULT_EPS_GRID, 0.2, 0.3)
     ruled = track(m, grid)
     fine = track(m, grid, k_max=32)
-    assert ruled.ranks == fine.ranks
+    assert ruled.eigenvalues.shape == fine.eigenvalues.shape \
+        == (len(grid), cluster_size(m))
     gap = np.abs(ruled.eigenvalues - fine.eigenvalues).max()
     assert gap <= 5e-13, gap
 
@@ -525,7 +527,7 @@ def test_contour_rejects_an_off_axis_centre(cached_l):
     (_planted_coupling, "Sylvester splitting ill-conditioned.*1.667e\\+13"),
 ], ids=["on-contour", "no-gap", "splitting"])
 def test_track_keeps_the_contour_guards(monkeypatch, fake, message):
-    # track counts its ranks on the Schur form that contour_projection
+    # track counts its group on the Schur form that contour_projection
     # takes, so each guard of the projector trips in the sweep too
     monkeypatch.setattr(eigentracker, "assemble_L",
                         lambda m, k_max, eps: fake())
@@ -548,18 +550,20 @@ def test_track_fails_when_the_circle_holds_more_than_the_group(monkeypatch):
 @pytest.mark.parametrize("m", [0, 1, -1, 2, -2])
 def test_track_ranks_and_group_match_the_projector_and_eigvals(cached_l, m,
                                                               k_max):
-    # the one vector-free Schur form per point gives the projector's rank
-    # and, to rounding, the group that a plain eigensolve finds
+    # the one vector-free Schur form per point gives a group of the
+    # projector's rank and, to rounding, the group that a plain eigensolve
+    # finds inside the same circle
+    circle = eigentracker.TRACK_CONTOUR
     grids = (DEFAULT_EPS_GRID, tuple(sorted(-e for e in DEFAULT_EPS_GRID)))
     for grid in grids:
         curve = track(m, grid, k_max=k_max)
-        assert len(curve.ranks) == len(grid)
-        for eps, rank, group in zip(grid, curve.ranks, curve.eigenvalues):
+        assert curve.eigenvalues.shape[0] == len(grid)
+        for eps, group in zip(grid, curve.eigenvalues):
             lmat = cached_l(m, k_max, eps)
-            assert rank == contour_projection(
-                lmat, ContourSpec(1.0, 0.5)).rank, (grid, eps)
+            assert group.size == contour_projection(lmat, circle).rank, (
+                grid, eps)
             lam = np.linalg.eigvals(lmat.entries)
-            want = lam[np.abs(lam - 1.0) < eigentracker.CLUSTER_RADIUS]
+            want = lam[np.abs(lam - circle.center) < circle.radius]
             assert want.size == group.size
             gap = min(np.abs(np.array(p) - group).max()
                       for p in itertools.permutations(want))

@@ -209,7 +209,7 @@ def test_profile_denominator_is_formed_only_in_landau():
 
 
 def test_schur_form_and_sylvester_solve_have_one_home():
-    # track's ranks and contour_projection's projector come from one
+    # track's group and contour_projection's projector come from one
     # ordered real Schur form and one Sylvester solve, so every guard on
     # them is written once; dgees is called twice there, the workspace
     # query and the factorisation
@@ -219,8 +219,8 @@ def test_schur_form_and_sylvester_solve_have_one_home():
 
 
 def test_track_takes_no_second_eigensolve():
-    # the tracked group is read off the Schur form that also gives the
-    # ranks; a plain eigensolve beside it would factor each point twice
+    # the tracked group is read off the Schur form that also counts it; a
+    # plain eigensolve beside it would factor each point twice
     tree = ast.parse((SRC / "eigentracker.py").read_text())
     track = next(node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name == "track")

@@ -645,6 +645,24 @@ def test_load_operator_names_a_file_of_the_wrong_size(change, tmp_path):
         load_operator(bin_path, side_path)
 
 
+@pytest.mark.parametrize("field, value, what", [
+    ("k_max", 12.9, "an integer"), ("m", 1.5, "an integer"),
+    ("m", True, "an integer"), ("epsilon", "0.05", "a number"),
+    ("epsilon", float("nan"), "a number")],
+    ids=["float-k_max", "float-m", "bool-m", "string-epsilon", "nan-epsilon"])
+def test_load_operator_rejects_a_sidecar_value_of_the_wrong_type(
+        field, value, what, tmp_path):
+    # int() would truncate 12.9 to 12 and 1.5 or true to 1, and the file
+    # of (1, 12) has that dim, so no later check would catch the value
+    bin_path, side_path, _ = save_and_read(assemble_L(1, 12, 0.05), tmp_path)
+    doc = json.loads(side_path.read_text())
+    doc[field] = value
+    side_path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(
+            f"file field {field!r} must be {what}, got {value!r}")):
+        load_operator(bin_path, side_path)
+
+
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_load_operator_names_a_non_finite_entry(value, tmp_path):
     lmat = assemble_L(1, 12, 0.05)

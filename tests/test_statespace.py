@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,15 @@ def test_json_roundtrip(tmp_path):
     save_state_json(st, path)
     loaded = load_state_json(path)
     assert np.array_equal(loaded.to_flat(), st.to_flat())
+
+
+def test_json_state_rejects_a_non_integer_k_max():
+    # int() would read 6.7 as 6, which matches the component lengths
+    doc = state_to_json_dict(zero_state(1, 6))
+    doc["k_max"] = 6.7
+    with pytest.raises(ValueError, match=re.escape(
+            "file field 'k_max' must be an integer, got 6.7")):
+        state_from_json_dict(doc)
 
 
 def test_a_state_builds_its_index_map_once(index_map_builds):
