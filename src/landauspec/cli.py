@@ -16,8 +16,12 @@ its reports and touches no file; ``main`` checks the output path, runs
 the handler, then makes the directory and writes the reports and, last,
 ``config.json``, the settings the run read.  So a run that stops on an
 error leaves no output directory.  Identical configurations produce
-byte-identical files: lists in a fixed order, every float with 17
-significant digits.
+byte-identical files at a fixed BLAS thread count: lists in a fixed
+order, every float with 17 significant digits.  Another thread count can
+move the last digits of a large eigensolve (``spectrum --m 2 --epsilon
+0.8 --kmax 60``).  ``spectrum`` solves its (m, eps) jobs concurrently,
+one worker thread per usable core, and the worker count never changes a
+byte.
 A value that does not convert is reported with its flag or variable.
 The quadrature is not a setting: every assembly uses the Gauss rule
 that k_max determines.  k_max defaults to 24 for ``spectrum`` and
@@ -32,6 +36,7 @@ Exit codes: 0 success, 1 usage or domain error, 2 invariant failure
 from __future__ import annotations
 
 import argparse
+from concurrent.futures import ThreadPoolExecutor
 import json
 import os
 import sys
@@ -360,45 +365,87 @@ def _report_tags(config):
     return [(m, eps, tag) for tag, (m, eps) in pairs.items()]
 
 
-def cmd_spectrum(config):
+def _usable_cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _spectrum_reports(config, m, eps, tag, lam):
+    """The checks and reports of one (m, eps) job of ``spectrum`` from its
+    sorted eigenvalues: (exit code, reports)."""
     code = 0
     reports = []
-    for m, eps, tag in _report_tags(config):
-        lmat = assemble_L(m, config.k_max, eps)
-        lam = np.sort_complex(np.linalg.eigvals(lmat.entries))
-        # the group is what track's circle holds; a mode with no degree
-        # <= 2 has no group at 1
-        circle = eigentracker.TRACK_CONTOUR
-        cluster = lam[np.abs(lam - circle.center) < circle.radius]
-        want = cluster_size(m) if abs(m) <= 2 else 0
-        if cluster.size != want:
-            print(f"invariant failure: {cluster.size} eigenvalues in "
-                  f"|lambda - {circle.center:g}| < {circle.radius:g} at "
-                  f"m = {m}, eps = {eps}, expected {want}", file=sys.stderr)
+    # the group is what track's circle holds; a mode with no degree
+    # <= 2 has no group at 1
+    circle = eigentracker.TRACK_CONTOUR
+    cluster = lam[np.abs(lam - circle.center) < circle.radius]
+    want = cluster_size(m) if abs(m) <= 2 else 0
+    if cluster.size != want:
+        print(f"invariant failure: {cluster.size} eigenvalues in "
+              f"|lambda - {circle.center:g}| < {circle.radius:g} at "
+              f"m = {m}, eps = {eps}, expected {want}", file=sys.stderr)
+        code = 2
+    integer_defect = None
+    if eps == 0.0:
+        integer_defect = float(np.abs(lam - np.round(lam)).max())
+        if integer_defect > 1e-8:
+            print(f"invariant failure: unperturbed spectrum at "
+                  f"m = {m} is not integer (defect {integer_defect})",
+                  file=sys.stderr)
             code = 2
-        integer_defect = None
-        if eps == 0.0:
-            integer_defect = float(np.abs(lam - np.round(lam)).max())
-            if integer_defect > 1e-8:
-                print(f"invariant failure: unperturbed spectrum at "
-                      f"m = {m} is not integer (defect {integer_defect})",
-                      file=sys.stderr)
-                code = 2
-        if "json" in config.formats:
-            reports.append((write_json, f"spectrum_{tag}.json", {
-                "mode": m,
-                "epsilon": eps,
-                "k_max": config.k_max,
-                "eigenvalues": _pairs(lam),
-                "cluster": _pairs(cluster),
-                "integer_defect": integer_defect,
-            }))
-        if "csv" in config.formats:
-            lines = ["index,re,im"]
-            lines += [f"{i},{format_float(v.real)},{format_float(v.imag)}"
-                      for i, v in enumerate(lam)]
-            reports.append((write_atomic, f"spectrum_{tag}.csv",
-                            "\n".join(lines) + "\n"))
+    if "json" in config.formats:
+        reports.append((write_json, f"spectrum_{tag}.json", {
+            "mode": m,
+            "epsilon": eps,
+            "k_max": config.k_max,
+            "eigenvalues": _pairs(lam),
+            "cluster": _pairs(cluster),
+            "integer_defect": integer_defect,
+        }))
+    if "csv" in config.formats:
+        lines = ["index,re,im"]
+        lines += [f"{i},{format_float(v.real)},{format_float(v.imag)}"
+                  for i, v in enumerate(lam)]
+        reports.append((write_atomic, f"spectrum_{tag}.csv",
+                        "\n".join(lines) + "\n"))
+    return code, reports
+
+
+def cmd_spectrum(config):
+    """One job per (m, eps): assemble L and sort its eigenvalues.  The jobs
+    run on one worker thread per usable core (LAPACK releases the GIL),
+    each in the serial arithmetic, and are checked and reported in job
+    order, so the worker count changes no byte.  A job that raises stops
+    the run where the serial loop would: the jobs before it are checked
+    first, and a job after it that has not started by then never starts."""
+    jobs = _report_tags(config)
+    raised = []  # indices of the jobs that raised
+
+    def solve(index):
+        if raised and min(raised) < index:
+            return None  # never read: an earlier job's error ends the run
+        m, eps, _ = jobs[index]
+        try:
+            lmat = assemble_L(m, config.k_max, eps)
+            return np.sort_complex(np.linalg.eigvals(lmat.entries))
+        except BaseException:
+            raised.append(index)
+            raise
+
+    code = 0
+    reports = []
+    with ThreadPoolExecutor(min(len(jobs), _usable_cores())) as pool:
+        try:
+            spectra = pool.map(solve, range(len(jobs)))
+            for (m, eps, tag), lam in zip(jobs, spectra):
+                job_code, job_reports = _spectrum_reports(config, m, eps,
+                                                          tag, lam)
+                code = max(code, job_code)
+                reports += job_reports
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return code, reports
 
 

@@ -69,7 +69,10 @@ matrix D A D^-1 for `save_operator` alone, in column-major order, so the
 file is written from it without a second copy; `load_operator` converts
 it back, checking that the imaginary part it drops is exactly 0.0; each
 factor of the scaling is 1, i or -i, which rounds nothing, so the round
-trip is bit-exact.
+trip is bit-exact.  It also checks that the file holds L at its sidecar's
+eps, which the dimension cannot tell: K's pipeline on the tail monitor's
+two-column probe at that eps must match the entries times the probe less
+L0's pattern times it.
 """
 
 from __future__ import annotations
@@ -216,7 +219,9 @@ _L0_COUPLINGS = (
 @functools.lru_cache(maxsize=None)
 def _l0_scatter(k_max, layout):
     """(rows, cols, values) of the coupling table on a slot layout, one
-    (lowest degree, flat offset) pair per component, as read-only arrays."""
+    (lowest degree, flat offset) pair per component, as read-only arrays;
+    built once per layout for serial callers (threads that race on a
+    first call may each build an equal pattern)."""
     slots = dict(zip(COMPONENTS, layout))
     parts = []
     for row, col, a, b in _L0_COUPLINGS:
@@ -327,18 +332,23 @@ def apply_K(state, epsilon, table):
     return state_from_flat(state.m, state.k_max, image[:, 0] * scale)
 
 
-def _tail_mass_ratio(kmat, imap):
-    """Fraction of a probe image's coefficient mass in the last decile of
-    degrees.  The probe puts a unit coefficient in the lowest admissible slot
-    of every component; a healthy truncation leaves its image's tail empty.
-    kmat is D^-1 K D, so it is applied to D^-1 probe, held as its real and
-    imaginary parts, two real columns; the image has the moduli of K probe
-    entry by entry."""
+def _probe(imap):
+    """D^-1 times the probe with a unit coefficient in the lowest admissible
+    slot of every component, held as its real and imaginary parts: two
+    real columns.  A stream-scaled operator applied to it gives the moduli
+    of the operator times the probe, entry by entry."""
     probe = np.zeros((imap.dim, 2))
     for name in COMPONENTS:
         part = int(name in STREAM_SLOTS)  # D^-1 probe is -i there
         probe[imap.sl(name).start, part] = 1.0
-    mass = np.sum((kmat @ probe) ** 2, axis=1)
+    return probe
+
+
+def _tail_mass_ratio(kmat, imap):
+    """Fraction of the probe image's coefficient mass in the last decile of
+    degrees; a healthy truncation leaves its tail empty.  kmat is
+    D^-1 K D."""
+    mass = np.sum((kmat @ _probe(imap)) ** 2, axis=1)
     total = mass.sum()
     if total == 0.0:
         return 0.0
@@ -414,6 +424,34 @@ def save_operator(opmat, bin_path, sidecar_path):
     os.replace(tmp, sidecar_path)
 
 
+# The largest gap, relative to max |L|, that `load_operator` accepts
+# between the K of a file's entries and K assembled at its sidecar's eps,
+# both on the probe.  Rounding leaves below 3e-18 (|m| <= 2, k_max 12-96,
+# eps 0-0.8); eps 1% off leaves above 3e-8, and 0.3 for 0.05 above 2e-5.
+_LOAD_TOLERANCE = 1e-12
+
+
+def _check_epsilon(entries, imap, epsilon, source):
+    """Check that stream-scaled entries hold L at epsilon: K's pipeline
+    run on the probe at epsilon against the entries times the probe less
+    L0's pattern times it.  Reads the entries in one product and two
+    reductions, with no copy of them."""
+    probe = _probe(imap)
+    table = legendre_values(imap.k_max, imap.m)
+    want = _k_columns(probe, background_on_grid(epsilon, table.grid), table,
+                      imap)
+    rows, cols, values = _l0_pattern(imap)
+    got = entries @ probe
+    np.subtract.at(got, rows, values[:, None] * probe[cols])
+    gap = float(np.abs(got - want).max())
+    bound = _LOAD_TOLERANCE * float(max(entries.max(), -entries.min()))
+    if not gap <= bound:
+        raise ValueError(f"{source} does not hold L at the sidecar's epsilon "
+                         f"{epsilon!r}: its K on the probe is {gap:.3e} from "
+                         f"K at that epsilon, above {bound:.3e} "
+                         f"({_LOAD_TOLERANCE:.0e} max|L|)")
+
+
 def load_operator(bin_path, sidecar_path):
     with open(sidecar_path) as fh:
         doc = json.load(fh)
@@ -434,7 +472,9 @@ def load_operator(bin_path, sidecar_path):
         raise ValueError(f"matrix file {os.fspath(bin_path)!r} holds {size} "
                          f"bytes, expected {want} (complex128, dim {dim})")
     raw = np.fromfile(bin_path, dtype=np.complex128)
+    source = f"operator file {os.fspath(bin_path)!r}"
     entries = _stream_scaled_real(raw.reshape((dim, dim), order="F"), imap,
-                                  f"operator file {os.fspath(bin_path)!r}")
+                                  source)
+    _check_epsilon(entries, imap, epsilon, source)
     return OperatorMatrix(m=imap.m, k_max=imap.k_max,
                           epsilon=epsilon, entries=entries)

@@ -87,8 +87,10 @@ class QuadratureGrid:
     @classmethod
     @functools.lru_cache(maxsize=None)
     def build(cls, n_nodes):
-        """The rule with n_nodes nodes, built once per node count: every
-        caller shares one grid, whose nodes and weights are read-only."""
+        """The rule with n_nodes nodes, built once per node count for
+        serial callers, who share one grid (threads that race on a first
+        call may each build an equal one); its nodes and weights are
+        read-only."""
         if n_nodes < 1:
             raise ValueError(f"need at least one node, got {n_nodes}")
         x, w = np.polynomial.legendre.leggauss(n_nodes)
@@ -200,8 +202,10 @@ def legendre_values(k_max, m, grid=None):
     k_max, the one quadrature every assembly and state construction in the
     library uses, or built fresh on the given grid.
 
-    The default table is built once per (k_max, m) and shared; the arrays
-    of every table are read-only, like the grid's nodes.  A miss goes through
+    The default table is stored once per (k_max, m) and shared: serial
+    callers build it once, and threads that race on a miss may each build
+    one but all get the one stored.  The arrays of every table are
+    read-only, like the grid's nodes.  A miss goes through
     private names only, so a call tracer sees the same public calls
     whether or not the table was already built."""
     am = abs(m)
@@ -210,10 +214,13 @@ def legendre_values(k_max, m, grid=None):
     if grid is not None:
         return _build_table(k_max, m, grid)
     grid = QuadratureGrid.build(default_node_count(k_max))
-    key = (k_max, m)
-    if key not in _DEFAULT_TABLES:
-        _DEFAULT_TABLES[key] = _build_table(k_max, m, grid)
-    return _DEFAULT_TABLES[key]
+    table = _DEFAULT_TABLES.get((k_max, m))
+    if table is None:
+        # two threads that miss at once both build; setdefault keeps the
+        # first table stored and hands it to both
+        table = _DEFAULT_TABLES.setdefault((k_max, m),
+                                           _build_table(k_max, m, grid))
+    return table
 
 
 def _build_table(k_max, m, grid):

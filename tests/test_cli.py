@@ -1,11 +1,16 @@
 """End-to-end tests of the command-line tool.
 
 Commands run in-process through ``cli.main`` so exit codes and stderr
-text can be asserted without spawning subprocesses.
+text can be asserted without spawning subprocesses; only the BLAS thread
+count, fixed when numpy loads, needs a child process.
 """
 
 import json
 import os
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -491,6 +496,84 @@ def test_reports_are_deterministic(tmp_path, capsys):
         assert first == second
     # emitted JSON is plain JSON despite the custom float tokens
     json.loads((tmp_path / "one" / "spectrum_m1_eps0.05.json").read_text())
+
+
+# Runs spectrum's four jobs on four workers, switching threads often, then
+# solves each job again serially and prints the jobs whose reported
+# eigenvalues differ.
+_CONCURRENT_SPECTRUM = """
+import json, sys
+import numpy as np
+from landauspec import cli
+from landauspec.operators import assemble_L
+cli._usable_cores = lambda: 4
+sys.setswitchinterval(1e-5)
+out = sys.argv[1]
+code = cli.main(["spectrum", "--m", "1,2", "--eps", "0.05,0.8", "--kmax",
+                 "60", "--format", "json", "--out", out])
+differ = []
+for m in (1, 2):
+    for eps in (0.05, 0.8):
+        with open(f"{out}/spectrum_m{m}_eps{eps:g}.json") as fh:
+            got = json.load(fh)["eigenvalues"]
+        lam = np.linalg.eigvals(assemble_L(m, 60, eps).entries)
+        if got != cli._pairs(np.sort_complex(lam)):
+            differ.append([m, eps])
+print(json.dumps({"code": code, "differ": differ}))
+"""
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_concurrent_spectrum_jobs_report_the_serial_eigenvalues(
+        tmp_path, blas_threads):
+    # the jobs run at once on worker threads; each must report what one
+    # serial eigvals of its operator gives at the same BLAS thread count,
+    # including (m, eps, k_max) = (2, 0.8, 60), whose bytes move with that
+    # count
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+           "PYTHONPATH": os.pathsep.join(
+               [os.path.dirname(os.path.dirname(cli.__file__)),
+                *filter(None, [os.environ.get("PYTHONPATH")])])}
+    for name in list(env):
+        if name.startswith(cli.ENV_PREFIX):
+            del env[name]
+    child = subprocess.run(
+        [sys.executable, "-c", _CONCURRENT_SPECTRUM, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == {"code": 0, "differ": []}
+
+
+def test_spectrum_job_errors_stop_the_run_in_job_order(tmp_path, capsys,
+                                                       monkeypatch):
+    # job 1 misses its group size, job 2 raises while job 1 is still
+    # running, and job 3 is queued behind them: the run reports job 1's
+    # failure, then job 2's error, writes nothing and never starts job 3
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    job2_raised = threading.Event()
+    started = []
+
+    def planted(m, k_max, eps):
+        started.append(eps)
+        if eps == 0.06:
+            job2_raised.set()
+            raise ValueError("planted error in job 2")
+        assert job2_raised.wait(timeout=60)
+        time.sleep(0.05)  # by now job 2's error is recorded
+        return OperatorMatrix(m, k_max, eps, np.diag([1.0, 1.6] + [10.0] * 46))
+
+    monkeypatch.setattr(cli, "assemble_L", planted)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "spectrum", "--m", "1", "--eps",
+                                "0.05,0.06,0.07", "--kmax", "8",
+                                "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err == ("invariant failure: 1 eigenvalues in |lambda - 1| < 0.5 "
+                   "at m = 1, eps = 0.05, expected 2\n"
+                   "error: planted error in job 2\n")
+    assert not out.exists()
+    assert sorted(started) == [0.05, 0.06]
 
 
 def test_out_path_collision_exits_1(tmp_path, capsys):

@@ -235,9 +235,10 @@ def test_l0_is_read_from_its_cached_pattern():
     # (m, k_max): assemble_L adds it into K and split_blocks takes it out of
     # L (operators.k_entries), so no perturbed assembly or split builds a
     # second L0; only L at eps = 0 and the verify battery's integrality
-    # check are L0 itself
+    # check are L0 itself.  The epsilon check of load_operator applies the
+    # pattern to its two-column probe.
     assert sorted(_calls_by_function("assemble_L0")) == [
         "cli.py:_verify_checks", "operators.py:assemble_L"]
     assert sorted(_calls_by_function("_l0_pattern")) == [
-        "operators.py:assemble_L", "operators.py:assemble_L0",
-        "operators.py:k_entries"]
+        "operators.py:_check_epsilon", "operators.py:assemble_L",
+        "operators.py:assemble_L0", "operators.py:k_entries"]

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -444,6 +445,29 @@ def test_l0_pattern_is_built_once_and_read_only():
     assert np.array_equal(dense, assemble_L0(2, 16).entries)
 
 
+def test_racing_first_l0_patterns_agree():
+    # the pattern cache may build twice under a race; both patterns are
+    # equal bit for bit and read-only (k_max 141 is used nowhere else, so
+    # the first calls here are first calls)
+    start = threading.Barrier(2)
+    patterns = []
+
+    def call():
+        start.wait(timeout=30)
+        patterns.append(_l0_pattern(StateIndexMap(1, 141)))
+
+    threads = [threading.Thread(target=call) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert len(patterns) == 2
+    for first, second in zip(*patterns):
+        assert not first.flags.writeable and not second.flags.writeable
+        assert first.dtype == second.dtype
+        assert first.tobytes() == second.tobytes()
+
+
 def test_tail_monitor_trips_on_underresolution():
     with pytest.raises(ValueError):
         assemble_K(0, 24, 0.9)
@@ -744,14 +768,46 @@ def test_operator_file_holds_the_complex_basis(m, k_max, eps, tmp_path):
 
 
 def test_operator_export_bit_exact(tmp_path):
-    kmat = assemble_K(2, 12, 0.07)
-    bin_path = tmp_path / "k.bin"
-    side_path = tmp_path / "k.json"
-    save_operator(kmat, bin_path, side_path)
+    lmat = assemble_L(2, 12, 0.07)
+    bin_path = tmp_path / "l.bin"
+    side_path = tmp_path / "l.json"
+    save_operator(lmat, bin_path, side_path)
     back = load_operator(bin_path, side_path)
-    assert back.entries.tobytes() == kmat.entries.tobytes()
+    assert back.entries.tobytes() == lmat.entries.tobytes()
     assert back.m == 2 and back.k_max == 12 and back.epsilon == 0.07
-    assert back.index_map.describe() == kmat.index_map.describe()
+    assert back.index_map.describe() == lmat.index_map.describe()
+
+
+@pytest.mark.parametrize("build, epsilon", [
+    (lambda: assemble_L(1, 12, 0.05), 0.3),
+    (lambda: assemble_L(1, 12, 0.05), 0.0505),
+    (lambda: assemble_L(-2, 24, 0.05), -0.05),
+    (lambda: assemble_L(1, 96, 0.05), 0.3),
+    (lambda: assemble_L0(0, 12), 0.05),
+    (lambda: assemble_L(0, 12, 0.05), 0.0),
+    (lambda: assemble_K(2, 12, 0.07), 0.07),
+], ids=["0.3-for-0.05", "1%-off", "sign", "k_max-96", "L0-as-0.05",
+        "0.05-as-L0", "K-alone"])
+def test_load_operator_checks_the_sidecar_epsilon(build, epsilon, tmp_path):
+    # every eps gives the same dim, so only the entries can tell a wrong
+    # sidecar epsilon: K's pipeline on the probe at that eps must match the
+    # entries less L0 on the probe.  A file of K alone is not L at any eps.
+    opmat = build()
+    bin_path, side_path, _ = save_and_read(opmat, tmp_path)
+    doc = json.loads(side_path.read_text())
+    doc["epsilon"] = epsilon
+    side_path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(
+            f"does not hold L at the sidecar's epsilon {epsilon!r}: its K on "
+            f"the probe is ")) as info:
+        load_operator(bin_path, side_path)
+    # the message names the gap and the bound it broke
+    gap, bound = (float(x) for x in re.findall(
+        r"is (\S+) from K at that epsilon, above (\S+) \(1e-12 max\|L\|\)",
+        str(info.value))[0])
+    assert gap > bound
+    assert bound == pytest.approx(
+        1e-12 * np.abs(opmat.entries).max(), rel=1e-3)
 
 
 @pytest.mark.parametrize("field, value", [
