@@ -20,8 +20,9 @@ byte-identical files at a fixed BLAS thread count: lists in a fixed
 order, every float with 17 significant digits.  Another thread count can
 move the last digits of a large eigensolve (``spectrum --m 2 --epsilon
 0.8 --kmax 60``).  ``spectrum`` solves its (m, eps) jobs concurrently,
-one worker thread per usable core, and the worker count never changes a
-byte.
+one worker thread per usable core, when the loaded OpenBLAS runs one
+thread, and one job at a time otherwise; the worker count never changes
+a byte.
 A value that does not convert is reported with its flag or variable.
 The quadrature is not a setting: every assembly uses the Gauss rule
 that k_max determines.  k_max defaults to 24 for ``spectrum`` and
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 from concurrent.futures import ThreadPoolExecutor
+import ctypes
 import json
 import os
 import sys
@@ -371,6 +373,41 @@ def _usable_cores():
     return os.cpu_count() or 1
 
 
+def _blas_threads():
+    """Thread count of the OpenBLAS this process loaded, or None where no
+    OpenBLAS shows in /proc/self/maps or it names no known getter."""
+    try:
+        with open("/proc/self/maps") as fh:
+            # the path is the sixth field and may hold spaces
+            libs = {line.split(None, 5)[5].strip() for line in fh
+                    if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            if hasattr(handle, symbol):
+                return int(getattr(handle, symbol)())
+    return None
+
+
+def _spectrum_workers(n_jobs):
+    """One worker per job up to the usable cores when BLAS runs one
+    thread.  A threaded BLAS already spreads each eigensolve over the
+    cores, and a second solve beside it oversubscribes them (on a
+    two-core host, two workers over two OpenBLAS threads each were slower
+    than one), so then, or when the thread count cannot be read, jobs run
+    one at a time."""
+    if _blas_threads() != 1:
+        return 1
+    return min(n_jobs, _usable_cores())
+
+
 def _spectrum_reports(config, m, eps, tag, lam):
     """The checks and reports of one (m, eps) job of ``spectrum`` from its
     sorted eigenvalues: (exit code, reports)."""
@@ -414,11 +451,12 @@ def _spectrum_reports(config, m, eps, tag, lam):
 
 def cmd_spectrum(config):
     """One job per (m, eps): assemble L and sort its eigenvalues.  The jobs
-    run on one worker thread per usable core (LAPACK releases the GIL),
-    each in the serial arithmetic, and are checked and reported in job
-    order, so the worker count changes no byte.  A job that raises stops
-    the run where the serial loop would: the jobs before it are checked
-    first, and a job after it that has not started by then never starts."""
+    run on `_spectrum_workers` threads (LAPACK releases the GIL), each in
+    the serial arithmetic, and are checked and reported in job order, so
+    the worker count changes no byte.  A job that raises stops the run
+    where the serial loop would: the jobs before it are checked first, a
+    job after it that has not started by then never starts, and
+    ``pool.map`` cancels the jobs still queued."""
     jobs = _report_tags(config)
     raised = []  # indices of the jobs that raised
 
@@ -435,17 +473,13 @@ def cmd_spectrum(config):
 
     code = 0
     reports = []
-    with ThreadPoolExecutor(min(len(jobs), _usable_cores())) as pool:
-        try:
-            spectra = pool.map(solve, range(len(jobs)))
-            for (m, eps, tag), lam in zip(jobs, spectra):
-                job_code, job_reports = _spectrum_reports(config, m, eps,
-                                                          tag, lam)
-                code = max(code, job_code)
-                reports += job_reports
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    with ThreadPoolExecutor(_spectrum_workers(len(jobs))) as pool:
+        spectra = pool.map(solve, range(len(jobs)))
+        for (m, eps, tag), lam in zip(jobs, spectra):
+            job_code, job_reports = _spectrum_reports(config, m, eps, tag,
+                                                      lam)
+            code = max(code, job_code)
+            reports += job_reports
     return code, reports
 
 

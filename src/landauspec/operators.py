@@ -69,10 +69,11 @@ matrix D A D^-1 for `save_operator` alone, in column-major order, so the
 file is written from it without a second copy; `load_operator` converts
 it back, checking that the imaginary part it drops is exactly 0.0; each
 factor of the scaling is 1, i or -i, which rounds nothing, so the round
-trip is bit-exact.  It also checks that the file holds L at its sidecar's
-eps, which the dimension cannot tell: K's pipeline on the tail monitor's
-two-column probe at that eps must match the entries times the probe less
-L0's pattern times it.
+trip is bit-exact.  Both check that the operator holds L at its eps (the
+sidecar's, on load), which the dimension cannot tell: K's pipeline on the
+tail monitor's two-column probe at that eps must match the entries times
+the probe less L0's pattern times it.  So only L round-trips, and a file
+whose sidecar names another eps does not load.
 """
 
 from __future__ import annotations
@@ -405,7 +406,10 @@ def assemble_L(m, k_max, epsilon):
 
 def save_operator(opmat, bin_path, sidecar_path):
     """Column-major complex binary of D A D^-1 plus JSON sidecar; bit-exact
-    round trip."""
+    round trip.  Only L at the operator's eps is written, as only that
+    loads: anything else (K alone, say) raises before a file is made."""
+    _check_epsilon(opmat.entries, opmat.index_map, opmat.epsilon,
+                   "the operator to save does not hold L at its epsilon")
     tmp = str(bin_path) + ".tmp"
     complex_entries(opmat).ravel(order="F").tofile(tmp)
     os.replace(tmp, bin_path)
@@ -424,18 +428,19 @@ def save_operator(opmat, bin_path, sidecar_path):
     os.replace(tmp, sidecar_path)
 
 
-# The largest gap, relative to max |L|, that `load_operator` accepts
-# between the K of a file's entries and K assembled at its sidecar's eps,
-# both on the probe.  Rounding leaves below 3e-18 (|m| <= 2, k_max 12-96,
+# The largest gap, relative to max |L|, that `save_operator` and
+# `load_operator` accept between the K of an operator's entries and K
+# assembled at its eps, both on the probe.  Rounding leaves below 3e-18 (|m| <= 2, k_max 12-96,
 # eps 0-0.8); eps 1% off leaves above 3e-8, and 0.3 for 0.05 above 2e-5.
-_LOAD_TOLERANCE = 1e-12
+_EPSILON_TOLERANCE = 1e-12
 
 
-def _check_epsilon(entries, imap, epsilon, source):
+def _check_epsilon(entries, imap, epsilon, failure):
     """Check that stream-scaled entries hold L at epsilon: K's pipeline
     run on the probe at epsilon against the entries times the probe less
     L0's pattern times it.  Reads the entries in one product and two
-    reductions, with no copy of them."""
+    reductions, with no copy of them; a mismatch raises ValueError,
+    failure first."""
     probe = _probe(imap)
     table = legendre_values(imap.k_max, imap.m)
     want = _k_columns(probe, background_on_grid(epsilon, table.grid), table,
@@ -444,12 +449,11 @@ def _check_epsilon(entries, imap, epsilon, source):
     got = entries @ probe
     np.subtract.at(got, rows, values[:, None] * probe[cols])
     gap = float(np.abs(got - want).max())
-    bound = _LOAD_TOLERANCE * float(max(entries.max(), -entries.min()))
+    bound = _EPSILON_TOLERANCE * float(max(entries.max(), -entries.min()))
     if not gap <= bound:
-        raise ValueError(f"{source} does not hold L at the sidecar's epsilon "
-                         f"{epsilon!r}: its K on the probe is {gap:.3e} from "
-                         f"K at that epsilon, above {bound:.3e} "
-                         f"({_LOAD_TOLERANCE:.0e} max|L|)")
+        raise ValueError(f"{failure} {epsilon!r}: its K on the probe is "
+                         f"{gap:.3e} from K at that epsilon, above "
+                         f"{bound:.3e} ({_EPSILON_TOLERANCE:.0e} max|L|)")
 
 
 def load_operator(bin_path, sidecar_path):
@@ -475,6 +479,7 @@ def load_operator(bin_path, sidecar_path):
     source = f"operator file {os.fspath(bin_path)!r}"
     entries = _stream_scaled_real(raw.reshape((dim, dim), order="F"), imap,
                                   source)
-    _check_epsilon(entries, imap, epsilon, source)
+    _check_epsilon(entries, imap, epsilon,
+                   f"{source} does not hold L at the sidecar's epsilon")
     return OperatorMatrix(m=imap.m, k_max=imap.k_max,
                           epsilon=epsilon, entries=entries)

@@ -498,15 +498,17 @@ def test_reports_are_deterministic(tmp_path, capsys):
     json.loads((tmp_path / "one" / "spectrum_m1_eps0.05.json").read_text())
 
 
-# Runs spectrum's four jobs on four workers, switching threads often, then
-# solves each job again serially and prints the jobs whose reported
-# eigenvalues differ.
+# Prints the worker count spectrum picks for four jobs at this BLAS thread
+# count, runs spectrum's four jobs on four workers, switching threads
+# often, then solves each job again serially and prints the jobs whose
+# reported eigenvalues differ.
 _CONCURRENT_SPECTRUM = """
 import json, sys
 import numpy as np
 from landauspec import cli
 from landauspec.operators import assemble_L
-cli._usable_cores = lambda: 4
+workers = cli._spectrum_workers(4)
+cli._spectrum_workers = lambda n_jobs: n_jobs
 sys.setswitchinterval(1e-5)
 out = sys.argv[1]
 code = cli.main(["spectrum", "--m", "1,2", "--eps", "0.05,0.8", "--kmax",
@@ -519,7 +521,7 @@ for m in (1, 2):
         lam = np.linalg.eigvals(assemble_L(m, 60, eps).entries)
         if got != cli._pairs(np.sort_complex(lam)):
             differ.append([m, eps])
-print(json.dumps({"code": code, "differ": differ}))
+print(json.dumps({"code": code, "differ": differ, "workers": workers}))
 """
 
 
@@ -529,7 +531,8 @@ def test_concurrent_spectrum_jobs_report_the_serial_eigenvalues(
     # the jobs run at once on worker threads; each must report what one
     # serial eigvals of its operator gives at the same BLAS thread count,
     # including (m, eps, k_max) = (2, 0.8, 60), whose bytes move with that
-    # count
+    # count.  Left to itself, spectrum runs one worker per usable core
+    # only over a one-thread OpenBLAS.
     env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
            "PYTHONPATH": os.pathsep.join(
                [os.path.dirname(os.path.dirname(cli.__file__)),
@@ -541,7 +544,23 @@ def test_concurrent_spectrum_jobs_report_the_serial_eigenvalues(
         [sys.executable, "-c", _CONCURRENT_SPECTRUM, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=600)
     assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout) == {"code": 0, "differ": []}
+    openblas = "openblas" in np.show_config(
+        mode="dicts")["Build Dependencies"]["blas"]["name"]
+    workers = (min(4, cli._usable_cores())
+               if openblas and blas_threads == "1" else 1)
+    assert json.loads(child.stdout) == {"code": 0, "differ": [],
+                                        "workers": workers}
+
+
+@pytest.mark.parametrize("blas_threads, cores, workers", [
+    (1, 2, 2), (1, 8, 3), (1, 1, 1), (2, 2, 1), (8, 8, 1), (None, 8, 1)])
+def test_spectrum_workers_follow_the_blas_thread_count(
+        monkeypatch, blas_threads, cores, workers):
+    # one worker per job up to the cores over a one-thread BLAS; a threaded
+    # or unreadable BLAS runs the jobs one at a time
+    monkeypatch.setattr(cli, "_blas_threads", lambda: blas_threads)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    assert cli._spectrum_workers(3) == workers
 
 
 def test_spectrum_job_errors_stop_the_run_in_job_order(tmp_path, capsys,
@@ -549,7 +568,7 @@ def test_spectrum_job_errors_stop_the_run_in_job_order(tmp_path, capsys,
     # job 1 misses its group size, job 2 raises while job 1 is still
     # running, and job 3 is queued behind them: the run reports job 1's
     # failure, then job 2's error, writes nothing and never starts job 3
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(cli, "_spectrum_workers", lambda n_jobs: 2)
     job2_raised = threading.Event()
     started = []
 

@@ -785,13 +785,12 @@ def test_operator_export_bit_exact(tmp_path):
     (lambda: assemble_L(1, 96, 0.05), 0.3),
     (lambda: assemble_L0(0, 12), 0.05),
     (lambda: assemble_L(0, 12, 0.05), 0.0),
-    (lambda: assemble_K(2, 12, 0.07), 0.07),
 ], ids=["0.3-for-0.05", "1%-off", "sign", "k_max-96", "L0-as-0.05",
-        "0.05-as-L0", "K-alone"])
+        "0.05-as-L0"])
 def test_load_operator_checks_the_sidecar_epsilon(build, epsilon, tmp_path):
     # every eps gives the same dim, so only the entries can tell a wrong
     # sidecar epsilon: K's pipeline on the probe at that eps must match the
-    # entries less L0 on the probe.  A file of K alone is not L at any eps.
+    # entries less L0 on the probe
     opmat = build()
     bin_path, side_path, _ = save_and_read(opmat, tmp_path)
     doc = json.loads(side_path.read_text())
@@ -808,6 +807,22 @@ def test_load_operator_checks_the_sidecar_epsilon(build, epsilon, tmp_path):
     assert gap > bound
     assert bound == pytest.approx(
         1e-12 * np.abs(opmat.entries).max(), rel=1e-3)
+
+
+def test_only_l_is_saved_or_loaded(tmp_path):
+    # K alone is not L at any eps: save_operator refuses it before making
+    # a file, and K's entries under L's sidecar do not load
+    kmat = assemble_K(2, 12, 0.07)
+    with pytest.raises(ValueError, match=re.escape(
+            "the operator to save does not hold L at its epsilon 0.07: its "
+            "K on the probe is ")):
+        save_operator(kmat, tmp_path / "k.bin", tmp_path / "k.json")
+    assert list(tmp_path.iterdir()) == []
+    bin_path, side_path, _ = save_and_read(assemble_L(2, 12, 0.07), tmp_path)
+    complex_entries(kmat).ravel(order="F").tofile(bin_path)
+    with pytest.raises(ValueError, match=re.escape(
+            "does not hold L at the sidecar's epsilon 0.07: ")):
+        load_operator(bin_path, side_path)
 
 
 @pytest.mark.parametrize("field, value", [
