@@ -67,8 +67,9 @@ basis.  `OperatorMatrix.apply_flat` multiplies a complex state as
 D (A (D^-1 x)), with two real products.  `complex_entries` forms the
 matrix D A D^-1 for `save_operator` alone, in column-major order, so the
 file is written from it without a second copy; `load_operator` converts
-it back, checking that the imaginary part it drops is exactly 0.0; each
-factor of the scaling is 1, i or -i, which rounds nothing, so the round
+it back one run of stream or other columns at a time, read from the open
+file, so the complex matrix is never whole in memory, checking that the
+imaginary part it drops is exactly 0.0; each factor of the scaling is 1, i or -i, which rounds nothing, so the round
 trip is bit-exact.  Both check that the operator holds L at its eps (the
 sidecar's, on load), which the dimension cannot tell: K's pipeline on the
 tail monitor's two-column probe at that eps must match the entries times
@@ -153,35 +154,55 @@ class OperatorMatrix:
                                self.apply_flat(state.to_flat()))
 
 
-def _stream_scaled_real(mat, imap, source):
+def _stream_scaled_real(read_columns, imap, source):
     """D^-1 M D of a complex matrix M in the basis of the states, as a
-    contiguous float64 array.  D^-1 M D multiplies entry (i, j) by
-    conj(D_i) D_j: i when only column j is a stream slot, -i when only row
-    i is, and 1 otherwise.  So each entry is the real part of M's, or minus
-    or plus its imaginary part, read block by block over the runs of
-    stream and other slots; the part it drops must be exactly zero, and
-    adding 0.0 turns each zero into +0.0, as the complex product did."""
+    contiguous float64 array, with M read one run of stream or other
+    columns at a time: read_columns(count) returns M's next count columns
+    as a (dim, count) complex array, so no more of M than one run is held.
+    D^-1 M D multiplies entry (i, j) by conj(D_i) D_j: i when only column j
+    is a stream slot, -i when only row i is, and 1 otherwise.  So each
+    entry is the real part of M's, or minus or plus its imaginary part,
+    read block by block over the runs of stream and other slots; the part
+    it drops must be exactly zero, and adding 0.0 turns each zero into
+    +0.0, as the complex product did.  Both guards name the (row, column)
+    where they tripped: the largest dropped part, and the first non-finite
+    entry in the file's column-major order."""
     stream = stream_scale(imap).imag > 0.0
     bounds = [0, *(np.flatnonzero(np.diff(stream)) + 1), stream.size]
     runs = [(slice(a, b), bool(stream[a])) for a, b in zip(bounds, bounds[1:])]
-    out = np.empty(mat.shape)
-    dropped = []
-    for cols, col_stream in runs:  # column-major, the order of the file
+    out = np.empty((imap.dim, imap.dim))
+    dropped, non_finite = [], []
+
+    def convert(mat, cols, col_stream):
+        # one run of M's columns into out; mat is freed on return, so it is
+        # gone before the next run is read
         for rows, row_stream in runs:
-            block = mat[rows, cols]
-            kept, drop = block.real, block.imag
+            kept, drop = mat[rows].real, mat[rows].imag
             if row_stream != col_stream:
                 kept, drop = drop, kept
             if drop.any():
-                dropped.append(np.abs(drop).max())
+                size = np.abs(drop)
+                i, j = np.unravel_index(np.argmax(size), size.shape)
+                dropped.append((size[i, j], rows.start + int(i),
+                                cols.start + int(j)))
             np.multiply(kept, -1.0 if col_stream > row_stream else 1.0,
                         out=out[rows, cols])
+        bad = ~np.isfinite(out[:, cols].T)  # column-major, as in the file
+        if bad.any():
+            j, i = np.unravel_index(np.argmax(bad), bad.shape)
+            non_finite.append((int(i), cols.start + int(j)))
+
+    for cols, col_stream in runs:  # column-major, the order of the file
+        convert(read_columns(cols.stop - cols.start), cols, col_stream)
     if dropped:
+        size, i, j = dropped[np.argmax([found[0] for found in dropped])]
         raise ValueError(f"{source} is not real in the stream scaling: it "
-                         f"has an imaginary part of size "
-                         f"{float(np.max(dropped)):.3e}")
-    if not np.isfinite(out).all():
-        raise ValueError(f"{source} has a non-finite entry")
+                         f"has an imaginary part of size {float(size):.3e} "
+                         f"at row {i}, column {j}")
+    if non_finite:
+        i, j = non_finite[0]
+        raise ValueError(f"{source} has a non-finite entry at row {i}, "
+                         f"column {j}")
     out += 0.0
     return out
 
@@ -257,13 +278,25 @@ def assemble_L0(m, k_max):
     return OperatorMatrix(m=m, k_max=k_max, epsilon=0.0, entries=mat)
 
 
-def k_entries(lmat):
+def k_image_rows(imap):
+    """The flat indices of the slots K's image fills, phi', psi' and
+    radial_star, in flat order; every other row of K is zero."""
+    return np.r_[imap.sl("phi_prime"), imap.sl("psi_prime"),
+                 imap.sl("radial_star")]
+
+
+def k_entries(lmat, rows=None):
     """K of an assembled operator in the stream-scaled real form: a copy of
-    its entries with L0's pattern taken out, byte for byte the entries
-    minus those of `assemble_L0`."""
-    rows, cols, values = _l0_pattern(lmat.index_map)
-    kmat = lmat.entries.copy()
-    kmat[rows, cols] -= values
+    its entries, or of the given flat rows of them, with L0's pattern taken
+    out, byte for byte the entries minus those of `assemble_L0`."""
+    imap = lmat.index_map
+    rows = np.arange(imap.dim) if rows is None else rows
+    l0_rows, cols, values = _l0_pattern(imap)
+    at = np.full(imap.dim, -1)
+    at[rows] = np.arange(len(rows))
+    hit = at[l0_rows] >= 0
+    kmat = lmat.entries[rows]
+    kmat[at[l0_rows[hit]], cols[hit]] -= values[hit]
     return kmat
 
 
@@ -457,6 +490,12 @@ def _check_epsilon(entries, imap, epsilon, failure):
 
 
 def load_operator(bin_path, sidecar_path):
+    """The operator that `save_operator` wrote, after checking the
+    sidecar's fields and the file's byte size.  The file is read from the
+    open handle one run of stream or other columns at a time and each run
+    converted into the stream-scaled entries (`_stream_scaled_real`), so
+    besides the returned entries only one run of the complex matrix is
+    held; the entries must then hold L at the sidecar's epsilon."""
     with open(sidecar_path) as fh:
         doc = json.load(fh)
     epsilon = json_field(doc, "epsilon", float)
@@ -475,10 +514,11 @@ def load_operator(bin_path, sidecar_path):
     if size != want:
         raise ValueError(f"matrix file {os.fspath(bin_path)!r} holds {size} "
                          f"bytes, expected {want} (complex128, dim {dim})")
-    raw = np.fromfile(bin_path, dtype=np.complex128)
     source = f"operator file {os.fspath(bin_path)!r}"
-    entries = _stream_scaled_real(raw.reshape((dim, dim), order="F"), imap,
-                                  source)
+    with open(bin_path, "rb") as fh:
+        entries = _stream_scaled_real(
+            lambda count: np.fromfile(fh, np.complex128, dim * count).reshape(
+                (dim, count), order="F"), imap, source)
     _check_epsilon(entries, imap, epsilon,
                    f"{source} does not hold L at the sidecar's epsilon")
     return OperatorMatrix(m=imap.m, k_max=imap.k_max,

@@ -29,17 +29,23 @@ max|1/(1 - lambda)| is below 1/4, which split_blocks checks up front.
 The blocks are formed in real arithmetic.  `OperatorMatrix.entries` is
 the stream-scaled real form S^-1 L S with S = diag(i on psi and psi', 1
 elsewhere), so K_r = S^-1 K S is the entries of L minus those of L0
-(`operators.k_entries`, from L0's cached pattern), its norm read on the
-rows K reaches (phi', psi' and radial_star).  Every rounded inverse maps
-K_r's rows and then every rounded frame its columns, in place at the
-frame's own flat indices, so branch i of a frame sits at the index of its
-slot i, and one permutation puts E first.  Every frame lives on stream
-slots only or on non-stream slots only, so the stream branches sit
-exactly on the stream slots, the branch scaling S_b is S itself, and the
-branch coordinates of K are S (rows K_r columns) S^-1, read at the
+(`operators.k_entries`, from L0's cached pattern).  Its norm is read
+first, on the rows K's image fills (`operators.k_image_rows`: phi', psi'
+and radial_star), and that copy is freed before K_r is copied whole.
+Every rounded inverse maps K_r's rows and then every rounded frame its
+columns, in place in that one real n x n copy at the frame's own flat
+indices, so branch i of a frame sits at the index of its slot i; E and Y
+are index arrays into it, and nothing is permuted.  Every frame lives on
+stream slots only or on non-stream slots only, so the stream branches
+sit exactly on the stream slots, the branch scaling S_b is S itself, and
+the branch coordinates of K are S (rows K_r columns) S^-1, read at the
 branches' indices.  Each factor of the re-phasing is 1, i or -i, which
 rounds nothing: an entry between a stream and a non-stream branch is
-purely imaginary, every other entry purely real.
+purely imaginary, every other entry purely real.  Only the thin blocks
+A, B and C, n_e rows or columns wide, are re-phased into complex
+arrays.  D stays in the real copy, and the graph solve applies it as
+S_y (D_r (S_y^-1 M)) with one real product per step, so no complex
+n x n matrix is ever formed.
 
 The E basis is normalized so that reduced-matrix entries are directly
 comparable with hand calculations done on the unit-amplitude harmonics
@@ -52,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import k_entries, stream_scale
+from .operators import k_entries, k_image_rows, stream_scale
 from .sphbasis import norm_constant
 from .statespace import x_weights
 from .stokes_spectrum import frame_slots
@@ -73,6 +79,11 @@ def z_coefficient(k, m):
 
 @dataclass
 class PerturbationBlocks:
+    """The blocks of K in branch coordinates.  a, b and c are complex, with
+    E normalized to the unit-amplitude harmonics.  D stays real: coords is
+    K's real branch coordinates at the branches' flat indices, and D is its
+    y_index rows and columns re-phased by y_phase, S at those indices."""
+
     m: int
     k_max: int
     epsilon: float
@@ -81,11 +92,32 @@ class PerturbationBlocks:
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
-    d: np.ndarray = field(repr=False)
+    coords: np.ndarray = field(repr=False)
+    y_index: np.ndarray = field(repr=False)
+    y_phase: np.ndarray = field(repr=False)
     lam_y: np.ndarray = field(repr=False)
     resolvent: np.ndarray = field(repr=False)
     kappa: float
     k_norm: float
+
+    @property
+    def d(self):
+        """D as a complex n_y x n_y matrix, formed on each call; the graph
+        solve applies it through d_times instead."""
+        d = self.coords[np.ix_(self.y_index, self.y_index)].astype(complex)
+        d *= self.y_phase[:, None]
+        d *= self.y_phase.conj()
+        return d
+
+    def d_times(self, mat):
+        """D times a complex n_y x k matrix, as p (D_r (p* mat)) with p the
+        phase and D_r the real block of coords: one real product of coords
+        with the real and imaginary parts side by side and zero E rows, so
+        neither a complex nor a copied n_y x n_y matrix is made."""
+        x = np.zeros((self.coords.shape[0], mat.shape[1]), dtype=complex)
+        x[self.y_index] = self.y_phase.conj()[:, None] * mat
+        image = (self.coords @ x.view(float)).view(complex)
+        return self.y_phase[:, None] * image[self.y_index]
 
     @property
     def inv_lambda(self):
@@ -110,6 +142,18 @@ class GraphMap:
     defect_history: tuple
 
 
+def _weighted_k_norm(lmat):
+    """The X-weighted operator norm of K, read on the rows its image fills
+    (its other rows are zero); their copy is freed on return, before
+    split_blocks copies the whole of K."""
+    live = k_image_rows(lmat.index_map)
+    krows = k_entries(lmat, live)
+    w = np.sqrt(x_weights(lmat.index_map))
+    krows *= w[live, None]
+    krows /= w
+    return float(np.linalg.norm(krows, 2))
+
+
 def split_blocks(lmat, m, strict=True):
     """Branch-coordinate block decomposition of an assembled operator.
 
@@ -119,15 +163,13 @@ def split_blocks(lmat, m, strict=True):
     the blocks anyway (the Picard solve may still converge in practice)."""
     if m != lmat.m:
         raise ValueError(f"operator is assembled at m = {lmat.m}, not {m}")
-    # K in the stream-scaled real form; its norm on the rows it reaches
-    kmat = k_entries(lmat)
-    live = np.flatnonzero(kmat.any(axis=1))
-    w = np.sqrt(x_weights(lmat.index_map))
-    k_norm = float(np.linalg.norm(kmat[live] * w[live, None] / w, 2))
+    k_norm = _weighted_k_norm(lmat)
 
-    # rows K columns, frame by frame and in place: every inverse maps K's
-    # rows at its frame's indices, then every frame maps the columns there,
-    # so branch i of a frame sits at the frame's flat index idx[i]
+    # rows K columns, frame by frame and in place in one copy of the
+    # entries: every inverse maps K's rows at its frame's indices, then
+    # every frame maps the columns there, so branch i of a frame sits at
+    # the frame's flat index idx[i]
+    kmat = k_entries(lmat)
     slots = list(frame_slots(m, lmat.k_max))
     for _, frame, idx in slots:
         kmat[idx] = frame.float_inv @ kmat[idx]
@@ -139,19 +181,21 @@ def split_blocks(lmat, m, strict=True):
          for lam, i in zip(frame.lams, idx)),
         key=lambda branch: branch[0][1] != 1))
     n_e = sum(lam == 1 for _, lam, _ in labels)
-    # rebinding frees the unpermuted K before its complex copy is made
-    kmat = kmat[np.ix_(perm, perm)]
-    k_coord = kmat.astype(complex)
-    # E is normalized to the unit-amplitude harmonics
+    e, y = np.array(perm[:n_e]), np.array(perm[n_e:])
+    # the thin blocks in complex: E normalized to the unit-amplitude
+    # harmonics, then re-phased by S_b = S, as the stream branches sit on
+    # the stream slots
+    a, b, c = (kmat[np.ix_(rows, cols)].astype(complex)
+               for rows, cols in ((e, e), (e, y), (y, e)))
     scale = np.array([z_coefficient(k, m) for k, *_ in labels[:n_e]])
-    k_coord[:n_e] /= scale[:, None]
-    k_coord[:, :n_e] *= scale
-    # S_b = S: the stream branches sit on the stream slots
-    phase = stream_scale(lmat.index_map)[list(perm)]
-    k_coord *= phase[:, None]
-    k_coord *= phase.conj()[None, :]
-    a, b = k_coord[:n_e, :n_e], k_coord[:n_e, n_e:]
-    c, d = k_coord[n_e:, :n_e], k_coord[n_e:, n_e:]
+    a /= scale[:, None]
+    a *= scale
+    b /= scale[:, None]
+    c *= scale
+    phase = stream_scale(lmat.index_map)
+    for block, rows, cols in ((a, e, e), (b, e, y), (c, y, e)):
+        block *= phase[rows, None]
+        block *= phase[cols].conj()
 
     lam_y = np.array([float(lam) for _, lam, _ in labels[n_e:]])
     resolvent = 1.0 / (1.0 - lam_y)
@@ -160,8 +204,8 @@ def split_blocks(lmat, m, strict=True):
     blocks = PerturbationBlocks(
         m=m, k_max=lmat.k_max, epsilon=lmat.epsilon,
         e_branches=tuple(labels[:n_e]), y_branches=tuple(labels[n_e:]),
-        a=a, b=b, c=c, d=d, lam_y=lam_y, resolvent=resolvent,
-        kappa=kappa, k_norm=k_norm,
+        a=a, b=b, c=c, coords=kmat, y_index=y, y_phase=phase[y],
+        lam_y=lam_y, resolvent=resolvent, kappa=kappa, k_norm=k_norm,
     )
     if strict and blocks.smallness >= 0.25:
         raise ValueError(
@@ -173,20 +217,22 @@ def split_blocks(lmat, m, strict=True):
 
 
 def solve_graph(blocks, tol=1e-12, max_iter=200):
-    """Picard iteration for the graph map, started at (I-Lambda)^{-1} C."""
-    r, a, b, c, d = (blocks.resolvent[:, None], blocks.a, blocks.b,
-                     blocks.c, blocks.d)
+    """Picard iteration for the graph map, started at (I-Lambda)^{-1} C;
+    D is applied through the real coordinates (`PerturbationBlocks.d_times`)."""
+    r, a, b, c = blocks.resolvent[:, None], blocks.a, blocks.b, blocks.c
+
+    def picard(mat):
+        return r * (c + blocks.d_times(mat) - mat @ a - mat @ (b @ mat))
+
     m_cur = r * c
     history = []
     for it in range(1, max_iter + 1):
-        m_new = r * (c + d @ m_cur - m_cur @ a - m_cur @ (b @ m_cur))
+        m_new = picard(m_cur)
         defect = float(np.linalg.norm(m_new - m_cur, 2))
         history.append(defect)
         m_cur = m_new
         if defect <= tol * max(1.0, float(np.linalg.norm(m_cur, 2))):
-            fixed_image = r * (c + d @ m_cur - m_cur @ a
-                               - m_cur @ (b @ m_cur))
-            final = float(np.linalg.norm(fixed_image - m_cur, 2))
+            final = float(np.linalg.norm(picard(m_cur) - m_cur, 2))
             return GraphMap(matrix=m_cur, iterations=it, defect=final,
                             defect_history=tuple(history))
     raise RuntimeError(

@@ -81,13 +81,14 @@ def test_track_paper_check_accepts_the_real_reports(workloads, tmp_path):
 
 
 def test_kmax_scaling_checks_accept_the_real_outputs(workloads, tmp_path):
-    # the command and the steps of the kmax-scaling workload at its
-    # smallest truncation
+    # the command of the kmax-scaling workload at its smallest truncation,
+    # and its steps at its two smallest
     ctx = workloads.Context(work=str(tmp_path), epsilon=0.05)
     modes = workloads.KMAX_MODES
     ops = workloads.check_kmax_cli(ctx, *workloads.run_cli([
         "spectrum", "--m", ",".join(map(str, modes)), "--epsilon",
         repr(ctx.epsilon), "--kmax", "24", "--out", ctx.out]))
     assert [op.problems for op in ops] == [[]]
-    assert [workloads.kmax_step(ctx, m, 24) for m in modes] == [[]] * len(
-        modes)
+    steps = [(m, k_max) for k_max in (24, 48) for m in modes]
+    assert [workloads.kmax_step(ctx, *step) for step in steps] == [[]] * len(
+        steps)

@@ -623,10 +623,30 @@ def test_real_form_names_a_real_coupling_across_the_stream_slots(tmp_path):
     lmat = assemble_L(1, 12, 0.05)
     imap = lmat.index_map
     bin_path, side_path, raw = save_and_read(lmat, tmp_path)
-    raw[imap.index("psi", 2), imap.index("radial", 3)] += 0.25
+    row, col = imap.index("psi", 2), imap.index("radial", 3)
+    raw[row, col] += 0.25
     raw.ravel(order="F").tofile(bin_path)
     with pytest.raises(ValueError, match=r"operator file .*op\.bin.* is not "
-                       r"real .*imaginary part of size 2\.500e-01"):
+                       r"real .*imaginary part of size 2\.500e-01 at "
+                       rf"row {row}, column {col}$"):
+        load_operator(bin_path, side_path)
+
+
+def test_load_names_the_largest_dropped_part(tmp_path):
+    # of several parts that the stream scaling drops, in different column
+    # runs, the guard names the largest and where it sits
+    lmat = assemble_L(1, 12, 0.05)
+    imap = lmat.index_map
+    bin_path, side_path, raw = save_and_read(lmat, tmp_path)
+    planted = {(imap.index("psi", 2), imap.index("radial", 3)): 0.25,
+               (imap.index("phi", 4), imap.index("psi_prime", 5)): 0.5,
+               (imap.index("radial_star", 6), imap.index("phi", 1)): 0.125j}
+    for at, value in planted.items():
+        raw[at] += value
+    raw.ravel(order="F").tofile(bin_path)
+    row, col = imap.index("phi", 4), imap.index("psi_prime", 5)
+    with pytest.raises(ValueError, match=r"imaginary part of size "
+                       rf"5\.000e-01 at row {row}, column {col}$"):
         load_operator(bin_path, side_path)
 
 
@@ -692,11 +712,29 @@ def test_load_operator_names_a_non_finite_entry(value, tmp_path):
     lmat = assemble_L(1, 12, 0.05)
     imap = lmat.index_map
     bin_path, side_path, raw = save_and_read(lmat, tmp_path)
-    raw[imap.index("radial", 3), imap.index("radial", 3)] = value
+    # the first non-finite entry in the file's column-major order is named
+    first = imap.index("phi", 2), imap.index("radial", 3)
+    raw[imap.index("phi", 1), imap.index("radial", 4)] = value
+    raw[imap.index("radial_star", 5), imap.index("radial", 3)] = value
+    raw[first] = value
     raw.ravel(order="F").tofile(bin_path)
     with pytest.raises(ValueError, match=r"operator file .*op\.bin.* has a "
-                       r"non-finite entry"):
+                       rf"non-finite entry at row {first[0]}, column "
+                       rf"{first[1]}$"):
         load_operator(bin_path, side_path)
+
+
+def test_load_holds_one_column_run_besides_the_operator(tmp_path):
+    # the file is converted one run of stream or other columns at a time,
+    # so the complex matrix (2 x 8 n^2 bytes) is never read whole; the
+    # peak counts the returned operator (whole-file reading peaked at 3.16)
+    lmat = assemble_L(1, 96, 0.05)
+    bin_path, side_path = tmp_path / "op.bin", tmp_path / "op.json"
+    save_operator(lmat, bin_path, side_path)
+    load_operator(bin_path, side_path)  # build the probe's table
+    back, peak = _traced_peak(lambda: load_operator(bin_path, side_path))
+    assert back.entries.tobytes() == lmat.entries.tobytes()
+    assert peak <= 2.0 * 8 * lmat.dim ** 2
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])

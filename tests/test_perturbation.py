@@ -12,6 +12,8 @@ from landauspec.operators import (
     assemble_L,
     assemble_L0,
     complex_entries,
+    k_entries,
+    k_image_rows,
     load_operator,
     save_operator,
 )
@@ -182,20 +184,78 @@ def test_warm_split_rounds_no_fraction(monkeypatch):
     assert calls == []
 
 
-def test_blocks_retain_only_the_block_matrix():
-    """a, b, c and d are views of one complex n x n matrix, 2 x 8 n^2
-    bytes, and the blocks keep no dense branch basis besides."""
-    lmat = assemble_L(1, 96, 0.05)
-    split_blocks(lmat, 1, strict=False)  # fill branch_frame's cache
+def _traced(func):
+    """func's result, and the peak and the retained traced memory of the
+    call, in units of 8 n^2 bytes at k_max 96, m = 1 (n = 576)."""
+    unit = 8 * StateIndexMap(1, 96).dim ** 2
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        bl = split_blocks(lmat, 1, strict=False)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        result = func()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert bl.d.shape[0] + bl.dim_e == lmat.dim
-    assert retained <= 2.1 * 8 * lmat.dim ** 2
+    return result, (peak - before) / unit, (retained - before) / unit
+
+
+@pytest.fixture(scope="module")
+def operator_k96():
+    lmat = assemble_L(1, 96, 0.05)
+    split_blocks(lmat, 1, strict=False)  # fill branch_frame's cache
+    return lmat
+
+
+def test_blocks_retain_only_the_block_matrix(operator_k96):
+    """The blocks keep K's real branch coordinates, one float64 n x n
+    array (8 n^2 bytes), with a, b and c n_e rows or columns thin, and no
+    complex n x n matrix or dense branch basis besides.  The split peaks
+    at that one copy of the entries: the contraction norm reads K's image
+    rows before it, and nothing n x n is permuted or made complex (a
+    permuted copy and a complex one peaked at 3.08)."""
+    bl, peak, retained = _traced(
+        lambda: split_blocks(operator_k96, 1, strict=False))
+    assert bl.coords.shape == (operator_k96.dim,) * 2
+    assert bl.coords.dtype == np.float64
+    assert bl.d.shape[0] + bl.dim_e == operator_k96.dim
+    assert retained <= 1.1
+    assert peak <= 1.2
+
+
+def test_graph_solve_makes_no_square_temporary(operator_k96):
+    # D is applied through the real coordinates, n x n_e at a time
+    bl = split_blocks(operator_k96, 1, strict=False)
+    _, peak, _ = _traced(lambda: solve_graph(bl))
+    assert peak <= 0.1
+
+
+@pytest.mark.parametrize("k_max", [24, 48, 96])
+@pytest.mark.parametrize("m, iterations", [(1, 8), (2, 7)])
+def test_graph_iterations_at_the_benchmark_truncations(m, iterations, k_max):
+    # the Picard solve takes as many steps with D applied in real
+    # arithmetic as with the complex D it replaced
+    bl = split_blocks(assemble_L(m, k_max, 0.05), m, strict=False)
+    assert solve_graph(bl).iterations == iterations
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_d_times_is_the_complex_product(m):
+    bl = blocks_at(m, 0.1, k_max=24)
+    rng = np.random.default_rng(3)
+    mat = (rng.standard_normal((bl.y_index.size, 3))
+           + 1j * rng.standard_normal((bl.y_index.size, 3)))
+    want = bl.d @ mat
+    assert np.abs(bl.d_times(mat) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_k_image_rows_hold_all_of_k():
+    # K's rows outside phi', psi' and radial_star are zero, so the
+    # contraction norm read on the image rows is that of the whole K (the
+    # complex reference test checks the norm itself)
+    lmat = assemble_L(1, 24, 0.1)
+    kmat = k_entries(lmat)
+    rows = k_image_rows(lmat.index_map)
+    assert not np.delete(kmat, rows, axis=0).any()
+    assert k_entries(lmat, rows).tobytes() == kmat[rows].tobytes()
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
