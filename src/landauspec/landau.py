@@ -138,49 +138,3 @@ def epsilon_from_force(b_mag):
     eps = brentq(lambda e: force_magnitude(e) - b_mag, lo, hi,
                  xtol=1e-16, rtol=8.9e-16, maxiter=200)
     return float(eps)
-
-
-@dataclass(frozen=True)
-class SeriesProfiles:
-    """Small-eps expansion of (V, F) as trigonometric polynomials.
-
-    v_coeffs[j] holds the polynomial q_j(cos theta) with
-        V = sum_j eps^(j+1) sin(theta) q_j(cos theta),
-    f_coeffs[j] holds r_j with
-        F = sum_j eps^(j+1) r_j(cos theta).
-    Polynomials are in ascending powers of cos(theta).
-    """
-
-    order: int
-    v_coeffs: tuple
-    f_coeffs: tuple
-
-    def evaluate(self, epsilon, theta):
-        theta = np.asarray(theta, dtype=float)
-        c = np.cos(theta)
-        s = np.sin(theta)
-        V = np.zeros_like(c)
-        F = np.zeros_like(c)
-        for j in range(self.order):
-            epow = epsilon ** (j + 1)
-            V += epow * s * np.polynomial.polynomial.polyval(c, self.v_coeffs[j])
-            F += epow * np.polynomial.polynomial.polyval(c, self.f_coeffs[j])
-        return {"V": V, "F": F}
-
-
-def series_profiles(order):
-    """Return the expansion of (V, F) through eps^order (order 2 or 3).
-
-    V = -2 eps sin - 2 eps^2 cos sin - 2 eps^3 cos^2 sin - ...
-    F = 4 eps cos + eps^2 (6 cos^2 - 2) + eps^3 (8 cos^3 - 4 cos) - ...
-
-    (geometric expansions of 1/(1 - eps cos) and (1-eps^2)/(1 - eps cos)^2).
-    """
-    if order not in (2, 3):
-        raise ValueError(f"order must be 2 or 3, got {order!r}")
-    v_all = ((-2.0,), (0.0, -2.0), (0.0, 0.0, -2.0))
-    f_all = ((0.0, 4.0), (-2.0, 0.0, 6.0), (0.0, -4.0, 0.0, 8.0))
-    return SeriesProfiles(order=order,
-                          v_coeffs=v_all[:order],
-                          f_coeffs=f_all[:order])
-

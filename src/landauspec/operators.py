@@ -51,11 +51,9 @@ most _K_BLOCK_COLUMNS (192), on the default Gauss rule of k_max
 each block's image into its columns of one preallocated matrix.  A
 column's image does not depend on the other columns of its block, so the
 entries are those of one pass over the identity, while the temporaries
-scale with the block width rather than with the dimension.  `apply_K`
-evaluates the background itself and scales a complex state by D^-1
-before and by D after.  The profiles are rational in cos(theta), so what
-that rule and the truncation miss is caught after the fact by a spectral
-tail monitor.
+scale with the block width rather than with the dimension.  The
+profiles are rational in cos(theta), so what that rule and the truncation
+miss is caught after the fact by a spectral tail monitor.
 
 L0 is real as written and does not depend on eps: its entries are one
 read-only (rows, cols, values) pattern per (m, k_max), built once, which
@@ -327,9 +325,9 @@ def _k_columns(x, bg, table, imap):
         # the per-degree rows of a table-shaped array that name's slots use
         return arr[imap.k_lo(name) - am:]
 
-    def nodal(kind, name, weight=1.0):
+    def nodal(kind, name):
         # (n_nodes x ncols) values of one component through one table
-        return (rows(getattr(table, kind), name).T * weight) @ x[imap.sl(name)]
+        return rows(getattr(table, kind), name).T @ x[imap.sl(name)]
 
     def tangent(d, msin, phi, psi):
         # (xi_theta, xi_phi / i) of grad(phi) + grad_perp(i psi)
@@ -344,7 +342,8 @@ def _k_columns(x, bg, table, imap):
         tangent("d2theta", "dm_sin", "phi", "psi"),
         tangent("dtheta", "m_sin", "phi_prime", "psi_prime"),
         nodal("val", "radial"), nodal("dtheta", "radial"),
-        nodal("val", "radial_star"), nodal("val", "phi", -kk))
+        nodal("val", "radial_star"),
+        (rows(table.val, "phi").T * -kk) @ x[imap.sl("phi")])
 
     div, curl = project_div_curl(t_theta, t_phi, table)
     # times -1/(k(k+1)); solve_poisson divides instead and rounds differently
@@ -354,16 +353,6 @@ def _k_columns(x, bg, table, imap):
     out[imap.sl("psi_prime")] = rows(curl.coeffs, "psi_prime") * inv_lap
     out[imap.sl("radial_star")] = rows(project(g, table).coeffs, "radial_star")
     return out
-
-
-def apply_K(state, epsilon, table):
-    """Matrix-free application of K to one state: D^-1 on the way into the
-    stream-scaled pipeline and D on the way out, both exact."""
-    scale = stream_scale(state.index_map)
-    image = _k_columns((state.to_flat() * scale.conj())[:, None],
-                       background_on_grid(epsilon, table.grid), table,
-                       state.index_map)
-    return state_from_flat(state.m, state.k_max, image[:, 0] * scale)
 
 
 def _probe(imap):

@@ -153,10 +153,6 @@ class StateVector:
             out[imap.sl(name)] = f.coeffs[lo - f.k_min:]
         return out
 
-    def copy(self):
-        return StateVector(self.m, *(self.components()[c].copy()
-                                     for c in COMPONENTS))
-
 
 def zero_state(m, k_max):
     return StateVector(m, *(zero_field(m, k_max) for _ in COMPONENTS))
@@ -172,14 +168,6 @@ def state_from_flat(m, k_max, vec):
         lo = imap.k_lo(name)
         f.coeffs[lo - f.k_min:] = vec[imap.sl(name)]
     return st
-
-
-def pressure_of(state):
-    """Derived pressure trace: q_k = k(k+1) phi_k - radial_k - radial_star_k."""
-    ks = np.arange(abs(state.m), state.k_max + 1)
-    q = (ks * (ks + 1.0)) * state.phi.coeffs \
-        - state.radial.coeffs - state.radial_star.coeffs
-    return ModalField(state.m, q)
 
 
 def x_weights(imap):
@@ -216,12 +204,21 @@ def state_to_json_dict(state):
     }
 
 
+def _json_entry(doc, key):
+    if not isinstance(doc, dict):
+        raise ValueError(f"file document must be a JSON object, got a "
+                         f"{type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"file has no field {key!r}")
+    return doc[key]
+
+
 def json_field(doc, key, kind):
     """``doc[key]`` of a document read from a file, checked to be a JSON
     integer (``kind`` int) or a JSON number (``kind`` float) and returned as
     ``kind``; a bool is neither, nor is the NaN or Infinity that Python's
     json module reads, and a fraction is never truncated."""
-    value = doc[key]
+    value = _json_entry(doc, key)
     allowed = (int,) if kind is int else (int, float)
     if (isinstance(value, bool) or not isinstance(value, allowed)
             or isinstance(value, float) and not math.isfinite(value)):
@@ -233,9 +230,10 @@ def json_field(doc, key, kind):
 def state_from_json_dict(doc):
     m = json_field(doc, "m", int)
     k_max = json_field(doc, "k_max", int)
+    components = _json_entry(doc, "components")
     st = zero_state(m, k_max)
     for name, f in st.components().items():
-        pairs = doc["components"][name]
+        pairs = _json_entry(components, name)
         if len(pairs) != f.coeffs.size:
             raise ValueError(f"component {name} has wrong length")
         f.coeffs[:] = [complex(re, im) for re, im in pairs]

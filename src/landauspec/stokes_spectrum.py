@@ -15,11 +15,10 @@ Everything here is kept in exact rational arithmetic, and one Gauss-Jordan
 elimination gives both the inverse of a frame and the determinant of the
 frame matrix.  The branch vectors of each degree form the frame
 (``branch_frame``) used to expand an arbitrary block; ``frame_slots`` puts
-every frame of a truncated mode space on its flat indices.
-``l0_projection`` is assembled from it, and ``perturbation`` applies each
-frame, rounded once, to K's rows and columns at its indices.  The frame
-matrix has determinant -(2k+1)^2, which is what makes the expansion well
-posed at every degree.
+every frame of a truncated mode space on its flat indices, where
+``perturbation`` applies each frame, rounded once, to K's rows and
+columns.  The frame matrix has determinant -(2k+1)^2, which is what makes
+the expansion well posed at every degree.
 """
 
 from __future__ import annotations
@@ -247,26 +246,3 @@ def _exact_inv(rows):
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     return tuple(map(tuple, inv)), det
-
-
-def l0_projection(S, m, k_max):
-    """Spectral projector of the unperturbed operator onto the eigenvalues
-    in S, as a dense matrix on the truncated mode-m space.  Assembled per
-    degree from exact branch expansions, so it is idempotent and commutes
-    with the assembled operator up to float conversion."""
-    imap = StateIndexMap(m, k_max)
-    sset = {int(s) for s in S}
-    out_of_range = [s for s in sset if s < -k_max - 2 or s > k_max + 1]
-    if out_of_range:
-        raise ValueError(
-            f"eigenvalues {sorted(out_of_range)} are outside the range "
-            f"[{-k_max - 2}, {k_max + 1}] representable at k_max = {k_max}"
-        )
-    proj = np.zeros((imap.dim, imap.dim), dtype=complex)
-    for _, frame, idx in frame_slots(m, k_max):
-        keep = [lam in sset for lam in frame.lams]
-        if any(keep):
-            exact = (np.array(frame.rows, dtype=object)[:, keep]
-                     @ np.array(frame.inv, dtype=object)[keep])
-            proj[np.ix_(idx, idx)] = exact.astype(float)
-    return proj

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 from landauspec import cli
+from landauspec.landau import background_on_grid
 from landauspec.operators import (
     OperatorMatrix,
-    apply_K,
+    _k_columns,
     assemble_L,
     assemble_L0,
     complex_entries,
@@ -29,7 +30,6 @@ from landauspec.sphbasis import QuadratureGrid, default_k_max, legendre_values
 from landauspec.statespace import (
     StateIndexMap,
     load_state_json,
-    state_from_flat,
     x_norm,
 )
 
@@ -465,8 +465,9 @@ def test_spectrum_rejects_out_of_range_epsilon(tmp_path, capsys):
 
 
 def test_spectrum_quadrature_override_matches_default(tmp_path, capsys):
-    # spectrum's quadrature follows from k_max; a 96-node rule, applied
-    # column by column through apply_K, must give the same eigenvalues
+    # spectrum's quadrature follows from k_max; K's pipeline on every unit
+    # column with the background on a 96-node rule must give the same
+    # eigenvalues
     m, k_max, eps = 1, 10, 0.05
     code, _, _ = run_cli(capsys, "spectrum", "--m", str(m),
                          "--epsilon", str(eps), "--kmax", str(k_max),
@@ -475,11 +476,9 @@ def test_spectrum_quadrature_override_matches_default(tmp_path, capsys):
     base = read_json(tmp_path / "spectrum_m1_eps0.05.json")
     a = np.array([complex(re, im) for re, im in base["eigenvalues"]])
     table = legendre_values(k_max, m, QuadratureGrid.build(96))
-    dim = StateIndexMap(m, k_max).dim
-    fine = complex_entries(assemble_L0(m, k_max))
-    for j, unit in enumerate(np.eye(dim, dtype=complex)):
-        fine[:, j] += apply_K(state_from_flat(m, k_max, unit), eps,
-                              table).to_flat()
+    imap = StateIndexMap(m, k_max)
+    fine = assemble_L0(m, k_max).entries + _k_columns(
+        np.eye(imap.dim), background_on_grid(eps, table.grid), table, imap)
     b = np.linalg.eigvals(fine)
     # the complex sort can swap near-degenerate pairs, so match as sets
     assert np.abs(a[:, None] - b[None, :]).min(axis=1).max() <= 1e-10

@@ -9,7 +9,6 @@ from landauspec.landau import (
     eval_profile_derivative,
     eval_profiles,
     force_magnitude,
-    series_profiles,
 )
 
 # Frozen oracle values: extended-precision (50-digit mpmath) evaluation of the
@@ -137,45 +136,3 @@ def test_epsilon_from_force_small():
 def test_epsilon_from_force_monotone_to_zero():
     vals = [epsilon_from_force(b) for b in (1e-1, 1e-3, 1e-6)]
     assert vals[0] > vals[1] > vals[2] > 0.0
-
-
-def test_series_profiles_order2_gap():
-    eps = 0.01
-    theta = np.linspace(0.0, np.pi, 201)
-    exact = eval_profiles(LandauProfile(eps), theta)
-    approx = series_profiles(order=2).evaluate(eps, theta)
-    gap = max(np.max(np.abs(exact["V"] - approx["V"])),
-              np.max(np.abs(exact["F"] - approx["F"])))
-    assert gap <= 10.0 * eps ** 3
-
-
-def test_series_profiles_halving_ratio():
-    theta = np.linspace(0.0, np.pi, 201)
-    table = series_profiles(order=2)
-
-    def gap(eps):
-        exact = eval_profiles(LandauProfile(eps), theta)
-        approx = table.evaluate(eps, theta)
-        return max(np.max(np.abs(exact["V"] - approx["V"])),
-                   np.max(np.abs(exact["F"] - approx["F"])))
-
-    ratio = gap(0.02) / gap(0.01)
-    assert 6.0 <= ratio <= 10.0
-
-
-def test_series_profiles_order3_terms():
-    # Third-order coefficients: V3 = -2 cos^2 sin, F3 = 8 cos^3 - 4 cos.
-    theta = np.linspace(0.0, np.pi, 51)
-    t2 = series_profiles(order=2)
-    t3 = series_profiles(order=3)
-    eps = 1.0  # evaluate coefficient difference directly
-    d = t3.evaluate(eps, theta)
-    d2 = t2.evaluate(eps, theta)
-    c, s = np.cos(theta), np.sin(theta)
-    assert np.allclose(d["V"] - d2["V"], -2.0 * c * c * s, atol=1e-14)
-    assert np.allclose(d["F"] - d2["F"], 8.0 * c**3 - 4.0 * c, atol=1e-14)
-
-
-def test_series_profiles_bad_order():
-    with pytest.raises(ValueError):
-        series_profiles(order=4)

@@ -5,7 +5,18 @@ import pathlib
 
 from landauspec import cli
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "landauspec"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "landauspec"
+
+# Public functions and classes that nothing in the package, the benchmark
+# or the acceptance tests reads, each with the contract that keeps it.
+KEPT_UNREAD = {
+    "epsilon_from_force": "the benchmark's import contract: its brentq is "
+                          "the one import of scipy.optimize, whose import "
+                          "time the benchmark measures",
+    "load_state_json": "the file contract of `export`: the reader of the "
+                       "state files that the command writes",
+}
 
 
 def _calls_by_function(name):
@@ -145,8 +156,9 @@ def test_nodal_values_become_coefficients_only_in_sphbasis():
 
 
 def test_k_integrand_has_one_caller():
-    # K is computed by one pipeline: apply_K and assemble_K both run it,
-    # so the pointwise integrand is evaluated in exactly one function
+    # K is computed by one pipeline, _k_columns: assemble_K feeds it unit
+    # columns and the epsilon check of save_operator and load_operator its
+    # probe, so the pointwise integrand is evaluated in exactly one function
     callers = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -242,3 +254,41 @@ def test_l0_is_read_from_its_cached_pattern():
     assert sorted(_calls_by_function("_l0_pattern")) == [
         "operators.py:_check_epsilon", "operators.py:assemble_L",
         "operators.py:assemble_L0", "operators.py:k_entries"]
+
+
+def test_every_public_name_has_a_reader():
+    # a public function or class that only its own tests call is surface
+    # with no user; readers are the package outside the name's own def,
+    # the benchmark and the acceptance tests
+    def names_read(tree, skip=None):
+        read, stack = set(), [tree]
+        while stack:
+            node = stack.pop()
+            if node is skip:
+                continue
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+            stack.extend(ast.iter_child_nodes(node))
+        return read
+
+    outside = [*sorted((ROOT / "bench").rglob("*.py")),
+               ROOT / "tests" / "test_acceptance.py"]
+    external = set().union(*(names_read(ast.parse(path.read_text()))
+                             for path in outside))
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    reads = {path: names_read(tree) for path, tree in trees.items()}
+    unread = set()
+    for path, tree in trees.items():
+        elsewhere = external.union(*(read for other, read in reads.items()
+                                     if other != path))
+        unread |= {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_")
+                   and node.name not in elsewhere
+                   and node.name not in names_read(tree, skip=node)}
+    assert unread == set(KEPT_UNREAD)

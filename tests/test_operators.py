@@ -16,7 +16,6 @@ from landauspec.operators import (
     _k_columns,
     _l0_pattern,
     _tail_mass_ratio,
-    apply_K,
     assemble_K,
     assemble_L,
     assemble_L0,
@@ -38,7 +37,6 @@ from landauspec.statespace import (
     COMPONENTS,
     STREAM_SLOTS,
     StateIndexMap,
-    state_from_flat,
     zero_state,
 )
 
@@ -219,21 +217,22 @@ def test_k_norm_linear_in_eps():
 
 
 def test_matrix_free_matches_assembled():
-    # the assembly's default rule is converged: 32 more nodes change nothing
+    # the assembly's default rule is converged: K's pipeline on a real
+    # block, with the background on a rule of 32 more nodes, changes nothing
     rng = np.random.default_rng(17)
     for m, (k_max, eps) in itertools.product(
             (0, 1, -2), ((10, 0.05), (16, 0.15), (24, 0.3))):
         kmat = assemble_K(m, k_max, eps)
         fine = QuadratureGrid.build(default_node_count(k_max) + 32)
-        dim = StateIndexMap(m, k_max).dim
-        st = state_from_flat(m, k_max,
-                             rng.normal(size=dim) + 1j * rng.normal(size=dim))
-        via_matrix = complex_entries(kmat) @ st.to_flat()
+        imap = StateIndexMap(m, k_max)
+        block = rng.normal(size=(imap.dim, 2))
+        via_matrix = kmat.entries @ block
         scale = 1.0 + np.max(np.abs(via_matrix))
         for table in (legendre_values(k_max, m),
                       legendre_values(k_max, m, fine)):
-            direct = apply_K(st, eps, table)
-            assert (np.max(np.abs(direct.to_flat() - via_matrix))
+            direct = _k_columns(block, background_on_grid(eps, table.grid),
+                                table, imap)
+            assert (np.max(np.abs(direct - via_matrix))
                     <= 1e-10 * scale), (m, k_max, eps, table.grid.n_nodes)
 
 
@@ -545,9 +544,6 @@ def test_assembly_builds_one_index_map_besides_the_operators(
     assemble_L0(1, 12)
     k_entries(lmat)
     assert index_map_builds == [(1, 12)] * 4
-    # apply_K builds only its image's map
-    apply_K(zero_state(1, 12), 0.1, legendre_values(12, 1))
-    assert index_map_builds == [(1, 12)] * 6
 
 
 def test_assemble_l_is_sum():
@@ -704,6 +700,28 @@ def test_load_operator_rejects_a_sidecar_value_of_the_wrong_type(
     side_path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(
             f"file field {field!r} must be {what}, got {value!r}")):
+        load_operator(bin_path, side_path)
+
+
+@pytest.mark.parametrize("field", ["epsilon", "m", "k_max"])
+def test_load_operator_names_a_missing_sidecar_field(field, tmp_path):
+    bin_path, side_path, _ = save_and_read(assemble_L(1, 12, 0.05), tmp_path)
+    doc = json.loads(side_path.read_text())
+    del doc[field]
+    side_path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(
+            f"file has no field {field!r}")):
+        load_operator(bin_path, side_path)
+
+
+@pytest.mark.parametrize("doc, kind", [
+    ([1, 2], "list"), ("m", "str"), (None, "NoneType")])
+def test_load_operator_rejects_a_sidecar_that_is_not_an_object(
+        doc, kind, tmp_path):
+    bin_path, side_path, _ = save_and_read(assemble_L(1, 12, 0.05), tmp_path)
+    side_path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(
+            f"file document must be a JSON object, got a {kind}")):
         load_operator(bin_path, side_path)
 
 

@@ -3,34 +3,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from landauspec import stokes_spectrum
 from landauspec.operators import assemble_L0
-from landauspec.statespace import (
-    StateIndexMap,
-    pressure_of,
-    x_inner,
-    x_norm,
-    x_weights,
-)
+from landauspec.statespace import StateIndexMap, x_inner, x_norm
 from landauspec.stokes_spectrum import (
     McalMatrix,
     branch_frame,
     branch_vector,
     frame_slots,
     gradient_eigenvalues,
-    l0_projection,
     mcal,
     stream_eigenvalues,
 )
 
 F = Fraction
-
-
-def x_matrix_norm(a, imap):
-    w = np.sqrt(x_weights(imap))
-    return np.linalg.norm((a * w[:, None]) / w[None, :], 2)
 
 
 def test_branch_table_k1():
@@ -69,14 +56,6 @@ def test_branch_pressure_consistency():
             b = branch_vector(k, 0, lam)
             q = F(k * (k + 1)) * b.coeffs[0] - b.coeffs[2] - b.coeffs[3]
             assert q == b.coeffs[4]
-
-
-def test_branch_pressure_of_state():
-    b = branch_vector(2, 1, 1)
-    st = b.to_state(6)
-    q = pressure_of(st)
-    assert abs(q.coeffs[1] - 2.0) <= 1e-14
-    assert np.max(np.abs(np.delete(q.coeffs, 1))) == 0.0
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -267,48 +246,6 @@ def test_branch_frame_miss_calls_no_public_function(monkeypatch):
     assert calls == []
 
 
-def test_projection_rank_lambda_one():
-    p = l0_projection({1}, 1, 10)
-    assert np.linalg.matrix_rank(p) == 2
-
-
-def test_projection_rank_lambda_zero_total():
-    total = sum(np.linalg.matrix_rank(l0_projection({0}, m, 10))
-                for m in (0, 1, -1))
-    assert total == 3
-
-
-def test_projection_completeness_identity():
-    p = l0_projection(range(-12, 12), 0, 10)
-    assert np.max(np.abs(p - np.eye(p.shape[0]))) == 0.0
-
-
-def test_projection_uses_isolated_degree_zero_slot():
-    imap = StateIndexMap(0, 8)
-    i0 = imap.index("radial_star", 0)
-    p = l0_projection({-2}, 0, 8)
-    assert p[i0, i0] == 1.0
-    p = l0_projection({1}, 0, 8)
-    assert p[i0, i0] == 0.0
-
-
-@pytest.mark.parametrize("m", [0, 1])
-def test_projection_idempotent_and_commutes(m):
-    k_max = 10
-    l0 = assemble_L0(m, k_max)
-    for S in ({1}, range(2, k_max + 2), range(-k_max - 2, 0)):
-        p = l0_projection(S, m, k_max)
-        assert np.max(np.abs(p @ p - p)) <= 1e-10
-        assert np.max(np.abs(p @ l0.entries - l0.entries @ p)) <= 1e-10
-
-
-def test_projection_rejects_unrepresentable():
-    with pytest.raises(ValueError):
-        l0_projection({12}, 1, 10)
-    with pytest.raises(ValueError):
-        l0_projection({-13}, 1, 10)
-
-
 def frame_angle(k, lam_a, lam_b, m=1):
     a = branch_vector(k, m, lam_a).to_state(k)
     b = branch_vector(k, m, lam_b).to_state(k)
@@ -331,36 +268,3 @@ def test_frame_transversal_pairs():
     for k in range(1, 41):
         assert abs(np.cos(frame_angle(k, k, -k - 1))) <= 1e-12
         assert abs(np.cos(frame_angle(k, k - 1, -k - 2))) <= 0.6
-
-
-def test_projection_norms_truncation_stable():
-    for m in (0, 1):
-        for S_builder in (lambda km: {0}, lambda km: {1},
-                          lambda km: range(2, km + 2),
-                          lambda km: range(-km - 2, 0)):
-            norms = []
-            for k_max in (10, 20, 40):
-                imap = StateIndexMap(m, k_max)
-                p = l0_projection(S_builder(k_max), m, k_max)
-                norms.append(x_matrix_norm(p, imap))
-            assert max(norms) / min(norms) < 1.10
-
-
-def test_semigroup_decay_rates():
-    # restricted to the growing branches the backward semigroup decays at
-    # least like exp(2s); the complement side decays forward like exp(-s).
-    # The generator is exponentiated on the projected range so that the
-    # discarded branches cannot overflow and pollute the product.
-    m, k_max = 1, 12
-    imap = StateIndexMap(m, k_max)
-    l0 = assemble_L0(m, k_max).entries
-    p = l0_projection(range(2, k_max + 2), m, k_max)
-    gen = p @ l0 @ p
-    c_grow = max(x_matrix_norm(expm(gen * s) @ p, imap) / np.exp(2 * s)
-                 for s in np.linspace(-5.0, 0.0, 11))
-    assert c_grow <= 10.0
-    pm = l0_projection(range(-k_max - 2, 0), m, k_max)
-    genm = pm @ l0 @ pm
-    c_decay = max(x_matrix_norm(expm(genm * s) @ pm, imap) / np.exp(-s)
-                  for s in np.linspace(0.0, 5.0, 11))
-    assert c_decay <= 10.0
