@@ -60,15 +60,13 @@ read-only (rows, cols, values) pattern per (m, k_max), built once, which
 `assemble_L0` scatters into zeros and `assemble_L` adds into K's fresh
 entries in place.  Every eigensolve runs on the entries, in real LAPACK;
 their eigenvalues are those of L, and a real matrix has them in exact
-conjugate pairs.  The states and the operator file keep the complex
-basis.  `OperatorMatrix.apply_flat` multiplies a complex state as
-D (A (D^-1 x)), with two real products.  `complex_entries` forms the
-matrix D A D^-1 for `save_operator` alone, in column-major order, so the
-file is written from it without a second copy; `load_operator` converts
-it back one run of stream or other columns at a time, read from the open
-file, so the complex matrix is never whole in memory, checking that the
-imaginary part it drops is exactly 0.0; each factor of the scaling is 1, i or -i, which rounds nothing, so the round
-trip is bit-exact.  Both check that the operator holds L at its eps (the
+conjugate pairs.  The states keep the complex basis:
+`OperatorMatrix.apply_flat` multiplies a complex state as D (A (D^-1 x)),
+with two real products.  The operator file holds the entries as they
+are, float64 in row-major order, and its sidecar names the stream slots
+that D multiplies by i, so `save_operator` writes the array itself and
+`load_operator` reads it back with one `np.fromfile`: the round trip is
+bit-exact.  Both check that the operator holds L at its eps (the
 sidecar's, on load), which the dimension cannot tell: K's pipeline on the
 tail monitor's two-column probe at that eps must match the entries times
 the probe less L0's pattern times it.  So only L round-trips, and a file
@@ -150,72 +148,6 @@ class OperatorMatrix:
     def apply_state(self, state):
         return state_from_flat(self.m, self.k_max,
                                self.apply_flat(state.to_flat()))
-
-
-def _stream_scaled_real(read_columns, imap, source):
-    """D^-1 M D of a complex matrix M in the basis of the states, as a
-    contiguous float64 array, with M read one run of stream or other
-    columns at a time: read_columns(count) returns M's next count columns
-    as a (dim, count) complex array, so no more of M than one run is held.
-    D^-1 M D multiplies entry (i, j) by conj(D_i) D_j: i when only column j
-    is a stream slot, -i when only row i is, and 1 otherwise.  So each
-    entry is the real part of M's, or minus or plus its imaginary part,
-    read block by block over the runs of stream and other slots; the part
-    it drops must be exactly zero, and adding 0.0 turns each zero into
-    +0.0, as the complex product did.  Both guards name the (row, column)
-    where they tripped: the largest dropped part, and the first non-finite
-    entry in the file's column-major order."""
-    stream = stream_scale(imap).imag > 0.0
-    bounds = [0, *(np.flatnonzero(np.diff(stream)) + 1), stream.size]
-    runs = [(slice(a, b), bool(stream[a])) for a, b in zip(bounds, bounds[1:])]
-    out = np.empty((imap.dim, imap.dim))
-    dropped, non_finite = [], []
-
-    def convert(mat, cols, col_stream):
-        # one run of M's columns into out; mat is freed on return, so it is
-        # gone before the next run is read
-        for rows, row_stream in runs:
-            kept, drop = mat[rows].real, mat[rows].imag
-            if row_stream != col_stream:
-                kept, drop = drop, kept
-            if drop.any():
-                size = np.abs(drop)
-                i, j = np.unravel_index(np.argmax(size), size.shape)
-                dropped.append((size[i, j], rows.start + int(i),
-                                cols.start + int(j)))
-            np.multiply(kept, -1.0 if col_stream > row_stream else 1.0,
-                        out=out[rows, cols])
-        bad = ~np.isfinite(out[:, cols].T)  # column-major, as in the file
-        if bad.any():
-            j, i = np.unravel_index(np.argmax(bad), bad.shape)
-            non_finite.append((int(i), cols.start + int(j)))
-
-    for cols, col_stream in runs:  # column-major, the order of the file
-        convert(read_columns(cols.stop - cols.start), cols, col_stream)
-    if dropped:
-        size, i, j = dropped[np.argmax([found[0] for found in dropped])]
-        raise ValueError(f"{source} is not real in the stream scaling: it "
-                         f"has an imaginary part of size {float(size):.3e} "
-                         f"at row {i}, column {j}")
-    if non_finite:
-        i, j = non_finite[0]
-        raise ValueError(f"{source} has a non-finite entry at row {i}, "
-                         f"column {j}")
-    out += 0.0
-    return out
-
-
-def complex_entries(opmat):
-    """The operator in the complex basis of the states, D A D^-1, as a
-    complex128 array: the matrix the operator file holds.  Every factor is
-    1, i or -i, which rounds nothing; adding 0.0 turns each zero part into
-    +0.0."""
-    scale = stream_scale(opmat.index_map)
-    # column-major: save_operator writes the file from this array as is
-    mat = np.multiply(opmat.entries, scale[:, None], order="F")
-    mat *= scale.conj()[None, :]
-    mat += 0.0
-    return mat
 
 
 # (row, column, a, b) per term of the L0 action above: entry a + b k(k+1)
@@ -427,13 +359,13 @@ def assemble_L(m, k_max, epsilon):
 
 
 def save_operator(opmat, bin_path, sidecar_path):
-    """Column-major complex binary of D A D^-1 plus JSON sidecar; bit-exact
-    round trip.  Only L at the operator's eps is written, as only that
-    loads: anything else (K alone, say) raises before a file is made."""
+    """The entries as they are (float64 D^-1 L D, row-major) and a JSON
+    sidecar that names the stream slots; bit-exact round trip.  Only L at
+    its eps is written, as only that loads: K alone, say, raises first."""
     _check_epsilon(opmat.entries, opmat.index_map, opmat.epsilon,
                    "the operator to save does not hold L at its epsilon")
     tmp = str(bin_path) + ".tmp"
-    complex_entries(opmat).ravel(order="F").tofile(tmp)
+    opmat.entries.tofile(tmp)
     os.replace(tmp, bin_path)
     doc = {
         "m": int(opmat.m),
@@ -441,8 +373,9 @@ def save_operator(opmat, bin_path, sidecar_path):
         "epsilon": float(opmat.epsilon),
         "index_map": opmat.index_map.describe(),
         "dim": int(opmat.dim),
-        "dtype": "complex128",
-        "order": "column-major",
+        "dtype": "float64",
+        "order": "row-major",
+        "stream_slots": list(STREAM_SLOTS),
     }
     tmp = str(sidecar_path) + ".tmp"
     with open(tmp, "w") as fh:
@@ -480,34 +413,36 @@ def _check_epsilon(entries, imap, epsilon, failure):
 
 def load_operator(bin_path, sidecar_path):
     """The operator that `save_operator` wrote, after checking the
-    sidecar's fields and the file's byte size.  The file is read from the
-    open handle one run of stream or other columns at a time and each run
-    converted into the stream-scaled entries (`_stream_scaled_real`), so
-    besides the returned entries only one run of the complex matrix is
-    held; the entries must then hold L at the sidecar's epsilon."""
+    sidecar's fields against its (m, k_max) and the file's byte size.  The
+    entries are read with one `np.fromfile` into the array returned; a
+    non-finite one is named by its row and column, and the entries must
+    then hold L at the sidecar's epsilon."""
     with open(sidecar_path) as fh:
         doc = json.load(fh)
     epsilon = json_field(doc, "epsilon", float)
     imap = StateIndexMap(json_field(doc, "m", int),
                          json_field(doc, "k_max", int))
-    expected = {"dtype": "complex128", "order": "column-major",
-                "dim": imap.dim}
+    dim = imap.dim
+    expected = {"dtype": "float64", "order": "row-major",
+                "stream_slots": list(STREAM_SLOTS), "dim": dim,
+                "index_map": imap.describe()}
     for name, value in expected.items():
         if doc.get(name) != value:
             raise ValueError(f"sidecar field {name!r} is {doc.get(name)!r}, "
                              f"expected {value!r}")
-    dim = imap.dim
     # checked before reading: fromfile drops a partial trailing item
     size = os.path.getsize(bin_path)
-    want = np.dtype(np.complex128).itemsize * dim * dim
+    want = 8 * dim * dim  # float64
     if size != want:
         raise ValueError(f"matrix file {os.fspath(bin_path)!r} holds {size} "
-                         f"bytes, expected {want} (complex128, dim {dim})")
+                         f"bytes, expected {want} (float64, dim {dim})")
     source = f"operator file {os.fspath(bin_path)!r}"
-    with open(bin_path, "rb") as fh:
-        entries = _stream_scaled_real(
-            lambda count: np.fromfile(fh, np.complex128, dim * count).reshape(
-                (dim, count), order="F"), imap, source)
+    entries = np.fromfile(bin_path, np.float64).reshape(dim, dim)
+    finite = np.isfinite(entries)
+    if not finite.all():
+        i, j = np.unravel_index(np.argmin(finite), finite.shape)
+        raise ValueError(f"{source} has a non-finite entry at row {i}, "
+                         f"column {j}")
     _check_epsilon(entries, imap, epsilon,
                    f"{source} does not hold L at the sidecar's epsilon")
     return OperatorMatrix(m=imap.m, k_max=imap.k_max,

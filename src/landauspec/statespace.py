@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,15 +213,20 @@ def _json_entry(doc, key):
     return doc[key]
 
 
+def _is_json_number(value, kind):
+    # no bool, NaN or Infinity, and for kind float no integer beyond the
+    # float range (abs compares an int with a float exactly)
+    return (not isinstance(value, bool) and isinstance(value, (int, kind))
+            and (kind is int or abs(value) <= sys.float_info.max))
+
+
 def json_field(doc, key, kind):
     """``doc[key]`` of a document read from a file, checked to be a JSON
     integer (``kind`` int) or a JSON number (``kind`` float) and returned as
     ``kind``; a bool is neither, nor is the NaN or Infinity that Python's
     json module reads, and a fraction is never truncated."""
     value = _json_entry(doc, key)
-    allowed = (int,) if kind is int else (int, float)
-    if (isinstance(value, bool) or not isinstance(value, allowed)
-            or isinstance(value, float) and not math.isfinite(value)):
+    if not _is_json_number(value, kind):
         what = "an integer" if kind is int else "a number"
         raise ValueError(f"file field {key!r} must be {what}, got {value!r}")
     return kind(value)
@@ -234,8 +239,17 @@ def state_from_json_dict(doc):
     st = zero_state(m, k_max)
     for name, f in st.components().items():
         pairs = _json_entry(components, name)
-        if len(pairs) != f.coeffs.size:
-            raise ValueError(f"component {name} has wrong length")
+        if not isinstance(pairs, list) or len(pairs) != f.coeffs.size:
+            got = (f"a list of {len(pairs)}" if isinstance(pairs, list)
+                   else repr(pairs))
+            raise ValueError(f"component {name!r} must be a list of "
+                             f"{f.coeffs.size} [re, im] pairs, got {got}")
+        for i, pair in enumerate(pairs):
+            if not (isinstance(pair, list) and len(pair) == 2 and all(
+                    _is_json_number(part, float) for part in pair)):
+                raise ValueError(f"component {name!r} entry {i} must be an "
+                                 f"[re, im] pair of finite numbers, got "
+                                 f"{pair!r}")
         f.coeffs[:] = [complex(re, im) for re, im in pairs]
     return StateVector(m, *(st.components()[c] for c in COMPONENTS))
 

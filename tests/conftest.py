@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from landauspec.operators import assemble_L
+from landauspec.operators import assemble_L, stream_scale
 from landauspec.statespace import StateIndexMap
 
 
@@ -21,6 +21,18 @@ def cached_l():
         return lmat
 
     return assemble
+
+
+@pytest.fixture(scope="session")
+def complex_basis():
+    """The matrix of an operator in the complex basis of the states,
+    D A D^-1 for its stream-scaled entries A: the reference that tests
+    compare the real form against."""
+    def matrix(opmat):
+        scale = stream_scale(opmat.index_map)
+        return opmat.entries * scale[:, None] * scale.conj()
+
+    return matrix
 
 
 @pytest.fixture

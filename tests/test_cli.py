@@ -22,7 +22,6 @@ from landauspec.operators import (
     _k_columns,
     assemble_L,
     assemble_L0,
-    complex_entries,
     load_operator,
 )
 from landauspec.eigentracker import DEFAULT_EPS_GRID, fit_quadratic, track
@@ -30,7 +29,6 @@ from landauspec.sphbasis import QuadratureGrid, default_k_max, legendre_values
 from landauspec.statespace import (
     StateIndexMap,
     load_state_json,
-    x_norm,
 )
 
 
@@ -838,7 +836,8 @@ def test_verify_reports_failures_with_exit_2(tmp_path, capsys, monkeypatch):
 # ---- export ------------------------------------------------------------------
 
 
-def test_export_round_trips_operator_and_states(tmp_path, capsys):
+def test_export_round_trips_operator_and_states(tmp_path, capsys,
+                                                complex_basis):
     code, _, _ = run_cli(capsys, "export", "--m", "1", "--epsilon", "0.1",
                          "--kmax", "12", "--out", str(tmp_path))
     assert code == 0
@@ -847,13 +846,17 @@ def test_export_round_trips_operator_and_states(tmp_path, capsys):
     direct = assemble_L(1, 12, 0.1)
     assert loaded.m == 1 and loaded.k_max == 12
     assert np.array_equal(loaded.entries, direct.entries)
+    # the file is the float64 entries D^-1 L D as they are; acting on the
+    # complex state files takes D, from the sidecar's stream slots
+    assert ((tmp_path / "operator_m1_eps0.1.bin").read_bytes()
+            == direct.entries.tobytes())
 
     background = load_state_json(tmp_path / "background_state.json")
     assert background.m == 0
     translation = load_state_json(tmp_path / "translation_state.json")
     assert translation.m == 1
     flat = translation.to_flat()
-    resid = complex_entries(direct) @ flat - flat
+    resid = complex_basis(direct) @ flat - flat
     assert np.linalg.norm(resid) / np.linalg.norm(flat) <= 1e-4
 
 

@@ -19,7 +19,7 @@ from landauspec.eigentracker import (
     translation_eigenvector,
     zero_mode_check,
 )
-from landauspec.operators import OperatorMatrix, assemble_L0, complex_entries
+from landauspec.operators import OperatorMatrix, assemble_L0
 from landauspec.perturbation import z_coefficient
 from landauspec.sphbasis import (
     QuadratureGrid,
@@ -420,13 +420,13 @@ def test_contour_zero_group_rank_three(cached_l):
     assert total == 3
 
 
-def test_contour_complementary_circles(cached_l):
+def test_contour_complementary_circles(cached_l, complex_basis):
     # circle around 1 plus a wide circle enclosing 2..6 act as the identity
     # on the subspace spanned by the enclosed eigenvectors
     lmat = cached_l(1, 8, 0.0)
     near_one = contour_projection(lmat, ContourSpec(1.0, 0.5))
     upper = contour_projection(lmat, ContourSpec(4.0, 2.6))
-    lam, vecs = np.linalg.eig(complex_entries(lmat))
+    lam, vecs = np.linalg.eig(complex_basis(lmat))
     enclosed = (np.abs(lam - 1.0) < 0.1) | ((lam.real > 1.5) & (lam.real < 6.5))
     both = near_one.matrix + upper.matrix
     sub = vecs[:, enclosed]
@@ -435,10 +435,10 @@ def test_contour_complementary_circles(cached_l):
     assert np.abs(near_one.matrix @ upper.matrix).max() <= 1e-8
 
 
-def trapezoid_projector(lmat, spec, nodes=64):
-    """Riesz projector (1/2 pi i) oint (z - A)^-1 dz by the trapezoid rule on
-    the circle, which converges exponentially in the node count."""
-    a = complex_entries(lmat)
+def trapezoid_projector(a, spec, nodes=64):
+    """Riesz projector (1/2 pi i) oint (z - A)^-1 dz of a complex matrix by
+    the trapezoid rule on the circle, which converges exponentially in the
+    node count."""
     eye = np.eye(a.shape[0])
     acc = np.zeros(a.shape, dtype=complex)
     for z in np.exp(2j * np.pi * np.arange(nodes) / nodes):
@@ -449,11 +449,12 @@ def trapezoid_projector(lmat, spec, nodes=64):
 
 @pytest.mark.parametrize("center", [1.0, 0.0])
 @pytest.mark.parametrize("m", [0, 1, 2])
-def test_contour_matches_trapezoid(cached_l, m, center):
+def test_contour_matches_trapezoid(cached_l, complex_basis, m, center):
     lmat = cached_l(m, 16, 0.05)
     spec = ContourSpec(center, 0.5)
     proj = contour_projection(lmat, spec)
-    assert np.abs(proj.matrix - trapezoid_projector(lmat, spec)).max() <= 1e-10
+    want = trapezoid_projector(complex_basis(lmat), spec)
+    assert np.abs(proj.matrix - want).max() <= 1e-10
 
 
 def test_contour_enclosing_nothing_or_everything(cached_l):
@@ -581,14 +582,14 @@ def test_spectral_symmetry_under_sign_flip():
         assert np.abs(plus - minus).max() <= 1e-8
 
 
-def test_cluster_eigenvector_separation(cached_l):
+def test_cluster_eigenvector_separation(cached_l, complex_basis):
     # the 8 cluster eigenvectors at eps = 0.1 form a well-conditioned frame;
     # modes are mutually orthogonal, so the global bound is the worst
     # per-mode bound
     gammas = []
     for m in (0, 1, 2):
         lmat = cached_l(m, 16, 0.1)
-        lam, vecs = np.linalg.eig(complex_entries(lmat))
+        lam, vecs = np.linalg.eig(complex_basis(lmat))
         keep = np.abs(lam - 1.0) < 0.25
         assert int(keep.sum()) == cluster_size(m)
         # smallest singular value of the X-normalized eigenvector frame

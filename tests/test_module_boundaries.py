@@ -66,13 +66,15 @@ def test_no_explicit_inverse_or_condition_number():
     assert calls == []
 
 
-def test_complex_basis_is_formed_only_at_the_file_boundary():
-    # OperatorMatrix.entries is the real D^-1 L D; the complex matrix of the
-    # operator file comes from operators.complex_entries, which only the
-    # file writer calls, so no eigensolve, block product or product with a
-    # state runs on it
-    assert set(_calls_by_function("complex_entries")) == {
-        "operators.py:save_operator"}
+def test_stream_scale_is_applied_only_to_states_blocks_and_projector():
+    # OperatorMatrix.entries is the real D^-1 L D, and the operator file
+    # holds it as it is; D (operators.stream_scale) is applied only where a
+    # complex result leaves the real form: the product with a state, the
+    # re-phased near-1 blocks and the Riesz projector.  A second converter
+    # of the whole operator would be a fourth caller
+    assert sorted(_calls_by_function("stream_scale")) == [
+        "eigentracker.py:contour_projection", "operators.py:apply_flat",
+        "perturbation.py:split_blocks"]
 
 
 def test_stream_slots_are_defined_once():
@@ -292,3 +294,26 @@ def test_every_public_name_has_a_reader():
                    and node.name not in elsewhere
                    and node.name not in names_read(tree, skip=node)}
     assert unread == set(KEPT_UNREAD)
+
+
+def test_no_unused_imports():
+    # every name an import binds in the package and its tests is read
+    # somewhere in the importing file; the acceptance tests are left as
+    # they stand
+    paths = [*sorted(SRC.glob("*.py")),
+             *(path for path in sorted((ROOT / "tests").glob("*.py"))
+               if path.name != "test_acceptance.py")]
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}:{node.lineno}: {bound}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   for bound in [alias.asname or alias.name.split(".")[0]]
+                   if bound not in loaded]
+    assert unused == []

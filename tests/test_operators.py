@@ -19,7 +19,6 @@ from landauspec.operators import (
     assemble_K,
     assemble_L,
     assemble_L0,
-    complex_entries,
     k_entries,
     load_operator,
     save_operator,
@@ -111,7 +110,8 @@ def l0_action(k):
 
 @pytest.mark.parametrize("k_max", [3, 5, 24])
 @pytest.mark.parametrize("m", [0, 1, -1, 2, -2, 3])
-def test_l0_matches_the_documented_action_entrywise(m, k_max):
+def test_l0_matches_the_documented_action_entrywise(m, k_max,
+                                                    complex_basis):
     # an independent reference: each degree's 6x6 block scattered slot by
     # slot, every entry a slot pair of that degree admits
     imap = StateIndexMap(m, k_max)
@@ -125,7 +125,7 @@ def test_l0_matches_the_documented_action_entrywise(m, k_max):
     assert np.argwhere(l0.entries != want).tolist() == []
     # L0 couples no stream slot to another slot, so its stream scaling is
     # itself: the entries are L0 in the complex basis of the states too
-    assert np.array_equal(complex_entries(l0), l0.entries)
+    assert np.array_equal(complex_basis(l0), l0.entries)
 
 
 def test_l0_requires_kmax():
@@ -236,10 +236,10 @@ def test_matrix_free_matches_assembled():
                     <= 1e-10 * scale), (m, k_max, eps, table.grid.n_nodes)
 
 
-def test_k_conjugation_between_modes():
+def test_k_conjugation_between_modes(complex_basis):
     for m in (1, 2):
-        kp = complex_entries(assemble_K(m, 16, 0.2))
-        km = complex_entries(assemble_K(-m, 16, 0.2))
+        kp = complex_basis(assemble_K(m, 16, 0.2))
+        km = complex_basis(assemble_K(-m, 16, 0.2))
         scale = 1.0 + np.max(np.abs(kp))
         assert np.max(np.abs(km - np.conj(kp))) <= 1e-13 * scale
 
@@ -394,14 +394,14 @@ def test_assembly_temporaries_scale_with_the_block():
     assert peak <= 4.0 * 8 * lmat.dim ** 2
 
 
-def test_save_operator_forms_one_complex_copy(tmp_path):
-    # the file is written from complex_entries' column-major array as is,
-    # so saving holds one complex n x n (2 x 8 n^2 bytes) besides the
-    # operator; a second, column-major copy would make it 4
+def test_save_operator_forms_no_copy(tmp_path):
+    # the file is written from the entries as they are, so saving holds no
+    # n x n array besides the operator (8 n^2 bytes would be one copy)
     lmat = assemble_L(1, 96, 0.05)
+    save_operator(lmat, tmp_path / "op.bin", tmp_path / "op.json")
     _, peak = _traced_peak(lambda: save_operator(
         lmat, tmp_path / "op.bin", tmp_path / "op.json"))
-    assert peak <= 2.25 * 8 * lmat.dim ** 2
+    assert peak <= 0.5 * 8 * lmat.dim ** 2
     back = load_operator(tmp_path / "op.bin", tmp_path / "op.json")
     assert back.entries.tobytes() == lmat.entries.tobytes()
 
@@ -584,103 +584,27 @@ def stream_signs(imap):
 
 
 def save_and_read(opmat, tmp_path):
-    """Save an operator; returns the file paths and the raw complex matrix."""
+    """Save an operator; returns the file paths and the raw matrix."""
     bin_path, side_path = tmp_path / "op.bin", tmp_path / "op.json"
     save_operator(opmat, bin_path, side_path)
-    raw = np.fromfile(bin_path, dtype=np.complex128)
-    return bin_path, side_path, raw.reshape((opmat.dim, opmat.dim), order="F")
+    raw = np.fromfile(bin_path, dtype=np.float64)
+    return bin_path, side_path, raw.reshape((opmat.dim, opmat.dim))
 
 
-@pytest.mark.parametrize("m", [-2, -1, 0, 1, 2])
-def test_real_form_drops_an_imaginary_part_of_exactly_zero(m, tmp_path):
-    # the entries are D^-1 L D in float64: scaling the complex basis of the
-    # file by D leaves an imaginary part of exactly 0.0 and a real part
-    # equal to the entries bit for bit, and loading the file gives them back
-    cases = [(k_max, eps) for k_max in (12, 16, 24)
-             for eps in (0.0, 0.05, 0.1)] + [(32, 0.3)]
-    for k_max, eps in cases:
-        lmat = assemble_L(m, k_max, eps)
-        real = lmat.entries
-        assert real.dtype == np.float64 and real.flags.c_contiguous
-        scale = stream_scale(lmat.index_map)
-        assert set(scale) == {1.0, 1j}
-        bin_path, side_path, raw = save_and_read(lmat, tmp_path)
-        scaled = raw * (scale.conj()[:, None] * scale[None, :])
-        assert not scaled.imag.any(), (k_max, eps)
-        assert scaled.real.tobytes() == real.tobytes(), (k_max, eps)
-        back = load_operator(bin_path, side_path).entries
-        assert back.flags.c_contiguous
-        assert back.tobytes() == real.tobytes(), (k_max, eps)
-
-
-def test_real_form_names_a_real_coupling_across_the_stream_slots(tmp_path):
-    # a real coupling from radial into psi, planted in a saved file, has no
-    # real stream-scaled form; load_operator names its size
-    lmat = assemble_L(1, 12, 0.05)
-    imap = lmat.index_map
-    bin_path, side_path, raw = save_and_read(lmat, tmp_path)
-    row, col = imap.index("psi", 2), imap.index("radial", 3)
-    raw[row, col] += 0.25
-    raw.ravel(order="F").tofile(bin_path)
-    with pytest.raises(ValueError, match=r"operator file .*op\.bin.* is not "
-                       r"real .*imaginary part of size 2\.500e-01 at "
-                       rf"row {row}, column {col}$"):
-        load_operator(bin_path, side_path)
-
-
-def test_load_names_the_largest_dropped_part(tmp_path):
-    # of several parts that the stream scaling drops, in different column
-    # runs, the guard names the largest and where it sits
-    lmat = assemble_L(1, 12, 0.05)
-    imap = lmat.index_map
-    bin_path, side_path, raw = save_and_read(lmat, tmp_path)
-    planted = {(imap.index("psi", 2), imap.index("radial", 3)): 0.25,
-               (imap.index("phi", 4), imap.index("psi_prime", 5)): 0.5,
-               (imap.index("radial_star", 6), imap.index("phi", 1)): 0.125j}
-    for at, value in planted.items():
-        raw[at] += value
-    raw.ravel(order="F").tofile(bin_path)
-    row, col = imap.index("phi", 4), imap.index("psi_prime", 5)
-    with pytest.raises(ValueError, match=r"imaginary part of size "
-                       rf"5\.000e-01 at row {row}, column {col}$"):
-        load_operator(bin_path, side_path)
-
-
-@pytest.mark.parametrize("m", [0, 1, -2])
-def test_load_operator_matches_the_complex_scaling_in_every_zero(m, tmp_path):
-    # load_operator picks each entry's real or imaginary part by the stream
-    # slots of its row and column; a file with -0.0 in random zero parts
-    # loads to the real part of D^-1 M D taken in complex arithmetic, byte
-    # for byte
-    lmat = assemble_L(m, 12, 0.05)
-    bin_path, side_path, raw = save_and_read(lmat, tmp_path)
-    rng = np.random.default_rng(7)
-    for part in (raw.real, raw.imag):
-        part[(part == 0.0) & (rng.random(raw.shape) < 0.5)] = -0.0
-    raw.ravel(order="F").tofile(bin_path)
-    scale = stream_scale(lmat.index_map)
-    scaled = raw * scale[None, :]
-    scaled *= scale.conj()[:, None]
-    assert not scaled.imag.any()
-    back = load_operator(bin_path, side_path).entries
-    assert back.tobytes() == scaled.real.tobytes()
-    assert back.tobytes() == lmat.entries.tobytes()
-
-
-@pytest.mark.parametrize("change", [-16, 16, 8],
-                         ids=["short", "long", "8-byte-tail"])
+@pytest.mark.parametrize("change", [-16, 16, 8, 4],
+                         ids=["short", "long", "8-byte-tail", "4-byte-tail"])
 def test_load_operator_names_a_file_of_the_wrong_size(change, tmp_path):
     # the size is checked before reading: a partial trailing entry, which
     # fromfile would drop, is an error like a missing or an extra one
     lmat = assemble_L(1, 12, 0.05)
     bin_path, side_path, _ = save_and_read(lmat, tmp_path)
     data = bin_path.read_bytes()
-    want = 16 * lmat.dim ** 2
+    want = 8 * lmat.dim ** 2
     assert len(data) == want
     bin_path.write_bytes(data[:change] if change < 0
                          else data + bytes(change))
     with pytest.raises(ValueError, match=re.escape(
-            f"holds {want + change} bytes, expected {want} (complex128, "
+            f"holds {want + change} bytes, expected {want} (float64, "
             f"dim {lmat.dim})")):
         load_operator(bin_path, side_path)
 
@@ -688,8 +612,10 @@ def test_load_operator_names_a_file_of_the_wrong_size(change, tmp_path):
 @pytest.mark.parametrize("field, value, what", [
     ("k_max", 12.9, "an integer"), ("m", 1.5, "an integer"),
     ("m", True, "an integer"), ("epsilon", "0.05", "a number"),
-    ("epsilon", float("nan"), "a number")],
-    ids=["float-k_max", "float-m", "bool-m", "string-epsilon", "nan-epsilon"])
+    ("epsilon", float("nan"), "a number"),
+    ("epsilon", 10 ** 400, "a number")],
+    ids=["float-k_max", "float-m", "bool-m", "string-epsilon", "nan-epsilon",
+         "beyond-float-epsilon"])
 def test_load_operator_rejects_a_sidecar_value_of_the_wrong_type(
         field, value, what, tmp_path):
     # int() would truncate 12.9 to 12 and 1.5 or true to 1, and the file
@@ -730,29 +656,31 @@ def test_load_operator_names_a_non_finite_entry(value, tmp_path):
     lmat = assemble_L(1, 12, 0.05)
     imap = lmat.index_map
     bin_path, side_path, raw = save_and_read(lmat, tmp_path)
-    # the first non-finite entry in the file's column-major order is named
-    first = imap.index("phi", 2), imap.index("radial", 3)
-    raw[imap.index("phi", 1), imap.index("radial", 4)] = value
-    raw[imap.index("radial_star", 5), imap.index("radial", 3)] = value
+    # the first non-finite entry in the file's row-major order is named,
+    # though the others sit in earlier columns
+    first = imap.index("phi", 1), imap.index("radial", 4)
+    raw[imap.index("phi", 2), imap.index("radial", 3)] = value
+    raw[imap.index("radial_star", 5), imap.index("phi", 1)] = value
     raw[first] = value
-    raw.ravel(order="F").tofile(bin_path)
+    raw.tofile(bin_path)
     with pytest.raises(ValueError, match=r"operator file .*op\.bin.* has a "
                        rf"non-finite entry at row {first[0]}, column "
                        rf"{first[1]}$"):
         load_operator(bin_path, side_path)
 
 
-def test_load_holds_one_column_run_besides_the_operator(tmp_path):
-    # the file is converted one run of stream or other columns at a time,
-    # so the complex matrix (2 x 8 n^2 bytes) is never read whole; the
-    # peak counts the returned operator (whole-file reading peaked at 3.16)
+def test_load_reads_the_file_into_the_operator(tmp_path):
+    # the file is read into the array the operator returns, with no second
+    # n x n float64 array; the peak counts that operator (8 n^2 bytes) and
+    # the one-byte-per-entry finiteness mask
     lmat = assemble_L(1, 96, 0.05)
     bin_path, side_path = tmp_path / "op.bin", tmp_path / "op.json"
     save_operator(lmat, bin_path, side_path)
     load_operator(bin_path, side_path)  # build the probe's table
     back, peak = _traced_peak(lambda: load_operator(bin_path, side_path))
     assert back.entries.tobytes() == lmat.entries.tobytes()
-    assert peak <= 2.0 * 8 * lmat.dim ** 2
+    assert back.entries.flags.c_contiguous and back.entries.flags.writeable
+    assert peak <= 1.5 * 8 * lmat.dim ** 2
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -767,11 +695,11 @@ def test_real_form_reflects_exactly_between_modes(m):
 
 
 @pytest.mark.parametrize("m", [-1, 0, 1, 2])
-def test_real_form_spectrum_matches_the_complex_one(m):
+def test_real_form_spectrum_matches_the_complex_one(m, complex_basis):
     for k_max, eps in ((16, 0.05), (24, 0.1)):
         lmat = assemble_L(m, k_max, eps)
         real = np.linalg.eigvals(lmat.entries)
-        cplx = np.linalg.eigvals(complex_entries(lmat))
+        cplx = np.linalg.eigvals(complex_basis(lmat))
         cost = np.abs(real[:, None] - cplx[None, :])
         rows, cols = linear_sum_assignment(cost)
         assert cost[rows, cols].max() <= 1e-10, (k_max, eps)
@@ -790,8 +718,8 @@ def test_assembled_entries_are_contiguous_float64(build):
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.float32, np.int64])
 def test_operator_entries_must_be_float64(dtype):
-    # the complex basis reaches an operator only through load_operator,
-    # which converts it; complex entries are an error, not a cast
+    # the assemblers and the operator file give the real form only;
+    # complex entries are an error, not a cast
     entries = np.eye(StateIndexMap(1, 8).dim, dtype=dtype)
     with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)}, "
                        f"expected the float64"):
@@ -807,20 +735,26 @@ def test_operator_entries_must_have_the_indexed_shape(shape):
 
 @pytest.mark.parametrize("m, k_max, eps", [
     (0, 8, 0.0), (1, 12, 0.05), (-2, 16, 0.1), (2, 24, 0.3)])
-def test_operator_file_holds_the_complex_basis(m, k_max, eps, tmp_path):
-    # the file is D A D^-1 in complex128, column-major, every zero part
-    # +0.0: byte for byte what complex_entries gives, and entrywise the
-    # stream scaling of the entries written out by hand
+def test_operator_file_holds_the_entries_as_they_are(m, k_max, eps,
+                                                     tmp_path,
+                                                     complex_basis):
+    # the file is the float64 D^-1 L D, row-major, byte for byte; its
+    # sidecar names the slots that D multiplies by i.  A file in the
+    # complex basis, column-major under a complex128 sidecar, is refused
+    # by its dtype
     lmat = assemble_L(m, k_max, eps)
-    bin_path, _, raw = save_and_read(lmat, tmp_path)
-    cplx = complex_entries(lmat)
-    assert cplx.dtype == np.complex128
-    assert bin_path.read_bytes() == cplx.ravel(order="F").tobytes()
-    scale = np.where(stream_signs(lmat.index_map) < 0, 1j, 1.0)
-    assert np.array_equal(raw, scale[:, None] * lmat.entries
-                          * scale.conj()[None, :])
-    parts = np.concatenate([raw.real.ravel(), raw.imag.ravel()])
-    assert not np.signbit(parts[parts == 0.0]).any()
+    bin_path, side_path, _ = save_and_read(lmat, tmp_path)
+    assert bin_path.read_bytes() == lmat.entries.tobytes()
+    doc = json.loads(side_path.read_text())
+    assert (doc["dtype"], doc["order"]) == ("float64", "row-major")
+    assert doc["stream_slots"] == list(STREAM_SLOTS)
+    complex_basis(lmat).ravel(order="F").tofile(bin_path)
+    doc.update(dtype="complex128", order="column-major")
+    del doc["stream_slots"]
+    side_path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(
+            "sidecar field 'dtype' is 'complex128', expected 'float64'")):
+        load_operator(bin_path, side_path)
 
 
 def test_operator_export_bit_exact(tmp_path):
@@ -875,16 +809,21 @@ def test_only_l_is_saved_or_loaded(tmp_path):
         save_operator(kmat, tmp_path / "k.bin", tmp_path / "k.json")
     assert list(tmp_path.iterdir()) == []
     bin_path, side_path, _ = save_and_read(assemble_L(2, 12, 0.07), tmp_path)
-    complex_entries(kmat).ravel(order="F").tofile(bin_path)
+    kmat.entries.tofile(bin_path)
     with pytest.raises(ValueError, match=re.escape(
             "does not hold L at the sidecar's epsilon 0.07: ")):
         load_operator(bin_path, side_path)
 
 
 @pytest.mark.parametrize("field, value", [
-    ("m", 1), ("dtype", "complex64"), ("order", "row-major")])
+    ("m", 1), ("dtype", "complex64"), ("order", "column-major"),
+    ("stream_slots", ["psi"]),
+    ("index_map", {**StateIndexMap(2, 12).describe(), "radial": [3, 13]})],
+    ids=["m-1", "dtype-complex64", "order-column-major", "stream_slots-psi",
+         "index_map-shifted"])
 def test_load_operator_checks_sidecar(tmp_path, field, value):
-    # a sidecar saying m = 1 over the m = 2 binary implies dim 66, not 72
+    # a sidecar saying m = 1 over the m = 2 binary implies dim 66, not 72;
+    # a shifted slot range leaves m, k_max and dim as they are
     bin_path = tmp_path / "l0.bin"
     side_path = tmp_path / "l0.json"
     save_operator(assemble_L0(2, 12), bin_path, side_path)

@@ -11,14 +11,10 @@ from landauspec.operators import (
     OperatorMatrix,
     assemble_L,
     assemble_L0,
-    complex_entries,
     k_entries,
     k_image_rows,
-    load_operator,
-    save_operator,
 )
 from landauspec.perturbation import (
-    GraphMap,
     reduced_matrix,
     solve_graph,
     split_blocks,
@@ -94,27 +90,12 @@ def misshaped_operator(tmp_path):
     return OperatorMatrix(1, 12, 0.05, np.zeros((4, 4)))
 
 
-def planted_stream_coupling(tmp_path):
-    # a real coupling from phi into psi' planted in a saved operator file
-    lmat = assemble_L(1, 12, 0.05)
-    imap = lmat.index_map
-    bin_path, side_path = tmp_path / "l.bin", tmp_path / "l.json"
-    save_operator(lmat, bin_path, side_path)
-    raw = np.fromfile(bin_path, dtype=np.complex128).reshape(
-        (imap.dim, imap.dim), order="F")
-    raw[imap.index("psi_prime", 3), imap.index("phi", 2)] += 0.25
-    raw.ravel(order="F").tofile(bin_path)
-    return load_operator(bin_path, side_path)
-
-
 @pytest.mark.parametrize("build, match", [
     (misshaped_operator, r"shape \(4, 4\).*indexes \(72, 72\)"),
-    (planted_stream_coupling, "imaginary part of size 2.500e-01"),
-], ids=["misshaped", "real-stream-coupling"])
+], ids=["misshaped"])
 def test_bad_operator_rejected(tmp_path, build, match):
     # an operator reaches split_blocks only through the checks of
-    # OperatorMatrix and load_operator, which name the shapes or the size
-    # of the imaginary part
+    # OperatorMatrix, which name the shapes
     with pytest.raises(ValueError, match=match):
         split_blocks(build(tmp_path), 1, strict=False)
 
@@ -124,7 +105,8 @@ def test_bad_operator_rejected(tmp_path, build, match):
     *((k_max, eps) for k_max in (12, 24, 96) for eps in (0.0, 0.05, 0.1)),
     (32, 0.3),
 ])
-def test_real_split_matches_the_complex_reference(m, k_max, eps):
+def test_real_split_matches_the_complex_reference(m, k_max, eps,
+                                                  complex_basis):
     """split_blocks forms the blocks in the stream-scaled real form and
     re-phases them by i on the stream branches.  They agree to rounding
     with the blocks formed from K in the complex basis of the states, and
@@ -133,7 +115,7 @@ def test_real_split_matches_the_complex_reference(m, k_max, eps):
     real."""
     lmat = assemble_L(m, k_max, eps)
     bl = split_blocks(lmat, m, strict=False)
-    kmat = complex_entries(lmat) - complex_entries(assemble_L0(m, k_max))
+    kmat = complex_basis(lmat) - complex_basis(assemble_L0(m, k_max))
     cols, rows, labels = branch_basis(m, k_max)
     assert bl.e_branches + bl.y_branches == labels
     ref = rows @ kmat @ cols
@@ -458,7 +440,7 @@ def test_graph_nonconvergence_reports_history():
         solve_graph(bl, tol=1e-16, max_iter=2)
 
 
-def test_graph_invariance_of_lifted_subspace():
+def test_graph_invariance_of_lifted_subspace(complex_basis):
     eps = 0.05
     k_max = 16
     lmat = assemble_L(1, k_max, eps)
@@ -473,7 +455,7 @@ def test_graph_invariance_of_lifted_subspace():
         coords = np.concatenate([v, g.matrix @ v])
         return state_from_flat(1, k_max, cols @ coords)
 
-    lmat_c = complex_entries(lmat)
+    lmat_c = complex_basis(lmat)
     lhs = lmat_c @ lift(u).to_flat()
     rhs = lift(red @ u).to_flat()
     scale = np.linalg.norm(lmat_c, 2) * np.linalg.norm(u)

@@ -6,7 +6,6 @@ import pytest
 from landauspec import sphbasis
 from landauspec.landau import LandauProfile, eval_profiles
 from landauspec.sphbasis import (
-    LegendreTable,
     ModalField,
     TAIL_TOLERANCE,
     QuadratureGrid,

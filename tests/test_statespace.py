@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from landauspec.sphbasis import ModalField, zero_field
+from landauspec.sphbasis import zero_field
 from landauspec.statespace import (
     COMPONENTS,
     StateIndexMap,
@@ -185,3 +185,39 @@ def test_a_state_builds_its_index_map_once(index_map_builds):
     x_inner(st, st)
     # one map for the state from the flat vector
     assert index_map_builds == [(-1, 9)] * 2
+
+
+@pytest.mark.parametrize("value, got", [
+    (5, "5"), (None, "None"), ({"re": 0}, "{'re': 0}"),
+    ([[0.0, 0.0]] * 3, "a list of 3")],
+    ids=["number", "null", "object", "wrong-length"])
+def test_json_state_names_a_component_that_is_not_a_list_of_pairs(value,
+                                                                   got):
+    doc = state_to_json_dict(zero_state(1, 6))
+    doc["components"]["psi"] = value
+    with pytest.raises(ValueError, match=re.escape(
+            f"component 'psi' must be a list of 6 [re, im] pairs, got {got}")):
+        state_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("pair", [
+    ["1", "0"], [1.0], [1.0, 0.0, 0.0], 1.0, [True, 1], [1, False],
+    [float("nan"), 0.0], [0.0, float("inf")], [10 ** 400, 0]],
+    ids=["strings", "one-number", "three-numbers", "bare-number", "bool-re",
+         "bool-im", "nan", "infinity", "beyond-float"])
+def test_json_state_names_a_malformed_pair(pair):
+    # a bool is not a number, as in json_field, and NaN or Infinity, which
+    # Python's json module reads, is not a finite one
+    doc = state_to_json_dict(zero_state(1, 6))
+    doc["components"]["radial"][2] = pair
+    with pytest.raises(ValueError, match=re.escape(
+            f"component 'radial' entry 2 must be an [re, im] pair of finite "
+            f"numbers, got {pair!r}")):
+        state_from_json_dict(doc)
+
+
+def test_json_state_reads_integer_parts():
+    # a JSON integer is a number: [1, -2] reads as 1 - 2j
+    doc = state_to_json_dict(zero_state(1, 6))
+    doc["components"]["radial"][2] = [1, -2]
+    assert state_from_json_dict(doc).radial.coeffs[2] == 1 - 2j
