@@ -61,7 +61,7 @@ from .eigentracker import (
     zero_mode_check,
 )
 from .operators import assemble_L, assemble_L0, save_operator
-from .statespace import save_state_json
+from .statespace import is_json_number, save_state_json
 
 C_TARGETS = {0: 0.0, 1: 1.0 / 15.0, 2: 4.0 / 15.0}
 # the truncation of spectrum and export; track and verify take one per
@@ -164,16 +164,6 @@ def parse_eps_range(text, source="epsilon range"):
     return [round(a + i * step, 12) for i in range(n)]
 
 
-def _is_int(x):
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _is_finite(x):
-    # NaN fails the comparison, and so does a JSON integer beyond float range
-    return (_is_int(x) or isinstance(x, (float, np.floating))) and (
-        abs(x) <= sys.float_info.max)
-
-
 def _list_of(accepts):
     return lambda v: isinstance(v, (list, tuple)) and all(map(accepts, v))
 
@@ -211,19 +201,21 @@ COMMANDS = {
 }
 
 SETTINGS = (
-    Setting("modes", _list_of(_is_int), "a list of integers",
+    Setting("modes", _list_of(lambda v: is_json_number(v, int)),
+            "a list of integers",
             {"spectrum": [0], "track": [1], "export": [0]},
             (Flag("--m", _as(lambda t: [int(p) for p in t.split(",")],
                              "a comma list of integers"),
                   "mode or comma list of modes"),)),
-    Setting("epsilons", _list_of(_is_finite), "a list of numbers, all finite",
+    Setting("epsilons", _list_of(lambda v: is_json_number(v, float)),
+            "a list of numbers, all finite",
             {"spectrum": [0.0], "track": list(DEFAULT_EPS_GRID),
              "export": [0.0]},
             (Flag("--eps", parse_eps_range,
                   "epsilon range a:b:step or comma list"),
              Flag("--epsilon", _as(lambda t: [float(t)], "a number"),
                   "single epsilon value"))),
-    Setting("k_max", _is_int, "an integer",
+    Setting("k_max", lambda v: is_json_number(v, int), "an integer",
             {**dict.fromkeys(COMMANDS, DEFAULT_K_MAX),
              "track": None, "verify": None},
             (Flag("--kmax", _as(int, "an integer"),
@@ -408,6 +400,17 @@ def _spectrum_workers(n_jobs):
     return min(n_jobs, _usable_cores())
 
 
+def _integer_defect(lam):
+    """Claim 1's probe: the largest distance from an integer, and if <= 1e-8."""
+    defect = float(np.abs(lam - np.round(lam)).max())
+    return defect, defect <= 1e-8
+
+
+def _hits_target(c, m):
+    """Claim 3's rule: a fitted c within 5% of the paper's c for mode m."""
+    return abs(c - C_TARGETS[abs(m)]) <= 0.05 * C_TARGETS[abs(m)]
+
+
 def _spectrum_reports(config, m, eps, tag, lam):
     """The checks and reports of one (m, eps) job of ``spectrum`` from its
     sorted eigenvalues: (exit code, reports)."""
@@ -425,8 +428,8 @@ def _spectrum_reports(config, m, eps, tag, lam):
         code = 2
     integer_defect = None
     if eps == 0.0:
-        integer_defect = float(np.abs(lam - np.round(lam)).max())
-        if integer_defect > 1e-8:
+        integer_defect, integer = _integer_defect(lam)
+        if not integer:
             print(f"invariant failure: unperturbed spectrum at "
                   f"m = {m} is not integer (defect {integer_defect})",
                   file=sys.stderr)
@@ -529,7 +532,7 @@ def cmd_track(config):
             if m == 0:
                 ok = np.abs(curve.eigenvalues - 1.0).max() <= 1e-9
             else:
-                ok = abs(fit.c - target) <= 0.05 * target
+                ok = _hits_target(fit.c, m)
             if not ok:
                 print(f"assertion failed: m = {m} fitted c = {fit.c!r} "
                       f"vs target {target!r}", file=sys.stderr)
@@ -579,15 +582,14 @@ def _verify_checks(config):
     yield ("mcal_det[all k]", dets_ok,
            "-(2k+1)^2; degree-10 identity at k=0..10")
 
-    worst = 0.0
-    mults = []
-    for m in (0, 1, 2):
-        lam = np.linalg.eigvals(assemble_L0(m, 20).entries)
-        worst = max(worst, float(np.abs(lam - np.round(lam)).max()))
-        mults.append(int(np.sum(np.abs(lam - eigentracker.TRACK_CONTOUR.center)
-                                < eigentracker.TRACK_CONTOUR.radius)))
+    spectra = [np.linalg.eigvals(assemble_L0(m, 20).entries)
+               for m in (0, 1, 2)]
+    worst, integer = _integer_defect(np.concatenate(spectra))
+    mults = [int(np.sum(np.abs(lam - eigentracker.TRACK_CONTOUR.center)
+                        < eigentracker.TRACK_CONTOUR.radius))
+             for lam in spectra]
     mults_ok = mults == [cluster_size(m) for m in (0, 1, 2)]
-    yield ("l0_integrality[m=0..2,k=20]", worst <= 1e-8 and mults_ok,
+    yield ("l0_integrality[m=0..2,k=20]", integer and mults_ok,
            f"defect {worst:.1e}, unit multiplicities "
            + "/".join(map(str, mults)))
 
@@ -634,7 +636,7 @@ def _verify_checks(config):
         beta_ok &= bool(
             np.all(np.abs(np.array(fit.beta_raw))
                    <= 10.0 * max(DEFAULT_EPS_GRID) ** 3))
-        ok = abs(fit.c - C_TARGETS[m]) <= 0.05 * C_TARGETS[m]
+        ok = _hits_target(fit.c, m)
         details.append(f"c[m={m}] = {fit.c:.5f}")
         yield f"fit_c[m={m}]", ok, details[-1]
     yield "beta_probe[grid]", beta_ok, "max |Im lambda| <= 10 eps^3"

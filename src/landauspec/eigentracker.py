@@ -1,6 +1,6 @@
 """Eigenvalue studies of the assembled operator: sweeps over the family
 parameter, expansion-coefficient fits, exact eigenvector constructions,
-and spectral projectors.
+and eigenvalue counts inside circles, certified by spectral projectors.
 
 The sweep machinery (`track`, `fit_quadratic`) works on the eigenvalue
 group near 1, whose drift under the background encodes the quadratic
@@ -29,10 +29,11 @@ it is given a k_max, `track` truncates each point at
 `sphbasis.default_k_max(eps, m)`, the degree at which the background's
 coefficients decay below the tail monitor's threshold, with a margin; the
 monitor still checks every assembly.
-`contour_projection` takes the form with vectors and builds the Riesz
-projector P = D Z1 [I X] Z^T D^-1.  Either way the form
-certifies the number of eigenvalues inside the circle, their separation
-from the rest of the spectrum and the conditioning of the splitting.
+`contour_projection` takes the form with vectors and measures the Riesz
+projector P = D Z1 [I X] Z^T D^-1 through its k x n factors, never
+forming P.  Either way the form certifies the number of eigenvalues
+inside the circle, their separation from the rest of the spectrum and the
+conditioning of the splitting.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 import scipy.linalg
 
 from .landau import LandauProfile, eval_profile_derivative, eval_profiles
-from .operators import assemble_L, stream_scale
+from .operators import assemble_L
 from .sphbasis import (
     default_k_max,
     laplacian,
@@ -58,7 +59,7 @@ from .statespace import StateVector, state_from_flat, x_norm
 from .stokes_spectrum import branch_frame
 
 DEFAULT_EPS_GRID = (0.02, 0.04, 0.06, 0.08, 0.10)
-# linkage scale of `_max_cluster_spread`; bench/workloads.py reads it too
+# read only by bench/workloads.py::kmax_step, as the reach of the group at 1
 CLUSTER_RADIUS = 0.25
 
 
@@ -404,27 +405,6 @@ def zero_mode_check(epsilon, direction, k_max=None):
     )
 
 
-def _max_cluster_spread(points):
-    """Largest within-cluster pairwise distance, clustering the points by
-    chain linkage at the CLUSTER_RADIUS scale.  A contour may legitimately
-    enclose several well-separated eigenvalue groups; only the smear of an
-    individual group measures how sharply the projector can resolve it."""
-    n = points.size
-    if n < 2:
-        return 0.0
-    dist = np.abs(points[:, None] - points[None, :])
-    label = np.arange(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i, j] <= CLUSTER_RADIUS and label[i] != label[j]:
-                label[label == label[j]] = label[i]
-    spread = 0.0
-    for lab in np.unique(label):
-        members = dist[np.ix_(label == lab, label == lab)]
-        spread = max(spread, float(members.max()))
-    return spread
-
-
 @dataclass
 class ContourSpec:
     center: complex
@@ -437,10 +417,8 @@ TRACK_CONTOUR = ContourSpec(1.0, 0.5)
 
 @dataclass
 class ContourProjection:
-    matrix: np.ndarray = field(repr=False)
     rank: int
     idempotency_defect: float
-    enclosed: tuple
 
 
 def _ordered_schur(a, spec, vectors):
@@ -454,10 +432,10 @@ def _ordered_schur(a, spec, vectors):
     centred on the real axis, so it holds both members of a conjugate pair
     or neither, and the ordering never splits a 2x2 block.  Errors out if
     the centre is off the real axis, if an eigenvalue sits within 1e-3 of
-    the contour, if the circle fails to separate the enclosed group from
-    the rest of the spectrum by twice its own spread, or if the splitting
-    is ill-conditioned: ||X||_2 above 1e12, or a Sylvester solve that had
-    to scale its right-hand side or failed.
+    the contour, if the circle fails to separate the enclosed eigenvalues
+    from the rest of the spectrum by twice their largest pairwise distance,
+    or if the splitting is ill-conditioned: ||X||_2 above 1e12, or a
+    Sylvester solve that had to scale its right-hand side or failed.
     """
     if spec.radius <= 0.0:
         raise ValueError("contour radius must be positive")
@@ -485,19 +463,17 @@ def _ordered_schur(a, spec, vectors):
             f"an eigenvalue lies within 1e-3 of the contour "
             f"(distance {dist_circle.min():.2e})"
         )
-    inside = lam[:k]
-    outside = lam[k:]
-    spread = _max_cluster_spread(inside)
-    if inside.size and outside.size:
-        gap = float(np.abs(outside - center).min()
+    x = None
+    if 0 < k < n:  # nothing to separate, and dtrsyl rejects an empty block
+        inside = lam[:k]
+        spread = float(np.abs(inside[:, None] - inside).max())
+        gap = float(np.abs(lam[k:] - center).min()
                     - np.abs(inside - center).max())
         if gap < 2.0 * spread:
             raise ValueError(
                 f"contour does not separate: annular gap {gap:.3e} is below "
                 f"twice the enclosed cluster spread {spread:.3e}"
             )
-    x = None
-    if 0 < k < n:  # dtrsyl rejects an empty block
         x, sylv_scale, info = scipy.linalg.lapack.dtrsyl(
             t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
         if info != 0 or sylv_scale < 1.0:
@@ -515,31 +491,26 @@ def _ordered_schur(a, spec, vectors):
 
 
 def contour_projection(lmat, spec):
-    """Riesz projector onto the eigenvalues inside a circle, from an ordered
-    real Schur form.
+    """Rank and idempotency defect of the Riesz projector onto the
+    eigenvalues inside a circle, from an ordered real Schur form.
 
     L is similar to its real form A = D^-1 L D, the entries of the
-    operator, with D = `operators.stream_scale`.
-    One real Schur form A = Z T Z^T with Schur vectors moves the k enclosed
-    eigenvalues to the leading block T11, and the Sylvester solution X
-    decouples it from the trailing block (`track` takes the same form
-    without vectors).  The projector is P = D Z[:, :k] [I X] Z^T D^-1.  Its
-    rank is k: D and Z are unitary and every singular value of [I X] is
-    sqrt(1 + s^2) >= 1 for a singular value s of X.  For the same reason
-    ||P^2 - P||_2 and ||X||_2 are those of the real projector.  What the
-    projector certifies is therefore that count, the separation of the
-    enclosed group from the rest of the spectrum, and the conditioning
-    ||X||_2 of the splitting; it raises the errors of `_ordered_schur`.
+    operator, with D the unitary diagonal stream scaling.  One real Schur
+    form A = Z T Z^T with Schur vectors moves the k enclosed eigenvalues to
+    the leading block T11, and the Sylvester solution X decouples it from
+    the trailing block (`track` takes the same form without vectors).  The
+    projector is P = D Z1 W D^-1 with Z1 = Z[:, :k] and W = [I X] Z^T, of
+    rank k, as every singular value of [I X] is at least 1.  P is never
+    formed: P^2 - P = D Z1 (W Z1 - I) W D^-1, so with D unitary and Z1
+    orthonormal ||P^2 - P||_2 = ||(W Z1 - I) W||_2, a k x n product, and
+    0 when P is 0 or I.  What the projector certifies is therefore that
+    count, the separation of the enclosed group from the rest of the
+    spectrum, and the conditioning ||X||_2 of the splitting; it raises the
+    errors of `_ordered_schur`.
     """
-    lam, k, z, x = _ordered_schur(lmat.entries, spec, vectors=True)
-    n = lam.size
-    if x is None:  # P is 0 or I
-        real_proj = np.eye(n) if k else np.zeros((n, n))
-    else:
-        real_proj = z[:, :k] @ np.hstack([np.eye(k), x]) @ z.T
-    defect = float(np.linalg.norm(real_proj @ real_proj - real_proj, 2))
-    scale = stream_scale(lmat.index_map)
-    proj = real_proj * (scale[:, None] * scale.conj()[None, :])
-    return ContourProjection(matrix=proj, rank=k,
-                             idempotency_defect=defect,
-                             enclosed=tuple(np.sort_complex(lam[:k])))
+    _, k, z, x = _ordered_schur(lmat.entries, spec, vectors=True)
+    defect = 0.0
+    if x is not None:  # otherwise P is 0 or I
+        w = z[:, :k].T + x @ z[:, k:].T
+        defect = float(np.linalg.norm((w @ z[:, :k] - np.eye(k)) @ w, 2))
+    return ContourProjection(rank=k, idempotency_defect=defect)

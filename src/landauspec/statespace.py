@@ -213,9 +213,9 @@ def _json_entry(doc, key):
     return doc[key]
 
 
-def _is_json_number(value, kind):
-    # no bool, NaN or Infinity, and for kind float no integer beyond the
-    # float range (abs compares an int with a float exactly)
+def is_json_number(value, kind):
+    """A JSON integer (kind int) or finite JSON number (kind float): no
+    bool, NaN, Infinity or int beyond the float range (abs is exact)."""
     return (not isinstance(value, bool) and isinstance(value, (int, kind))
             and (kind is int or abs(value) <= sys.float_info.max))
 
@@ -226,7 +226,7 @@ def json_field(doc, key, kind):
     ``kind``; a bool is neither, nor is the NaN or Infinity that Python's
     json module reads, and a fraction is never truncated."""
     value = _json_entry(doc, key)
-    if not _is_json_number(value, kind):
+    if not is_json_number(value, kind):
         what = "an integer" if kind is int else "a number"
         raise ValueError(f"file field {key!r} must be {what}, got {value!r}")
     return kind(value)
@@ -246,7 +246,7 @@ def state_from_json_dict(doc):
                              f"{f.coeffs.size} [re, im] pairs, got {got}")
         for i, pair in enumerate(pairs):
             if not (isinstance(pair, list) and len(pair) == 2 and all(
-                    _is_json_number(part, float) for part in pair)):
+                    is_json_number(part, float) for part in pair)):
                 raise ValueError(f"component {name!r} entry {i} must be an "
                                  f"[re, im] pair of finite numbers, got "
                                  f"{pair!r}")

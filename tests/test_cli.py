@@ -289,6 +289,9 @@ def test_precedence_flag_over_env_over_file(tmp_path, capsys, monkeypatch):
     assert echoed_kmax(tmp_path / "d") == 10
 
 
+HUGE_INT = 10 ** 400  # a JSON integer beyond the float range
+
+
 def test_unknown_config_file_key_exits_1(tmp_path, capsys, monkeypatch):
     """Malformed config files exit 1 with an error naming the culprit."""
     monkeypatch.chdir(tmp_path)  # no --out flag, so "out" comes from the file
@@ -311,6 +314,15 @@ def test_unknown_config_file_key_exits_1(tmp_path, capsys, monkeypatch):
         ({"epsilons": []}, "config key 'epsilons' must not be empty"),
         # only track's and verify's default may be given as null
         ({"k_max": None}, "'k_max' must be an integer, got None"),
+        # the rule that reads the state and operator files: a bool is no
+        # number, NaN no integer, and an integer beyond the float range no
+        # finite epsilon
+        ({"epsilons": [True]}, "'epsilons' must be a list of numbers, all "
+                               "finite, got [True]"),
+        ({"epsilons": [HUGE_INT]}, "'epsilons' must be a list of numbers, "
+                                   f"all finite, got [{HUGE_INT}]"),
+        ({"k_max": True}, "'k_max' must be an integer, got True"),
+        ({"k_max": float("nan")}, "'k_max' must be an integer, got nan"),
     ]
     for content, message in table:
         config_path.write_text(json.dumps(content))
@@ -318,6 +330,19 @@ def test_unknown_config_file_key_exits_1(tmp_path, capsys, monkeypatch):
                                str(config_path))
         assert code == 1, content
         assert err.startswith("error: ") and message in err, (content, err)
+
+
+def test_config_file_k_max_may_be_any_json_integer(tmp_path, capsys,
+                                                   monkeypatch):
+    # k_max is an integer of any size to the type check; only the range
+    # checks after it bound it from below
+    monkeypatch.setattr(cli, "cmd_spectrum", lambda config: (0, []))
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"k_max": HUGE_INT}))
+    code, _, err = run_cli(capsys, "spectrum", "--config", str(config_path),
+                           "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    assert read_json(tmp_path / "out" / "config.json")["k_max"] == HUGE_INT
 
 
 # None: a switch, or a value the test fills in

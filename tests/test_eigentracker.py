@@ -420,21 +420,6 @@ def test_contour_zero_group_rank_three(cached_l):
     assert total == 3
 
 
-def test_contour_complementary_circles(cached_l, complex_basis):
-    # circle around 1 plus a wide circle enclosing 2..6 act as the identity
-    # on the subspace spanned by the enclosed eigenvectors
-    lmat = cached_l(1, 8, 0.0)
-    near_one = contour_projection(lmat, ContourSpec(1.0, 0.5))
-    upper = contour_projection(lmat, ContourSpec(4.0, 2.6))
-    lam, vecs = np.linalg.eig(complex_basis(lmat))
-    enclosed = (np.abs(lam - 1.0) < 0.1) | ((lam.real > 1.5) & (lam.real < 6.5))
-    both = near_one.matrix + upper.matrix
-    sub = vecs[:, enclosed]
-    assert np.abs(both @ sub - sub).max() <= 1e-8
-    assert np.abs(both @ vecs[:, ~enclosed]).max() <= 1e-8
-    assert np.abs(near_one.matrix @ upper.matrix).max() <= 1e-8
-
-
 def trapezoid_projector(a, spec, nodes=64):
     """Riesz projector (1/2 pi i) oint (z - A)^-1 dz of a complex matrix by
     the trapezoid rule on the circle, which converges exponentially in the
@@ -450,23 +435,51 @@ def trapezoid_projector(a, spec, nodes=64):
 @pytest.mark.parametrize("center", [1.0, 0.0])
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_contour_matches_trapezoid(cached_l, complex_basis, m, center):
+    # the trapezoid projector of the complex-basis matrix is an independent
+    # reference: its trace counts the enclosed eigenvalues
     lmat = cached_l(m, 16, 0.05)
     spec = ContourSpec(center, 0.5)
     proj = contour_projection(lmat, spec)
     want = trapezoid_projector(complex_basis(lmat), spec)
-    assert np.abs(proj.matrix - want).max() <= 1e-10
+    assert proj.rank == round(np.trace(want).real)
+    assert proj.idempotency_defect <= 1e-8
+    assert np.linalg.norm(want @ want - want, 2) <= 1e-8
+
+
+@pytest.mark.parametrize("center", [1.0, 0.0])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_contour_defect_matches_the_dense_projector(cached_l, m, center):
+    # the real projector Z1 [I X] Z^T formed as an n x n matrix has the
+    # idempotency defect that contour_projection reads off its k x n factor
+    lmat = cached_l(m, 16, 0.05)
+    spec = ContourSpec(center, 0.5)
+    _, k, z, x = eigentracker._ordered_schur(lmat.entries, spec, vectors=True)
+    if x is None:  # the circle holds none or all of the spectrum
+        x = np.zeros((k, z.shape[0] - k))
+    dense = z[:, :k] @ np.hstack([np.eye(k), x]) @ z.T
+    want = np.linalg.norm(dense @ dense - dense, 2)
+    got = contour_projection(lmat, spec).idempotency_defect
+    assert abs(got - want) <= 1e-13, (got, want)
 
 
 def test_contour_enclosing_nothing_or_everything(cached_l):
-    # the spectrum at k_max = 16 lies within |lambda| <= 19
+    # the spectrum at k_max = 16 lies within |lambda| <= 19; P is 0 or I,
+    # whose defect is exactly zero
     lmat = cached_l(1, 16, 0.05)
-    n = lmat.entries.shape[0]
     empty = contour_projection(lmat, ContourSpec(100.0, 0.5))
-    assert empty.rank == 0 and empty.enclosed == ()
-    assert not empty.matrix.any()
+    assert (empty.rank, empty.idempotency_defect) == (0, 0.0)
     full = contour_projection(lmat, ContourSpec(0.0, 1e4))
-    assert full.rank == n and len(full.enclosed) == n
-    assert np.abs(full.matrix - np.eye(n)).max() <= 1e-12
+    assert (full.rank, full.idempotency_defect) == (lmat.entries.shape[0],
+                                                    0.0)
+
+
+def test_contour_holding_two_groups_does_not_separate(cached_l):
+    # |lambda - 4| < 2.6 at eps = 0 holds the integers 2..6: their spread
+    # is 4, the largest distance between two enclosed eigenvalues, while
+    # the annular gap to 1 and 7 is 1
+    with pytest.raises(ValueError, match="does not separate: annular gap "
+                                         "1.000e\\+00 .* spread 4.000e\\+00"):
+        contour_projection(cached_l(1, 8, 0.0), ContourSpec(4.0, 2.6))
 
 
 def fake_operator(diagonal):

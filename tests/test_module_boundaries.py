@@ -66,15 +66,15 @@ def test_no_explicit_inverse_or_condition_number():
     assert calls == []
 
 
-def test_stream_scale_is_applied_only_to_states_blocks_and_projector():
+def test_stream_scale_is_applied_only_to_states_and_blocks():
     # OperatorMatrix.entries is the real D^-1 L D, and the operator file
     # holds it as it is; D (operators.stream_scale) is applied only where a
-    # complex result leaves the real form: the product with a state, the
-    # re-phased near-1 blocks and the Riesz projector.  A second converter
-    # of the whole operator would be a fourth caller
+    # complex result leaves the real form: the product with a state and the
+    # re-phased near-1 blocks.  The Riesz projector is measured through its
+    # real factors, and a converter of the whole operator would be a third
+    # caller
     assert sorted(_calls_by_function("stream_scale")) == [
-        "eigentracker.py:contour_projection", "operators.py:apply_flat",
-        "perturbation.py:split_blocks"]
+        "operators.py:apply_flat", "perturbation.py:split_blocks"]
 
 
 def test_stream_slots_are_defined_once():
@@ -226,10 +226,23 @@ def test_schur_form_and_sylvester_solve_have_one_home():
     # track's group and contour_projection's projector come from one
     # ordered real Schur form and one Sylvester solve, so every guard on
     # them is written once; dgees is called twice there, the workspace
-    # query and the factorisation
+    # query and the factorisation.  Only the projector asks the form for
+    # its Schur vectors; _ordered_schur is private, so every call to it is
+    # in eigentracker
     home = ["eigentracker.py:_ordered_schur"]
     assert sorted(set(_calls_by_function("dgees"))) == home
     assert _calls_by_function("dtrsyl") == home
+    vectors = {}
+    tree = ast.parse((SRC / "eigentracker.py").read_text())
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call)
+                        and ast.unparse(node.func) == "_ordered_schur"):
+                    args = node.args + [kw.value for kw in node.keywords
+                                        if kw.arg == "vectors"]
+                    vectors[func.name] = ast.unparse(args[2])
+    assert vectors == {"track": "False", "contour_projection": "True"}
 
 
 def test_track_takes_no_second_eigensolve():
