@@ -19,10 +19,7 @@ error leaves no output directory.  Identical configurations produce
 byte-identical files at a fixed BLAS thread count: lists in a fixed
 order, every float with 17 significant digits.  Another thread count can
 move the last digits of a large eigensolve (``spectrum --m 2 --epsilon
-0.8 --kmax 60``).  ``spectrum`` solves its (m, eps) jobs concurrently,
-one worker thread per usable core, when the loaded OpenBLAS runs one
-thread, and one job at a time otherwise; the worker count never changes
-a byte.
+0.8 --kmax 60``).
 A value that does not convert is reported with its flag or variable.
 The quadrature is not a setting: every assembly uses the Gauss rule
 that k_max determines.  k_max defaults to 24 for ``spectrum`` and
@@ -37,8 +34,6 @@ Exit codes: 0 success, 1 usage or domain error, 2 invariant failure
 from __future__ import annotations
 
 import argparse
-from concurrent.futures import ThreadPoolExecutor
-import ctypes
 import json
 import os
 import sys
@@ -67,6 +62,10 @@ C_TARGETS = {0: 0.0, 1: 1.0 / 15.0, 2: 4.0 / 15.0}
 # the truncation of spectrum and export; track and verify take one per
 # operator from eps unless they are given one
 DEFAULT_K_MAX = 24
+# the largest truncation a run accepts: the branch frames are validated
+# through degree 1000 (perturbation's docstring), and the dense route needs
+# about 0.95 GB there
+MAX_K_MAX = 1000
 ENV_PREFIX = "LANDAUSPEC_"
 _SWITCH_WORDS = {"1": True, "true": True, "yes": True,  # any case
                  "0": False, "false": False, "no": False}
@@ -272,6 +271,9 @@ class RunConfig:
             self.epsilons = [float(e) for e in self.epsilons]
         if self.k_max is not None and self.k_max < 2:
             raise ValueError(f"k_max = {self.k_max} is too small")
+        if self.k_max is not None and self.k_max > MAX_K_MAX:
+            raise ValueError(f"k_max must be at most {MAX_K_MAX}, got "
+                             f"{self.k_max}")
         for m in getattr(self, "modes", ()):
             if self.k_max is not None and abs(m) > self.k_max:
                 raise ValueError(
@@ -359,47 +361,6 @@ def _report_tags(config):
     return [(m, eps, tag) for tag, (m, eps) in pairs.items()]
 
 
-def _usable_cores():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _blas_threads():
-    """Thread count of the OpenBLAS this process loaded, or None where no
-    OpenBLAS shows in /proc/self/maps or it names no known getter."""
-    try:
-        with open("/proc/self/maps") as fh:
-            # the path is the sixth field and may hold spaces
-            libs = {line.split(None, 5)[5].strip() for line in fh
-                    if "openblas" in line.lower()}
-    except OSError:
-        return None
-    for lib in sorted(libs):
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_",
-                       "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            if hasattr(handle, symbol):
-                return int(getattr(handle, symbol)())
-    return None
-
-
-def _spectrum_workers(n_jobs):
-    """One worker per job up to the usable cores when BLAS runs one
-    thread.  A threaded BLAS already spreads each eigensolve over the
-    cores, and a second solve beside it oversubscribes them (on a
-    two-core host, two workers over two OpenBLAS threads each were slower
-    than one), so then, or when the thread count cannot be read, jobs run
-    one at a time."""
-    if _blas_threads() != 1:
-        return 1
-    return min(n_jobs, _usable_cores())
-
-
 def _integer_defect(lam):
     """Claim 1's probe: the largest distance from an integer, and if <= 1e-8."""
     defect = float(np.abs(lam - np.round(lam)).max())
@@ -411,78 +372,45 @@ def _hits_target(c, m):
     return abs(c - C_TARGETS[abs(m)]) <= 0.05 * C_TARGETS[abs(m)]
 
 
-def _spectrum_reports(config, m, eps, tag, lam):
-    """The checks and reports of one (m, eps) job of ``spectrum`` from its
-    sorted eigenvalues: (exit code, reports)."""
-    code = 0
-    reports = []
-    # the group is what track's circle holds; a mode with no degree
-    # <= 2 has no group at 1
-    circle = eigentracker.TRACK_CONTOUR
-    cluster = lam[np.abs(lam - circle.center) < circle.radius]
-    want = cluster_size(m) if abs(m) <= 2 else 0
-    if cluster.size != want:
-        print(f"invariant failure: {cluster.size} eigenvalues in "
-              f"|lambda - {circle.center:g}| < {circle.radius:g} at "
-              f"m = {m}, eps = {eps}, expected {want}", file=sys.stderr)
-        code = 2
-    integer_defect = None
-    if eps == 0.0:
-        integer_defect, integer = _integer_defect(lam)
-        if not integer:
-            print(f"invariant failure: unperturbed spectrum at "
-                  f"m = {m} is not integer (defect {integer_defect})",
-                  file=sys.stderr)
-            code = 2
-    if "json" in config.formats:
-        reports.append((write_json, f"spectrum_{tag}.json", {
-            "mode": m,
-            "epsilon": eps,
-            "k_max": config.k_max,
-            "eigenvalues": _pairs(lam),
-            "cluster": _pairs(cluster),
-            "integer_defect": integer_defect,
-        }))
-    if "csv" in config.formats:
-        lines = ["index,re,im"]
-        lines += [f"{i},{format_float(v.real)},{format_float(v.imag)}"
-                  for i, v in enumerate(lam)]
-        reports.append((write_atomic, f"spectrum_{tag}.csv",
-                        "\n".join(lines) + "\n"))
-    return code, reports
-
-
 def cmd_spectrum(config):
-    """One job per (m, eps): assemble L and sort its eigenvalues.  The jobs
-    run on `_spectrum_workers` threads (LAPACK releases the GIL), each in
-    the serial arithmetic, and are checked and reported in job order, so
-    the worker count changes no byte.  A job that raises stops the run
-    where the serial loop would: the jobs before it are checked first, a
-    job after it that has not started by then never starts, and
-    ``pool.map`` cancels the jobs still queued."""
-    jobs = _report_tags(config)
-    raised = []  # indices of the jobs that raised
-
-    def solve(index):
-        if raised and min(raised) < index:
-            return None  # never read: an earlier job's error ends the run
-        m, eps, _ = jobs[index]
-        try:
-            lmat = assemble_L(m, config.k_max, eps)
-            return np.sort_complex(np.linalg.eigvals(lmat.entries))
-        except BaseException:
-            raised.append(index)
-            raise
-
     code = 0
     reports = []
-    with ThreadPoolExecutor(_spectrum_workers(len(jobs))) as pool:
-        spectra = pool.map(solve, range(len(jobs)))
-        for (m, eps, tag), lam in zip(jobs, spectra):
-            job_code, job_reports = _spectrum_reports(config, m, eps, tag,
-                                                      lam)
-            code = max(code, job_code)
-            reports += job_reports
+    for m, eps, tag in _report_tags(config):
+        lmat = assemble_L(m, config.k_max, eps)
+        lam = np.sort_complex(np.linalg.eigvals(lmat.entries))
+        # the group is what track's circle holds; a mode with no degree
+        # <= 2 has no group at 1
+        circle = eigentracker.TRACK_CONTOUR
+        cluster = lam[np.abs(lam - circle.center) < circle.radius]
+        want = cluster_size(m) if abs(m) <= 2 else 0
+        if cluster.size != want:
+            print(f"invariant failure: {cluster.size} eigenvalues in "
+                  f"|lambda - {circle.center:g}| < {circle.radius:g} at "
+                  f"m = {m}, eps = {eps}, expected {want}", file=sys.stderr)
+            code = 2
+        integer_defect = None
+        if eps == 0.0:
+            integer_defect, integer = _integer_defect(lam)
+            if not integer:
+                print(f"invariant failure: unperturbed spectrum at "
+                      f"m = {m} is not integer (defect {integer_defect})",
+                      file=sys.stderr)
+                code = 2
+        if "json" in config.formats:
+            reports.append((write_json, f"spectrum_{tag}.json", {
+                "mode": m,
+                "epsilon": eps,
+                "k_max": config.k_max,
+                "eigenvalues": _pairs(lam),
+                "cluster": _pairs(cluster),
+                "integer_defect": integer_defect,
+            }))
+        if "csv" in config.formats:
+            lines = ["index,re,im"]
+            lines += [f"{i},{format_float(v.real)},{format_float(v.imag)}"
+                      for i, v in enumerate(lam)]
+            reports.append((write_atomic, f"spectrum_{tag}.csv",
+                            "\n".join(lines) + "\n"))
     return code, reports
 
 

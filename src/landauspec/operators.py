@@ -172,8 +172,7 @@ _L0_COUPLINGS = (
 def _l0_scatter(k_max, layout):
     """(rows, cols, values) of the coupling table on a slot layout, one
     (lowest degree, flat offset) pair per component, as read-only arrays;
-    built once per layout for serial callers (threads that race on a
-    first call may each build an equal pattern)."""
+    built once per layout."""
     slots = dict(zip(COMPONENTS, layout))
     parts = []
     for row, col, a, b in _L0_COUPLINGS:

@@ -76,9 +76,10 @@ def default_k_max(epsilon, m):
     return decay + max(abs(m), 1) + 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Gauss-Legendre rule in x = cos(theta) on [-1, 1]."""
+    """Gauss-Legendre rule in x = cos(theta) on [-1, 1], compared and
+    hashed by identity, so a built grid keys the table cache."""
 
     n_nodes: int
     x: np.ndarray = field(repr=False)
@@ -87,10 +88,8 @@ class QuadratureGrid:
     @classmethod
     @functools.lru_cache(maxsize=None)
     def build(cls, n_nodes):
-        """The rule with n_nodes nodes, built once per node count for
-        serial callers, who share one grid (threads that race on a first
-        call may each build an equal one); its nodes and weights are
-        read-only."""
+        """The rule with n_nodes nodes, built once per node count and
+        shared; its nodes and weights are read-only."""
         if n_nodes < 1:
             raise ValueError(f"need at least one node, got {n_nodes}")
         x, w = np.polynomial.legendre.leggauss(n_nodes)
@@ -193,34 +192,28 @@ class LegendreTable:
         return k - self.k_min
 
 
-# the tables on the default rule, by (k_max, m)
-_DEFAULT_TABLES = {}
-
-
 def legendre_values(k_max, m, grid=None):
     """The LegendreTable for signed order m on the default Gauss rule of
     k_max, the one quadrature every assembly and state construction in the
     library uses, or built fresh on the given grid.
 
-    The default table is stored once per (k_max, m) and shared: serial
-    callers build it once, and threads that race on a miss may each build
-    one but all get the one stored.  The arrays of every table are
-    read-only, like the grid's nodes.  A miss goes through
-    private names only, so a call tracer sees the same public calls
-    whether or not the table was already built."""
+    The default table is built once per (k_max, m) and shared.  The arrays
+    of every table are read-only, like the grid's nodes.  A miss goes
+    through private names only, so a call tracer sees the same public
+    calls whether or not the table was already built."""
     am = abs(m)
     if am > k_max:
         raise ValueError(f"|m| = {am} exceeds k_max = {k_max}")
     if grid is not None:
         return _build_table(k_max, m, grid)
-    grid = QuadratureGrid.build(default_node_count(k_max))
-    table = _DEFAULT_TABLES.get((k_max, m))
-    if table is None:
-        # two threads that miss at once both build; setdefault keeps the
-        # first table stored and hands it to both
-        table = _DEFAULT_TABLES.setdefault((k_max, m),
-                                           _build_table(k_max, m, grid))
-    return table
+    return _default_table(k_max, m,
+                          QuadratureGrid.build(default_node_count(k_max)))
+
+
+@functools.lru_cache(maxsize=None)
+def _default_table(k_max, m, grid):
+    """legendre_values' cached builder of the table on the default rule."""
+    return _build_table(k_max, m, grid)
 
 
 def _build_table(k_max, m, grid):

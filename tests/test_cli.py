@@ -1,16 +1,11 @@
 """End-to-end tests of the command-line tool.
 
 Commands run in-process through ``cli.main`` so exit codes and stderr
-text can be asserted without spawning subprocesses; only the BLAS thread
-count, fixed when numpy loads, needs a child process.
+text can be asserted without spawning subprocesses.
 """
 
 import json
 import os
-import subprocess
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -332,17 +327,27 @@ def test_unknown_config_file_key_exits_1(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: ") and message in err, (content, err)
 
 
-def test_config_file_k_max_may_be_any_json_integer(tmp_path, capsys,
-                                                   monkeypatch):
-    # k_max is an integer of any size to the type check; only the range
-    # checks after it bound it from below
-    monkeypatch.setattr(cli, "cmd_spectrum", lambda config: (0, []))
-    config_path = tmp_path / "run.json"
-    config_path.write_text(json.dumps({"k_max": HUGE_INT}))
-    code, _, err = run_cli(capsys, "spectrum", "--config", str(config_path),
-                           "--out", str(tmp_path / "out"))
-    assert code == 0, err
-    assert read_json(tmp_path / "out" / "config.json")["k_max"] == HUGE_INT
+@pytest.mark.parametrize("source", ["config-file", "kmax-flag"])
+def test_k_max_above_the_ceiling_exits_1_before_any_solve(
+        tmp_path, capsys, monkeypatch, source):
+    # k_max is an integer of any size to the type check; the ceiling then
+    # rejects a 401-digit one and one past it, before any assembly
+    def spy(*args):
+        raise AssertionError("a k_max above the ceiling reached assemble_L")
+
+    monkeypatch.setattr(cli, "assemble_L", spy)
+    if source == "config-file":
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"k_max": HUGE_INT}))
+        argv = ["--config", str(config_path)]
+    else:
+        argv = ["--kmax", str(cli.MAX_K_MAX + 1)]
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "spectrum", *argv, "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: k_max must be at most 1000, got "), err
+    assert not out.exists()
+    assert cli.RunConfig("spectrum", k_max=cli.MAX_K_MAX).k_max == 1000
 
 
 # None: a switch, or a value the test fills in
@@ -520,87 +525,17 @@ def test_reports_are_deterministic(tmp_path, capsys):
     json.loads((tmp_path / "one" / "spectrum_m1_eps0.05.json").read_text())
 
 
-# Prints the worker count spectrum picks for four jobs at this BLAS thread
-# count, runs spectrum's four jobs on four workers, switching threads
-# often, then solves each job again serially and prints the jobs whose
-# reported eigenvalues differ.
-_CONCURRENT_SPECTRUM = """
-import json, sys
-import numpy as np
-from landauspec import cli
-from landauspec.operators import assemble_L
-workers = cli._spectrum_workers(4)
-cli._spectrum_workers = lambda n_jobs: n_jobs
-sys.setswitchinterval(1e-5)
-out = sys.argv[1]
-code = cli.main(["spectrum", "--m", "1,2", "--eps", "0.05,0.8", "--kmax",
-                 "60", "--format", "json", "--out", out])
-differ = []
-for m in (1, 2):
-    for eps in (0.05, 0.8):
-        with open(f"{out}/spectrum_m{m}_eps{eps:g}.json") as fh:
-            got = json.load(fh)["eigenvalues"]
-        lam = np.linalg.eigvals(assemble_L(m, 60, eps).entries)
-        if got != cli._pairs(np.sort_complex(lam)):
-            differ.append([m, eps])
-print(json.dumps({"code": code, "differ": differ, "workers": workers}))
-"""
-
-
-@pytest.mark.parametrize("blas_threads", ["1", "2"])
-def test_concurrent_spectrum_jobs_report_the_serial_eigenvalues(
-        tmp_path, blas_threads):
-    # the jobs run at once on worker threads; each must report what one
-    # serial eigvals of its operator gives at the same BLAS thread count,
-    # including (m, eps, k_max) = (2, 0.8, 60), whose bytes move with that
-    # count.  Left to itself, spectrum runs one worker per usable core
-    # only over a one-thread OpenBLAS.
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
-           "PYTHONPATH": os.pathsep.join(
-               [os.path.dirname(os.path.dirname(cli.__file__)),
-                *filter(None, [os.environ.get("PYTHONPATH")])])}
-    for name in list(env):
-        if name.startswith(cli.ENV_PREFIX):
-            del env[name]
-    child = subprocess.run(
-        [sys.executable, "-c", _CONCURRENT_SPECTRUM, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=600)
-    assert child.returncode == 0, child.stderr
-    openblas = "openblas" in np.show_config(
-        mode="dicts")["Build Dependencies"]["blas"]["name"]
-    workers = (min(4, cli._usable_cores())
-               if openblas and blas_threads == "1" else 1)
-    assert json.loads(child.stdout) == {"code": 0, "differ": [],
-                                        "workers": workers}
-
-
-@pytest.mark.parametrize("blas_threads, cores, workers", [
-    (1, 2, 2), (1, 8, 3), (1, 1, 1), (2, 2, 1), (8, 8, 1), (None, 8, 1)])
-def test_spectrum_workers_follow_the_blas_thread_count(
-        monkeypatch, blas_threads, cores, workers):
-    # one worker per job up to the cores over a one-thread BLAS; a threaded
-    # or unreadable BLAS runs the jobs one at a time
-    monkeypatch.setattr(cli, "_blas_threads", lambda: blas_threads)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
-    assert cli._spectrum_workers(3) == workers
-
-
 def test_spectrum_job_errors_stop_the_run_in_job_order(tmp_path, capsys,
                                                        monkeypatch):
-    # job 1 misses its group size, job 2 raises while job 1 is still
-    # running, and job 3 is queued behind them: the run reports job 1's
-    # failure, then job 2's error, writes nothing and never starts job 3
-    monkeypatch.setattr(cli, "_spectrum_workers", lambda n_jobs: 2)
-    job2_raised = threading.Event()
+    # job 1 misses its group size, job 2 raises and job 3 comes after
+    # them: the run reports job 1's failure, then job 2's error, writes
+    # nothing and never assembles job 3
     started = []
 
     def planted(m, k_max, eps):
         started.append(eps)
         if eps == 0.06:
-            job2_raised.set()
             raise ValueError("planted error in job 2")
-        assert job2_raised.wait(timeout=60)
-        time.sleep(0.05)  # by now job 2's error is recorded
         return OperatorMatrix(m, k_max, eps, np.diag([1.0, 1.6] + [10.0] * 46))
 
     monkeypatch.setattr(cli, "assemble_L", planted)
@@ -614,7 +549,7 @@ def test_spectrum_job_errors_stop_the_run_in_job_order(tmp_path, capsys,
                    "at m = 1, eps = 0.05, expected 2\n"
                    "error: planted error in job 2\n")
     assert not out.exists()
-    assert sorted(started) == [0.05, 0.06]
+    assert started == [0.05, 0.06]
 
 
 def test_out_path_collision_exits_1(tmp_path, capsys):

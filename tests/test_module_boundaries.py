@@ -53,6 +53,24 @@ def test_no_private_names_imported_across_modules():
     assert crossings == []
 
 
+def test_package_starts_no_thread_or_process():
+    # every command runs its jobs one at a time in one thread, so the
+    # caches need no race handling and no BLAS thread probe is read
+    banned = {"threading", "concurrent", "multiprocessing", "queue", "ctypes"}
+    imports = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imports += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.split(".")[0] in banned]
+    assert imports == []
+
+
 def test_no_explicit_inverse_or_condition_number():
     # condition checks come from factorizations the code already holds
     # (Schur, Sylvester, LU); an explicit inverse costs a solve per column

@@ -1,7 +1,6 @@
 import itertools
 import json
 import re
-import threading
 import tracemalloc
 
 import numpy as np
@@ -442,29 +441,6 @@ def test_l0_pattern_is_built_once_and_read_only():
     dense = np.zeros((StateIndexMap(2, 16).dim,) * 2)
     dense[rows, cols] = values
     assert np.array_equal(dense, assemble_L0(2, 16).entries)
-
-
-def test_racing_first_l0_patterns_agree():
-    # the pattern cache may build twice under a race; both patterns are
-    # equal bit for bit and read-only (k_max 141 is used nowhere else, so
-    # the first calls here are first calls)
-    start = threading.Barrier(2)
-    patterns = []
-
-    def call():
-        start.wait(timeout=30)
-        patterns.append(_l0_pattern(StateIndexMap(1, 141)))
-
-    threads = [threading.Thread(target=call) for _ in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-    assert len(patterns) == 2
-    for first, second in zip(*patterns):
-        assert not first.flags.writeable and not second.flags.writeable
-        assert first.dtype == second.dtype
-        assert first.tobytes() == second.tobytes()
 
 
 def test_tail_monitor_trips_on_underresolution():

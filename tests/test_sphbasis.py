@@ -1,4 +1,4 @@
-import threading
+import functools
 
 import numpy as np
 import pytest
@@ -116,72 +116,17 @@ def test_a_table_miss_calls_no_public_builder(monkeypatch):
     def public(*args):
         raise AssertionError("a table miss called a public builder")
 
-    monkeypatch.setattr(sphbasis, "_DEFAULT_TABLES", {})
+    # an empty cache in place of the shared one, so this call is a miss
+    cache = functools.lru_cache(maxsize=None)(
+        sphbasis._default_table.__wrapped__)
+    monkeypatch.setattr(sphbasis, "_default_table", cache)
     monkeypatch.setattr(sphbasis, "legendre_raw", public)
     monkeypatch.setattr(sphbasis, "norm_constant", public)
     got = legendre_values(17, 3)
-    assert sphbasis._DEFAULT_TABLES == {(17, 3): got}
+    assert cache.cache_info().misses == cache.cache_info().currsize == 1
+    assert legendre_values(17, 3) is got
     for name in TABLE_ARRAYS:
         assert np.array_equal(getattr(got, name), getattr(want, name))
-
-
-def test_racing_table_misses_share_the_stored_table(monkeypatch):
-    # two threads that miss the same (k_max, m) at once both build a table;
-    # the first one stored is the one both get and the cache keeps, even
-    # when the second build finishes after the first caller has returned
-    monkeypatch.setattr(sphbasis, "_DEFAULT_TABLES", {})
-    start, missed = threading.Barrier(2), threading.Barrier(2)
-    first_returned = threading.Event()
-    build = sphbasis._build_table
-
-    def build_in_turn(*args):
-        table = build(*args)
-        missed.wait(timeout=30)
-        if threading.current_thread().name == "second":
-            assert first_returned.wait(timeout=30)
-        return table
-
-    monkeypatch.setattr(sphbasis, "_build_table", build_in_turn)
-    got = {}
-
-    def call():
-        start.wait(timeout=30)
-        got[threading.current_thread().name] = legendre_values(19, 1)
-        if threading.current_thread().name == "first":
-            first_returned.set()
-
-    threads = [threading.Thread(target=call, name=name)
-               for name in ("first", "second")]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-    assert got["first"] is got["second"]
-    assert sphbasis._DEFAULT_TABLES == {(19, 1): got["first"]}
-
-
-def test_racing_first_grid_builds_agree():
-    # the grid cache may build twice under a race; both builds are equal
-    # bit for bit and read-only (211 nodes is no default rule, so the
-    # first calls here are first calls)
-    start = threading.Barrier(2)
-    grids = []
-
-    def call():
-        start.wait(timeout=30)
-        grids.append(QuadratureGrid.build(211))
-
-    threads = [threading.Thread(target=call) for _ in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-    assert len(grids) == 2
-    for grid in grids:
-        assert grid.n_nodes == 211
-        assert not grid.x.flags.writeable and not grid.w.flags.writeable
-    assert grids[0].x.tobytes() == grids[1].x.tobytes()
-    assert grids[0].w.tobytes() == grids[1].w.tobytes()
 
 
 def test_quadrature_polynomial_exactness():
