@@ -48,9 +48,11 @@ from .eigentracker import (
     cluster_size,
     contour_projection,
     fit_quadratic,
+    fit_window,
     landau_state,
     swirl_block_eigenvalue,
     swirl_ode_residual,
+    sweep_grid,
     track,
     translation_eigenvector,
     zero_mode_check,
@@ -287,10 +289,6 @@ class RunConfig:
                 **{s.field: getattr(self, s.field)
                    for s in read_by(self.command)}}
 
-    def __eq__(self, other):
-        return (isinstance(other, RunConfig)
-                and self.to_dict() == other.to_dict())
-
 
 class _Parser(argparse.ArgumentParser):
     # usage problems are exit code 1 in this tool, not argparse's 2
@@ -449,6 +447,8 @@ def cmd_track(config):
             raise ValueError(
                 f"mode m = {m} is repeated in modes {config.modes}")
         cluster_size(m)  # a mode without a group at 1 fails before any sweep
+    # a grid that the sweep or the fit rejects fails before any sweep too
+    fit_window(sweep_grid(config.epsilons))
     code = 0
     reports = []
     for m in config.modes:
@@ -546,9 +546,8 @@ def _verify_checks(config):
     yield ("translation_residual[eps=0.1]", resid <= 1e-8,
            f"{resid:.1e} <= 1e-8")
 
-    report = zero_mode_check(0.1, (1.0, 1.0, 1.0), config.k_max)
-    yield ("zero_mode[eps=0.1]", report.residual <= 1e-5,
-           f"{report.residual:.1e}")
+    resid = zero_mode_check(0.1, config.k_max)
+    yield "zero_mode[eps=0.1]", resid <= 1e-5, f"{resid:.1e}"
 
     moved = 0.0
     for m in (0, 1, 2):

@@ -5,7 +5,9 @@ and eigenvalue counts inside circles, certified by spectral projectors.
 The sweep machinery (`track`, `fit_quadratic`) works on the eigenvalue
 group near 1, whose drift under the background encodes the quadratic
 expansion coefficients and whose imaginary parts probe the conjectured
-absence of a rotation rate.  Every eigensolve here runs on
+absence of a rotation rate.  `sweep_grid` and `fit_window` hold the rules
+of the grid and of the fit, so a caller can check a grid before any
+solve.  Every eigensolve here runs on
 `OperatorMatrix.entries`, the stream-scaled real form of L, so an
 imaginary part is never rounding: it is half of an exact conjugate pair.
 The constructive routines (`translation_eigenvector`, `zero_mode_check`,
@@ -13,7 +15,10 @@ The constructive routines (`translation_eigenvector`, `zero_mode_check`,
 background of `landau` under a generator (the tilt of the axis is minus
 one half of its theta-slopes), and report how well the assembled operator,
 applied through `OperatorMatrix.apply_flat`, annihilates or preserves
-them.
+them.  The family has three zero modes, its derivatives in the three
+force directions, and `zero_mode_check` returns one residual for all
+three: the axial mode, and one tilt that stands for both horizontal
+directions.
 The constructions sample the profiles on the same default Gauss rule of
 k_max that the assembly uses (`sphbasis.legendre_values`), and the
 assembly's tail monitor is the one resolution check they need.
@@ -76,7 +81,6 @@ def cluster_size(m):
 
 @dataclass
 class EigenCurve:
-    m: int
     k_max: tuple  # the truncation of each point
     epsilons: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
@@ -84,6 +88,24 @@ class EigenCurve:
     @property
     def n_branches(self):
         return self.eigenvalues.shape[1]
+
+
+def sweep_grid(epsilons):
+    """The parameter grid of a sweep as a float array: not empty, inside
+    |eps| <= 0.3, where the sweep is validated, and sorted ascending."""
+    eps = np.asarray(list(epsilons), dtype=float)
+    if eps.size == 0:
+        raise ValueError("empty parameter grid")
+    too_large = eps[np.abs(eps) > 0.3]
+    if too_large.size:
+        raise ValueError(f"sweep validated for |eps| <= 0.3 only, got "
+                         f"eps = {float(too_large[0])!r}")
+    drops = np.flatnonzero(np.diff(eps) < 0)
+    if drops.size:
+        before, after = (float(e) for e in eps[drops[0]:drops[0] + 2])
+        raise ValueError(f"parameter grid must be sorted ascending, got "
+                         f"eps = {after!r} after {before!r}")
+    return eps
 
 
 def track(m, epsilons, k_max=None):
@@ -103,18 +125,7 @@ def track(m, epsilons, k_max=None):
     assignment; a change in group size or a jump larger than ten times
     the grid step aborts the sweep.
     """
-    eps = np.asarray(list(epsilons), dtype=float)
-    if eps.size == 0:
-        raise ValueError("empty parameter grid")
-    too_large = eps[np.abs(eps) > 0.3]
-    if too_large.size:
-        raise ValueError(f"sweep validated for |eps| <= 0.3 only, got "
-                         f"eps = {float(too_large[0])!r}")
-    drops = np.flatnonzero(np.diff(eps) < 0)
-    if drops.size:
-        before, after = (float(e) for e in eps[drops[0]:drops[0] + 2])
-        raise ValueError(f"parameter grid must be sorted ascending, got "
-                         f"eps = {after!r} after {before!r}")
+    eps = sweep_grid(epsilons)
     want = cluster_size(m)
     k_maxes = tuple(default_k_max(e, m) if k_max is None else k_max
                     for e in eps)
@@ -145,7 +156,7 @@ def track(m, epsilons, k_max=None):
                 f"a branch moved {moved:.3e} over step {step:.3e}; "
                 f"matching is not trustworthy, refine the grid"
             )
-    return EigenCurve(m, k_maxes, eps, curve)
+    return EigenCurve(k_maxes, eps, curve)
 
 
 @dataclass
@@ -153,9 +164,7 @@ class QuadraticFit:
     """Per-branch fit Re lambda = 1 + c eps^2 + d eps^3 and the raw
     imaginary-part probes."""
 
-    m: int
     c_branches: tuple
-    cubic_terms: tuple
     residuals: tuple
     beta_raw: tuple
     beta_over_eps3: tuple
@@ -173,18 +182,25 @@ class QuadraticFit:
         return max(self.beta_over_eps3)
 
 
-def fit_quadratic(curve):
-    """Least-squares quadratic coefficient per branch, with a cubic term
-    absorbing the next order of the drift."""
-    eps = curve.epsilons
+def fit_window(epsilons):
+    """Mask of the grid points that `fit_quadratic` fits, those in
+    [0.02, 0.1]; the fit needs at least 4 of them."""
+    eps = np.asarray(epsilons, dtype=float)
     mask = (eps >= 0.02 - 1e-12) & (eps <= 0.1 + 1e-12)
     if mask.sum() < 4:
         raise ValueError(
             f"need at least 4 samples in [0.02, 0.1], have {int(mask.sum())}"
         )
-    e = eps[mask]
+    return mask
+
+
+def fit_quadratic(curve):
+    """Least-squares quadratic coefficient per branch, with a cubic term
+    absorbing the next order of the drift."""
+    mask = fit_window(curve.epsilons)
+    e = curve.epsilons[mask]
     design = np.column_stack([e**2, e**3])
-    cs, ds, resids, betas_raw, betas3 = [], [], [], [], []
+    cs, resids, betas_raw, betas3 = [], [], [], []
     for j in range(curve.n_branches):
         lam = curve.eigenvalues[mask, j]
         coef, *_ = np.linalg.lstsq(design, lam.real - 1.0, rcond=None)
@@ -197,12 +213,10 @@ def fit_quadratic(curve):
                 f"fitted quadratic term {scale:.3e}"
             )
         cs.append(float(coef[0]))
-        ds.append(float(coef[1]))
         resids.append(resid)
         betas_raw.append(float(np.max(np.abs(lam.imag))))
         betas3.append(float(np.max(np.abs(lam.imag) / e**3)))
-    return QuadraticFit(m=curve.m, c_branches=tuple(cs),
-                        cubic_terms=tuple(ds), residuals=tuple(resids),
+    return QuadraticFit(c_branches=tuple(cs), residuals=tuple(resids),
                         beta_raw=tuple(betas_raw),
                         beta_over_eps3=tuple(betas3))
 
@@ -323,17 +337,6 @@ def _relative_residual(lmat, state, lam):
     return x_norm(state_from_flat(lmat.m, lmat.k_max, resid)) / x_norm(state)
 
 
-@dataclass
-class ZeroModeReport:
-    epsilon: float
-    direction: tuple
-    residual: float
-    axial: StateVector | None
-    transverse: StateVector | None
-    axial_residual: float | None
-    transverse_residual: float | None
-
-
 def _axial_state(epsilon, k_max):
     """Derivative of the family in its parameter (m = 0): the background
     state built from the closed-form eps-derivatives of (V, F, p)."""
@@ -355,18 +358,20 @@ def _tilt_state(epsilon, k_max):
                            -0.5 * prof["dF_dtheta"], -0.5 * prof["dp_dtheta"])
 
 
-def zero_mode_check(epsilon, direction, k_max=None):
-    """Residual of the operator on the family derivative in the given force
-    direction.
+def zero_mode_check(epsilon, k_max=None):
+    """Combined residual of the operator on the family's three zero modes,
+    its derivatives in the three force directions.
 
-    The vertical component is the derivative in the parameter itself
-    (m = 0); the horizontal components tilt the symmetry axis (m = 1).
-    Both are analytic zero modes, built from the closed-form family
-    derivatives.  The reported residual combines the two per-mode relative
-    residuals |L state| / |state|, weighted by the direction and the state
-    norms.  Each mode's state and operator are built at the given k_max,
-    or, when k_max is None, at that mode's `default_k_max(epsilon, m)`,
-    whose margin is validated for |eps| <= 0.3 only.
+    The vertical direction is the derivative in the parameter itself
+    (m = 0); the two horizontal ones tilt the symmetry axis (m = +-1), and
+    the m = 1 tilt stands for both.  Both are analytic, built from the
+    closed-form family derivatives.  The result is the norm-weighted root
+    mean square of the relative residuals r = |L state| / |state|,
+    sqrt(sum c n^2 r^2 / sum c n^2) with n the state norm and the count c
+    1 for the axial mode and 2 for the tilt.  Each mode's state and
+    operator are built at the given k_max, or, when k_max is None, at that
+    mode's `default_k_max(epsilon, m)`, whose margin is validated for
+    |eps| <= 0.3 only.
     """
     if epsilon <= 0.0:
         raise ValueError("family derivative needs eps > 0")
@@ -374,35 +379,15 @@ def zero_mode_check(epsilon, direction, k_max=None):
         raise ValueError(f"the default truncation is validated for "
                          f"|eps| <= 0.3 only, got eps = {epsilon!r}; "
                          f"give a k_max")
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != (3,):
-        raise ValueError("direction must be a 3-vector")
-    nrm = np.linalg.norm(direction)
-    if nrm == 0.0:
-        raise ValueError("direction must be nonzero")
-    direction = direction / nrm
-    w_ax = abs(direction[2])
-    w_tr = float(np.hypot(direction[0], direction[1]))
-
-    states, residuals = [], []
     num = den = 0.0
-    for weight, m, build in ((w_ax, 0, _axial_state), (w_tr, 1, _tilt_state)):
-        state = res = None
-        if weight > 1e-14:
-            k = default_k_max(epsilon, m) if k_max is None else k_max
-            state = build(epsilon, k)
-            res = _relative_residual(assemble_L(m, k, epsilon), state, 0.0)
-            n = weight * x_norm(state)
-            num += (n * res) ** 2
-            den += n**2
-        states.append(state)
-        residuals.append(res)
-    return ZeroModeReport(
-        epsilon=epsilon, direction=tuple(direction),
-        residual=float(np.sqrt(num / den)),
-        axial=states[0], transverse=states[1],
-        axial_residual=residuals[0], transverse_residual=residuals[1],
-    )
+    for count, m, build in ((1, 0, _axial_state), (2, 1, _tilt_state)):
+        k = default_k_max(epsilon, m) if k_max is None else k_max
+        state = build(epsilon, k)
+        res = _relative_residual(assemble_L(m, k, epsilon), state, 0.0)
+        n2 = x_norm(state) ** 2
+        num += count * n2 * res**2
+        den += count * n2
+    return float(np.sqrt(num / den))
 
 
 @dataclass

@@ -88,14 +88,12 @@ class PerturbationBlocks:
     k_max: int
     epsilon: float
     e_branches: tuple
-    y_branches: tuple
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
     coords: np.ndarray = field(repr=False)
     y_index: np.ndarray = field(repr=False)
     y_phase: np.ndarray = field(repr=False)
-    lam_y: np.ndarray = field(repr=False)
     resolvent: np.ndarray = field(repr=False)
     kappa: float
     k_norm: float
@@ -139,7 +137,6 @@ class GraphMap:
     matrix: np.ndarray = field(repr=False)
     iterations: int
     defect: float
-    defect_history: tuple
 
 
 def _weighted_k_norm(lmat):
@@ -197,15 +194,14 @@ def split_blocks(lmat, m, strict=True):
         block *= phase[rows, None]
         block *= phase[cols].conj()
 
-    lam_y = np.array([float(lam) for _, lam, _ in labels[n_e:]])
-    resolvent = 1.0 / (1.0 - lam_y)
+    resolvent = np.array([1.0 / (1.0 - lam) for _, lam, _ in labels[n_e:]])
     kappa = float(np.max(np.abs(resolvent)))
 
     blocks = PerturbationBlocks(
         m=m, k_max=lmat.k_max, epsilon=lmat.epsilon,
-        e_branches=tuple(labels[:n_e]), y_branches=tuple(labels[n_e:]),
-        a=a, b=b, c=c, coords=kmat, y_index=y, y_phase=phase[y],
-        lam_y=lam_y, resolvent=resolvent, kappa=kappa, k_norm=k_norm,
+        e_branches=tuple(labels[:n_e]), a=a, b=b, c=c, coords=kmat,
+        y_index=y, y_phase=phase[y], resolvent=resolvent, kappa=kappa,
+        k_norm=k_norm,
     )
     if strict and blocks.smallness >= 0.25:
         raise ValueError(
@@ -233,8 +229,7 @@ def solve_graph(blocks, tol=1e-12, max_iter=200):
         m_cur = m_new
         if defect <= tol * max(1.0, float(np.linalg.norm(m_cur, 2))):
             final = float(np.linalg.norm(picard(m_cur) - m_cur, 2))
-            return GraphMap(matrix=m_cur, iterations=it, defect=final,
-                            defect_history=tuple(history))
+            return GraphMap(matrix=m_cur, iterations=it, defect=final)
     raise RuntimeError(
         f"graph iteration did not reach tol = {tol} in {max_iter} steps; "
         f"last defects {['%.3e' % h for h in history[-5:]]}"

@@ -235,23 +235,27 @@ def json_field(doc, key, kind):
 def state_from_json_dict(doc):
     m = json_field(doc, "m", int)
     k_max = json_field(doc, "k_max", int)
+    StateIndexMap(m, k_max)  # rejects an (m, k_max) that has no state
+    size = k_max - abs(m) + 1
     components = _json_entry(doc, "components")
-    st = zero_state(m, k_max)
-    for name, f in st.components().items():
+    fields = []
+    for name in COMPONENTS:
+        # the length is checked before an array of it is allocated
         pairs = _json_entry(components, name)
-        if not isinstance(pairs, list) or len(pairs) != f.coeffs.size:
+        if not isinstance(pairs, list) or len(pairs) != size:
             got = (f"a list of {len(pairs)}" if isinstance(pairs, list)
                    else repr(pairs))
             raise ValueError(f"component {name!r} must be a list of "
-                             f"{f.coeffs.size} [re, im] pairs, got {got}")
+                             f"{size} [re, im] pairs, got {got}")
         for i, pair in enumerate(pairs):
             if not (isinstance(pair, list) and len(pair) == 2 and all(
                     is_json_number(part, float) for part in pair)):
                 raise ValueError(f"component {name!r} entry {i} must be an "
                                  f"[re, im] pair of finite numbers, got "
                                  f"{pair!r}")
-        f.coeffs[:] = [complex(re, im) for re, im in pairs]
-    return StateVector(m, *(st.components()[c] for c in COMPONENTS))
+        fields.append(ModalField(m, np.array(
+            [complex(re, im) for re, im in pairs], dtype=complex)))
+    return StateVector(m, *fields)
 
 
 def save_state_json(state, path):

@@ -55,7 +55,6 @@ class BranchVector:
 
     k: int
     m: int
-    lam: int
     family: str
     coeffs: tuple
 
@@ -124,7 +123,7 @@ def branch_vector(k, m, lam):
             f"lambda = {lam} is not a branch eigenvalue at degree {k}; "
             f"the block spectrum is {sorted(branches)}"
         )
-    return BranchVector(k, m, lam, *branches[lam])
+    return BranchVector(k, m, *branches[lam])
 
 
 class BranchFrame(NamedTuple):
@@ -206,7 +205,6 @@ class McalMatrix:
     """The 4x4 gradient-family frame matrix at degree k: the rows of
     `_frame_rows`, from which the gradient branch vectors are derived."""
 
-    k: int
     rows: tuple
 
     def determinant(self):
@@ -217,7 +215,7 @@ def mcal(k):
     k = _integer("k", k)
     if k < 0:
         raise ValueError(f"degree k = {k} must be a non-negative integer")
-    return McalMatrix(k=k, rows=_frame_rows(k))
+    return McalMatrix(rows=_frame_rows(k))
 
 
 def _exact_inv(rows):

@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from landauspec import cli
+from landauspec import cli, eigentracker
 from landauspec.landau import background_on_grid
 from landauspec.operators import (
     OperatorMatrix,
@@ -105,7 +105,7 @@ def test_runconfig_round_trip():
     config = cli.RunConfig(command="track", modes=[1, 2],
                            epsilons=[0.02, 0.04], k_max=16, out="somewhere")
     again = cli.RunConfig(**config.to_dict())
-    assert again == config
+    assert again.to_dict() == config.to_dict()
 
 
 def test_runconfig_rejects_bad_fields():
@@ -719,6 +719,26 @@ def test_repeated_track_mode_exits_1(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert err == "error: mode m = 1 is repeated in modes [1, 1]\n"
     assert not (out / "config.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("0.15,0.2,0.25", "need at least 4 samples in [0.02, 0.1], have 0"),
+    ("0.02,0.04,0.06", "need at least 4 samples in [0.02, 0.1], have 3"),
+], ids=["outside-window", "three-in-window"])
+def test_track_grid_the_fit_rejects_exits_1_before_any_solve(
+        tmp_path, capsys, monkeypatch, grid, message):
+    # a grid that fit_quadratic rejects fails before the sweep, not after
+    # every point has been solved
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled before the grid check")
+
+    monkeypatch.setattr(eigentracker, "assemble_L", no_assembly)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "track", "--m", "1", "--eps", grid,
+                           "--out", str(out))
+    assert code == 1
+    assert err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -19,7 +19,7 @@ from landauspec.eigentracker import (
     translation_eigenvector,
     zero_mode_check,
 )
-from landauspec.operators import OperatorMatrix, assemble_L0
+from landauspec.operators import OperatorMatrix, assemble_L, assemble_L0
 from landauspec.perturbation import z_coefficient
 from landauspec.sphbasis import (
     QuadratureGrid,
@@ -129,16 +129,18 @@ def test_track_negative_epsilon_supported():
 def test_fit_synthetic_quadratic_is_exact():
     eps = np.array(DEFAULT_EPS_GRID)
     lam = (1.0 + 7.0 * eps**2).astype(complex)[:, None]
-    fit = fit_quadratic(EigenCurve(m=1, k_max=0, epsilons=eps, eigenvalues=lam))
+    fit = fit_quadratic(EigenCurve(k_max=0, epsilons=eps, eigenvalues=lam))
     assert abs(fit.c - 7.0) <= 1e-10
 
 
 def test_fit_synthetic_cubic_term_recovered():
     eps = np.array(DEFAULT_EPS_GRID)
     lam = (1.0 + 7.0 * eps**2 - 3.0 * eps**3).astype(complex)[:, None]
-    fit = fit_quadratic(EigenCurve(m=1, k_max=0, epsilons=eps, eigenvalues=lam))
+    fit = fit_quadratic(EigenCurve(k_max=0, epsilons=eps, eigenvalues=lam))
+    # the eps^3 column takes the cubic term whole: c is exact and the
+    # residual is rounding
     assert abs(fit.c - 7.0) <= 1e-9
-    assert abs(fit.cubic_terms[0] + 3.0) <= 1e-8
+    assert fit.residuals[0] <= 1e-14
 
 
 def test_fit_m1_moving_branch():
@@ -164,7 +166,7 @@ def test_fit_rejects_non_quadratic_drift():
     wobble = 3e-3 * (-1.0) ** np.arange(eps.size)
     lam = (1.0 + 7.0 * eps**2 + wobble).astype(complex)[:, None]
     with pytest.raises(RuntimeError, match="fit residual"):
-        fit_quadratic(EigenCurve(m=1, k_max=0, epsilons=eps, eigenvalues=lam))
+        fit_quadratic(EigenCurve(k_max=0, epsilons=eps, eigenvalues=lam))
 
 
 def test_conjecture_probe_imag_parts_negligible():
@@ -295,7 +297,7 @@ def test_symmetry_states_match_hand_derived_slopes(monkeypatch, eps, k_max):
     # which also skips the tail monitor that rejects eps 0.3 at k_max 12
     monkeypatch.setattr(eigentracker, "assemble_L",
                         lambda m, k, e: assemble_L0(m, k))
-    tilt = zero_mode_check(eps, (1.0, 0.0, 0.0), k_max).transverse
+    tilt = eigentracker._tilt_state(eps, k_max)
     translation, _ = translation_eigenvector(eps, k_max)
     for got, want in zip((tilt, translation),
                          _hand_derived_symmetry_states(eps, k_max)):
@@ -343,30 +345,39 @@ def test_landau_state_slots():
 
 
 def test_zero_mode_axial():
-    report = zero_mode_check(0.1, (0.0, 0.0, 1.0), 24)
-    assert report.residual <= 1e-9
-    assert report.transverse is None
+    resid = eigentracker._relative_residual(
+        assemble_L(0, 24, 0.1), eigentracker._axial_state(0.1, 24), 0.0)
+    assert resid <= 1e-9
 
 
 def test_zero_mode_transverse():
-    report = zero_mode_check(0.1, (1.0, 0.0, 0.0), 24)
-    assert report.axial is None
-    assert report.transverse_residual <= 1e-9
+    resid = eigentracker._relative_residual(
+        assemble_L(1, 24, 0.1), eigentracker._tilt_state(0.1, 24), 0.0)
+    assert resid <= 1e-9
 
 
-def test_zero_mode_mixed_direction():
-    report = zero_mode_check(0.1, (1.0, 1.0, 1.0), 24)
-    assert report.axial is not None and report.transverse is not None
-    assert report.residual <= 2e-6
-    assert abs(np.linalg.norm(report.direction) - 1.0) <= 1e-12
+@pytest.mark.parametrize("eps, k_max", [(0.1, None), (0.1, 24), (0.05, 16)])
+def test_zero_mode_check_is_the_rms_over_the_three_directions(eps, k_max):
+    # one axial mode (count 1) and one tilt mode standing for both
+    # horizontal directions (count 2), weighted by their state norms; each
+    # mode at its own rule unless a k_max is given
+    num = den = 0.0
+    for m, count, build in ((0, 1, eigentracker._axial_state),
+                            (1, 2, eigentracker._tilt_state)):
+        k = default_k_max(eps, m) if k_max is None else k_max
+        state = build(eps, k)
+        resid = eigentracker._relative_residual(assemble_L(m, k, eps),
+                                                state, 0.0)
+        num += count * (x_norm(state) * resid) ** 2
+        den += count * x_norm(state) ** 2
+    want = np.sqrt(num / den)
+    assert abs(zero_mode_check(eps, k_max) - want) <= 1e-14 * want
 
 
 def test_zero_mode_at_the_rule():
     # without a k_max each mode is built and assembled at its own rule
-    report = zero_mode_check(0.1, (1.0, 1.0, 1.0), None)
-    assert report.residual <= 1e-9
-    assert report.axial.k_max == default_k_max(0.1, 0)
-    assert report.transverse.k_max == default_k_max(0.1, 1)
+    # (the root-mean-square test pins that), which resolves both modes
+    assert zero_mode_check(0.1) <= 1e-9
 
 
 def test_zero_mode_rule_only_inside_its_validated_range():
@@ -376,27 +387,23 @@ def test_zero_mode_rule_only_inside_its_validated_range():
     with pytest.raises(ValueError,
                        match=r"validated for \|eps\| <= 0\.3 only, got "
                              r"eps = 0\.41; give a k_max"):
-        zero_mode_check(0.41, (0.0, 0.0, 1.0))
-    assert zero_mode_check(0.41, (0.0, 0.0, 1.0), 30).residual <= 1e-8
+        zero_mode_check(0.41)
+    assert zero_mode_check(0.41, 30) <= 1e-8
 
 
 def test_zero_mode_domain_guards():
     with pytest.raises(ValueError, match="eps > 0"):
-        zero_mode_check(0.0, (0, 0, 1), 12)
-    with pytest.raises(ValueError, match="nonzero"):
-        zero_mode_check(0.1, (0, 0, 0), 12)
-    with pytest.raises(ValueError, match="3-vector"):
-        zero_mode_check(0.1, (1, 0), 12)
+        zero_mode_check(0.0, 12)
 
 
-@pytest.mark.parametrize("direction,m", [((0.0, 0.0, 1.0), 0), ((1.0, 0.0, 0.0), 1)])
-def test_zero_mode_small_eps_limit(direction, m):
+@pytest.mark.parametrize("m, build", [
+    (0, eigentracker._axial_state), (1, eigentracker._tilt_state)],
+    ids=["axial", "tilt"])
+def test_zero_mode_small_eps_limit(m, build):
     # as eps -> 0 both family derivatives land on the lambda = 0 branch
     # at degree 1, the (1/2, 0, 1, -1) gradient column
-    report = zero_mode_check(0.01, direction, 12)
-    state = report.axial if m == 0 else report.transverse
     target = branch_vector(1, m, 0).to_state(12)
-    assert alignment(state, target) >= 0.995
+    assert alignment(build(0.01, 12), target) >= 0.995
 
 
 # ---- contour projections ---------------------------------------------------

@@ -18,6 +18,14 @@ KEPT_UNREAD = {
                        "state files that the command writes",
 }
 
+# Members of public classes that nothing in the package, the benchmark or
+# the acceptance tests reads, each with the contract that keeps it.
+KEPT_UNREAD_MEMBERS = {
+    "GraphMap.defect": "the residual of the graph fixed point: the "
+                       "invariance tests bound the graph by it, and the "
+                       "reports are to carry it (ROADMAP items 5 and 8)",
+}
+
 
 def _calls_by_function(name):
     """Functions under src/landauspec whose body calls something whose
@@ -325,6 +333,56 @@ def test_every_public_name_has_a_reader():
                    and node.name not in elsewhere
                    and node.name not in names_read(tree, skip=node)}
     assert unread == set(KEPT_UNREAD)
+
+
+def test_every_public_member_has_a_reader():
+    # the same rule one level down: an annotated field, method or property
+    # of a public class that only its own tests read is surface with no
+    # user.  A read is an attribute load or a string constant (getattr);
+    # readers are the package outside the member's own declaration, the
+    # benchmark and the acceptance tests.  A name that another attribute
+    # shares counts as read, so this misses some members
+    def names_read(tree, skip=None):
+        read, stack = set(), [tree]
+        while stack:
+            node = stack.pop()
+            if node is skip:
+                continue
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                read.add(node.value)
+            stack.extend(ast.iter_child_nodes(node))
+        return read
+
+    outside = [*sorted((ROOT / "bench").rglob("*.py")),
+               ROOT / "tests" / "test_acceptance.py"]
+    external = set().union(*(names_read(ast.parse(path.read_text()))
+                             for path in outside))
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    reads = {path: names_read(tree) for path, tree in trees.items()}
+    unread = set()
+    for path, tree in trees.items():
+        elsewhere = external.union(*(read for other, read in reads.items()
+                                     if other != path))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for member in cls.body:
+                if isinstance(member, ast.AnnAssign):
+                    name = member.target.id
+                elif isinstance(member, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                    name = member.name
+                else:
+                    continue
+                if (not name.startswith("_") and name not in elsewhere
+                        and name not in names_read(tree, skip=member)):
+                    unread.add(f"{cls.name}.{name}")
+    assert unread == set(KEPT_UNREAD_MEMBERS)
 
 
 def test_no_unused_imports():

@@ -1,6 +1,7 @@
 """Block split, graph fixed point, and reduced-matrix fixtures."""
 
 import dataclasses
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -117,7 +118,7 @@ def test_real_split_matches_the_complex_reference(m, k_max, eps,
     bl = split_blocks(lmat, m, strict=False)
     kmat = complex_basis(lmat) - complex_basis(assemble_L0(m, k_max))
     cols, rows, labels = branch_basis(m, k_max)
-    assert bl.e_branches + bl.y_branches == labels
+    assert bl.e_branches == labels[:bl.dim_e]
     ref = rows @ kmat @ cols
     w = np.sqrt(x_weights(lmat.index_map))
     ref_norm = np.linalg.norm((kmat * w[:, None]) / w[None, :], 2)
@@ -125,8 +126,7 @@ def test_real_split_matches_the_complex_reference(m, k_max, eps,
     assert np.abs(coord - ref).max() <= 1e-13 * np.abs(ref).max()
     assert abs(bl.k_norm - ref_norm) <= 1e-13 * ref_norm
 
-    stream = np.array([label[2] == "stream"
-                       for label in bl.e_branches + bl.y_branches])
+    stream = np.array([label[2] == "stream" for label in labels])
     cross = stream[:, None] != stream[None, :]
     assert not coord.real[cross].any()
     assert not coord.imag[~cross].any()
@@ -242,10 +242,12 @@ def test_k_image_rows_hold_all_of_k():
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_lambda_diagonal_integers(m):
+    # the resolvent is 1 / (1 - lambda) of integer lambda other than 1
     bl = blocks_at(m, 0.05, k_max=12)
-    assert np.array_equal(bl.lam_y, np.round(bl.lam_y))
-    assert not np.any(bl.lam_y == 1)
-    expect = np.diag(1.0 / (1.0 - bl.lam_y))
+    lam = np.round(1.0 - 1.0 / bl.resolvent)
+    assert np.abs(1.0 - 1.0 / bl.resolvent - lam).max() <= 1e-12
+    assert not np.any(lam == 1)
+    expect = np.diag(1.0 / (1.0 - lam))
     assert np.abs(bl.inv_lambda - expect).max() == 0.0
     assert bl.kappa == 1.0
 
@@ -427,10 +429,13 @@ def test_graph_correction_is_second_order():
 
 
 def test_graph_defect_history_contracts():
+    # the defects of the steps are read off the error of a solve cut short
     bl = blocks_at(1, 0.05)
-    g = solve_graph(bl, tol=1e-13)
-    assert g.defect <= 1e-13
-    hist = g.defect_history
+    assert solve_graph(bl, tol=1e-13).defect <= 1e-13
+    with pytest.raises(RuntimeError, match="last defects") as err:
+        solve_graph(bl, tol=0.0, max_iter=6)
+    hist = [float(d) for d in re.findall(r"'([^']+)'", str(err.value))]
+    assert len(hist) == 5
     assert all(b < a for a, b in zip(hist, hist[1:]))
 
 

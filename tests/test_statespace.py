@@ -216,6 +216,23 @@ def test_json_state_names_a_malformed_pair(pair):
         state_from_json_dict(doc)
 
 
+@pytest.mark.parametrize("m, k_max, message", [
+    (1, 10**12, "component 'phi' must be a list of 1000000000000 [re, im] "
+                "pairs, got a list of 6"),
+    (1, 10**400, "component 'phi' must be a list of "
+                 f"{10**400} [re, im] pairs, got a list of 6"),
+    (0, -5, "k_max = -5 too small for m = 0"),
+    (3, 1, "k_max = 1 too small for m = 3"),
+], ids=["huge", "401-digits", "negative", "below-m"])
+def test_json_state_checks_its_size_before_allocating(m, k_max, message):
+    # numpy would try to allocate the file's (m, k_max) first: 14.6 TiB,
+    # a dimension beyond its maximum, or a negative one
+    doc = state_to_json_dict(zero_state(1, 6))
+    doc.update(m=m, k_max=k_max)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        state_from_json_dict(doc)
+
+
 def test_json_state_reads_integer_parts():
     # a JSON integer is a number: [1, -2] reads as 1 - 2j
     doc = state_to_json_dict(zero_state(1, 6))
