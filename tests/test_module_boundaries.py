@@ -23,7 +23,7 @@ KEPT_UNREAD = {
 KEPT_UNREAD_MEMBERS = {
     "GraphMap.defect": "the residual of the graph fixed point: the "
                        "invariance tests bound the graph by it, and the "
-                       "reports are to carry it (ROADMAP items 5 and 8)",
+                       "group reports are to carry it as a diagnostic",
 }
 
 
