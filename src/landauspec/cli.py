@@ -5,12 +5,11 @@ operator), ``track`` (parameter sweep, quadratic fit, curve files and a
 plot script), ``verify`` (the invariant battery as a pass/fail table), and
 ``export`` (operator binary plus state JSON files).
 
-Each setting is one row of ``SETTINGS``: config key, type, flags (each
-with a ``LANDAUSPEC_`` environment twin) and a default for every command
-that reads it.  A subcommand takes only the flags of the settings it
-reads, plus ``--config``; a config-file key or environment variable of a
+Each setting is one row of ``SETTINGS``: config key, type, one flag and
+a default for every command that reads it.  A subcommand takes only the
+flags of the settings it reads, plus ``--config``; a config-file key of a
 setting it does not read is checked, then ignored.  Precedence is flag
-over environment over config file over default.  Handlers compute and
+over config file over default.  Handlers compute and
 ``main`` writes: each ``cmd_<name>(config)`` returns its exit code and
 its reports and touches no file; ``main`` checks the output path, runs
 the handler, then makes the directory and writes the reports and, last,
@@ -20,7 +19,7 @@ byte-identical files at a fixed BLAS thread count: lists in a fixed
 order, every float with 17 significant digits.  Another thread count can
 move the last digits of a large eigensolve (``spectrum --m 2 --epsilon
 0.8 --kmax 60``).
-A value that does not convert is reported with its flag or variable.
+A value that does not convert is reported with its flag.
 The quadrature is not a setting: every assembly uses the Gauss rule
 that k_max determines.  k_max defaults to 24 for ``spectrum`` and
 ``export``, and to None for ``track`` and ``verify``: each operator is
@@ -68,9 +67,6 @@ DEFAULT_K_MAX = 24
 # through degree 1000 (perturbation's docstring), and the dense route needs
 # about 0.95 GB there
 MAX_K_MAX = 1000
-ENV_PREFIX = "LANDAUSPEC_"
-_SWITCH_WORDS = {"1": True, "true": True, "yes": True,  # any case
-                 "0": False, "false": False, "no": False}
 
 
 # ---- canonical serialization ------------------------------------------------
@@ -128,12 +124,12 @@ def _pairs(values):
 
 
 def _as(conv, what):
-    """A converter of flag or variable text: conv(text), or a ValueError
-    naming the source, ``what`` the text must be and the raw text."""
+    """A converter of flag text: conv(text), or a ValueError naming the
+    flag, ``what`` the text must be and the raw text."""
     def convert(text, source):
         try:
             return conv(text)
-        except (ValueError, KeyError):
+        except ValueError:
             raise ValueError(f"{source} must be {what}, got {text!r}") from None
     return convert
 
@@ -141,7 +137,7 @@ def _as(conv, what):
 def parse_eps_range(text, source="epsilon range"):
     """Either a single float, a comma list, or an inclusive a:b:step range.
 
-    ``source`` names the flag or variable the text came from in errors.
+    ``source`` names the flag the text came from in errors.
     """
     text = text.strip()
     is_range = ":" in text
@@ -169,29 +165,18 @@ def _list_of(accepts):
     return lambda v: isinstance(v, (list, tuple)) and all(map(accepts, v))
 
 
-class Flag(NamedTuple):
-    """One command-line flag of a setting.  Its environment twin is
-    ``LANDAUSPEC_`` plus the flag name in upper case, dashes as
-    underscores (``--assert-paper`` -> ``LANDAUSPEC_ASSERT_PAPER``)."""
-
-    name: str
-    convert: Callable  # (text, source) -> value; errors name the source
-    help: str
-    switch: bool = False  # takes no value; giving it means "true"
-
-    @property
-    def dest(self):
-        return self.name[2:].replace("-", "_")
-
-
 class Setting(NamedTuple):
-    """One row of the settings table."""
+    """One row of the settings table, with its one flag."""
 
     field: str  # RunConfig attribute and config-file key
     accepts: Callable  # the type check of a value
     what: str  # what that check asks for, in words
     defaults: dict  # command -> default, for every command that reads it
-    flags: tuple  # the last twin set wins; two flags given are an error
+    options: tuple  # the option strings of the flag
+    help: str
+    # (text, source) -> value, errors naming the source; None makes the
+    # flag a switch that takes no value and means true
+    convert: Callable = None
 
 
 COMMANDS = {
@@ -205,36 +190,32 @@ SETTINGS = (
     Setting("modes", _list_of(lambda v: is_json_number(v, int)),
             "a list of integers",
             {"spectrum": [0], "track": [1], "export": [0]},
-            (Flag("--m", _as(lambda t: [int(p) for p in t.split(",")],
-                             "a comma list of integers"),
-                  "mode or comma list of modes"),)),
+            ("--m",), "mode or comma list of modes",
+            _as(lambda t: [int(p) for p in t.split(",")],
+                "a comma list of integers")),
     Setting("epsilons", _list_of(lambda v: is_json_number(v, float)),
             "a list of numbers, all finite",
             {"spectrum": [0.0], "track": list(DEFAULT_EPS_GRID),
              "export": [0.0]},
-            (Flag("--eps", parse_eps_range,
-                  "epsilon range a:b:step or comma list"),
-             Flag("--epsilon", _as(lambda t: [float(t)], "a number"),
-                  "single epsilon value"))),
+            ("--eps", "--epsilon"), "epsilon, comma list or range a:b:step",
+            parse_eps_range),
     Setting("k_max", lambda v: is_json_number(v, int), "an integer",
             {**dict.fromkeys(COMMANDS, DEFAULT_K_MAX),
              "track": None, "verify": None},
-            (Flag("--kmax", _as(int, "an integer"),
-                  "spectral truncation degree"),)),
+            ("--kmax",), "spectral truncation degree",
+            _as(int, "an integer")),
     Setting("out", lambda v: isinstance(v, str), "a string",
             dict.fromkeys(COMMANDS, "."),
-            (Flag("--out", lambda text, _: text, "output directory"),)),
+            ("--out",), "output directory", lambda text, _: text),
     Setting("formats", _list_of(lambda v: isinstance(v, str)),
             "a list of strings",
             dict.fromkeys(("spectrum", "track"), ["json", "csv"]),
-            (Flag("--format", lambda text, _: text.split(","),
-                  "comma list from {json,csv}"),)),
+            ("--format",), "comma list from {json,csv}",
+            lambda text, _: text.split(",")),
     Setting("assert_paper", lambda v: isinstance(v, bool), "true or false",
             {"track": False},
-            (Flag("--assert-paper",
-                  _as(lambda t: _SWITCH_WORDS[t.lower()], "true or false"),
-                  "exit 2 unless fitted coefficients hit targets",
-                  switch=True),)),
+            ("--assert-paper",),
+            "exit 2 unless fitted coefficients hit targets"),
 )
 
 
@@ -305,38 +286,31 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for command, text in COMMANDS.items():
         cmd = sub.add_parser(command, help=text)
-        for flag in (f for s in read_by(command) for f in s.flags):
-            kind = {"action": "store_const", "const": "true"}
-            cmd.add_argument(flag.name, help=flag.help,
-                             **(kind if flag.switch else {}))
+        for s in read_by(command):
+            kind = {"action": "store_const", "const": True}
+            cmd.add_argument(*s.options, dest=s.field, help=s.help,
+                             **(kind if s.convert is None else {}))
         cmd.add_argument("--config", help="JSON config file")
     return parser
 
 
 def resolve_config(args):
-    """Merge the config file, then the environment, then the flags; later
-    sources win and RunConfig fills the defaults."""
+    """Merge the config file, then the flags; flags win and RunConfig fills
+    the defaults."""
     merged = {}
-    config_path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
-    if config_path:
-        with open(config_path) as fh:
+    if args.config:
+        with open(args.config) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
-            raise ValueError(f"config file {config_path} must hold a JSON "
+            raise ValueError(f"config file {args.config} must hold a JSON "
                              f"object, not {type(doc).__name__}")
         doc.pop("command", None)
         merged.update(doc)
-    for s in SETTINGS:
-        for flag in s.flags:
-            env = ENV_PREFIX + flag.dest.upper()
-            if env in os.environ:
-                merged[s.field] = flag.convert(os.environ[env], env)
-        given = [f for f in s.flags if getattr(args, f.dest, None) is not None]
-        if len(given) > 1:
-            raise ValueError(f"{given[0].name} and {given[1].name} are "
-                             f"mutually exclusive")
-        for flag in given:
-            merged[s.field] = flag.convert(getattr(args, flag.dest), flag.name)
+    for s in read_by(args.command):
+        value = getattr(args, s.field)
+        if value is not None:
+            merged[s.field] = (value if s.convert is None else
+                               s.convert(value, "/".join(s.options)))
     return RunConfig(args.command, **merged)
 
 
@@ -379,7 +353,7 @@ def cmd_spectrum(config):
         # the group is what track's circle holds; a mode with no degree
         # <= 2 has no group at 1
         circle = eigentracker.TRACK_CONTOUR
-        cluster = lam[np.abs(lam - circle.center) < circle.radius]
+        cluster = lam[circle.encloses(lam)]
         want = cluster_size(m) if abs(m) <= 2 else 0
         if cluster.size != want:
             print(f"invariant failure: {cluster.size} eigenvalues in "
@@ -513,8 +487,7 @@ def _verify_checks(config):
     spectra = [np.linalg.eigvals(assemble_L0(m, 20).entries)
                for m in (0, 1, 2)]
     worst, integer = _integer_defect(np.concatenate(spectra))
-    mults = [int(np.sum(np.abs(lam - eigentracker.TRACK_CONTOUR.center)
-                        < eigentracker.TRACK_CONTOUR.radius))
+    mults = [int(np.sum(eigentracker.TRACK_CONTOUR.encloses(lam)))
              for lam in spectra]
     mults_ok = mults == [cluster_size(m) for m in (0, 1, 2)]
     yield ("l0_integrality[m=0..2,k=20]", integer and mults_ok,

@@ -31,8 +31,10 @@ from scipy.optimize import brentq
 _FORCE_SERIES = (1.0, 17.0 / 15.0, 25.0 / 21.0, 11.0 / 9.0, 41.0 / 33.0)
 
 # Construction bound: the formulas degenerate as |eps| -> 1; values beyond
-# 0.999 are rejected outright.  Truncation-convergent work should stay at
-# |eps| <= 0.5 (documented, not enforced).
+# 0.999 are rejected outright.  The tighter validated ranges are enforced
+# where they apply: |eps| <= 0.3 for `eigentracker.sweep_grid` and the
+# default truncation of `zero_mode_check`, and eps in (0, 0.5] for
+# `translation_eigenvector`.
 EPS_LIMIT = 0.999
 
 

@@ -27,14 +27,6 @@ from landauspec.statespace import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _clean_environment(monkeypatch):
-    """Ambient LANDAUSPEC_* variables must not leak into the tests."""
-    for name in list(os.environ):
-        if name.startswith(cli.ENV_PREFIX):
-            monkeypatch.delenv(name)
-
-
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -74,23 +66,19 @@ def test_parse_eps_range_rejects_unbounded_ranges():
             cli.parse_eps_range(text, "--eps")
 
 
-@pytest.mark.parametrize("argv,env,config,source", [
-    (["--eps", "0:inf:0.1"], {}, None, "--eps"),
-    (["--eps", "nan:1:0.1"], {}, None, "--eps"),
-    ([], {"LANDAUSPEC_EPS": "0:inf:0.1"}, None, "LANDAUSPEC_EPS"),
-    (["--eps", "inf"], {}, None, "--eps"),
-    ([], {}, '{"epsilons": [NaN]}', "'epsilons'"),
-], ids=["flag-range-inf", "flag-range-nan", "env-range", "flag-inf",
-        "config-nan"])
+@pytest.mark.parametrize("argv,config,source", [
+    (["--eps", "0:inf:0.1"], None, "--eps/--epsilon"),
+    (["--eps", "nan:1:0.1"], None, "--eps/--epsilon"),
+    (["--eps", "inf"], None, "--eps/--epsilon"),
+    ([], '{"epsilons": [NaN]}', "'epsilons'"),
+], ids=["flag-range-inf", "flag-range-nan", "flag-inf", "config-nan"])
 def test_non_finite_epsilons_exit_1_before_any_output(
-        tmp_path, capsys, monkeypatch, argv, env, config, source):
+        tmp_path, capsys, monkeypatch, argv, config, source):
     def unreachable(*args):
         raise AssertionError("assembled with a non-finite epsilon")
 
     monkeypatch.setattr(cli, "assemble_L", unreachable)
     monkeypatch.chdir(tmp_path)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     if config is not None:
         (tmp_path / "run.json").write_text(config)
         argv = [*argv, "--config", "run.json"]
@@ -122,13 +110,6 @@ def test_runconfig_rejects_bad_fields():
                       k_max="ten")
 
 
-def test_eps_and_epsilon_are_mutually_exclusive(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "spectrum", "--eps", "0.1",
-                           "--epsilon", "0.1", "--out", str(tmp_path))
-    assert code == 1
-    assert "mutually exclusive" in err
-
-
 def test_usage_errors_exit_1(capsys):
     code, _, err = run_cli(capsys)
     assert code == 1
@@ -139,72 +120,21 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("env,argv,message", [
-    ({"KMAX": "ten"}, (), "LANDAUSPEC_KMAX must be an integer, got 'ten'"),
-    ({"KMAX": "1.5"}, (), "LANDAUSPEC_KMAX must be an integer, got '1.5'"),
-    ({"M": "1,x"}, (),
-     "LANDAUSPEC_M must be a comma list of integers, got '1,x'"),
-    ({"EPS": "0.1:y:0.1"}, (), "LANDAUSPEC_EPS must be a number, a comma "
+@pytest.mark.parametrize("argv,message", [
+    (("--m", "x"), "--m must be a comma list of integers, got 'x'"),
+    (("--eps", "0.1:y:0.1"), "--eps/--epsilon must be a number, a comma "
      "list or an a:b:step range, got '0.1:y:0.1'"),
-    ({"EPSILON": "abc"}, (), "LANDAUSPEC_EPSILON must be a number, got 'abc'"),
-    ({}, ("--m", "x"), "--m must be a comma list of integers, got 'x'"),
-    ({}, ("--eps", "0.1:y:0.1"), "--eps must be a number, a comma list or "
-     "an a:b:step range, got '0.1:y:0.1'"),
-    ({}, ("--eps", "0.1,y"), "--eps must be a number, a comma list or "
-     "an a:b:step range, got '0.1,y'"),
-    ({}, ("--epsilon", "zz"), "--epsilon must be a number, got 'zz'"),
-    ({}, ("--eps", ","), "config key 'epsilons' must not be empty"),
-    ({"EPS": ","}, (), "config key 'epsilons' must not be empty"),
-])
-def test_conversion_errors_name_the_source(tmp_path, capsys, monkeypatch,
-                                           env, argv, message):
-    for key, value in env.items():
-        monkeypatch.setenv(cli.ENV_PREFIX + key, value)
+    (("--eps", "0.1,y"), "--eps/--epsilon must be a number, a comma list "
+     "or an a:b:step range, got '0.1,y'"),
+    (("--epsilon", "zz"), "--eps/--epsilon must be a number, a comma list "
+     "or an a:b:step range, got 'zz'"),
+    (("--eps", ","), "config key 'epsilons' must not be empty"),
+], ids=["m", "eps-range", "eps-list", "epsilon", "eps-empty"])
+def test_conversion_errors_name_the_source(tmp_path, capsys, argv, message):
     for command in ("spectrum", "export"):
         code, _, err = run_cli(capsys, command, *argv, "--out", str(tmp_path))
         assert code == 1
         assert err == f"error: {message}\n"
-
-
-@pytest.mark.parametrize("key,value,message", [
-    ("M", "1,x", "LANDAUSPEC_M must be a comma list of integers, got '1,x'"),
-    ("EPS", "0.1:y:0.1", "LANDAUSPEC_EPS must be a number, a comma list or "
-     "an a:b:step range, got '0.1:y:0.1'"),
-    ("EPSILON", "abc", "LANDAUSPEC_EPSILON must be a number, got 'abc'"),
-    ("KMAX", "ten", "LANDAUSPEC_KMAX must be an integer, got 'ten'"),
-    ("ASSERT_PAPER", "on",
-     "LANDAUSPEC_ASSERT_PAPER must be true or false, got 'on'"),
-    ("ASSERT_PAPER", "ture",
-     "LANDAUSPEC_ASSERT_PAPER must be true or false, got 'ture'"),
-    ("ASSERT_PAPER", "",
-     "LANDAUSPEC_ASSERT_PAPER must be true or false, got ''"),
-], ids=["M", "EPS", "EPSILON", "KMAX", "ASSERT_PAPER-on", "ASSERT_PAPER-typo",
-        "ASSERT_PAPER-empty"])
-def test_bad_environment_values_exit_1_naming_the_variable(
-        tmp_path, capsys, monkeypatch, key, value, message):
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("swept with a bad environment value")
-
-    monkeypatch.setattr(cli, "track", no_sweep)
-    monkeypatch.setenv(cli.ENV_PREFIX + key, value)
-    out = tmp_path / "out"
-    code, _, err = run_cli(capsys, "track", "--out", str(out))
-    assert code == 1
-    assert err == f"error: {message}\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("value,expected", [
-    ("1", True), ("true", True), ("YES", True), ("True", True),
-    ("0", False), ("false", False), ("No", False), ("FALSE", False),
-])
-def test_assert_paper_variable_reads_true_and_false_words(
-        tmp_path, capsys, monkeypatch, value, expected):
-    monkeypatch.setattr(cli, "cmd_track", lambda config: (0, []))
-    monkeypatch.setenv(cli.ENV_PREFIX + "ASSERT_PAPER", value)
-    code, _, err = run_cli(capsys, "track", "--out", str(tmp_path))
-    assert code == 0, err
-    assert read_json(tmp_path / "config.json")["assert_paper"] is expected
 
 
 def test_failed_run_leaves_no_config_echo(tmp_path, capsys):
@@ -263,7 +193,7 @@ def test_track_stopped_on_a_later_mode_leaves_no_directory(
     assert not out.exists()
 
 
-def test_precedence_flag_over_env_over_file(tmp_path, capsys, monkeypatch):
+def test_precedence_flag_over_file_over_default(tmp_path, capsys):
     config_path = tmp_path / "base.json"
     config_path.write_text(json.dumps({"k_max": 10}))
 
@@ -273,15 +203,16 @@ def test_precedence_flag_over_env_over_file(tmp_path, capsys, monkeypatch):
         assert code == 0
         return read_json(out / "config.json")["k_max"]
 
-    monkeypatch.setenv(cli.ENV_PREFIX + "KMAX", "12")
     assert echoed_kmax(tmp_path / "a", "--config", str(config_path),
                        "--kmax", "14") == 14
-    assert echoed_kmax(tmp_path / "b", "--config", str(config_path)) == 12
-    monkeypatch.delenv(cli.ENV_PREFIX + "KMAX")
-    assert echoed_kmax(tmp_path / "c", "--config", str(config_path)) == 10
-    # the config file can also arrive through the environment pointer
-    monkeypatch.setenv(cli.ENV_PREFIX + "CONFIG", str(config_path))
-    assert echoed_kmax(tmp_path / "d") == 10
+    assert echoed_kmax(tmp_path / "b", "--config", str(config_path)) == 10
+    assert echoed_kmax(tmp_path / "c") == cli.DEFAULT_K_MAX
+    # --eps and --epsilon are one flag, which takes the last value given
+    out = tmp_path / "d"
+    code, _, _ = run_cli(capsys, "spectrum", "--eps", "0.1", "--epsilon",
+                         "0.0", "--kmax", "8", "--out", str(out))
+    assert code == 0
+    assert read_json(out / "config.json")["epsilons"] == [0.0]
 
 
 HUGE_INT = 10 ** 400  # a JSON integer beyond the float range
@@ -387,20 +318,20 @@ def test_commands_accept_only_the_flags_they_read(tmp_path, capsys,
         assert not (tmp_path / "out").exists()
 
 
-def test_unread_environment_setting_is_checked_then_dropped(
+def test_settings_come_from_flags_and_the_config_file_only(
         tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_PREFIX + "M", "5")
-    code, out, _ = run_cli(capsys, "verify", "--kmax", "16",
-                           "--out", str(tmp_path))
-    assert code == 0
-    assert "12/12 checks passed" in out
-    assert read_json(tmp_path / "config.json") == {
-        "command": "verify", "k_max": 16, "out": str(tmp_path)}
-    monkeypatch.setenv(cli.ENV_PREFIX + "M", "x")
-    code, _, err = run_cli(capsys, "verify", "--out", str(tmp_path / "bad"))
-    assert code == 1
-    assert err == ("error: LANDAUSPEC_M must be a comma list of integers, "
-                   "got 'x'\n")
+    # variables named like the settings, even malformed ones and a config
+    # pointer to a missing file, are not read
+    monkeypatch.setenv("LANDAUSPEC_KMAX", "ten")
+    monkeypatch.setenv("LANDAUSPEC_M", "x")
+    monkeypatch.setenv("LANDAUSPEC_CONFIG", str(tmp_path / "missing.json"))
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "verify", "--kmax", "16",
+                                "--out", str(out))
+    assert code == 0, err
+    assert "12/12 checks passed" in stdout
+    assert read_json(out / "config.json") == {
+        "command": "verify", "k_max": 16, "out": str(out)}
 
 
 def test_format_float_is_17_digits():
@@ -513,14 +444,17 @@ def test_spectrum_quadrature_override_matches_default(tmp_path, capsys):
 
 
 def test_reports_are_deterministic(tmp_path, capsys):
-    argv = ("spectrum", "--m", "1", "--epsilon", "0.05", "--kmax", "10")
-    for sub in ("one", "two"):
-        code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / sub))
+    # --epsilon is another name of --eps, so the third run is the same
+    # configuration
+    for sub, flag in (("one", "--epsilon"), ("two", "--epsilon"),
+                      ("three", "--eps")):
+        code, _, _ = run_cli(capsys, "spectrum", "--m", "1", flag, "0.05",
+                             "--kmax", "10", "--out", str(tmp_path / sub))
         assert code == 0
     for name in ("spectrum_m1_eps0.05.json", "spectrum_m1_eps0.05.csv"):
         first = (tmp_path / "one" / name).read_bytes()
-        second = (tmp_path / "two" / name).read_bytes()
-        assert first == second
+        for sub in ("two", "three"):
+            assert (tmp_path / sub / name).read_bytes() == first
     # emitted JSON is plain JSON despite the custom float tokens
     json.loads((tmp_path / "one" / "spectrum_m1_eps0.05.json").read_text())
 
@@ -655,16 +589,14 @@ def test_default_track_takes_k_max_from_eps_and_echoes_null(tmp_path,
             assert (out / name).read_bytes() == (again / name).read_bytes()
 
 
-@pytest.mark.parametrize("given", ["flag", "environment", "config"])
+@pytest.mark.parametrize("given", ["flag", "config"])
 def test_track_at_an_explicit_k_max_is_the_library_sweep(tmp_path, capsys,
-                                                         monkeypatch, given):
-    # --kmax 24, LANDAUSPEC_KMAX=24 and a config k_max of 24 all sweep every
-    # point at 24, exactly as track(m, grid, k_max=24) does
+                                                         given):
+    # --kmax 24 and a config k_max of 24 both sweep every point at 24,
+    # exactly as track(m, grid, k_max=24) does
     argv = ["track", "--m", "2", "--out", str(tmp_path)]
     if given == "flag":
         argv += ["--kmax", "24"]
-    elif given == "environment":
-        monkeypatch.setenv(cli.ENV_PREFIX + "KMAX", "24")
     else:
         (tmp_path / "run.json").write_text(json.dumps({"k_max": 24}))
         argv += ["--config", str(tmp_path / "run.json")]

@@ -79,6 +79,23 @@ def test_package_starts_no_thread_or_process():
     assert imports == []
 
 
+def test_package_reads_no_environment():
+    # every setting comes from a flag or the config file, so a run is
+    # described by its command line and config.json
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            reads += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name in ("environ", "getenv")]
+    assert reads == []
+
+
 def test_no_explicit_inverse_or_condition_number():
     # condition checks come from factorizations the code already holds
     # (Schur, Sylvester, LU); an explicit inverse costs a solve per column
