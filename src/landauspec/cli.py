@@ -143,7 +143,7 @@ def parse_eps_range(text, source="epsilon range"):
     is_range = ":" in text
     parts = text.split(":") if is_range else [p for p in text.split(",") if p]
     if is_range and len(parts) != 3:
-        raise ValueError(f"range must be a:b:step, got {text!r}")
+        raise ValueError(f"{source} must have the form a:b:step, got {text!r}")
     values = _as(lambda _: [float(p) for p in parts],
                  "a number, a comma list or an a:b:step range")(text, source)
     if not all(abs(v) <= sys.float_info.max for v in values):
@@ -152,7 +152,7 @@ def parse_eps_range(text, source="epsilon range"):
         return values
     a, b, step = values
     if step <= 0 or b < a:
-        raise ValueError(f"empty range {text!r}")
+        raise ValueError(f"{source} gives an empty range {text!r}")
     if not (b - a) / step < 1e6:  # also an overflow to inf
         raise ValueError(f"{source} range {text!r} has over a million points")
     # rounded down, so a step that does not divide b - a stops short of b;
@@ -280,12 +280,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    parser = _Parser(prog="landauspec",
+    # no prefix matching: each setting is spelled only as its row says
+    parser = _Parser(prog="landauspec", allow_abbrev=False,
                      description="Spectral studies of the linearized flow "
                                  "around Landau solutions.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, text in COMMANDS.items():
-        cmd = sub.add_parser(command, help=text)
+        cmd = sub.add_parser(command, help=text, allow_abbrev=False)
         for s in read_by(command):
             kind = {"action": "store_const", "const": True}
             cmd.add_argument(*s.options, dest=s.field, help=s.help,

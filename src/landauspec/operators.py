@@ -207,25 +207,13 @@ def assemble_L0(m, k_max):
     return OperatorMatrix(m=m, k_max=k_max, epsilon=0.0, entries=mat)
 
 
-def k_image_rows(imap):
-    """The flat indices of the slots K's image fills, phi', psi' and
-    radial_star, in flat order; every other row of K is zero."""
-    return np.r_[imap.sl("phi_prime"), imap.sl("psi_prime"),
-                 imap.sl("radial_star")]
-
-
-def k_entries(lmat, rows=None):
+def k_entries(lmat):
     """K of an assembled operator in the stream-scaled real form: a copy of
-    its entries, or of the given flat rows of them, with L0's pattern taken
-    out, byte for byte the entries minus those of `assemble_L0`."""
-    imap = lmat.index_map
-    rows = np.arange(imap.dim) if rows is None else rows
-    l0_rows, cols, values = _l0_pattern(imap)
-    at = np.full(imap.dim, -1)
-    at[rows] = np.arange(len(rows))
-    hit = at[l0_rows] >= 0
-    kmat = lmat.entries[rows]
-    kmat[at[l0_rows[hit]], cols[hit]] -= values[hit]
+    its entries with L0's pattern taken out, byte for byte the entries
+    minus those of `assemble_L0`."""
+    rows, cols, values = _l0_pattern(lmat.index_map)
+    kmat = lmat.entries.copy()
+    kmat[rows, cols] -= values
     return kmat
 
 

@@ -24,16 +24,16 @@ and the spectrum of L near 1 is that of the reduced matrix I + A + B M.
 M is found by Picard iteration from M0 = (I - Lambda)^{-1} C, applied as
 a row scaling by the resolvent vector 1/(1 - lambda); the iteration
 contracts when the weighted norm of K times the largest resolvent factor
-max|1/(1 - lambda)| is below 1/4, which split_blocks checks up front.
+max|1/(1 - lambda)| is below 1/4, which split_blocks checks when strict
+(the default) and skips otherwise.
 
 The blocks are formed in real arithmetic.  `OperatorMatrix.entries` is
 the stream-scaled real form S^-1 L S with S = diag(i on psi and psi', 1
 elsewhere), so K_r = S^-1 K S is the entries of L minus those of L0
-(`operators.k_entries`, from L0's cached pattern).  Its norm is read
-first, on the rows K's image fills (`operators.k_image_rows`: phi', psi'
-and radial_star), and that copy is freed before K_r is copied whole.
-Every rounded inverse maps K_r's rows and then every rounded frame its
-columns, in place in that one real n x n copy at the frame's own flat
+(`operators.k_entries`, from L0's cached pattern), copied once.  The
+strict check reads K's norm off that copy before anything is applied to
+it.  Every rounded inverse maps K_r's rows and then every rounded frame
+its columns, in place in that one real n x n copy at the frame's own flat
 indices, so branch i of a frame sits at the index of its slot i; E and Y
 are index arrays into it, and nothing is permuted.  Every frame lives on
 stream slots only or on non-stream slots only, so the stream branches
@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import k_entries, k_image_rows, stream_scale
+from .operators import k_entries, stream_scale
 from .sphbasis import norm_constant
 from .statespace import x_weights
 from .stokes_spectrum import frame_slots
@@ -82,7 +82,8 @@ class PerturbationBlocks:
     """The blocks of K in branch coordinates.  a, b and c are complex, with
     E normalized to the unit-amplitude harmonics.  D stays real: coords is
     K's real branch coordinates at the branches' flat indices, and D is its
-    y_index rows and columns re-phased by y_phase, S at those indices."""
+    y_index rows and columns re-phased by y_phase, S at those indices,
+    applied through d_times."""
 
     m: int
     k_max: int
@@ -95,17 +96,6 @@ class PerturbationBlocks:
     y_index: np.ndarray = field(repr=False)
     y_phase: np.ndarray = field(repr=False)
     resolvent: np.ndarray = field(repr=False)
-    kappa: float
-    k_norm: float
-
-    @property
-    def d(self):
-        """D as a complex n_y x n_y matrix, formed on each call; the graph
-        solve applies it through d_times instead."""
-        d = self.coords[np.ix_(self.y_index, self.y_index)].astype(complex)
-        d *= self.y_phase[:, None]
-        d *= self.y_phase.conj()
-        return d
 
     def d_times(self, mat):
         """D times a complex n_y x k matrix, as p (D_r (p* mat)) with p the
@@ -124,10 +114,6 @@ class PerturbationBlocks:
         return np.diag(self.resolvent).astype(complex)
 
     @property
-    def smallness(self):
-        return self.k_norm * self.kappa
-
-    @property
     def dim_e(self):
         return len(self.e_branches)
 
@@ -139,39 +125,30 @@ class GraphMap:
     defect: float
 
 
-def _weighted_k_norm(lmat):
-    """The X-weighted operator norm of K, read on the rows its image fills
-    (its other rows are zero); their copy is freed on return, before
-    split_blocks copies the whole of K."""
-    live = k_image_rows(lmat.index_map)
-    krows = k_entries(lmat, live)
-    w = np.sqrt(x_weights(lmat.index_map))
-    krows *= w[live, None]
-    krows /= w
-    return float(np.linalg.norm(krows, 2))
+def _weighted_k_norm(kmat, imap):
+    """The X-weighted operator norm of K from its stream-scaled real entries
+    (the scaling is unitary, so the norm is K's own), read on its nonzero
+    rows: K's image fills only phi', psi' and radial_star, and its zero
+    rows add nothing to the norm but would make the SVD four times
+    slower at k_max 96."""
+    w = np.sqrt(x_weights(imap))
+    live = kmat.any(axis=1)
+    weighted = kmat[live] * w[live, None]
+    weighted /= w
+    return float(np.linalg.norm(weighted, 2))
 
 
 def split_blocks(lmat, m, strict=True):
     """Branch-coordinate block decomposition of an assembled operator.
 
-    Checks the contraction budget: the weighted operator norm of K times
-    kappa = max |1/(1 - lambda)| over the complement must stay below 1/4
-    for the graph fixed point to be guaranteed.  Pass strict=False to get
-    the blocks anyway (the Picard solve may still converge in practice)."""
+    With strict (the default) checks the contraction budget first: the
+    weighted operator norm of K times kappa = max |1/(1 - lambda)| over the
+    complement must stay below 1/4 for the graph fixed point to be
+    guaranteed.  strict=False skips the check and its norm, and gives the
+    blocks anyway (the Picard solve may still converge in practice)."""
     if m != lmat.m:
         raise ValueError(f"operator is assembled at m = {lmat.m}, not {m}")
-    k_norm = _weighted_k_norm(lmat)
-
-    # rows K columns, frame by frame and in place in one copy of the
-    # entries: every inverse maps K's rows at its frame's indices, then
-    # every frame maps the columns there, so branch i of a frame sits at
-    # the frame's flat index idx[i]
-    kmat = k_entries(lmat)
     slots = list(frame_slots(m, lmat.k_max))
-    for _, frame, idx in slots:
-        kmat[idx] = frame.float_inv @ kmat[idx]
-    for _, frame, idx in slots:
-        kmat[:, idx] = kmat[:, idx] @ frame.float_rows
     # E first, in frame order: degree-1 stream, then degree-2 gradient
     labels, perm = zip(*sorted(
         (((k, lam, frame.family), i) for k, frame, idx in slots
@@ -179,6 +156,27 @@ def split_blocks(lmat, m, strict=True):
         key=lambda branch: branch[0][1] != 1))
     n_e = sum(lam == 1 for _, lam, _ in labels)
     e, y = np.array(perm[:n_e]), np.array(perm[n_e:])
+    resolvent = np.array([1.0 / (1.0 - lam) for _, lam, _ in labels[n_e:]])
+
+    kmat = k_entries(lmat)
+    if strict:
+        k_norm = _weighted_k_norm(kmat, lmat.index_map)
+        kappa = float(np.abs(resolvent).max())
+        if k_norm * kappa >= 0.25:
+            raise ValueError(
+                f"contraction budget violated: ||K||_X = {k_norm:.3f} times "
+                f"kappa = {kappa:.3f} is {k_norm * kappa:.3f} >= 0.25 at "
+                f"m = {m}, k_max = {lmat.k_max}, eps = {lmat.epsilon}; "
+                f"pass strict=False to proceed without the guarantee")
+
+    # rows K columns, frame by frame and in place in the copy of the
+    # entries: every inverse maps K's rows at its frame's indices, then
+    # every frame maps the columns there, so branch i of a frame sits at
+    # the frame's flat index idx[i]
+    for _, frame, idx in slots:
+        kmat[idx] = frame.float_inv @ kmat[idx]
+    for _, frame, idx in slots:
+        kmat[:, idx] = kmat[:, idx] @ frame.float_rows
     # the thin blocks in complex: E normalized to the unit-amplitude
     # harmonics, then re-phased by S_b = S, as the stream branches sit on
     # the stream slots
@@ -193,23 +191,10 @@ def split_blocks(lmat, m, strict=True):
     for block, rows, cols in ((a, e, e), (b, e, y), (c, y, e)):
         block *= phase[rows, None]
         block *= phase[cols].conj()
-
-    resolvent = np.array([1.0 / (1.0 - lam) for _, lam, _ in labels[n_e:]])
-    kappa = float(np.max(np.abs(resolvent)))
-
-    blocks = PerturbationBlocks(
+    return PerturbationBlocks(
         m=m, k_max=lmat.k_max, epsilon=lmat.epsilon,
         e_branches=tuple(labels[:n_e]), a=a, b=b, c=c, coords=kmat,
-        y_index=y, y_phase=phase[y], resolvent=resolvent, kappa=kappa,
-        k_norm=k_norm,
-    )
-    if strict and blocks.smallness >= 0.25:
-        raise ValueError(
-            f"contraction budget violated: ||K||_X * kappa = "
-            f"{blocks.smallness:.3f} >= 0.25 at eps = {lmat.epsilon}; "
-            f"pass strict=False to proceed without the guarantee"
-        )
-    return blocks
+        y_index=y, y_phase=phase[y], resolvent=resolvent)
 
 
 def solve_graph(blocks, tol=1e-12, max_iter=200):

@@ -129,12 +129,32 @@ def test_usage_errors_exit_1(capsys):
     (("--epsilon", "zz"), "--eps/--epsilon must be a number, a comma list "
      "or an a:b:step range, got 'zz'"),
     (("--eps", ","), "config key 'epsilons' must not be empty"),
-], ids=["m", "eps-range", "eps-list", "epsilon", "eps-empty"])
+    (("--eps", "0.1:0.2"), "--eps/--epsilon must have the form a:b:step, "
+     "got '0.1:0.2'"),
+    (("--eps", "0.2:0.1:0.1"), "--eps/--epsilon gives an empty range "
+     "'0.2:0.1:0.1'"),
+], ids=["m", "eps-range", "eps-list", "epsilon", "eps-empty",
+        "eps-range-parts", "eps-range-empty"])
 def test_conversion_errors_name_the_source(tmp_path, capsys, argv, message):
     for command in ("spectrum", "export"):
         code, _, err = run_cli(capsys, command, *argv, "--out", str(tmp_path))
         assert code == 1
         assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("spectrum", ["--km", "8"]),
+    ("spectrum", ["--form", "json"]),
+    ("track", ["--assert"]),
+    ("spectrum", ["--ep", "0.1"]),
+], ids=["km", "form", "assert", "ep"])
+def test_flag_prefixes_are_usage_errors(tmp_path, capsys, command, argv):
+    # argparse's prefix matching is off: a flag is only its row's spellings
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, command, "--out", str(out), *argv)
+    assert code == 1
+    assert f"error: unrecognized arguments: {' '.join(argv)}" in err
+    assert not out.exists()
 
 
 def test_failed_run_leaves_no_config_echo(tmp_path, capsys):

@@ -13,8 +13,8 @@ from landauspec.operators import (
     assemble_L,
     assemble_L0,
     k_entries,
-    k_image_rows,
 )
+from landauspec import perturbation
 from landauspec.perturbation import (
     reduced_matrix,
     solve_graph,
@@ -42,6 +42,13 @@ def blocks_at(m, eps, k_max=16):
     return split_blocks(assemble_L(m, k_max, eps), m, strict=False)
 
 
+def complex_d(bl):
+    """D as a complex n_y x n_y matrix: coords' y_index rows and columns
+    re-phased by y_phase, the product that d_times applies."""
+    d = bl.coords[np.ix_(bl.y_index, bl.y_index)].astype(complex)
+    return bl.y_phase[:, None] * d * bl.y_phase.conj()
+
+
 def branch_basis(m, k_max):
     """Dense reference for the basis that split_blocks applies frame by
     frame: (columns, rows, labels), every exact frame rounded to floats on
@@ -64,10 +71,10 @@ def branch_basis(m, k_max):
 
 
 def test_zero_eps_blocks_vanish():
+    # at eps = 0 K is zero, so the strict split's budget is 0 and passes
     bl = split_blocks(assemble_L(1, 12, 0.0), 1)
     assert not bl.a.any() and not bl.b.any()
-    assert not bl.c.any() and not bl.d.any()
-    assert bl.smallness == 0.0
+    assert not bl.c.any() and not bl.coords.any()
     g = solve_graph(bl)
     assert g.iterations <= 1
     assert not g.matrix.any()
@@ -75,11 +82,30 @@ def test_zero_eps_blocks_vanish():
 
 
 def test_smallness_guard():
-    with pytest.raises(ValueError, match="0.25"):
+    # the error names both factors of the budget and the point
+    with pytest.raises(ValueError, match=re.escape(
+            "||K||_X = 0.423 times kappa = 1.000 is 0.423 >= 0.25 at "
+            "m = 1, k_max = 12, eps = 0.05")):
         split_blocks(assemble_L(1, 12, 0.05), 1)
     # inside the guaranteed ball the strict path goes through
-    bl = split_blocks(assemble_L(1, 12, 0.02), 1)
-    assert bl.smallness < 0.25
+    lmat = assemble_L(1, 12, 0.02)
+    bl = split_blocks(lmat, 1)
+    k_norm = perturbation._weighted_k_norm(k_entries(lmat), lmat.index_map)
+    assert k_norm * np.abs(bl.resolvent).max() < 0.25
+
+
+def test_split_reads_the_norm_only_when_strict(monkeypatch):
+    # only the strict check reads the contraction norm, an SVD that would
+    # be most of the split's time, so a caller that passes strict=False
+    # does not pay for it
+    def planted(*args):
+        raise RuntimeError("planted norm")
+
+    monkeypatch.setattr(perturbation, "_weighted_k_norm", planted)
+    lmat = assemble_L(1, 12, 0.05)
+    assert split_blocks(lmat, 1, strict=False).dim_e == 2
+    with pytest.raises(RuntimeError, match="planted norm"):
+        split_blocks(lmat, 1)
 
 
 def test_mode_mismatch_rejected():
@@ -122,9 +148,10 @@ def test_real_split_matches_the_complex_reference(m, k_max, eps,
     ref = rows @ kmat @ cols
     w = np.sqrt(x_weights(lmat.index_map))
     ref_norm = np.linalg.norm((kmat * w[:, None]) / w[None, :], 2)
-    coord = np.block([[bl.a, bl.b], [bl.c, bl.d]])
+    k_norm = perturbation._weighted_k_norm(k_entries(lmat), lmat.index_map)
+    coord = np.block([[bl.a, bl.b], [bl.c, complex_d(bl)]])
     assert np.abs(coord - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert abs(bl.k_norm - ref_norm) <= 1e-13 * ref_norm
+    assert abs(k_norm - ref_norm) <= 1e-13 * ref_norm
 
     stream = np.array([label[2] == "stream" for label in labels])
     cross = stream[:, None] != stream[None, :]
@@ -191,14 +218,14 @@ def test_blocks_retain_only_the_block_matrix(operator_k96):
     """The blocks keep K's real branch coordinates, one float64 n x n
     array (8 n^2 bytes), with a, b and c n_e rows or columns thin, and no
     complex n x n matrix or dense branch basis besides.  The split peaks
-    at that one copy of the entries: the contraction norm reads K's image
-    rows before it, and nothing n x n is permuted or made complex (a
-    permuted copy and a complex one peaked at 3.08)."""
+    at that one copy of the entries: with strict=False no contraction norm
+    is read, and nothing n x n is permuted or made complex (a permuted
+    copy and a complex one peaked at 3.08)."""
     bl, peak, retained = _traced(
         lambda: split_blocks(operator_k96, 1, strict=False))
     assert bl.coords.shape == (operator_k96.dim,) * 2
     assert bl.coords.dtype == np.float64
-    assert bl.d.shape[0] + bl.dim_e == operator_k96.dim
+    assert bl.y_index.size + bl.dim_e == operator_k96.dim
     assert retained <= 1.1
     assert peak <= 1.2
 
@@ -225,19 +252,20 @@ def test_d_times_is_the_complex_product(m):
     rng = np.random.default_rng(3)
     mat = (rng.standard_normal((bl.y_index.size, 3))
            + 1j * rng.standard_normal((bl.y_index.size, 3)))
-    want = bl.d @ mat
+    want = complex_d(bl) @ mat
     assert np.abs(bl.d_times(mat) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_k_image_rows_hold_all_of_k():
-    # K's rows outside phi', psi' and radial_star are zero, so the
-    # contraction norm read on the image rows is that of the whole K (the
-    # complex reference test checks the norm itself)
+    # K's image fills only phi', psi' and radial_star: its other rows are
+    # zero, so they add nothing to the contraction norm
     lmat = assemble_L(1, 24, 0.1)
     kmat = k_entries(lmat)
-    rows = k_image_rows(lmat.index_map)
-    assert not np.delete(kmat, rows, axis=0).any()
-    assert k_entries(lmat, rows).tobytes() == kmat[rows].tobytes()
+    imap = lmat.index_map
+    image = np.r_[imap.sl("phi_prime"), imap.sl("psi_prime"),
+                  imap.sl("radial_star")]
+    assert not np.delete(kmat, image, axis=0).any()
+    assert kmat[image].any()
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -249,7 +277,7 @@ def test_lambda_diagonal_integers(m):
     assert not np.any(lam == 1)
     expect = np.diag(1.0 / (1.0 - lam))
     assert np.abs(bl.inv_lambda - expect).max() == 0.0
-    assert bl.kappa == 1.0
+    assert np.abs(bl.resolvent).max() == 1.0
 
 
 def test_e_dimensions_per_mode():
