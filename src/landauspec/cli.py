@@ -1,9 +1,9 @@
 """Batch command-line interface.
 
 Four subcommands: ``spectrum`` (dense eigenvalues of one assembled
-operator), ``track`` (parameter sweep, quadratic fit, curve files and a
-plot script), ``verify`` (the invariant battery as a pass/fail table), and
-``export`` (operator binary plus state JSON files).
+operator), ``track`` (parameter sweep, quadratic fit, one JSON report and
+a plot script of it per mode), ``verify`` (the invariant battery as a
+pass/fail table), and ``export`` (operator binary plus state JSON files).
 
 Each setting is one row of ``SETTINGS``: config key, type, one flag and
 a default for every command that reads it.  A subcommand takes only the
@@ -15,10 +15,13 @@ its reports and touches no file; ``main`` checks the output path, runs
 the handler, then makes the directory and writes the reports and, last,
 ``config.json``, the settings the run read.  So a run that stops on an
 error leaves no output directory.  Identical configurations produce
-byte-identical files at a fixed BLAS thread count: lists in a fixed
-order, every float with 17 significant digits.  Another thread count can
-move the last digits of a large eigensolve (``spectrum --m 2 --epsilon
-0.8 --kmax 60``).
+byte-identical files at a fixed BLAS thread count.  The JSON reports of
+``spectrum``, ``track`` and ``verify`` and ``config.json`` hold lists in
+a fixed order and every float with 17 significant digits
+(``write_json``); ``export``'s state files and operator sidecar hold
+json's shortest round-trip repr, and its binary the raw float64 entries.
+Another thread count can move the last digits of a large eigensolve
+(``spectrum --m 2 --epsilon 0.8 --kmax 60``).
 A value that does not convert is reported with its flag.
 The quadrature is not a setting: every assembly uses the Gauss rule
 that k_max determines.  k_max defaults to 24 for ``spectrum`` and
@@ -73,7 +76,7 @@ MAX_K_MAX = 1000
 
 
 def format_float(x):
-    """17-significant-digit token used for every float in CLI output."""
+    """17-significant-digit token used for every float in ``write_json``."""
     x = float(x)
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError(f"non-finite value {x!r} in a report")
@@ -207,11 +210,6 @@ SETTINGS = (
     Setting("out", lambda v: isinstance(v, str), "a string",
             dict.fromkeys(COMMANDS, "."),
             ("--out",), "output directory", lambda text, _: text),
-    Setting("formats", _list_of(lambda v: isinstance(v, str)),
-            "a list of strings",
-            dict.fromkeys(("spectrum", "track"), ["json", "csv"]),
-            ("--format",), "comma list from {json,csv}",
-            lambda text, _: text.split(",")),
     Setting("assert_paper", lambda v: isinstance(v, bool), "true or false",
             {"track": False},
             ("--assert-paper",),
@@ -261,9 +259,6 @@ class RunConfig:
             if self.k_max is not None and abs(m) > self.k_max:
                 raise ValueError(
                     f"k_max = {self.k_max} too small for mode m = {m}")
-        bad = set(getattr(self, "formats", ())) - {"json", "csv"}
-        if bad:
-            raise ValueError(f"unknown output formats: {sorted(bad)}")
 
     def to_dict(self):
         return {"command": self.command,
@@ -369,50 +364,43 @@ def cmd_spectrum(config):
                       f"m = {m} is not integer (defect {integer_defect})",
                       file=sys.stderr)
                 code = 2
-        if "json" in config.formats:
-            reports.append((write_json, f"spectrum_{tag}.json", {
-                "mode": m,
-                "epsilon": eps,
-                "k_max": config.k_max,
-                "eigenvalues": _pairs(lam),
-                "cluster": _pairs(cluster),
-                "integer_defect": integer_defect,
-            }))
-        if "csv" in config.formats:
-            lines = ["index,re,im"]
-            lines += [f"{i},{format_float(v.real)},{format_float(v.imag)}"
-                      for i, v in enumerate(lam)]
-            reports.append((write_atomic, f"spectrum_{tag}.csv",
-                            "\n".join(lines) + "\n"))
+        reports.append((write_json, f"spectrum_{tag}.json", {
+            "mode": m,
+            "epsilon": eps,
+            "k_max": config.k_max,
+            "eigenvalues": _pairs(lam),
+            "cluster": _pairs(cluster),
+            "integer_defect": integer_defect,
+        }))
     return code, reports
 
 
 PLOT_SCRIPT = """\
 #!/usr/bin/env python3
-\"\"\"Standalone plot of eigenvalue curves from the CSV next to this file.\"\"\"
-import csv
+\"\"\"Standalone plot of the eigenvalue curves in the track report next to
+this file, or in the report given as the first argument.\"\"\"
+import json
+import os
 import sys
-from collections import defaultdict
 
 import matplotlib.pyplot as plt
 
-path = sys.argv[1] if len(sys.argv) > 1 else "curves_m{m}.csv"
-branches = defaultdict(list)
+path = sys.argv[1] if len(sys.argv) > 1 else os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "track_m{m}.json")
 with open(path) as fh:
-    for row in csv.DictReader(fh):
-        branches[int(row["branch_id"])].append(
-            (float(row["epsilon"]), float(row["re"]), float(row["im"])))
+    doc = json.load(fh)
+eps = doc["epsilons"]
 fig, (ax_re, ax_im) = plt.subplots(1, 2, figsize=(9, 4))
-for bid, rows in sorted(branches.items()):
-    rows.sort()
-    eps = [r[0] for r in rows]
-    ax_re.plot(eps, [r[1] for r in rows], marker="o", label=f"branch {{bid}}")
-    ax_im.plot(eps, [r[2] for r in rows], marker="o", label=f"branch {{bid}}")
+# doc["eigenvalues"][i][j] is [re, im] of branch j at eps[i]
+for bid, branch in enumerate(zip(*doc["eigenvalues"])):
+    ax_re.plot(eps, [v[0] for v in branch], marker="o", label=f"branch {{bid}}")
+    ax_im.plot(eps, [v[1] for v in branch], marker="o", label=f"branch {{bid}}")
 ax_re.set_xlabel("epsilon"); ax_re.set_ylabel("Re lambda"); ax_re.legend()
 ax_im.set_xlabel("epsilon"); ax_im.set_ylabel("Im lambda"); ax_im.legend()
 fig.tight_layout()
-fig.savefig(path.replace(".csv", ".png"), dpi=160)
-print("wrote", path.replace(".csv", ".png"))
+png = os.path.splitext(path)[0] + ".png"
+fig.savefig(png, dpi=160)
+print("wrote", png)
 """
 
 
@@ -441,33 +429,22 @@ def cmd_track(config):
                       f"vs target {target!r}", file=sys.stderr)
                 code = 2
 
-        if "json" in config.formats:
-            reports.append((write_json, f"track_m{m}.json", {
-                "mode": m,
-                "epsilons": [float(e) for e in curve.epsilons],
-                "eigenvalues": [_pairs(row) for row in curve.eigenvalues],
-                "fit": {
-                    "c": fit.c,
-                    "c_target": target,
-                    "c_branches": list(fit.c_branches),
-                    "beta_max_over_eps3": fit.beta_residual,
-                },
-                "residuals": list(fit.residuals),
-                "ranks": [curve.n_branches] * len(curve.epsilons),
-                "k_max": list(curve.k_max),
-            }))
-        if "csv" in config.formats:
-            lines = ["epsilon,branch_id,re,im"]
-            for i, eps in enumerate(curve.epsilons):
-                for j in range(curve.n_branches):
-                    v = curve.eigenvalues[i, j]
-                    lines.append(f"{format_float(eps)},{j},"
-                                 f"{format_float(v.real)},"
-                                 f"{format_float(v.imag)}")
-            reports.append((write_atomic, f"curves_m{m}.csv",
-                            "\n".join(lines) + "\n"))
-            reports.append((write_atomic, f"plot_curves_m{m}.py",
-                            PLOT_SCRIPT.format(m=m)))
+        reports.append((write_json, f"track_m{m}.json", {
+            "mode": m,
+            "epsilons": [float(e) for e in curve.epsilons],
+            "eigenvalues": [_pairs(row) for row in curve.eigenvalues],
+            "fit": {
+                "c": fit.c,
+                "c_target": target,
+                "c_branches": list(fit.c_branches),
+                "beta_max_over_eps3": fit.beta_residual,
+            },
+            "residuals": list(fit.residuals),
+            "ranks": [curve.n_branches] * len(curve.epsilons),
+            "k_max": list(curve.k_max),
+        }))
+        reports.append((write_atomic, f"plot_curves_m{m}.py",
+                        PLOT_SCRIPT.format(m=m)))
     return code, reports
 
 
@@ -571,7 +548,7 @@ def cmd_export(config):
     if eps0 > 0.0:
         reports.append((_write_state, "background_state.json",
                         landau_state(eps0, config.k_max)))
-        if eps0 <= 0.5:
+        if eps0 <= eigentracker.TRANSLATION_EPS_MAX:
             state, _ = translation_eigenvector(eps0, config.k_max)
             reports.append((_write_state, "translation_state.json", state))
     return 0, reports

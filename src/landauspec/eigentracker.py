@@ -64,6 +64,11 @@ from .statespace import StateVector, state_from_flat, x_norm
 from .stokes_spectrum import branch_frame
 
 DEFAULT_EPS_GRID = (0.02, 0.04, 0.06, 0.08, 0.10)
+# the validated ranges of eps: |eps| <= SWEEP_EPS_MAX for a sweep and for
+# the margin of default_k_max, and (0, TRANSLATION_EPS_MAX] for the
+# translation eigenvector's construction
+SWEEP_EPS_MAX = 0.3
+TRANSLATION_EPS_MAX = 0.5
 # read only by bench/workloads.py::kmax_step, as the reach of the group at 1
 CLUSTER_RADIUS = 0.25
 
@@ -92,14 +97,15 @@ class EigenCurve:
 
 def sweep_grid(epsilons):
     """The parameter grid of a sweep as a float array: not empty, inside
-    |eps| <= 0.3, where the sweep is validated, and sorted ascending."""
+    |eps| <= SWEEP_EPS_MAX, where the sweep is validated, and sorted
+    ascending."""
     eps = np.asarray(list(epsilons), dtype=float)
     if eps.size == 0:
         raise ValueError("empty parameter grid")
-    too_large = eps[np.abs(eps) > 0.3]
+    too_large = eps[np.abs(eps) > SWEEP_EPS_MAX]
     if too_large.size:
-        raise ValueError(f"sweep validated for |eps| <= 0.3 only, got "
-                         f"eps = {float(too_large[0])!r}")
+        raise ValueError(f"sweep validated for |eps| <= {SWEEP_EPS_MAX} "
+                         f"only, got eps = {float(too_large[0])!r}")
     drops = np.flatnonzero(np.diff(eps) < 0)
     if drops.size:
         before, after = (float(e) for e in eps[drops[0]:drops[0] + 2])
@@ -314,8 +320,9 @@ def translation_eigenvector(epsilon, k_max):
         raise ValueError(
             "the translation mode degenerates to zero at eps = 0"
         )
-    if not 0.0 < epsilon <= 0.5:
-        raise ValueError("construction validated for eps in (0, 0.5]")
+    if not 0.0 < epsilon <= TRANSLATION_EPS_MAX:
+        raise ValueError(f"construction validated for eps in "
+                         f"(0, {TRANSLATION_EPS_MAX}]")
     table = legendre_values(k_max, 1)
     c, s = table.grid.x, table.grid.sin_theta
     prof = eval_profiles(LandauProfile(epsilon), table.grid.theta)
@@ -371,14 +378,14 @@ def zero_mode_check(epsilon, k_max=None):
     1 for the axial mode and 2 for the tilt.  Each mode's state and
     operator are built at the given k_max, or, when k_max is None, at that
     mode's `default_k_max(epsilon, m)`, whose margin is validated for
-    |eps| <= 0.3 only.
+    |eps| <= SWEEP_EPS_MAX only.
     """
     if epsilon <= 0.0:
         raise ValueError("family derivative needs eps > 0")
-    if k_max is None and epsilon > 0.3:
+    if k_max is None and epsilon > SWEEP_EPS_MAX:
         raise ValueError(f"the default truncation is validated for "
-                         f"|eps| <= 0.3 only, got eps = {epsilon!r}; "
-                         f"give a k_max")
+                         f"|eps| <= {SWEEP_EPS_MAX} only, got eps = "
+                         f"{epsilon!r}; give a k_max")
     num = den = 0.0
     for count, m, build in ((1, 0, _axial_state), (2, 1, _tilt_state)):
         k = default_k_max(epsilon, m) if k_max is None else k_max

@@ -31,10 +31,9 @@ from scipy.optimize import brentq
 _FORCE_SERIES = (1.0, 17.0 / 15.0, 25.0 / 21.0, 11.0 / 9.0, 41.0 / 33.0)
 
 # Construction bound: the formulas degenerate as |eps| -> 1; values beyond
-# 0.999 are rejected outright.  The tighter validated ranges are enforced
-# where they apply: |eps| <= 0.3 for `eigentracker.sweep_grid` and the
-# default truncation of `zero_mode_check`, and eps in (0, 0.5] for
-# `translation_eigenvector`.
+# 0.999 are rejected outright.  The tighter validated ranges are
+# `eigentracker.SWEEP_EPS_MAX` and `TRANSLATION_EPS_MAX`, enforced where
+# they apply.
 EPS_LIMIT = 0.999
 
 

@@ -6,6 +6,9 @@ text can be asserted without spawning subprocesses.
 
 import json
 import os
+import runpy
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -102,9 +105,6 @@ def test_runconfig_rejects_bad_fields():
                       k_maximum=10)
     with pytest.raises(ValueError, match="too small"):
         cli.RunConfig(command="spectrum", modes=[0], epsilons=[0.0], k_max=1)
-    with pytest.raises(ValueError, match="unknown output formats"):
-        cli.RunConfig(command="spectrum", modes=[0], epsilons=[0.0],
-                      formats=["json", "yaml"])
     with pytest.raises(ValueError, match="'k_max' must be an integer"):
         cli.RunConfig(command="spectrum", modes=[0], epsilons=[0.0],
                       k_max="ten")
@@ -254,7 +254,8 @@ def test_unknown_config_file_key_exits_1(tmp_path, capsys, monkeypatch):
         ({"modes": ["1"]}, "'modes' must be a list of integers"),
         ({"epsilons": [0.1, "x"]}, "'epsilons' must be a list of numbers"),
         ({"out": 3}, "'out' must be a string"),
-        ({"formats": "json"}, "'formats' must be a list of strings"),
+        # reports are JSON only, so there is no output format to choose
+        ({"formats": ["json"]}, "unknown config keys: ['formats']"),
         ({"assert_paper": "yes"}, "'assert_paper' must be true or false"),
         ({"modes": []}, "config key 'modes' must not be empty"),
         ({"epsilons": []}, "config key 'epsilons' must not be empty"),
@@ -306,9 +307,8 @@ FLAG_VALUES = {"--m": "1", "--eps": "0.02:0.1:0.02", "--epsilon": "0.05",
                "--kmax": "12", "--quad": "80", "--out": None, "--format": "csv",
                "--assert-paper": None, "--config": None}
 READS = {
-    "spectrum": "--m --eps --epsilon --kmax --out --format --config",
-    "track": "--m --eps --epsilon --kmax --out --format --assert-paper "
-             "--config",
+    "spectrum": "--m --eps --epsilon --kmax --out --config",
+    "track": "--m --eps --epsilon --kmax --out --assert-paper --config",
     "verify": "--kmax --out --config",
     "export": "--m --eps --epsilon --kmax --out --config",
 }
@@ -372,9 +372,7 @@ def test_spectrum_unperturbed_reports_integer_defect(tmp_path, capsys):
     assert doc["mode"] == 1
     assert doc["integer_defect"] <= 1e-8
     assert len(doc["cluster"]) == 2
-    csv_lines = (tmp_path / "spectrum_m1_eps0.csv").read_text().splitlines()
-    assert csv_lines[0] == "index,re,im"
-    assert len(csv_lines) == 1 + len(doc["eigenvalues"])
+    assert len(doc["eigenvalues"]) == StateIndexMap(1, 12).dim
     echoed = read_json(tmp_path / "config.json")
     assert echoed["command"] == "spectrum"
     assert echoed["k_max"] == 12
@@ -420,8 +418,7 @@ def test_spectrum_reports_a_group_member_far_from_1(tmp_path, capsys):
     # at eps = 0.8 the m = 2 member has drifted to 1.43: inside track's
     # circle, so it is the group spectrum checks and reports
     code, _, err = run_cli(capsys, "spectrum", "--m", "2", "--epsilon",
-                           "0.8", "--kmax", "60", "--format", "json",
-                           "--out", str(tmp_path))
+                           "0.8", "--kmax", "60", "--out", str(tmp_path))
     assert (code, err) == (0, "")
     (pair,) = read_json(tmp_path / "spectrum_m2_eps0.8.json")["cluster"]
     assert 0.25 < abs(complex(*pair) - 1.0) < 0.5
@@ -471,12 +468,12 @@ def test_reports_are_deterministic(tmp_path, capsys):
         code, _, _ = run_cli(capsys, "spectrum", "--m", "1", flag, "0.05",
                              "--kmax", "10", "--out", str(tmp_path / sub))
         assert code == 0
-    for name in ("spectrum_m1_eps0.05.json", "spectrum_m1_eps0.05.csv"):
-        first = (tmp_path / "one" / name).read_bytes()
-        for sub in ("two", "three"):
-            assert (tmp_path / sub / name).read_bytes() == first
+    name = "spectrum_m1_eps0.05.json"
+    first = (tmp_path / "one" / name).read_bytes()
+    for sub in ("two", "three"):
+        assert (tmp_path / sub / name).read_bytes() == first
     # emitted JSON is plain JSON despite the custom float tokens
-    json.loads((tmp_path / "one" / "spectrum_m1_eps0.05.json").read_text())
+    json.loads(first)
 
 
 def test_spectrum_job_errors_stop_the_run_in_job_order(tmp_path, capsys,
@@ -583,9 +580,8 @@ def test_track_assert_paper_m1(tmp_path, capsys):
     assert abs(doc["fit"]["c"] - 1.0 / 15.0) <= 0.05 / 15.0
     assert doc["fit"]["c_target"] == pytest.approx(1.0 / 15.0)
     assert doc["ranks"] == [2] * 5
-    csv_lines = (tmp_path / "curves_m1.csv").read_text().splitlines()
-    assert csv_lines[0] == "epsilon,branch_id,re,im"
-    assert len(csv_lines) == 1 + 5 * 2
+    assert len(doc["eigenvalues"]) == 5
+    assert all(len(row) == 2 for row in doc["eigenvalues"])
     assert (tmp_path / "plot_curves_m1.py").exists()
 
 
@@ -694,14 +690,77 @@ def test_track_grid_the_fit_rejects_exits_1_before_any_solve(
     assert not out.exists()
 
 
-def test_plot_script_is_standalone_python(tmp_path, capsys):
+def test_plot_script_is_standalone_python(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
     code = cli.main(["track", "--m", "2", "--kmax", "12",
-                     "--eps", "0.02:0.08:0.02", "--out", str(tmp_path)])
+                     "--eps", "0.02:0.08:0.02", "--out", str(out)])
     capsys.readouterr()
     assert code == 0
-    source = (tmp_path / "plot_curves_m2.py").read_text()
-    compile(source, "plot_curves_m2.py", "exec")
-    assert 'curves_m2.csv' in source
+    # matplotlib is no dependency of the package: a stub pyplot records
+    # each plotted series and the saved path
+    drawn, saved = {"re": [], "im": []}, []
+
+    class Axes:
+        def __init__(self, part):
+            self.part = part
+
+        def plot(self, x, y, **kwargs):
+            drawn[self.part].append((list(x), list(y)))
+
+        def __getattr__(self, name):  # labels and legend
+            return lambda *args, **kwargs: None
+
+    class Figure:
+        def tight_layout(self):
+            pass
+
+        def savefig(self, path, **kwargs):
+            saved.append(path)
+
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = lambda *args, **kwargs: (Figure(),
+                                               (Axes("re"), Axes("im")))
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    # run from elsewhere with no argument: the script reads the report
+    # next to itself
+    monkeypatch.setattr(sys, "argv", ["plot_curves_m2.py"])
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(out / "plot_curves_m2.py"), run_name="__main__")
+    doc = read_json(out / "track_m2.json")
+    branches = list(zip(*doc["eigenvalues"]))
+    assert len(branches) == 1
+    assert drawn == {
+        part: [(doc["epsilons"], [v[i] for v in branch])
+               for branch in branches]
+        for i, part in enumerate(("re", "im"))}
+    png = str(out / "track_m2.png")
+    assert saved == [png]
+    assert capsys.readouterr().out == f"wrote {png}\n"
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["track", "--m", "1,2"],
+     ["config.json", "plot_curves_m1.py", "plot_curves_m2.py",
+      "track_m1.json", "track_m2.json"]),
+    (["spectrum", "--m", "1,2", "--eps", "0,0.05", "--kmax", "12"],
+     ["config.json", "spectrum_m1_eps0.05.json", "spectrum_m1_eps0.json",
+      "spectrum_m2_eps0.05.json", "spectrum_m2_eps0.json"]),
+    (["verify", "--kmax", "16"], ["config.json", "verify.json"]),
+    (["export", "--m", "1", "--eps", "0.05,0.1", "--kmax", "12"],
+     ["background_state.json", "config.json", "operator_m1_eps0.05.bin",
+      "operator_m1_eps0.05.json", "operator_m1_eps0.1.bin",
+      "operator_m1_eps0.1.json", "translation_state.json"]),
+], ids=["track", "spectrum", "verify", "export"])
+def test_each_command_writes_its_reports_and_nothing_else(tmp_path, capsys,
+                                                          argv, written):
+    # one JSON report per (m, eps), or per mode with its plot script, then
+    # config.json; no second encoding of a report and no temp file left
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert sorted(os.listdir(tmp_path)) == written
 
 
 # ---- verify ------------------------------------------------------------------
@@ -790,6 +849,20 @@ def test_export_round_trips_operator_and_states(tmp_path, capsys,
     flat = translation.to_flat()
     resid = complex_basis(direct) @ flat - flat
     assert np.linalg.norm(resid) / np.linalg.norm(flat) <= 1e-4
+
+
+@pytest.mark.parametrize("eps, translation", [("0.5", True),
+                                              ("0.6", False)])
+def test_export_writes_the_translation_state_only_where_validated(
+        tmp_path, capsys, eps, translation):
+    # the translation construction is validated for eps in (0, 0.5]; the
+    # background state is written for any eps > 0
+    code, _, err = run_cli(capsys, "export", "--m", "1", "--eps", eps,
+                           "--kmax", "40", "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert (float(eps) <= eigentracker.TRANSLATION_EPS_MAX) == translation
+    assert (tmp_path / "background_state.json").exists()
+    assert (tmp_path / "translation_state.json").exists() == translation
 
 
 def test_export_at_zero_skips_state_files(tmp_path, capsys):

@@ -236,6 +236,46 @@ def test_output_directory_is_made_only_by_main():
     assert uses == ["cli.py:main"]
 
 
+def test_files_are_written_only_through_a_rename():
+    # three functions open a file for writing, each a temp file that
+    # os.replace then renames over the target, so no run leaves a partial
+    # file; a writer elsewhere could
+    writers = {"write_text", "write_bytes", "tofile", "save", "savez",
+               "savetxt"}
+
+    def writes(node):
+        if not isinstance(node, ast.Call):
+            return False
+        name = ast.unparse(node.func).split(".")[-1]
+        if name != "open":
+            return name in writers
+        modes = [*node.args[1:2], *(kw.value for kw in node.keywords
+                                    if kw.arg == "mode")]
+        # a mode that is not a constant could be anything
+        return any(not isinstance(mode, ast.Constant)
+                   or set(str(mode.value)) & set("wax+") for mode in modes)
+
+    owners = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}  # node -> innermost enclosing function
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(func), func))
+        for node in ast.walk(tree):
+            if writes(node):
+                func = owner.get(node)
+                owners[f"{path.name}:{getattr(func, 'name', '<module>')}"] \
+                    = func
+    assert sorted(owners) == ["cli.py:write_atomic",
+                              "operators.py:save_operator",
+                              "statespace.py:save_state_json"]
+    for name, func in owners.items():
+        assert any(isinstance(node, ast.Call)
+                   and ast.unparse(node.func) == "os.replace"
+                   for node in ast.walk(func)), name
+
+
 def test_profile_denominator_is_formed_only_in_landau():
     # landau evaluates the closed form of the family; a function elsewhere
     # forming d = 1 - eps cos(theta) carries a second copy of it.  The one
