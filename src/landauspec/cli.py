@@ -59,7 +59,13 @@ from .eigentracker import (
     translation_eigenvector,
     zero_mode_check,
 )
-from .operators import assemble_L, assemble_L0, save_operator
+from .operators import (
+    assemble_L,
+    assemble_L0,
+    reflection_signs,
+    save_operator,
+)
+from .sphbasis import default_k_max
 from .statespace import is_json_number, save_state_json
 
 C_TARGETS = {0: 0.0, 1: 1.0 / 15.0, 2: 4.0 / 15.0}
@@ -451,9 +457,10 @@ def cmd_track(config):
 def _verify_checks(config):
     """The invariant battery; yields (name, passed, detail).
 
-    ``config.k_max``, None unless given, is the truncation of the zero-mode
-    and fit rows; None takes each operator's from eps.  The other rows fix
-    their own.  Scaled by (4k - 2)(4k + 6), the determinant of mcal(k) is
+    ``config.k_max``, None unless given, is the truncation of the
+    projector (P1/P0), zero-mode and fit rows; None takes each operator's
+    from eps.  The L0, swirl, translation and reflection rows fix their
+    own.  Scaled by (4k - 2)(4k + 6), the determinant of mcal(k) is
     a polynomial of degree <= 10 in k (rows 1 and 3 times those factors
     have degree <= 3, rows 2 and 4 degree <= 2), so agreeing with
     -(2k+1)^2 at the 11 degrees 0..10 proves it for every k."""
@@ -462,13 +469,25 @@ def _verify_checks(config):
     yield ("mcal_det[all k]", dets_ok,
            "-(2k+1)^2; degree-10 identity at k=0..10")
 
-    spectra = [np.linalg.eigvals(assemble_L0(m, 20).entries)
-               for m in (0, 1, 2)]
+    # the frames tile the flat space, so L0 couples nothing across them
+    # exactly when its nonzeros all lie in the frame blocks; its spectrum
+    # is then theirs, one eigensolve per stack of blocks of one size
+    spectra, decoupled = [], True
+    for m in (0, 1, 2):
+        l0 = assemble_L0(m, 20).entries
+        stacks = {}
+        for _, _, idx in stokes_spectrum.frame_slots(m, 20):
+            stacks.setdefault(idx.size, []).append(l0[np.ix_(idx, idx)])
+        blocks = [np.stack(stack) for stack in stacks.values()]
+        decoupled &= (np.count_nonzero(l0)
+                      == sum(map(np.count_nonzero, blocks)))
+        spectra.append(np.concatenate([np.linalg.eigvals(b).ravel()
+                                       for b in blocks]))
     worst, integer = _integer_defect(np.concatenate(spectra))
     mults = [int(np.sum(eigentracker.TRACK_CONTOUR.encloses(lam)))
              for lam in spectra]
     mults_ok = mults == [cluster_size(m) for m in (0, 1, 2)]
-    yield ("l0_integrality[m=0..2,k=20]", integer and mults_ok,
+    yield ("l0_integrality[m=0..2,k=20]", decoupled and integer and mults_ok,
            f"defect {worst:.1e}, unit multiplicities "
            + "/".join(map(str, mults)))
 
@@ -483,13 +502,14 @@ def _verify_checks(config):
     total1 = total0 = 0
     idem_ok = True
     for m in (0, 1, 2):
-        lmat = assemble_L(m, 16, 0.05)
-        proj = contour_projection(lmat, eigentracker.TRACK_CONTOUR)
-        total1 += proj.rank * (2 if m else 1)
-        idem_ok &= proj.idempotency_defect <= 1e-8
+        k = default_k_max(0.05, m) if config.k_max is None else config.k_max
+        circles = [eigentracker.TRACK_CONTOUR]
         if m < 2:  # m = 2 has no eigenvalue near 0
-            proj = contour_projection(lmat, ContourSpec(0.0, 0.5))
-            total0 += proj.rank * (2 if m else 1)
+            circles.append(ContourSpec(0.0, 0.5))
+        one, *zero = contour_projection(assemble_L(m, k, 0.05), *circles)
+        total1 += one.rank * (2 if m else 1)
+        idem_ok &= one.idempotency_defect <= 1e-8
+        total0 += sum(proj.rank for proj in zero) * (2 if m else 1)
     yield "P1_rank[eps=0.05]", total1 == 8 and idem_ok, f"{total1}"
     yield "P0_rank[eps=0.05]", total0 == 3, f"{total0}"
 
@@ -500,12 +520,18 @@ def _verify_checks(config):
     resid = zero_mode_check(0.1, config.k_max)
     yield "zero_mode[eps=0.1]", resid <= 1e-5, f"{resid:.1e}"
 
-    moved = 0.0
+    # the reflection x3 -> -x3 conjugates L(eps) into L(-eps), so the two
+    # spectra agree; S L(0.1) S is formed in place of L(0.1)'s entries
+    defect = 0.0
     for m in (0, 1, 2):
-        plus = np.sort_complex(track(m, [0.1], k_max=16).eigenvalues[0])
-        minus = np.sort_complex(track(m, [-0.1], k_max=16).eigenvalues[0])
-        moved = max(moved, float(np.abs(plus - minus).max()))
-    yield "sign_symmetry[eps=0.1]", moved <= 1e-8, f"{moved:.1e}"
+        plus = assemble_L(m, 16, 0.1)
+        conj, signs = plus.entries, reflection_signs(plus.index_map)
+        scale = max(conj.max(), -conj.min())
+        conj *= signs[:, None]
+        conj *= signs
+        conj -= assemble_L(m, 16, -0.1).entries
+        defect = max(defect, float(max(conj.max(), -conj.min()) / scale))
+    yield "sign_symmetry[eps=0.1]", defect <= 1e-14, f"{defect:.1e}"
 
     beta_ok = True
     details = []
@@ -551,6 +577,11 @@ def cmd_export(config):
         if eps0 <= eigentracker.TRANSLATION_EPS_MAX:
             state, _ = translation_eigenvector(eps0, config.k_max)
             reports.append((_write_state, "translation_state.json", state))
+        else:
+            print(f"note: translation_state.json skipped: the translation "
+                  f"eigenvector is validated for eps in "
+                  f"(0, {eigentracker.TRANSLATION_EPS_MAX}], got eps = "
+                  f"{eps0!r}", file=sys.stderr)
     return 0, reports
 
 

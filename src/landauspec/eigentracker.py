@@ -22,23 +22,27 @@ directions.
 The constructions sample the profiles on the same default Gauss rule of
 k_max that the assembly uses (`sphbasis.legendre_values`), and the
 assembly's tail monitor is the one resolution check they need.
-One ordered real Schur form of the stream-scaled matrix on a circle
-centred on the real axis, with one quasi-triangular Sylvester solve,
-serves both `track` and `contour_projection` (`_ordered_schur`, the one
-caller of `dgees` and `dtrsyl`); the circle holds both members of a
-conjugate pair or neither, so the ordering never splits a 2x2 block.
-`track` takes it once per grid point without Schur vectors: the group
-near 1 is the leading block that the form encloses in TRACK_CONTOUR, and
-its size must be the unperturbed multiplicity.  Unless
+The Schur layer has two private steps, shared by `track` and
+`contour_projection`: `_real_schur`, the one caller of `dgees`, takes the
+unsorted real Schur form of the stream-scaled matrix, and
+`_ordered_schur`, the one caller of `dtrsen` and `dtrsyl`, reorders it so
+that the eigenvalues inside a circle centred on the real axis lead, then
+decouples them with one quasi-triangular Sylvester solve.  The circle
+holds both members of a conjugate pair or neither, so the reordering
+never splits a 2x2 block, and one form serves any number of circles.
+`track` takes the form once per grid point without Schur vectors: the
+group near 1 is the leading block that TRACK_CONTOUR encloses, and its
+size must be the unperturbed multiplicity.  Unless
 it is given a k_max, `track` truncates each point at
 `sphbasis.default_k_max(eps, m)`, the degree at which the background's
 coefficients decay below the tail monitor's threshold, with a margin; the
 monitor still checks every assembly.
-`contour_projection` takes the form with vectors and measures the Riesz
-projector P = D Z1 [I X] Z^T D^-1 through its k x n factors, never
-forming P.  Either way the form certifies the number of eigenvalues
-inside the circle, their separation from the rest of the spectrum and the
-conditioning of the splitting.
+`contour_projection` takes the form once with vectors and, for each of
+its circles, measures the Riesz projector P = D Z1 [I X] Z^T D^-1
+through its k x n factors, never forming P.  Either way the reordered
+form certifies the number of eigenvalues inside the circle, their
+separation from the rest of the spectrum and the conditioning of the
+splitting.
 """
 
 from __future__ import annotations
@@ -137,8 +141,9 @@ def track(m, epsilons, k_max=None):
                     for e in eps)
     rows = []
     for e, k in zip(eps, k_maxes):
-        lam, rank, _, _ = _ordered_schur(
-            assemble_L(m, k, float(e)).entries, TRACK_CONTOUR, vectors=False)
+        _, lam, rank, _, _ = _ordered_schur(
+            _real_schur(assemble_L(m, k, float(e)).entries, False),
+            TRACK_CONTOUR)
         if rank != want:
             raise RuntimeError(
                 f"eigenvalue group near 1 has {rank} members at "
@@ -403,9 +408,9 @@ class ContourSpec:
     radius: float
 
     def encloses(self, z):
-        """Whether z (a number or an array) lies strictly inside the circle.
-        The builtin abs keeps the per-eigenvalue callback of the Schur
-        ordering as cheap as inline code; on an array it is np.abs."""
+        """Whether z (a number or an array) lies strictly inside the circle;
+        on an array, the mask by which `_ordered_schur` reorders a Schur
+        form, so no callback runs per eigenvalue."""
         return abs(z - self.center) < self.radius
 
 
@@ -419,21 +424,47 @@ class ContourProjection:
     idempotency_defect: float
 
 
-def _ordered_schur(a, spec, vectors):
-    """Ordered real Schur form A = Z T Z^T of a real matrix, with the k
-    eigenvalues inside the circle of spec in the leading block T11, and the
-    solution X of the Sylvester equation T11 X - X T22 = T12 that decouples
-    T11 from the trailing block.
+def _no_select(re, im):
+    """dgees's select function, which it never calls when sort_t is 0."""
+    return False
 
-    Returns (eigenvalues wr + i wi in Schur order, k, Z or None, X or None):
-    Z only when vectors is true, X only when 0 < k < n.  The circle is
-    centred on the real axis, so it holds both members of a conjugate pair
-    or neither, and the ordering never splits a 2x2 block.  Errors out if
-    the centre is off the real axis, if an eigenvalue sits within 1e-3 of
-    the contour, if the circle fails to separate the enclosed eigenvalues
-    from the rest of the spectrum by twice their largest pairwise distance,
-    or if the splitting is ill-conditioned: ||X||_2 above 1e12, or a
-    Sylvester solve that had to scale its right-hand side or failed.
+
+def _real_schur(a, vectors):
+    """Real Schur form A = Z T Z^T of a real matrix, unsorted: (T, the
+    eigenvalues wr + i wi in the order of T's diagonal, Z or None), Z only
+    when vectors is true.  One `dgees` after its workspace query; with
+    sort_t 0 it calls no select function, so no Python callback runs per
+    eigenvalue.  `_ordered_schur` reorders the form for a circle."""
+    # the workspace query lets the Hessenberg reduction run blocked; the
+    # minimal default workspace is 1.7x slower at dim 576
+    lwork = int(scipy.linalg.lapack.dgees(
+        _no_select, a, compute_v=int(vectors), lwork=-1)[-2][0])
+    t, _, wr, wi, z, _, info = scipy.linalg.lapack.dgees(
+        _no_select, a, compute_v=int(vectors), lwork=lwork)
+    if info != 0:
+        raise ValueError(f"real Schur form failed: dgees info {info}")
+    return t, wr + 1j * wi, z if vectors else None
+
+
+def _ordered_schur(form, spec):
+    """The real Schur form of `_real_schur` reordered so that the k
+    eigenvalues inside the circle of spec lead, in T11, and the solution
+    X of the Sylvester equation T11 X - X T22 = T12 that decouples T11
+    from the trailing block.
+
+    The reordering is LAPACK's `dtrsen` (job N) on the mask
+    `spec.encloses`, the step that `dgees` runs itself when it sorts, so
+    the result is bitwise that of a sorted `dgees`; the form is left as it
+    was, so one form serves many circles.  Returns (T, eigenvalues
+    wr + i wi in the new order, k, Z or None, X or None): Z when the form
+    has it, X only when 0 < k < n.  The circle is centred on the real
+    axis, so it holds both members of a conjugate pair or neither, and
+    the reordering never splits a 2x2 block.  Errors out if the centre is
+    off the real axis, if an eigenvalue sits within 1e-3 of the contour,
+    if the circle fails to separate the enclosed eigenvalues from the rest
+    of the spectrum by twice their largest pairwise distance, or if the
+    splitting is ill-conditioned: ||X||_2 above 1e12, or a Sylvester
+    solve that had to scale its right-hand side or failed.
     """
     if spec.radius <= 0.0:
         raise ValueError("contour radius must be positive")
@@ -441,19 +472,18 @@ def _ordered_schur(a, spec, vectors):
     if center.imag != 0.0:
         raise ValueError(f"contour centre {center} is off the real axis, so "
                          f"the circle can split a conjugate pair")
-    n = a.shape[0]
-
-    def select(re, im):
-        return spec.encloses(complex(re, im))
-
-    # the workspace query lets the Hessenberg reduction run blocked; the
-    # minimal default workspace is 1.7x slower at dim 576
-    lwork = int(scipy.linalg.lapack.dgees(
-        select, a, compute_v=int(vectors), lwork=-1)[-2][0])
-    t, k, wr, wi, z, _, info = scipy.linalg.lapack.dgees(
-        select, a, compute_v=int(vectors), sort_t=1, lwork=lwork)
+    t, lam, z = form
+    n = t.shape[0]
+    # without vectors dtrsen reads no q, so T stands in for it.  A sorted
+    # dgees returns info n + 2 when rounding in the reordering moves a
+    # selected eigenvalue across the circle; such an eigenvalue lies within
+    # rounding of the contour, which the 1e-3 guard below rejects.
+    t, q, wr, wi, k, _, _, info = scipy.linalg.lapack.dtrsen(
+        spec.encloses(lam), t, t if z is None else z, job="N",
+        wantq=int(z is not None))
     if info != 0:
-        raise ValueError(f"ordered real Schur form failed: dgees info {info}")
+        raise ValueError(f"reordering the real Schur form failed: dtrsen "
+                         f"info {info}")
     lam = wr + 1j * wi
     dist_circle = np.abs(np.abs(lam - center) - spec.radius)
     if dist_circle.min() < 1e-3:
@@ -485,30 +515,37 @@ def _ordered_schur(a, spec, vectors):
                 f"Sylvester splitting ill-conditioned: ||X||_2 = "
                 f"{x_norm2:.3e} exceeds 1e12"
             )
-    return lam, k, z if vectors else None, x
+    return t, lam, k, None if z is None else q, x
 
 
-def contour_projection(lmat, spec):
+def contour_projection(lmat, *specs):
     """Rank and idempotency defect of the Riesz projector onto the
-    eigenvalues inside a circle, from an ordered real Schur form.
+    eigenvalues inside each circle, one ContourProjection per spec, all
+    from one real Schur form.
 
     L is similar to its real form A = D^-1 L D, the entries of the
     operator, with D the unitary diagonal stream scaling.  One real Schur
-    form A = Z T Z^T with Schur vectors moves the k enclosed eigenvalues to
-    the leading block T11, and the Sylvester solution X decouples it from
-    the trailing block (`track` takes the same form without vectors).  The
-    projector is P = D Z1 W D^-1 with Z1 = Z[:, :k] and W = [I X] Z^T, of
-    rank k, as every singular value of [I X] is at least 1.  P is never
-    formed: P^2 - P = D Z1 (W Z1 - I) W D^-1, so with D unitary and Z1
-    orthonormal ||P^2 - P||_2 = ||(W Z1 - I) W||_2, a k x n product, and
-    0 when P is 0 or I.  What the projector certifies is therefore that
-    count, the separation of the enclosed group from the rest of the
-    spectrum, and the conditioning ||X||_2 of the splitting; it raises the
-    errors of `_ordered_schur`.
+    form A = Z T Z^T with Schur vectors is reordered for each circle so
+    that its k enclosed eigenvalues lead, in T11, and the Sylvester
+    solution X decouples them from the trailing block (`track` takes the
+    same steps without vectors).  The projector is P = D Z1 W D^-1 with
+    Z1 = Z[:, :k] and W = [I X] Z^T, of rank k, as every singular value
+    of [I X] is at least 1.  P is never formed: P^2 - P =
+    D Z1 (W Z1 - I) W D^-1, so with D unitary and Z1 orthonormal
+    ||P^2 - P||_2 = ||(W Z1 - I) W||_2, a k x n product, and 0 when P is
+    0 or I.  What the projector certifies is therefore that count, the
+    separation of the enclosed group from the rest of the spectrum, and
+    the conditioning ||X||_2 of the splitting; it raises the errors of
+    `_ordered_schur`.
     """
-    _, k, z, x = _ordered_schur(lmat.entries, spec, vectors=True)
-    defect = 0.0
-    if x is not None:  # otherwise P is 0 or I
-        w = z[:, :k].T + x @ z[:, k:].T
-        defect = float(np.linalg.norm((w @ z[:, :k] - np.eye(k)) @ w, 2))
-    return ContourProjection(rank=k, idempotency_defect=defect)
+    form = _real_schur(lmat.entries, True)
+    projections = []
+    for spec in specs:
+        _, _, k, z, x = _ordered_schur(form, spec)
+        defect = 0.0
+        if x is not None:  # otherwise P is 0 or I
+            w = z[:, :k].T + x @ z[:, k:].T
+            defect = float(np.linalg.norm((w @ z[:, :k] - np.eye(k)) @ w, 2))
+        projections.append(ContourProjection(rank=k,
+                                             idempotency_defect=defect))
+    return tuple(projections)

@@ -106,6 +106,18 @@ def stream_scale(imap):
     return scale
 
 
+def reflection_signs(imap):
+    """The diagonal of S, the reflection x3 -> -x3 on a mode block, which
+    maps the background at eps to the one at -eps, so L(-eps) = S L(eps) S.
+    A degree-k harmonic of order m picks up (-1)^(k+m), and the stream
+    slots, a pseudo-scalar, one more sign."""
+    signs = np.empty(imap.dim)
+    for name in COMPONENTS:
+        parity = -1.0 if name in STREAM_SLOTS else 1.0
+        signs[imap.sl(name)] = parity * (-1.0) ** (imap.degrees(name) + imap.m)
+    return signs
+
+
 @dataclass
 class OperatorMatrix:
     """An assembled operator; entries is its stream-scaled real form

@@ -202,12 +202,12 @@ def test_criterion_09_contour_ranks(cached_l):
     defect = 0.0
     rank1 = 0
     for m, weight in ((0, 1), (1, 2), (2, 2)):
-        proj = contour_projection(cached_l(m, 16, 0.05), ContourSpec(1.0, 0.5))
+        (proj,) = contour_projection(cached_l(m, 16, 0.05), ContourSpec(1.0, 0.5))
         rank1 += weight * proj.rank
         defect = max(defect, proj.idempotency_defect)
     rank0 = 0
     for m, weight in ((0, 1), (1, 2)):
-        proj = contour_projection(cached_l(m, 16, 0.05), ContourSpec(0.0, 0.5))
+        (proj,) = contour_projection(cached_l(m, 16, 0.05), ContourSpec(0.0, 0.5))
         rank0 += weight * proj.rank
     ok = rank1 == 8 and rank0 == 3 and defect <= 1e-8
     assert report(9, ok, f"rank {rank1} at center 1, {rank0} at center 0, "

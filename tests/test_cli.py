@@ -824,6 +824,52 @@ def test_verify_reports_failures_with_exit_2(tmp_path, capsys, monkeypatch):
     assert "11/12 checks passed" in out
 
 
+def _verify_row(name):
+    """(passed, detail) of one row of the battery run at its defaults."""
+    for row, passed, detail in cli._verify_checks(cli.RunConfig("verify")):
+        if row == name:
+            return passed, detail
+    raise KeyError(name)
+
+
+def test_verify_l0_row_fails_on_a_coupling_between_frames(monkeypatch):
+    # a coupling from one degree's frame into another's leaves L0
+    # block-triangular, so every eigenvalue stays an integer: only the
+    # structural check sees it
+    assemble = assemble_L0
+
+    def coupled(m, k_max):
+        l0 = assemble(m, k_max)
+        imap = l0.index_map
+        l0.entries[imap.index("phi", 3), imap.index("radial", 4)] = 1e-3
+        return l0
+
+    monkeypatch.setattr(cli, "assemble_L0", coupled)
+    passed, detail = _verify_row("l0_integrality[m=0..2,k=20]")
+    assert not passed
+    assert detail.endswith("unit multiplicities 2/2/1")
+
+
+def test_verify_sign_row_fails_on_one_asymmetric_entry(monkeypatch):
+    # one entry of L(-0.1) moved off S L(0.1) S by 1e-6 max|L| is the
+    # row's defect, to rounding
+    assemble = assemble_L
+    planted = {}
+
+    def asymmetric(m, k_max, epsilon):
+        lmat = assemble(m, k_max, epsilon)
+        if epsilon < 0.0 and m == 1:
+            entries = lmat.entries
+            planted["size"] = 1e-6 * max(entries.max(), -entries.min())
+            entries[2, 5] += planted["size"]
+        return lmat
+
+    monkeypatch.setattr(cli, "assemble_L", asymmetric)
+    passed, detail = _verify_row("sign_symmetry[eps=0.1]")
+    assert not passed
+    assert detail == "1.0e-06"
+
+
 # ---- export ------------------------------------------------------------------
 
 
@@ -851,15 +897,21 @@ def test_export_round_trips_operator_and_states(tmp_path, capsys,
     assert np.linalg.norm(resid) / np.linalg.norm(flat) <= 1e-4
 
 
-@pytest.mark.parametrize("eps, translation", [("0.5", True),
+@pytest.mark.parametrize("eps, translation", [("0.05", True),
+                                              ("0.5", True),
                                               ("0.6", False)])
 def test_export_writes_the_translation_state_only_where_validated(
         tmp_path, capsys, eps, translation):
     # the translation construction is validated for eps in (0, 0.5]; the
-    # background state is written for any eps > 0
+    # background state is written for any eps > 0.  A skipped translation
+    # state is named on stderr, with the range, and the run still exits 0
     code, _, err = run_cli(capsys, "export", "--m", "1", "--eps", eps,
                            "--kmax", "40", "--out", str(tmp_path))
-    assert (code, err) == (0, "")
+    skipped = ("" if translation else
+               "note: translation_state.json skipped: the translation "
+               "eigenvector is validated for eps in (0, 0.5], got eps = "
+               "0.6\n")
+    assert (code, err) == (0, skipped)
     assert (float(eps) <= eigentracker.TRANSLATION_EPS_MAX) == translation
     assert (tmp_path / "background_state.json").exists()
     assert (tmp_path / "translation_state.json").exists() == translation

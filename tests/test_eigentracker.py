@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from landauspec import eigentracker
@@ -412,7 +413,7 @@ def test_zero_mode_small_eps_limit(m, build):
 def test_contour_ranks_by_mode(cached_l):
     total = 0
     for m, rank in ((0, 2), (1, 2), (2, 1)):
-        proj = contour_projection(cached_l(m, 16, 0.05), ContourSpec(1.0, 0.5))
+        (proj,) = contour_projection(cached_l(m, 16, 0.05), ContourSpec(1.0, 0.5))
         assert proj.rank == rank
         assert proj.idempotency_defect <= 1e-8
         total += rank * (2 if m else 1)
@@ -422,7 +423,7 @@ def test_contour_ranks_by_mode(cached_l):
 def test_contour_zero_group_rank_three(cached_l):
     total = 0
     for m in (0, 1):
-        proj = contour_projection(cached_l(m, 16, 0.05), ContourSpec(0.0, 0.5))
+        (proj,) = contour_projection(cached_l(m, 16, 0.05), ContourSpec(0.0, 0.5))
         total += proj.rank * (2 if m else 1)
     assert total == 3
 
@@ -446,7 +447,7 @@ def test_contour_matches_trapezoid(cached_l, complex_basis, m, center):
     # reference: its trace counts the enclosed eigenvalues
     lmat = cached_l(m, 16, 0.05)
     spec = ContourSpec(center, 0.5)
-    proj = contour_projection(lmat, spec)
+    (proj,) = contour_projection(lmat, spec)
     want = trapezoid_projector(complex_basis(lmat), spec)
     assert proj.rank == round(np.trace(want).real)
     assert proj.idempotency_defect <= 1e-8
@@ -460,22 +461,68 @@ def test_contour_defect_matches_the_dense_projector(cached_l, m, center):
     # idempotency defect that contour_projection reads off its k x n factor
     lmat = cached_l(m, 16, 0.05)
     spec = ContourSpec(center, 0.5)
-    _, k, z, x = eigentracker._ordered_schur(lmat.entries, spec, vectors=True)
+    _, _, k, z, x = eigentracker._ordered_schur(
+        eigentracker._real_schur(lmat.entries, True), spec)
     if x is None:  # the circle holds none or all of the spectrum
         x = np.zeros((k, z.shape[0] - k))
     dense = z[:, :k] @ np.hstack([np.eye(k), x]) @ z.T
     want = np.linalg.norm(dense @ dense - dense, 2)
-    got = contour_projection(lmat, spec).idempotency_defect
+    (proj,) = contour_projection(lmat, spec)
+    got = proj.idempotency_defect
     assert abs(got - want) <= 1e-13, (got, want)
+
+
+def sorted_dgees(a, spec, vectors):
+    """(T, eigenvalues, k, Z or None) of dgees sorting by spec itself, with
+    its per-eigenvalue select callback: the reference of the reordering."""
+    def select(re, im):
+        return spec.encloses(complex(re, im))
+
+    lwork = int(scipy.linalg.lapack.dgees(
+        select, a, compute_v=int(vectors), lwork=-1)[-2][0])
+    t, k, wr, wi, z, _, info = scipy.linalg.lapack.dgees(
+        select, a, compute_v=int(vectors), sort_t=1, lwork=lwork)
+    assert info == 0
+    return t, wr + 1j * wi, k, z if vectors else None
+
+
+@pytest.mark.parametrize("k_max", [16, 24])
+@pytest.mark.parametrize("m", [0, 1, -1, 2, -2])
+def test_reordered_schur_form_is_bitwise_the_sorted_one(cached_l, m, k_max):
+    # dtrsen on the enclosed mask is the step a sorting dgees runs itself,
+    # so the unsorted form reordered per circle is the sorted form exactly
+    circles = (eigentracker.TRACK_CONTOUR, ContourSpec(0.0, 0.5))
+    for eps in (0.0, 0.05, 0.1):
+        a = cached_l(m, k_max, eps).entries
+        for vectors in (False, True):
+            form = eigentracker._real_schur(a, vectors)
+            for spec in circles:
+                got = eigentracker._ordered_schur(form, spec)[:4]
+                want = sorted_dgees(a, spec, vectors)
+                assert got[2] == want[2], (eps, vectors, spec)
+                for part in (0, 1, 3):
+                    assert ((got[part] is None and want[part] is None)
+                            or np.array_equal(got[part], want[part])), (
+                        eps, vectors, spec, part)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_one_form_serves_both_circles_bitwise(cached_l, m):
+    # the form is factored once and reordered per circle, and reordering
+    # for one circle leaves it as it was for the next
+    lmat = cached_l(m, 16, 0.05)
+    one, zero = ContourSpec(1.0, 0.5), ContourSpec(0.0, 0.5)
+    assert contour_projection(lmat, one, zero) == (
+        contour_projection(lmat, one) + contour_projection(lmat, zero))
 
 
 def test_contour_enclosing_nothing_or_everything(cached_l):
     # the spectrum at k_max = 16 lies within |lambda| <= 19; P is 0 or I,
     # whose defect is exactly zero
     lmat = cached_l(1, 16, 0.05)
-    empty = contour_projection(lmat, ContourSpec(100.0, 0.5))
+    (empty,) = contour_projection(lmat, ContourSpec(100.0, 0.5))
     assert (empty.rank, empty.idempotency_defect) == (0, 0.0)
-    full = contour_projection(lmat, ContourSpec(0.0, 1e4))
+    (full,) = contour_projection(lmat, ContourSpec(0.0, 1e4))
     assert (full.rank, full.idempotency_defect) == (lmat.entries.shape[0],
                                                     0.0)
 
@@ -576,8 +623,8 @@ def test_track_ranks_and_group_match_the_projector_and_eigvals(cached_l, m,
         assert curve.eigenvalues.shape[0] == len(grid)
         for eps, group in zip(grid, curve.eigenvalues):
             lmat = cached_l(m, k_max, eps)
-            assert group.size == contour_projection(lmat, circle).rank, (
-                grid, eps)
+            (proj,) = contour_projection(lmat, circle)
+            assert group.size == proj.rank, (grid, eps)
             lam = np.linalg.eigvals(lmat.entries)
             want = lam[np.abs(lam - circle.center) < circle.radius]
             assert want.size == group.size

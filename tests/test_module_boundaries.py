@@ -306,26 +306,30 @@ def test_profile_denominator_is_formed_only_in_landau():
 
 
 def test_schur_form_and_sylvester_solve_have_one_home():
-    # track's group and contour_projection's projector come from one
-    # ordered real Schur form and one Sylvester solve, so every guard on
-    # them is written once; dgees is called twice there, the workspace
-    # query and the factorisation.  Only the projector asks the form for
-    # its Schur vectors; _ordered_schur is private, so every call to it is
-    # in eigentracker
-    home = ["eigentracker.py:_ordered_schur"]
-    assert sorted(set(_calls_by_function("dgees"))) == home
-    assert _calls_by_function("dtrsyl") == home
-    vectors = {}
+    # track's group and contour_projection's projectors come from one
+    # real Schur form per operator, reordered per circle and split by one
+    # Sylvester solve, so every guard on them is written once.  dgees is
+    # called twice in _real_schur, the workspace query and the
+    # factorisation; dtrsen and dtrsyl once each in _ordered_schur.  Only
+    # the projector asks the form for its Schur vectors; both helpers are
+    # private, so every call to them is in eigentracker
+    assert sorted(set(_calls_by_function("dgees"))) == [
+        "eigentracker.py:_real_schur"]
+    for name in ("dtrsen", "dtrsyl"):
+        assert _calls_by_function(name) == ["eigentracker.py:_ordered_schur"]
+    vectors, ordered = {}, []
     tree = ast.parse((SRC / "eigentracker.py").read_text())
     for func in tree.body:
         if isinstance(func, ast.FunctionDef):
             for node in ast.walk(func):
-                if (isinstance(node, ast.Call)
-                        and ast.unparse(node.func) == "_ordered_schur"):
-                    args = node.args + [kw.value for kw in node.keywords
-                                        if kw.arg == "vectors"]
-                    vectors[func.name] = ast.unparse(args[2])
+                if not isinstance(node, ast.Call):
+                    continue
+                if ast.unparse(node.func) == "_real_schur":
+                    vectors[func.name] = ast.unparse(node.args[1])
+                elif ast.unparse(node.func) == "_ordered_schur":
+                    ordered.append(func.name)
     assert vectors == {"track": "False", "contour_projection": "True"}
+    assert sorted(ordered) == ["contour_projection", "track"]
 
 
 def test_track_takes_no_second_eigensolve():

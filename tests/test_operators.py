@@ -20,6 +20,7 @@ from landauspec.operators import (
     assemble_L0,
     k_entries,
     load_operator,
+    reflection_signs,
     save_operator,
     stream_scale,
 )
@@ -309,6 +310,22 @@ def complex_k_reference(m, k_max, eps):
     out[imap.sl("radial_star")] = ((table.val * w) @ g / norm2)[
         imap.k_lo("radial_star") - am:]
     return out
+
+
+@pytest.mark.parametrize("m", [0, 1, -1, 2, -2])
+def test_reflection_signs_are_an_involution_odd_on_the_stream_slots(m):
+    # S = S^-1, and at even k + m, where the harmonic itself is even, S is
+    # -1 exactly on the stream slots, the pseudo-scalar, and +1 elsewhere
+    imap = StateIndexMap(m, 12)
+    s = reflection_signs(imap)
+    assert np.array_equal(s * s, np.ones(imap.dim))
+    for name in COMPONENTS:
+        even = (imap.degrees(name) + m) % 2 == 0
+        want = -1.0 if name in STREAM_SLOTS else 1.0
+        assert np.array_equal(s[imap.sl(name)][even],
+                              np.full(int(even.sum()), want)), name
+        assert np.array_equal(s[imap.sl(name)][~even],
+                              np.full(int((~even).sum()), -want)), name
 
 
 @pytest.mark.parametrize("m", [0, 1, -1, 2, -2])

@@ -13,6 +13,7 @@ from landauspec.operators import (
     assemble_L,
     assemble_L0,
     k_entries,
+    reflection_signs,
 )
 from landauspec import perturbation
 from landauspec.perturbation import (
@@ -28,7 +29,6 @@ from landauspec.sphbasis import (
     norm_constant,
 )
 from landauspec.statespace import (
-    COMPONENTS,
     StateIndexMap,
     state_from_flat,
     x_weights,
@@ -396,26 +396,12 @@ def test_reduced_m0_exactly_identity(eps):
     assert np.abs(red - np.eye(2)).max() <= 1e-12
 
 
-def reflection_signs(m, k_max):
-    """Diagonal of the reflection x3 -> -x3 on a mode block.
-
-    A degree-k, order-m harmonic picks up (-1)^(k+m); the stream function is
-    a pseudo-scalar and picks up one more sign.  The reflection maps the
-    Landau profile at eps to the one at -eps."""
-    imap = StateIndexMap(m, k_max)
-    signs = np.empty(imap.dim)
-    for name in COMPONENTS:
-        parity = -1.0 if name in ("psi", "psi_prime") else 1.0
-        signs[imap.sl(name)] = parity * (-1.0) ** (imap.degrees(name) + m)
-    return signs
-
-
 @pytest.mark.parametrize("m", [0, 1, 2])
 @pytest.mark.parametrize("k_max", [16, 24])
 @pytest.mark.parametrize("eps", [0.05, 0.1])
 def test_reflection_conjugates_operator(m, k_max, eps):
     """L(-eps) = S L(eps) S with S the reflection signs."""
-    s = reflection_signs(m, k_max)
+    s = reflection_signs(StateIndexMap(m, k_max))
     plus = assemble_L(m, k_max, eps).entries
     minus = assemble_L(m, k_max, -eps).entries
     scale = np.abs(plus).max()
@@ -432,7 +418,7 @@ def test_reduced_matrix_even_in_eps(m, k_max, eps):
     matrix unchanged: it is even in eps and has no eps^3 term."""
     plus, minus = blocks_at(m, eps, k_max), blocks_at(m, -eps, k_max)
     # every branch column is an eigenvector of S, with one sign across E
-    s = reflection_signs(m, k_max)
+    s = reflection_signs(StateIndexMap(m, k_max))
     cols = branch_basis(m, k_max)[0]
     sigma = np.where(np.abs(s[:, None] * cols - cols).max(axis=0) == 0.0,
                      1.0, -1.0)
