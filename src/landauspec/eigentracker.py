@@ -263,14 +263,26 @@ def swirl_ode_residual(epsilon, samples):
 def swirl_block_eigenvalue(epsilon, k_max):
     """Eigenvalue of the closed axisymmetric stream sub-block nearest 1.
 
-    The (psi, psi') rows of the m = 0 operator never couple back to the
-    other components, so their spectrum can be read off a sub-matrix of
-    the entries.
+    At m = 0 the (psi, psi') slots and the other four components do not
+    couple in either direction, so the spectrum of the swirl block is read
+    off its sub-matrix of the entries.  That is checked exactly first: a
+    nonzero entry in either off-diagonal block raises, naming the block
+    and its largest entry.
     """
     lmat = assemble_L(0, k_max, epsilon)
     imap = lmat.index_map
     sl_a, sl_b = imap.sl("psi"), imap.sl("psi_prime")
     idx = np.r_[sl_a.start:sl_a.stop, sl_b.start:sl_b.stop]
+    rest = np.setdiff1d(np.arange(imap.dim), idx)
+    for rows, cols, block in ((rest, idx, "(psi, psi') -> rest"),
+                              (idx, rest, "rest -> (psi, psi')")):
+        coupling = lmat.entries[np.ix_(rows, cols)]
+        if np.count_nonzero(coupling):
+            raise ValueError(
+                f"the m = 0 swirl block is not closed at eps = {epsilon}, "
+                f"k_max = {k_max}: {np.count_nonzero(coupling)} nonzero "
+                f"entries in the {block} block, largest "
+                f"{np.abs(coupling).max():.3e}")
     lam = np.linalg.eigvals(lmat.entries[np.ix_(idx, idx)])
     return complex(lam[np.argmin(np.abs(lam - 1.0))])
 

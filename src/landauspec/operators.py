@@ -38,22 +38,28 @@ in that form from the start.  Writing psi = i psi_r on the stream slots,
 xi_theta, its slopes, T_theta, G and div T are real, while xi_phi, T_phi
 and curl T each carry exactly one factor i; that factor stays implicit
 (the phi component enters `sphbasis.project_div_curl` divided by i, and
-the curl comes back so) and cancels where D^-1 scales the psi' row.  One
-pipeline, `_k_columns`, maps a block of stream-scaled flat states to
-their images under D^-1 K D: nodal synthesis (table rows times
-coefficients), the pointwise integrand, then the weak-form projections of
-`sphbasis` on the whole block, with invLap a product with -1/(k(k+1))
-(`solve_poisson` divides, which rounds differently).  A real block gives
-a float64 image with no complex temporaries.  `assemble_K` evaluates the
-background once and feeds the pipeline the unit columns in blocks of at
-most _K_BLOCK_COLUMNS (192), on the default Gauss rule of k_max
-(`sphbasis.legendre_values`, one shared table per (k_max, m)), and copies
-each block's image into its columns of one preallocated matrix.  A
-column's image does not depend on the other columns of its block, so the
-entries are those of one pass over the identity, while the temporaries
-scale with the block width rather than with the dimension.  The
-profiles are rational in cos(theta), so what that rule and the truncation
-miss is caught after the fact by a spectral tail monitor.
+the curl comes back so) and cancels where D^-1 scales the psi' row.
+
+K's pipeline has two synthesis front ends over one back end.  The back
+end is the pointwise integrand, `_k_integrand`, and `_k_project`: the
+weak-form projections of `sphbasis` on a whole block, with invLap a
+product with -1/(k(k+1)) (`solve_poisson` divides, which rounds
+differently).  `_k_columns` maps any block of stream-scaled flat states
+to their images under D^-1 K D by nodal synthesis as products (table rows
+times coefficients); a real block gives a float64 image with no complex
+temporaries.  `assemble_K` evaluates the background once and runs the
+back end on the unit columns, in blocks of at most _K_BLOCK_COLUMNS (192),
+on the default Gauss rule of k_max (`sphbasis.legendre_values`, one
+shared table per (k_max, m)).  A unit column's nodal values are its
+degree's table rows, so they are read off the table with no product: the
+integrand runs once per component on its rows, and each block is
+projected straight into its columns of one zeroed matrix.  A column's
+image does not depend on the other columns of its block, so the entries
+are those of one `_k_columns` pass over the identity, while no identity
+block is formed and the temporaries scale with the block width rather
+than with the dimension.  The profiles are rational in cos(theta), so
+what that rule and the truncation miss is caught after the fact by a
+spectral tail monitor.
 
 L0 is real as written and does not depend on eps: its entries are one
 read-only (rows, cols, values) pattern per (m, k_max), built once, which
@@ -246,10 +252,11 @@ def _k_columns(x, bg, table, imap):
     """Images under D^-1 K D of the stream-scaled flat states, indexed by
     imap, in the columns of x, against the background arrays bg of
     `landau.background_on_grid` on the table's grid: nodal synthesis of
-    every component, the K integrand, then the weak-form projections with
-    the inverse Laplacian applied as a product.  The phi components of the
-    tangent pairs, T_phi and the curl are carried divided by i, so a real
-    block stays real."""
+    every component (table rows times coefficients), the K integrand, then
+    `_k_project`.  The phi components of the tangent pairs, T_phi and the
+    curl are carried divided by i, so a real block stays real.  It takes
+    any block; `assemble_K` reads its unit columns' nodal values off the
+    table instead."""
     am = abs(table.m)
 
     def rows(arr, name):
@@ -265,8 +272,7 @@ def _k_columns(x, bg, table, imap):
         return (nodal(d, phi) + nodal(msin, psi),
                 nodal(msin, phi) + nodal(d, psi))
 
-    ks = imap.degrees("phi").astype(float)  # the primed pair shares them
-    kk = ks * (ks + 1.0)
+    ks = imap.degrees("phi").astype(float)
     t_theta, t_phi, g = _k_integrand(
         {key: val[:, None] for key, val in bg.items()},
         tangent("dtheta", "m_sin", "phi", "psi"),
@@ -274,16 +280,58 @@ def _k_columns(x, bg, table, imap):
         tangent("dtheta", "m_sin", "phi_prime", "psi_prime"),
         nodal("val", "radial"), nodal("dtheta", "radial"),
         nodal("val", "radial_star"),
-        (rows(table.val, "phi").T * -kk) @ x[imap.sl("phi")])
-
-    div, curl = project_div_curl(t_theta, t_phi, table)
-    # times -1/(k(k+1)); solve_poisson divides instead and rounds differently
-    inv_lap = (-1.0 / kk)[:, None]
+        (rows(table.val, "phi").T * -(ks * (ks + 1.0))) @ x[imap.sl("phi")])
     out = np.zeros(x.shape, dtype=np.result_type(x, float))
-    out[imap.sl("phi_prime")] = rows(div.coeffs, "phi_prime") * inv_lap
-    out[imap.sl("psi_prime")] = rows(curl.coeffs, "psi_prime") * inv_lap
-    out[imap.sl("radial_star")] = rows(project(g, table).coeffs, "radial_star")
+    _k_project(t_theta, t_phi, g, table, imap, out)
     return out
+
+
+def _unit_terms(name, table, k0, count):
+    """The arguments of `_k_integrand` after bg for the unit columns of one
+    component at degrees k0 .. k0 + count - 1.  A unit column's nodal
+    values are its degree's table rows, so each term is a (nodes x count)
+    view of one table, and a term the component does not fill is the
+    scalar 0.0."""
+    first = k0 - abs(table.m)
+    val, d, ms, d2, dms = (arr[first:first + count].T for arr in (
+        table.val, table.dtheta, table.m_sin, table.d2theta, table.dm_sin))
+    zero = (0.0, 0.0)
+    # (xi, d_theta xi, xi', th, d_theta th, th*, div xi), a tangent pair
+    # being (xi_theta, xi_phi / i) of grad(phi) or of grad_perp(i psi)
+    if name == "phi":
+        ks = np.arange(k0, k0 + count, dtype=float)
+        div_xi = val * -(ks * (ks + 1.0))
+        return (d, ms), (d2, dms), zero, 0.0, 0.0, 0.0, div_xi
+    if name == "psi":
+        return (ms, d), (dms, d2), zero, 0.0, 0.0, 0.0, 0.0
+    if name == "phi_prime":
+        return zero, zero, (d, ms), 0.0, 0.0, 0.0, 0.0
+    if name == "psi_prime":
+        return zero, zero, (ms, d), 0.0, 0.0, 0.0, 0.0
+    if name == "radial":
+        return zero, zero, zero, val, d, 0.0, 0.0
+    return zero, zero, zero, 0.0, 0.0, val, 0.0
+
+
+def _k_project(t_theta, t_phi, g, table, imap, out):
+    """Write into the phi', psi' and radial_star rows of out, indexed by
+    imap, the images of the states whose pointwise K integrand
+    (T_theta, T_phi / i, G) fills the columns of the nodal blocks: the
+    weak-form projections of `sphbasis`, with invLap a product with
+    -1/(k(k+1)) (`solve_poisson` divides, which rounds differently).  The
+    other rows of out are the caller's zeros."""
+    am = abs(table.m)
+
+    def rows(field, name):
+        # the degrees of a projected block that name's slots use
+        return field.coeffs[imap.k_lo(name) - am:]
+
+    ks = imap.degrees("phi_prime").astype(float)  # psi_prime shares them
+    inv_lap = (-1.0 / (ks * (ks + 1.0)))[:, None]
+    div, curl = project_div_curl(t_theta, t_phi, table)
+    out[imap.sl("phi_prime")] = rows(div, "phi_prime") * inv_lap
+    out[imap.sl("psi_prime")] = rows(curl, "psi_prime") * inv_lap
+    out[imap.sl("radial_star")] = rows(project(g, table), "radial_star")
 
 
 def _probe(imap):
@@ -318,19 +366,36 @@ _K_BLOCK_COLUMNS = 192
 
 
 def assemble_K(m, k_max, epsilon):
-    """K in the stream-scaled real form, its unit columns fed through the
-    one pipeline in blocks of at most _K_BLOCK_COLUMNS, under the tail
-    monitor."""
+    """K in the stream-scaled real form, under the tail monitor.  Its unit
+    columns go through K's pipeline in blocks of at most
+    _K_BLOCK_COLUMNS: each component's columns in a block take their
+    nodal values off the table rows (`_unit_terms`), one `_k_integrand`
+    call per component writes its integrand into the block's nodal
+    arrays, and one `_k_project` call projects the whole block into the
+    block's columns of the entries."""
     LandauProfile(epsilon)  # domain check
     table = legendre_values(k_max, m)
     imap = StateIndexMap(m, k_max)
-    bg = background_on_grid(epsilon, table.grid)
+    bg = {key: val[:, None]
+          for key, val in background_on_grid(epsilon, table.grid).items()}
     n = imap.dim
-    kmat = np.empty((n, n))
+    kmat = np.zeros((n, n))
     for start in range(0, n, _K_BLOCK_COLUMNS):
         stop = min(start + _K_BLOCK_COLUMNS, n)
-        kmat[:, start:stop] = _k_columns(np.eye(n, stop - start, -start),
-                                         bg, table, imap)
+        t_theta, t_phi, g = (np.empty((table.grid.n_nodes, stop - start))
+                             for _ in range(3))
+        for name in COMPONENTS:
+            sl = imap.sl(name)
+            lo, hi = max(sl.start, start), min(sl.stop, stop)
+            if lo >= hi:
+                continue
+            cols = slice(lo - start, hi - start)
+            k0 = imap.k_lo(name) + lo - sl.start
+            t_theta[:, cols], t_phi[:, cols], g[:, cols] = _k_integrand(
+                bg, *_unit_terms(name, table, k0, hi - lo))
+        # one projection at the block's width: narrower products (one per
+        # component, say) round differently from `_k_columns`
+        _k_project(t_theta, t_phi, g, table, imap, kmat[:, start:stop])
 
     tail = _tail_mass_ratio(kmat, imap)
     if tail > TAIL_TOLERANCE:

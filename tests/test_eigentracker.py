@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,28 @@ def test_swirl_ode_residual_uniformly_small(eps):
 def test_swirl_eigenvalue_persists_nonperturbatively(eps, k_max):
     lam = swirl_block_eigenvalue(eps, k_max)
     assert abs(lam - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("rows,cols,block", [
+    ("phi", "psi", "(psi, psi') -> rest"),
+    ("psi_prime", "radial", "rest -> (psi, psi')"),
+])
+def test_swirl_eigenvalue_needs_a_closed_block(monkeypatch, rows, cols,
+                                               block):
+    # the swirl block is read off the entries only once both of its
+    # off-diagonal blocks are exact zeros; one planted coupling raises
+    # and names its block and size
+    def planted(m, k_max, eps):
+        lmat = assemble_L(m, k_max, eps)
+        imap = lmat.index_map
+        lmat.entries[imap.sl(rows).start, imap.sl(cols).start] = -2.5e-17
+        return lmat
+
+    monkeypatch.setattr(eigentracker, "assemble_L", planted)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"1 nonzero entries in the {block} "
+                                       f"block, largest 2.500e-17")):
+        swirl_block_eigenvalue(0.1, 16)
 
 
 # ---- translation eigenvector ----------------------------------------------

@@ -201,21 +201,14 @@ def test_nodal_values_become_coefficients_only_in_sphbasis():
 
 
 def test_k_integrand_has_one_caller():
-    # K is computed by one pipeline, _k_columns: assemble_K feeds it unit
-    # columns and the epsilon check of save_operator and load_operator its
-    # probe, so the pointwise integrand is evaluated in exactly one function
-    callers = set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        for func in ast.walk(tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for node in ast.walk(func):
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Name)
-                        and node.func.id == "_k_integrand"):
-                    callers.add(f"{path.name}:{func.name}")
-    assert len(callers) == 1, sorted(callers)
+    # K's physics and its projection are each written once: the pointwise
+    # integrand and the projection step are each called once by each of
+    # the two front ends of K's pipeline and by nothing else, _k_columns
+    # (synthesis by products, for any block) and assemble_K (unit columns
+    # read off the table rows)
+    for callee in ("_k_integrand", "_k_project"):
+        assert sorted(_calls_by_function(callee)) == [
+            "operators.py:_k_columns", "operators.py:assemble_K"], callee
 
 
 def test_output_directory_is_made_only_by_main():
