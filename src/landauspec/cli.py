@@ -1,9 +1,9 @@
 """Batch command-line interface.
 
-Four subcommands: ``spectrum`` (dense eigenvalues of one assembled
+Three subcommands: ``spectrum`` (dense eigenvalues of one assembled
 operator), ``track`` (parameter sweep, quadratic fit, one JSON report and
-a plot script of it per mode), ``verify`` (the invariant battery as a
-pass/fail table), and ``export`` (operator binary plus state JSON files).
+a plot script of it per mode) and ``verify`` (the invariant battery as a
+pass/fail table, printed once every row has run).
 
 Each setting is one row of ``SETTINGS``: config key, type, one flag and
 a default for every command that reads it.  A subcommand takes only the
@@ -15,17 +15,15 @@ its reports and touches no file; ``main`` checks the output path, runs
 the handler, then makes the directory and writes the reports and, last,
 ``config.json``, the settings the run read.  So a run that stops on an
 error leaves no output directory.  Identical configurations produce
-byte-identical files at a fixed BLAS thread count.  The JSON reports of
-``spectrum``, ``track`` and ``verify`` and ``config.json`` hold lists in
-a fixed order and every float with 17 significant digits
-(``write_json``); ``export``'s state files and operator sidecar hold
-json's shortest round-trip repr, and its binary the raw float64 entries.
+byte-identical files at a fixed BLAS thread count.  Every report and
+``config.json`` holds lists in a fixed order and every float with 17
+significant digits (``write_json``).
 Another thread count can move the last digits of a large eigensolve
 (``spectrum --m 2 --epsilon 0.8 --kmax 60``).
 A value that does not convert is reported with its flag.
 The quadrature is not a setting: every assembly uses the Gauss rule
-that k_max determines.  k_max defaults to 24 for ``spectrum`` and
-``export``, and to None for ``track`` and ``verify``: each operator is
+that k_max determines.  k_max defaults to 24 for ``spectrum``, and to
+None for ``track`` and ``verify``: each operator is
 then assembled at ``sphbasis.default_k_max(eps, m)`` (``track``'s report
 lists the k_max of every grid point), and ``config.json`` echoes null.
 
@@ -51,7 +49,6 @@ from .eigentracker import (
     contour_projection,
     fit_quadratic,
     fit_window,
-    landau_state,
     swirl_block_eigenvalue,
     swirl_ode_residual,
     sweep_grid,
@@ -59,18 +56,13 @@ from .eigentracker import (
     translation_eigenvector,
     zero_mode_check,
 )
-from .operators import (
-    assemble_L,
-    assemble_L0,
-    reflection_signs,
-    save_operator,
-)
+from .operators import assemble_L, assemble_L0, reflection_signs
 from .sphbasis import default_k_max
-from .statespace import is_json_number, save_state_json
+from .statespace import is_json_number
 
 C_TARGETS = {0: 0.0, 1: 1.0 / 15.0, 2: 4.0 / 15.0}
-# the truncation of spectrum and export; track and verify take one per
-# operator from eps unless they are given one
+# the truncation of spectrum; track and verify take one per operator from
+# eps unless they are given one
 DEFAULT_K_MAX = 24
 # the largest truncation a run accepts: the branch frames are validated
 # through degree 1000 (perturbation's docstring), and the dense route needs
@@ -192,20 +184,18 @@ COMMANDS = {
     "spectrum": "dense eigenvalues of one assembled operator",
     "track": "sweep the near-1 group over epsilon and fit its drift",
     "verify": "run the invariant battery and print a pass/fail table",
-    "export": "write operator binaries and state JSON files",
 }
 
 SETTINGS = (
     Setting("modes", _list_of(lambda v: is_json_number(v, int)),
             "a list of integers",
-            {"spectrum": [0], "track": [1], "export": [0]},
+            {"spectrum": [0], "track": [1]},
             ("--m",), "mode or comma list of modes",
             _as(lambda t: [int(p) for p in t.split(",")],
                 "a comma list of integers")),
     Setting("epsilons", _list_of(lambda v: is_json_number(v, float)),
             "a list of numbers, all finite",
-            {"spectrum": [0.0], "track": list(DEFAULT_EPS_GRID),
-             "export": [0.0]},
+            {"spectrum": [0.0], "track": list(DEFAULT_EPS_GRID)},
             ("--eps", "--epsilon"), "epsilon, comma list or range a:b:step",
             parse_eps_range),
     Setting("k_max", lambda v: is_json_number(v, int), "an integer",
@@ -320,9 +310,9 @@ def resolve_config(args):
 
 
 def _report_tags(config):
-    """(m, eps, tag) for each pair a spectrum or export run writes, in run
-    order; the tag names the pair's files.  Two pairs with one tag would
-    overwrite each other's files, so that is an error before any assembly."""
+    """(m, eps, tag) for each pair a spectrum run writes, in run order; the
+    tag names the pair's report.  Two pairs with one tag would overwrite
+    each other's reports, so that is an error before any assembly."""
     pairs = {}
     for m in config.modes:
         for eps in config.epsilons:
@@ -547,42 +537,17 @@ def _verify_checks(config):
 
 
 def cmd_verify(config):
-    rows = []
-    failed = 0
-    for name, passed, detail in _verify_checks(config):
-        rows.append({"check": name, "passed": bool(passed), "detail": detail})
-        print(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})")
-        failed += 0 if passed else 1
+    # every row runs before the table is printed, so a row that raises
+    # leaves no partial table
+    rows = [{"check": name, "passed": bool(passed), "detail": detail}
+            for name, passed, detail in _verify_checks(config)]
+    failed = sum(not row["passed"] for row in rows)
+    for row in rows:
+        print(f"{row['check']}: {'PASS' if row['passed'] else 'FAIL'} "
+              f"({row['detail']})")
     print(f"{len(rows) - failed}/{len(rows)} checks passed")
     report = (write_json, "verify.json", {"checks": rows})
     return (2 if failed else 0), [report]
-
-
-def _write_operator(path, lmat):
-    save_operator(lmat, path + ".bin", path + ".json")
-
-
-def _write_state(path, state):
-    save_state_json(state, path)
-
-
-def cmd_export(config):
-    reports = [(_write_operator, f"operator_{tag}",
-                assemble_L(m, config.k_max, eps))
-               for m, eps, tag in _report_tags(config)]
-    eps0 = config.epsilons[0]
-    if eps0 > 0.0:
-        reports.append((_write_state, "background_state.json",
-                        landau_state(eps0, config.k_max)))
-        if eps0 <= eigentracker.TRANSLATION_EPS_MAX:
-            state, _ = translation_eigenvector(eps0, config.k_max)
-            reports.append((_write_state, "translation_state.json", state))
-        else:
-            print(f"note: translation_state.json skipped: the translation "
-                  f"eigenvector is validated for eps in "
-                  f"(0, {eigentracker.TRANSLATION_EPS_MAX}], got eps = "
-                  f"{eps0!r}", file=sys.stderr)
-    return 0, reports
 
 
 def main(argv=None):
@@ -592,7 +557,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     handler = {"spectrum": cmd_spectrum, "track": cmd_track,
-               "verify": cmd_verify, "export": cmd_export}[args.command]
+               "verify": cmd_verify}[args.command]
     try:
         config = resolve_config(args)
         # an output path that cannot become a directory fails before any solve

@@ -10,13 +10,15 @@ recovered from the constraint div xi + radial + radial_star + q = 0.
 Structurally absent slots (degrees k < |m|, the k = 0 potential gauge slot,
 and the k = 0 mean of radial when m = 0) are excluded from the flat indexing
 used by the eigensolves.
+
+States live in memory only; no state is written to a file.  The JSON
+number checks at the end (``is_json_number``, ``json_field``) serve the
+operator file's sidecar and the CLI's settings table.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -193,17 +195,6 @@ def x_norm(a):
     return float(np.sqrt(x_inner(a, a).real))
 
 
-def state_to_json_dict(state):
-    return {
-        "m": int(state.m),
-        "k_max": int(state.k_max),
-        "components": {
-            name: [[float(c.real), float(c.imag)] for c in f.coeffs]
-            for name, f in state.components().items()
-        },
-    }
-
-
 def _json_entry(doc, key):
     if not isinstance(doc, dict):
         raise ValueError(f"file document must be a JSON object, got a "
@@ -230,41 +221,3 @@ def json_field(doc, key, kind):
         what = "an integer" if kind is int else "a number"
         raise ValueError(f"file field {key!r} must be {what}, got {value!r}")
     return kind(value)
-
-
-def state_from_json_dict(doc):
-    m = json_field(doc, "m", int)
-    k_max = json_field(doc, "k_max", int)
-    StateIndexMap(m, k_max)  # rejects an (m, k_max) that has no state
-    size = k_max - abs(m) + 1
-    components = _json_entry(doc, "components")
-    fields = []
-    for name in COMPONENTS:
-        # the length is checked before an array of it is allocated
-        pairs = _json_entry(components, name)
-        if not isinstance(pairs, list) or len(pairs) != size:
-            got = (f"a list of {len(pairs)}" if isinstance(pairs, list)
-                   else repr(pairs))
-            raise ValueError(f"component {name!r} must be a list of "
-                             f"{size} [re, im] pairs, got {got}")
-        for i, pair in enumerate(pairs):
-            if not (isinstance(pair, list) and len(pair) == 2 and all(
-                    is_json_number(part, float) for part in pair)):
-                raise ValueError(f"component {name!r} entry {i} must be an "
-                                 f"[re, im] pair of finite numbers, got "
-                                 f"{pair!r}")
-        fields.append(ModalField(m, np.array(
-            [complex(re, im) for re, im in pairs], dtype=complex)))
-    return StateVector(m, *fields)
-
-
-def save_state_json(state, path):
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(state_to_json_dict(state), fh, indent=1)
-    os.replace(tmp, path)
-
-
-def load_state_json(path):
-    with open(path) as fh:
-        return state_from_json_dict(json.load(fh))

@@ -20,14 +20,10 @@ from landauspec.operators import (
     _k_columns,
     assemble_L,
     assemble_L0,
-    load_operator,
 )
 from landauspec.eigentracker import DEFAULT_EPS_GRID, fit_quadratic, track
 from landauspec.sphbasis import QuadratureGrid, default_k_max, legendre_values
-from landauspec.statespace import (
-    StateIndexMap,
-    load_state_json,
-)
+from landauspec.statespace import StateIndexMap
 
 
 def run_cli(capsys, *argv):
@@ -136,10 +132,9 @@ def test_usage_errors_exit_1(capsys):
 ], ids=["m", "eps-range", "eps-list", "epsilon", "eps-empty",
         "eps-range-parts", "eps-range-empty"])
 def test_conversion_errors_name_the_source(tmp_path, capsys, argv, message):
-    for command in ("spectrum", "export"):
-        code, _, err = run_cli(capsys, command, *argv, "--out", str(tmp_path))
-        assert code == 1
-        assert err == f"error: {message}\n"
+    code, _, err = run_cli(capsys, "spectrum", *argv, "--out", str(tmp_path))
+    assert code == 1
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command, argv", [
@@ -174,21 +169,23 @@ def test_failed_run_leaves_no_config_echo(tmp_path, capsys):
     (["track", "--m", "3"], "|m| = 3"),
     (["track", "--m", "1,3"], "|m| = 3"),
     (["track", "--eps", "0.5"], "eps = 0.5"),
-    (["export", "--m", "0", "--epsilon", "0.9"], "eps = 0.9"),
     (["verify", "--kmax", "4"], "k_max = 4"),
     (["track", "--kmax", "1"], "k_max = 1 is too small"),
     # the tail monitor rejects eps = 0.9 once eps = 0.1 is solved
     (["spectrum", "--eps", "0.1,0.9"], "eps = 0.9"),
-    (["export", "--m", "0", "--eps", "0.1,0.9"], "eps = 0.9"),
+    # rows 1-4 pass at k_max 5 and the projector rows' assembly raises;
+    # the passed rows are not printed either
+    (["verify", "--kmax", "5"], "k_max = 5 under-resolves the eps = 0.05"),
+    # the commands are spectrum, track and verify; any other is a usage error
+    (["export", "--m", "1", "--epsilon", "0.1"], "invalid choice: 'export'"),
 ], ids=["spectrum-m", "spectrum-late-m", "track-m", "track-late-m",
-        "track-eps", "export-eps", "verify-kmax", "track-kmax",
-        "spectrum-late-eps",
-        "export-late-eps"])
+        "track-eps", "verify-kmax", "track-kmax", "spectrum-late-eps",
+        "verify-late-kmax", "export-retired"])
 def test_run_stopped_before_its_first_report_leaves_no_directory(
         tmp_path, capsys, argv, value):
     out = tmp_path / "out"
-    code, _, err = run_cli(capsys, *argv, "--out", str(out))
-    assert code == 1
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (1, "")
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and value in errors[0], err
     assert not out.exists()
@@ -261,7 +258,7 @@ def test_unknown_config_file_key_exits_1(tmp_path, capsys, monkeypatch):
         ({"epsilons": []}, "config key 'epsilons' must not be empty"),
         # only track's and verify's default may be given as null
         ({"k_max": None}, "'k_max' must be an integer, got None"),
-        # the rule that reads the state and operator files: a bool is no
+        # the rule that reads the operator file's sidecar: a bool is no
         # number, NaN no integer, and an integer beyond the float range no
         # finite epsilon
         ({"epsilons": [True]}, "'epsilons' must be a list of numbers, all "
@@ -310,7 +307,6 @@ READS = {
     "spectrum": "--m --eps --epsilon --kmax --out --config",
     "track": "--m --eps --epsilon --kmax --out --assert-paper --config",
     "verify": "--kmax --out --config",
-    "export": "--m --eps --epsilon --kmax --out --config",
 }
 
 
@@ -532,8 +528,7 @@ def test_unusable_out_exits_1_before_any_check(tmp_path, capsys,
     ("spectrum", {"modes": [0, 1], "epsilons": [0.0, 0.05], "k_max": 12}),
     ("track", {"modes": [1], "k_max": 12}),
     ("verify", {"k_max": 16}),
-    ("export", {"modes": [0, 1], "epsilons": [0.1], "k_max": 12}),
-], ids=["spectrum", "track", "verify", "export"])
+], ids=["spectrum", "track", "verify"])
 def test_handlers_compute_and_main_writes(tmp_path, capsys, monkeypatch,
                                           command, values):
     # a handler returns its exit code and its reports and touches no file;
@@ -551,9 +546,7 @@ def test_handlers_compute_and_main_writes(tmp_path, capsys, monkeypatch,
     ("spectrum", ("--m", "1", "--eps", "0.1,0.1000001", "--kmax", "12"),
      "(m, eps) = (1, 0.1) and (1, 0.1000001) share the report tag "
      "'m1_eps0.1'"),
-    ("export", ("--m", "1,1", "--eps", "0.05,0.05"),
-     "(m, eps) = (1, 0.05) and (1, 0.05) share the report tag 'm1_eps0.05'"),
-], ids=["spectrum", "export"])
+], ids=["spectrum"])
 def test_colliding_report_tags_exit_1(tmp_path, capsys, monkeypatch,
                                       command, argv, message):
     # two (m, eps) pairs whose files share a name would overwrite each
@@ -749,11 +742,7 @@ def test_plot_script_is_standalone_python(tmp_path, capsys, monkeypatch):
      ["config.json", "spectrum_m1_eps0.05.json", "spectrum_m1_eps0.json",
       "spectrum_m2_eps0.05.json", "spectrum_m2_eps0.json"]),
     (["verify", "--kmax", "16"], ["config.json", "verify.json"]),
-    (["export", "--m", "1", "--eps", "0.05,0.1", "--kmax", "12"],
-     ["background_state.json", "config.json", "operator_m1_eps0.05.bin",
-      "operator_m1_eps0.05.json", "operator_m1_eps0.1.bin",
-      "operator_m1_eps0.1.json", "translation_state.json"]),
-], ids=["track", "spectrum", "verify", "export"])
+], ids=["track", "spectrum", "verify"])
 def test_each_command_writes_its_reports_and_nothing_else(tmp_path, capsys,
                                                           argv, written):
     # one JSON report per (m, eps), or per mode with its plot script, then
@@ -783,7 +772,7 @@ def test_verify_battery_passes(tmp_path, capsys):
 def test_default_verify_takes_k_max_from_eps(tmp_path, capsys,
                                              monkeypatch):
     # the zero-mode and fit rows assemble at the rule, never at the
-    # truncation spectrum and export default to
+    # truncation spectrum defaults to
     assembled = []
     assemble = assemble_L
 
@@ -868,59 +857,3 @@ def test_verify_sign_row_fails_on_one_asymmetric_entry(monkeypatch):
     passed, detail = _verify_row("sign_symmetry[eps=0.1]")
     assert not passed
     assert detail == "1.0e-06"
-
-
-# ---- export ------------------------------------------------------------------
-
-
-def test_export_round_trips_operator_and_states(tmp_path, capsys,
-                                                complex_basis):
-    code, _, _ = run_cli(capsys, "export", "--m", "1", "--epsilon", "0.1",
-                         "--kmax", "12", "--out", str(tmp_path))
-    assert code == 0
-    loaded = load_operator(tmp_path / "operator_m1_eps0.1.bin",
-                           tmp_path / "operator_m1_eps0.1.json")
-    direct = assemble_L(1, 12, 0.1)
-    assert loaded.m == 1 and loaded.k_max == 12
-    assert np.array_equal(loaded.entries, direct.entries)
-    # the file is the float64 entries D^-1 L D as they are; acting on the
-    # complex state files takes D, from the sidecar's stream slots
-    assert ((tmp_path / "operator_m1_eps0.1.bin").read_bytes()
-            == direct.entries.tobytes())
-
-    background = load_state_json(tmp_path / "background_state.json")
-    assert background.m == 0
-    translation = load_state_json(tmp_path / "translation_state.json")
-    assert translation.m == 1
-    flat = translation.to_flat()
-    resid = complex_basis(direct) @ flat - flat
-    assert np.linalg.norm(resid) / np.linalg.norm(flat) <= 1e-4
-
-
-@pytest.mark.parametrize("eps, translation", [("0.05", True),
-                                              ("0.5", True),
-                                              ("0.6", False)])
-def test_export_writes_the_translation_state_only_where_validated(
-        tmp_path, capsys, eps, translation):
-    # the translation construction is validated for eps in (0, 0.5]; the
-    # background state is written for any eps > 0.  A skipped translation
-    # state is named on stderr, with the range, and the run still exits 0
-    code, _, err = run_cli(capsys, "export", "--m", "1", "--eps", eps,
-                           "--kmax", "40", "--out", str(tmp_path))
-    skipped = ("" if translation else
-               "note: translation_state.json skipped: the translation "
-               "eigenvector is validated for eps in (0, 0.5], got eps = "
-               "0.6\n")
-    assert (code, err) == (0, skipped)
-    assert (float(eps) <= eigentracker.TRANSLATION_EPS_MAX) == translation
-    assert (tmp_path / "background_state.json").exists()
-    assert (tmp_path / "translation_state.json").exists() == translation
-
-
-def test_export_at_zero_skips_state_files(tmp_path, capsys):
-    code, _, _ = run_cli(capsys, "export", "--m", "0", "--epsilon", "0.0",
-                         "--kmax", "8", "--out", str(tmp_path))
-    assert code == 0
-    assert (tmp_path / "operator_m0_eps0.bin").exists()
-    assert not (tmp_path / "background_state.json").exists()
-    assert not (tmp_path / "translation_state.json").exists()

@@ -277,6 +277,13 @@ def test_translation_degenerate_at_zero():
         translation_eigenvector(0.0, 16)
 
 
+def test_translation_rejects_eps_outside_its_validated_range():
+    for eps in (0.6, -0.1):
+        with pytest.raises(ValueError, match=re.escape(
+                "construction validated for eps in (0, 0.5]")):
+            translation_eigenvector(eps, 40)
+
+
 def test_translation_tail_guard():
     with pytest.raises(ValueError, match="under-resolves"):
         translation_eigenvector(0.5, 12)

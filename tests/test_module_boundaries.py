@@ -14,8 +14,9 @@ KEPT_UNREAD = {
     "epsilon_from_force": "the benchmark's import contract: its brentq is "
                           "the one import of scipy.optimize, whose import "
                           "time the benchmark measures",
-    "load_state_json": "the file contract of `export`: the reader of the "
-                       "state files that the command writes",
+    "landau_state": "the benchmark's per-layer contract: BENCHMARK.json "
+                    "names eigentracker.landau_state.calls, which the "
+                    "tracer resolves against this function",
 }
 
 # Members of public classes that nothing in the package, the benchmark or
@@ -230,7 +231,7 @@ def test_output_directory_is_made_only_by_main():
 
 
 def test_files_are_written_only_through_a_rename():
-    # three functions open a file for writing, each a temp file that
+    # two functions open a file for writing, each a temp file that
     # os.replace then renames over the target, so no run leaves a partial
     # file; a writer elsewhere could
     writers = {"write_text", "write_bytes", "tofile", "save", "savez",
@@ -261,8 +262,7 @@ def test_files_are_written_only_through_a_rename():
                 owners[f"{path.name}:{getattr(func, 'name', '<module>')}"] \
                     = func
     assert sorted(owners) == ["cli.py:write_atomic",
-                              "operators.py:save_operator",
-                              "statespace.py:save_state_json"]
+                              "operators.py:save_operator"]
     for name, func in owners.items():
         assert any(isinstance(node, ast.Call)
                    and ast.unparse(node.func) == "os.replace"

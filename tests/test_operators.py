@@ -618,9 +618,10 @@ def test_load_operator_names_a_file_of_the_wrong_size(change, tmp_path):
     ("k_max", 12.9, "an integer"), ("m", 1.5, "an integer"),
     ("m", True, "an integer"), ("epsilon", "0.05", "a number"),
     ("epsilon", float("nan"), "a number"),
+    ("epsilon", float("inf"), "a number"),
     ("epsilon", 10 ** 400, "a number")],
     ids=["float-k_max", "float-m", "bool-m", "string-epsilon", "nan-epsilon",
-         "beyond-float-epsilon"])
+         "infinity-epsilon", "beyond-float-epsilon"])
 def test_load_operator_rejects_a_sidecar_value_of_the_wrong_type(
         field, value, what, tmp_path):
     # int() would truncate 12.9 to 12 and 1.5 or true to 1, and the file
@@ -780,20 +781,22 @@ def test_operator_export_bit_exact(tmp_path):
     (lambda: assemble_L(1, 96, 0.05), 0.3),
     (lambda: assemble_L0(0, 12), 0.05),
     (lambda: assemble_L(0, 12, 0.05), 0.0),
+    (lambda: assemble_L(0, 12, 0.05), 0),
 ], ids=["0.3-for-0.05", "1%-off", "sign", "k_max-96", "L0-as-0.05",
-        "0.05-as-L0"])
+        "0.05-as-L0", "0.05-as-integer-0"])
 def test_load_operator_checks_the_sidecar_epsilon(build, epsilon, tmp_path):
     # every eps gives the same dim, so only the entries can tell a wrong
     # sidecar epsilon: K's pipeline on the probe at that eps must match the
-    # entries less L0 on the probe
+    # entries less L0 on the probe.  A JSON integer is a number, read as
+    # the float it names
     opmat = build()
     bin_path, side_path, _ = save_and_read(opmat, tmp_path)
     doc = json.loads(side_path.read_text())
     doc["epsilon"] = epsilon
     side_path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(
-            f"does not hold L at the sidecar's epsilon {epsilon!r}: its K on "
-            f"the probe is ")) as info:
+            f"does not hold L at the sidecar's epsilon {float(epsilon)!r}: "
+            f"its K on the probe is ")) as info:
         load_operator(bin_path, side_path)
     # the message names the gap and the bound it broke
     gap, bound = (float(x) for x in re.findall(
